@@ -1,17 +1,24 @@
-"""Dense LU helpers shared by every solver in the package.
+"""Sparse LU factorization shared by every solver in the package.
 
-All linear solves go through :func:`solve_checked`, which factors with
-partial pivoting, rejects numerically singular systems via a pivot-ratio
-test, and attaches a 1-norm condition estimate to the result.  The estimate
-is diagnostic only; no solve is refused because of a large condition number.
+Every linear solve goes through :class:`Factorization`, which factors a
+matrix once with SuperLU (``scipy.sparse.linalg.splu``) and then solves any
+number of right-hand sides.  Non-finite input and numerically singular
+systems are rejected at factor time; the latter by a pivot-ratio test on
+the diagonal of U.  The 1-norm condition estimate is computed on first use
+by the Hager-Higham estimator that LAPACK's ``xGECON`` runs (``xLACN2``),
+driven by the factor's own solves, so it costs a handful of sparse
+triangular solves and needs no dense copy of the matrix.  The estimate is
+diagnostic only; no solve is refused because of a large condition number.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy import sparse
+from scipy.sparse import linalg as spla
 
 from .errors import SolverError
 
@@ -19,54 +26,93 @@ from .errors import SolverError
 # falls below this fraction of the largest one.
 PIVOT_RTOL = 1e-12
 
+# Iteration cap and underflow threshold of LAPACK's xLACN2.
+_LACN2_ITMAX = 5
+_SAFMIN = np.finfo(float).tiny
 
-def _factor(a: np.ndarray):
-    """LU-factor ``a``, returning ``(lu, piv, pivot_ratio)``.
 
-    ``pivot_ratio`` is min|u_ii| / max|u_ii|; zero for an exactly singular
-    matrix (scipy's warning about zero pivots is suppressed, the ratio test
-    is the single source of truth).
+class Factorization:
+    """LU factors of one square matrix, dense or sparse.
+
+    ``solve`` accepts a vector or a matrix of right-hand sides.  Raises
+    :class:`SolverError` with ``code`` when ``a`` has a non-finite entry,
+    is exactly singular, or its pivot ratio min|u_ii| / max|u_ii| falls
+    below :data:`PIVOT_RTOL`.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    pmax = pivots.max() if pivots.size else 0.0
-    ratio = 0.0 if pmax == 0.0 else float(pivots.min() / pmax)
-    return lu, piv, ratio
+
+    def __init__(self, a, *, code: str, what: str = "linear system"):
+        a = sparse.csc_array(a)
+        if not np.isfinite(a.data).all():
+            raise SolverError(f"{what} has non-finite entries", code=code)
+        self._a = a
+        try:
+            self._lu = spla.splu(a)
+        except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+            raise SolverError(
+                f"{what} is numerically singular (pivot ratio 0.000e+00)",
+                code=code) from exc
+        pivots = np.abs(self._lu.U.diagonal())
+        self.pivot_ratio = float(pivots.min() / pivots.max())
+        if not self.pivot_ratio >= PIVOT_RTOL:
+            raise SolverError(
+                f"{what} is numerically singular "
+                f"(pivot ratio {self.pivot_ratio:.3e})",
+                code=code, condition=self.condition)
+
+    def solve(self, b) -> np.ndarray:
+        """``A^(-1) b`` for a vector or for each column of a matrix."""
+        return self._lu.solve(np.asarray(b))
+
+    @cached_property
+    def condition(self) -> float:
+        """1-norm condition estimate ``|A|_1 * est(|A^(-1)|_1)``, as xGECON."""
+        anorm = float(abs(self._a).sum(axis=0).max())
+        cond = anorm * _inverse_norm1_estimate(self._lu, self._a.dtype)
+        return cond if 0.0 < cond < math.inf else math.inf
 
 
-def _condition_estimate(a: np.ndarray, lu: np.ndarray) -> float:
-    """1-norm condition estimate from an existing LU factorization."""
-    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    anorm = float(np.linalg.norm(a, 1)) if a.size else 0.0
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0:
-        return float("inf")
-    return 1.0 / float(rcond)
+def _unit_phase(x: np.ndarray, cplx: bool) -> np.ndarray:
+    """xLACN2's sign vector: x/|x| (1 below underflow), or +-1 if real."""
+    if not cplx:
+        return np.where(x >= 0, 1.0, -1.0)
+    ax = np.abs(x)
+    return np.divide(x, ax, out=np.ones_like(x), where=ax > _SAFMIN)
 
 
-def solve_checked(a: np.ndarray, b: np.ndarray, *, code: str,
-                  what: str = "linear system"):
-    """Solve ``a @ x = b`` with singularity detection.
+def _inverse_norm1_estimate(lu, dtype: np.dtype) -> float:
+    """Estimate of |A^(-1)|_1 by LAPACK's xLACN2 reverse-communication loop.
 
-    Returns ``(x, condition)``.  Raises :class:`SolverError` with the given
-    ``code`` when the pivot ratio falls below :data:`PIVOT_RTOL`; the raised
-    error still carries the condition estimate of the factorization.
+    ``lu.solve(x)`` plays xLACN2's KASE=1 (multiply by A^(-1)) and
+    ``lu.solve(x, trans)`` its KASE=2 (by A^(-T), or A^(-H) when complex).
+    Deterministic: the iteration starts from the fixed vector 1/n.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    lu, piv, ratio = _factor(a)
-    cond = _condition_estimate(a, lu)
-    if ratio < PIVOT_RTOL:
-        raise SolverError(
-            f"{what} is numerically singular (pivot ratio {ratio:.3e})",
-            code=code, condition=cond)
-    x = lu_solve((lu, piv), b, check_finite=False)
-    return x, cond
-
-
-def invert_checked(a: np.ndarray, *, code: str, what: str = "matrix"):
-    """Inverse of ``a`` with the same singularity policy as solve_checked."""
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    return solve_checked(a, eye, code=code, what=what)
+    n = lu.shape[0]
+    cplx = dtype.kind == "c"
+    trans = "H" if cplx else "T"
+    x = lu.solve(np.full(n, 1.0 / n, dtype=dtype))
+    if n == 1:
+        return float(abs(x[0]))
+    est = float(np.abs(x).sum())
+    sign = _unit_phase(x, cplx)
+    x = lu.solve(sign, trans)
+    j = int(np.argmax(np.abs(x)))
+    for _ in range(2, _LACN2_ITMAX + 1):
+        e_j = np.zeros(n, dtype=dtype)
+        e_j[j] = 1.0
+        x = lu.solve(e_j)
+        est_old, est = est, float(np.abs(x).sum())
+        new_sign = _unit_phase(x, cplx)
+        # repeated sign vector (real only) or no growth: converged
+        if (not cplx and np.array_equal(new_sign, sign)) or est <= est_old:
+            break
+        sign = new_sign
+        x = lu.solve(sign, trans)
+        j_last, j = j, int(np.argmax(np.abs(x)))
+        last = abs(x[j_last]) if cplx else x[j_last]
+        if last == abs(x[j]):
+            break
+    # final stage: an alternating vector guards against the rare matrices
+    # on which the power iteration above badly underestimates
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1, 1)
+    temp = 2.0 * float(np.abs(lu.solve(alt.astype(dtype))).sum()) / (3 * n)
+    return max(est, temp)

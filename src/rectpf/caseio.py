@@ -40,6 +40,10 @@ _BUS_FIELDS = {
 }
 _BRANCH_FIELDS = {"from", "to", "series_g", "series_b", "shunt_b_total"}
 
+# libyaml's parser when PyYAML was built with it; it pairs the C parser with
+# the same resolver and safe constructor, so documents load to equal objects.
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _degrees_exact(rad: float) -> float:
     """Degrees value whose parse (multiplication by pi/180) returns ``rad``.
@@ -153,7 +157,7 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     """Parse a case document.  PARSE_ERROR for bad YAML, VALIDATION_ERROR
     (listing every violation) for schema problems."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_SafeLoader)
     except yaml.YAMLError as exc:
         detail = ""
         mark = getattr(exc, "problem_mark", None)

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 case validation or parse failure, 3 solver
 failure.  Every error line printed to stderr starts with the machine-
 readable error code.
+
+Output goes to the current ``sys.stdout``/``sys.stderr`` explicitly:
+click's default-stream lookup caches a wrapper per stream object that
+keeps the stream alive, so a caller that redirects the streams for each
+command in one process would otherwise retain every output it captured.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from .report import (FORMATS, METHODS, emit_compare, emit_check, emit_report,
 def _fail(exc: RectpfError, exit_code: int) -> None:
     if isinstance(exc, CaseValidationError):
         for v in exc.violations:
-            click.echo(f"{exc.code}: {v}", err=True)
+            click.echo(f"{exc.code}: {v}", file=sys.stderr)
     else:
-        click.echo(f"{exc.code}: {exc}", err=True)
+        click.echo(f"{exc.code}: {exc}", file=sys.stderr)
     sys.exit(exit_code)
 
 
@@ -60,7 +65,7 @@ def solve(case_path, method, oracle, fmt, override_conditions):
         _fail(exc, 3)
     except CaseValidationError as exc:
         _fail(exc, 2)
-    click.echo(emit_report(report, fmt), nl=False)
+    click.echo(emit_report(report, fmt), file=sys.stdout, nl=False)
 
 
 @main.command()
@@ -74,7 +79,9 @@ def check(case_path, fmt):
         report = run_check(case)
     except SolverError as exc:
         _fail(exc, 3)
-    click.echo(emit_check(report, fmt), nl=False)
+    except CaseValidationError as exc:
+        _fail(exc, 2)
+    click.echo(emit_check(report, fmt), file=sys.stdout, nl=False)
 
 
 @main.command()
@@ -93,10 +100,11 @@ def compare(case_path, alpha_list, method, fmt, override_conditions):
         alphas = [float(tok) for tok in alpha_list.split(",") if tok.strip()]
     except ValueError:
         click.echo(f"VALIDATION_ERROR: --alpha-list must be a comma-"
-                   f"separated list of numbers, got {alpha_list!r}", err=True)
+                   f"separated list of numbers, got {alpha_list!r}",
+                   file=sys.stderr)
         sys.exit(2)
     if not alphas:
-        click.echo("VALIDATION_ERROR: --alpha-list is empty", err=True)
+        click.echo("VALIDATION_ERROR: --alpha-list is empty", file=sys.stderr)
         sys.exit(2)
     try:
         report = run_compare(case, alphas, method=method,
@@ -105,7 +113,7 @@ def compare(case_path, alpha_list, method, fmt, override_conditions):
         _fail(exc, 3)
     except CaseValidationError as exc:
         _fail(exc, 2)
-    click.echo(emit_compare(report, fmt), nl=False)
+    click.echo(emit_compare(report, fmt), file=sys.stdout, nl=False)
 
 
 if __name__ == "__main__":

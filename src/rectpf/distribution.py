@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import invert_checked, solve_checked
+from ._linalg import Factorization
 from .errors import InternalCheckError, SolverError
 from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, NominalOrigin,
                         NominalVoltage, SolutionMethod, SolveDiagnostics,
@@ -65,8 +65,9 @@ class ImpedanceDecomposition:
 
 def impedance_decomposition(partition: AdmittancePartition
                             ) -> ImpedanceDecomposition:
-    yinv, _ = invert_checked(partition.Y, code="SINGULAR_Y",
-                             what="admittance block Y")
+    lu = Factorization(partition.Y_csr, code="SINGULAR_Y",
+                       what="admittance block Y")
+    yinv = lu.solve(np.eye(partition.n, dtype=complex))
     return ImpedanceDecomposition(yinv.real, yinv.imag)
 
 
@@ -149,13 +150,12 @@ def decoupled_estimate(partition: AdmittancePartition,
     """
     vmag, theta = _magnitude_angle(nominal)
     s = np.asarray(s, dtype=complex)
-    dmag, _ = solve_checked(partition.G, s.real / vmag, code="SINGULAR_G",
-                            what="conductance block G")
-    dang, _ = solve_checked(partition.G, s.imag / vmag, code="SINGULAR_G",
-                            what="conductance block G")
+    lu = Factorization(partition.Y_csr.real, code="SINGULAR_G",
+                       what="conductance block G")
+    dmag, dang = lu.solve(np.column_stack([s.real / vmag, s.imag / vmag])).T
     return DecoupledEstimate(
         v_mag=vmag + dmag, theta=theta - dang,
-        susceptance_norm=max_row_norm(partition.B),
+        susceptance_norm=max_row_norm(partition.Y_csr.imag),
         max_nominal_angle=float(np.abs(theta).max(initial=0.0)))
 
 
@@ -180,16 +180,14 @@ def solve_no_current_closed_form(partition: AdmittancePartition,
             "this special form assumes no constant-current loads",
             code="NONZERO_CURRENT_LOAD")
     s = np.asarray(s, dtype=complex)
-    w, _ = solve_checked(partition.Y, -partition.Ybar, code="SINGULAR_Y",
-                         what="admittance block Y")
+    lu = Factorization(partition.Y_csr, code="SINGULAR_Y",
+                       what="admittance block Y")
+    w = lu.solve(-partition.Ybar)
     v0 = v_slack * w
     if np.abs(v0).min(initial=np.inf) < MIN_NOMINAL_VMAG:
         raise SolverError("open-circuit voltage vanishes at some bus",
                           code="ZERO_NOLOAD_VOLTAGE")
-    scaled, cond = solve_checked(partition.Y, s.conj() / w.conj(),
-                                 code="SINGULAR_Y",
-                                 what="admittance block Y")
-    dv = (v_slack / abs(v_slack) ** 2) * scaled
+    dv = (v_slack / abs(v_slack) ** 2) * lu.solve(s.conj() / w.conj())
 
     nominal = NominalVoltage(v0, NominalOrigin.NO_LOAD)
     reference = solve_noload_closed_form(partition, nominal, s)
@@ -198,7 +196,7 @@ def solve_no_current_closed_form(partition: AdmittancePartition,
         raise InternalCheckError(
             f"no-current special form disagrees with the general closed "
             f"form by {gap:.3e}")
-    diagnostics = SolveDiagnostics(condition=cond,
+    diagnostics = SolveDiagnostics(condition=lu.condition,
                                    flags={"no_current_special": True})
     return LinearSolution(nominal, dv, SolutionMethod.NOLOAD_CLOSED_FORM,
                           diagnostics)
@@ -214,5 +212,5 @@ def complex_error_bound(partition: AdmittancePartition,
     """
     if sol.method is not SolutionMethod.NOLOAD_CLOSED_FORM:
         raise ValueError("bound applies to no-load closed-form solutions")
-    return max_row_norm(partition.Y.conj()) * float(
+    return max_row_norm(partition.Y_csr.conj()) * float(
         np.linalg.norm(sol.dv)) ** 2

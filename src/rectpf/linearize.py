@@ -26,8 +26,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+from scipy import sparse
 
-from ._linalg import solve_checked
+from ._linalg import Factorization
 from .errors import SolverError
 from .netmodel import AdmittancePartition, NetworkCase
 
@@ -80,22 +81,25 @@ class PerturbationCoefficients:
     """Coefficients of the linear model at a given nominal voltage.
 
     ``direct`` is the diagonal coefficient of the perturbation itself (kept
-    as a vector; the matrix is diagonal by construction), ``cross`` the full
-    matrix multiplying the conjugated perturbation, and ``offset`` the
-    constant term moved to the right-hand side.  ``offset == -V0 * direct``
-    always; both reuse the same shared subexpression.
+    as a vector; the matrix is diagonal by construction), ``cross`` the
+    sparse matrix multiplying the conjugated perturbation (it has the
+    sparsity of Y), and ``offset`` the constant term moved to the
+    right-hand side.  ``offset == -V0 * direct`` always; both reuse the
+    same shared subexpression.
     """
 
     nominal: NominalVoltage
     direct: np.ndarray
-    cross: np.ndarray
+    cross: sparse.csr_array
     offset: np.ndarray
 
     def __post_init__(self):
-        for name in ("direct", "cross", "offset"):
+        for name in ("direct", "offset"):
             arr = np.array(getattr(self, name), dtype=complex)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "cross",
+                           sparse.csr_array(self.cross, dtype=complex))
 
     @property
     def n(self) -> int:
@@ -110,28 +114,30 @@ def assemble_coefficients(partition: AdmittancePartition,
     v0 = nominal.V
     if v0.shape[0] != partition.n:
         raise ValueError("nominal voltage length does not match the network")
-    direct = (partition.Y.conj() @ v0.conj()
+    y_conj = partition.Y_csr.conj()
+    direct = (y_conj @ v0.conj()
               + partition.Ybar.conj() * np.conj(v_slack)
               - np.conj(np.asarray(i_load, dtype=complex)))
-    cross = v0[:, None] * partition.Y.conj()
+    cross = sparse.diags_array(v0) @ y_conj
     offset = -v0 * direct
     return PerturbationCoefficients(nominal, direct, cross, offset)
 
 
-def real_block_matrix(coeffs: PerturbationCoefficients) -> np.ndarray:
-    """Stack the complex linear model into its 2N x 2N real form.
+def real_block_matrix(coeffs: PerturbationCoefficients
+                      ) -> sparse.csr_array:
+    """Stack the complex linear model into its 2N x 2N real form (sparse).
 
     Unknown ordering is ``[Re dv; Im dv]``; row ordering is active-power
     rows then reactive-power rows.  The same matrix is the power-flow
     Jacobian at the nominal point, which is why the Newton solver reuses
     this builder.
     """
-    dre = np.diag(coeffs.direct.real)
-    dim = np.diag(coeffs.direct.imag)
+    dre = sparse.diags_array(coeffs.direct.real)
+    dim = sparse.diags_array(coeffs.direct.imag)
     cre = coeffs.cross.real
     cim = coeffs.cross.imag
-    return np.block([[dre + cre, -dim + cim],
-                     [dim + cim, dre - cre]])
+    return sparse.block_array([[dre + cre, -dim + cim],
+                               [dim + cim, dre - cre]], format="csr")
 
 
 def linear_injection(coeffs: PerturbationCoefficients,
@@ -195,12 +201,14 @@ def solve_general_2n(coeffs: PerturbationCoefficients,
     m = real_block_matrix(coeffs)
     rhs = np.concatenate([s.real + coeffs.offset.real,
                           s.imag + coeffs.offset.imag])
-    x, cond = solve_checked(m, rhs, code="SINGULAR_SYSTEM",
-                            what="stacked 2N perturbation system")
+    lu = Factorization(m, code="SINGULAR_SYSTEM",
+                       what="stacked 2N perturbation system")
+    x = lu.solve(rhs)
     dv = x[:n] + 1j * x[n:]
     return LinearSolution(
         coeffs.nominal, dv, SolutionMethod.GENERAL_2N,
-        SolveDiagnostics(condition=cond, flags=dict(extra_flags or {})))
+        SolveDiagnostics(condition=lu.condition,
+                         flags=dict(extra_flags or {})))
 
 
 def compute_noload_voltage(partition: AdmittancePartition,
@@ -213,8 +221,8 @@ def compute_noload_voltage(partition: AdmittancePartition,
     profile is numerically zero (the closed form divides by it).
     """
     rhs = np.asarray(i_load, dtype=complex) - partition.Ybar * v_slack
-    v0, _ = solve_checked(partition.Y, rhs, code="SINGULAR_Y",
-                          what="admittance block Y")
+    v0 = Factorization(partition.Y_csr, code="SINGULAR_Y",
+                       what="admittance block Y").solve(rhs)
     if v0.size and np.abs(v0).min() < MIN_NOMINAL_VMAG:
         raise SolverError(
             "no-load voltage vanishes at some bus; the closed form is "
@@ -239,12 +247,13 @@ def solve_noload_closed_form(partition: AdmittancePartition,
         raise SolverError("nominal voltage vanishes at some bus",
                           code="ZERO_NOLOAD_VOLTAGE")
     s = np.asarray(s, dtype=complex)
-    system = v0.conj()[:, None] * partition.Y
-    dv, cond = solve_checked(system, s.conj(), code="SINGULAR_Y",
-                             what="scaled admittance block diag(conj(V0)) Y")
+    system = sparse.diags_array(v0.conj()) @ partition.Y_csr
+    lu = Factorization(system, code="SINGULAR_Y",
+                       what="scaled admittance block diag(conj(V0)) Y")
     return LinearSolution(
-        nominal, dv, SolutionMethod.NOLOAD_CLOSED_FORM,
-        SolveDiagnostics(condition=cond, flags=dict(extra_flags or {})))
+        nominal, lu.solve(s.conj()), SolutionMethod.NOLOAD_CLOSED_FORM,
+        SolveDiagnostics(condition=lu.condition,
+                         flags=dict(extra_flags or {})))
 
 
 def solve_general(partition: AdmittancePartition,

@@ -14,8 +14,10 @@ pinned::
     [ I ]     [ Y     Ybar    ] [ V       ]
     [ I_s ] = [ Ybar^T  y_slack ] [ V_slack ]
 
-where Y is the N x N block over non-slack buses.  Storage is dense; the
-package targets desk-scale studies (N up to a few hundred).
+where Y is the N x N block over non-slack buses.  Y is stored as a sparse
+CSR matrix with one entry per bus and per branch end, so a radial feeder
+costs O(N) memory and every solver works in O(nnz); dense copies are built
+only on request, for inspection and for outputs that are dense by nature.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import CaseValidationError
 
@@ -198,8 +202,10 @@ class NetworkCase:
             if not _finite(br.shunt_admittance_total):
                 problems.append(f"{where}: shunt admittance is not finite")
         if not problems:
-            edges = [(br.from_bus - 1, br.to_bus - 1) for br in self.branches]
-            if not _connected(len(buses), edges):
+            ends = np.array([(br.from_bus - 1, br.to_bus - 1)
+                             for br in self.branches], dtype=int)
+            ends = ends.reshape(-1, 2)
+            if not _connected(len(buses), ends[:, 0], ends[:, 1]):
                 problems.append("network graph is not connected")
         if problems:
             raise CaseValidationError(problems)
@@ -273,55 +279,60 @@ def scale_power_injections(case: NetworkCase, alpha: float) -> NetworkCase:
     return NetworkCase(tuple(buses), case.branches, case.base_mva)
 
 
-def _connected(n_nodes: int, edges) -> bool:
-    """True when the undirected graph on 0..n_nodes-1 is connected."""
+def _connected(n_nodes: int, rows, cols) -> bool:
+    """True when the undirected graph on 0..n_nodes-1 with the given edges
+    (self loops allowed) is connected."""
     if n_nodes <= 1:
         return True
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n_nodes
+    graph = sparse.coo_array((np.ones(len(rows)), (rows, cols)),
+                             shape=(n_nodes, n_nodes))
+    return connected_components(graph, directed=False)[0] == 1
 
 
 @dataclass(frozen=True, eq=False)
 class AdmittancePartition:
     """Slack-partitioned admittance data.
 
-    ``Y`` is the N x N block over non-slack buses, ``Ybar`` the (N,) coupling
-    column to the slack and ``y_slack`` the slack self-admittance.  The shunt
-    vector obeys ``Ysh = Y @ 1 + Ybar`` by construction: series terms cancel
-    in the row sum, leaving exactly the lumped shunts (line halves plus the
-    constant-impedance load parts).
+    ``Y_csr`` is the N x N block over non-slack buses as a sparse CSR matrix
+    (any dense or sparse matrix is accepted and converted; explicit zeros
+    are dropped), ``Ybar`` the (N,) coupling column to the slack and
+    ``y_slack`` the slack self-admittance.  ``Y``, ``G`` and ``B`` are dense
+    read-only copies built on first access.  The shunt vector obeys
+    ``Ysh = Y @ 1 + Ybar`` by construction: series terms cancel in the row
+    sum, leaving exactly the lumped shunts (line halves plus the
+    constant-impedance load parts).  It is summed over the dense copy, so
+    the identity holds bit for bit; only the lossless and DC formulations,
+    which are desk-scale, use it.
     """
 
-    Y: np.ndarray
+    Y_csr: sparse.csr_array
     Ybar: np.ndarray
     y_slack: complex
 
     def __post_init__(self):
-        y = np.array(self.Y, dtype=complex)
+        y = sparse.csr_array(self.Y_csr, dtype=complex, copy=True)
         ybar = np.array(self.Ybar, dtype=complex)
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
+        if len(y.shape) != 2 or y.shape[0] != y.shape[1]:
             raise ValueError("Y must be a square matrix")
         if ybar.shape != (y.shape[0],):
             raise ValueError("Ybar must be a vector matching Y")
-        y.flags.writeable = False
-        ybar.flags.writeable = False
-        object.__setattr__(self, "Y", y)
+        y.sum_duplicates()
+        y.eliminate_zeros()
+        for arr in (y.data, y.indices, y.indptr, ybar):
+            arr.flags.writeable = False
+        object.__setattr__(self, "Y_csr", y)
         object.__setattr__(self, "Ybar", ybar)
         object.__setattr__(self, "y_slack", complex(self.y_slack))
 
     @property
     def n(self) -> int:
-        return self.Y.shape[0]
+        return self.Y_csr.shape[0]
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        y = self.Y_csr.toarray()
+        y.flags.writeable = False
+        return y
 
     @property
     def G(self) -> np.ndarray:
@@ -350,7 +361,7 @@ class AdmittancePartition:
         return tuple(int(i) + 1 for i in np.flatnonzero(self.Ybar != 0))
 
     def full_matrix(self) -> np.ndarray:
-        """Reassembled (N+1) x (N+1) nodal admittance matrix."""
+        """Reassembled (N+1) x (N+1) nodal admittance matrix, dense."""
         n = self.n
         full = np.zeros((n + 1, n + 1), dtype=complex)
         full[:n, :n] = self.Y
@@ -363,24 +374,44 @@ class AdmittancePartition:
 def build_admittance(case: NetworkCase) -> AdmittancePartition:
     """Stamp branches and shunt loads into the partitioned admittance.
 
-    The case is already validated (references, connectivity), so this is a
-    straight accumulation pass.  Branch stamping is symmetric, hence the
-    reassembled full matrix is symmetric exactly.
+    One vectorized pass: the stamps are laid out branch by branch, then bus
+    by bus, and duplicates are summed in that order, so every entry is the
+    same floating-point sum as a dense accumulation.  Entries that sum to
+    exactly zero (parallel branches that cancel) are dropped and count as
+    no edge.  Branch stamping is symmetric, hence the reassembled full
+    matrix is symmetric exactly.  A sum that overflows raises
+    :class:`CaseValidationError`.
     """
     m = len(case.buses)
-    full = np.zeros((m, m), dtype=complex)
-    for br in case.branches:
-        f, t = br.from_bus - 1, br.to_bus - 1
-        ys = br.series_admittance
-        half = br.shunt_admittance_total / 2.0
-        full[f, f] += ys + half
-        full[t, t] += ys + half
-        full[f, t] -= ys
-        full[t, f] -= ys
-    for bus in case.buses:
-        full[bus.id - 1, bus.id - 1] += bus.load.shunt_admittance
+    f, t = np.array([(br.from_bus - 1, br.to_bus - 1)
+                     for br in case.branches], dtype=int).reshape(-1, 2).T
+    ys = np.array([br.series_admittance for br in case.branches],
+                  dtype=complex)
+    half = np.array([br.shunt_admittance_total for br in case.branches],
+                    dtype=complex) / 2.0
+    buses = np.arange(m)
+    rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), buses])
+    cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), buses])
+    keys, where = np.unique(rows * m + cols, return_inverse=True)
+    data = np.zeros(keys.size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        vals = np.concatenate([
+            np.stack([ys + half, ys + half, -ys, -ys], axis=1).ravel(),
+            np.array([b.load.shunt_admittance for b in case.buses],
+                     dtype=complex)])
+        np.add.at(data, where, vals)
+    finite = np.isfinite(data)
+    if not finite.all():
+        ids = sorted({int(k) // m + 1 for k in keys[~finite]})
+        raise CaseValidationError(
+            [f"admittance at bus(es) {ids} is not finite: the branch and "
+             f"shunt admittances summed there overflow"])
+    keep = data != 0
+    full = sparse.csr_array((data[keep], np.divmod(keys[keep], m)),
+                            shape=(m, m))
     n = m - 1
-    return AdmittancePartition(full[:n, :n], full[:n, n], full[n, n])
+    return AdmittancePartition(full[:n, :n], full[:n, [n]].toarray().ravel(),
+                               full[n, n])
 
 
 def extract_shunts(partition: AdmittancePartition) -> np.ndarray:
@@ -418,18 +449,15 @@ def check_noload_structure(partition: AdmittancePartition,
     Dominance comparisons use a relative tolerance of 1e-12 on the row
     scale, so exact ties count as weak but not strict.
     """
-    y = partition.Y
-    n = partition.n
-    diag = np.abs(np.diag(y))
-    offsum = np.abs(y).sum(axis=1) - diag
+    y = partition.Y_csr
+    diag = np.abs(y.diagonal())
+    offsum = abs(y).sum(axis=1) - diag
     margins = diag - offsum
     tol = 1e-12 * (diag + offsum)
     weak = margins >= -tol
     strict = margins > tol
 
-    off_edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if y[i, j] != 0 or y[j, i] != 0]
-    connected = _connected(n, off_edges)
+    connected = _connected(partition.n, *y.nonzero())
 
     slack_adjacent = partition.slack_adjacent_ids()
     strict_at_adjacent = bool(slack_adjacent) and all(

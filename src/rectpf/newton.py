@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
-from ._linalg import solve_checked
+from ._linalg import Factorization
 from .errors import SolverError
 from .linearize import (NominalOrigin, NominalVoltage, assemble_coefficients,
                         compute_noload_voltage, real_block_matrix)
@@ -104,17 +105,21 @@ def _mismatch_measure(ds, pv_pos, f_lower):
 
 
 def _jacobian(partition, i_load, v_slack, pv_pos, v):
-    """Analytic Jacobian; shares the block builder with the linear solvers."""
+    """Sparse analytic Jacobian; shares the block builder with the linear
+    solvers, with each PV bus's reactive row replaced by its |V|^2 row."""
     coeffs = assemble_coefficients(
         partition, NominalVoltage(v, NominalOrigin.USER), i_load, v_slack)
     jac = real_block_matrix(coeffs)
-    n = partition.n
-    for k in pv_pos:
-        row = np.zeros(2 * n)
-        row[k] = 2.0 * v.real[k]
-        row[n + k] = 2.0 * v.imag[k]
-        jac[n + k, :] = row
-    return jac
+    if not pv_pos.size:
+        return jac
+    rows = partition.n + pv_pos
+    keep = np.ones(jac.shape[0])
+    keep[rows] = 0.0
+    pv_rows = sparse.csr_array(
+        (np.concatenate([2.0 * v.real[pv_pos], 2.0 * v.imag[pv_pos]]),
+         (np.concatenate([rows, rows]), np.concatenate([pv_pos, rows]))),
+        shape=jac.shape)
+    return sparse.diags_array(keep) @ jac + pv_rows
 
 
 def _initial_voltage(partition, case, settings):
@@ -157,8 +162,8 @@ def solve_newton(partition: AdmittancePartition,
         if mismatch <= settings.tolerance:
             return NewtonResult(v, True, it, mismatch)
         jac = _jacobian(partition, i_load, v_slack, pv_pos, v)
-        step2n, _ = solve_checked(jac, -f, code="SINGULAR_JACOBIAN",
-                                  what="power-flow Jacobian")
+        step2n = Factorization(jac, code="SINGULAR_JACOBIAN",
+                               what="power-flow Jacobian").solve(-f)
         step = step2n[:n] + 1j * step2n[n:]
 
         # Full step first; halve only while the mismatch would increase.
@@ -193,7 +198,7 @@ def jacobian_check(partition: AdmittancePartition,
     v_slack = case.v_slack
     s_target, pv_pos, vset_sq = _case_targets(case)
     n = partition.n
-    analytic = _jacobian(partition, i_load, v_slack, pv_pos, v)
+    analytic = _jacobian(partition, i_load, v_slack, pv_pos, v).toarray()
 
     fd = np.empty_like(analytic)
     for k in range(2 * n):

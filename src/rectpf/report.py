@@ -77,7 +77,7 @@ class RunReport:
 
 def _lossless_gate(partition: AdmittancePartition,
                    case: NetworkCase) -> bool:
-    gmax = float(np.abs(partition.G).max(initial=0.0))
+    gmax = float(np.abs(partition.Y_csr.data.real).max(initial=0.0))
     return gmax <= trans.LOSSLESS_GMAX and abs(case.v_slack - 1.0) <= 1e-12
 
 

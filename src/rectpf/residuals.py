@@ -13,24 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InternalCheckError
 from .netmodel import AdmittancePartition, NetworkCase
 
 
-def max_row_norm(a: np.ndarray) -> float:
+def max_row_norm(a) -> float:
     """Maximum Euclidean row norm, max_l sqrt(sum_k |a_lk|^2).
 
     For any vector x this gives ``|diag(x) A x| <= max_row_norm(A) |x|^2``
     and ``|A x| <= max_row_norm(A) |x|`` in the 2-norm (row-wise
-    Cauchy-Schwarz, summed).
+    Cauchy-Schwarz, summed).  ``a`` may be dense or sparse.
     """
-    a = np.asarray(a)
+    if not sparse.issparse(a):
+        a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("max_row_norm is defined for matrices")
     if a.size == 0:
         return 0.0
-    return float(np.sqrt((np.abs(a) ** 2).sum(axis=1)).max())
+    return float(np.sqrt((abs(a) ** 2).sum(axis=1)).max())
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,10 @@ def quadratic_residual(partition: AdmittancePartition,
     :class:`InternalCheckError` rather than returning silently wrong data.
     """
     dv = np.asarray(dv, dtype=complex)
-    y = partition.Y
+    y = partition.Y_csr
     s_hot = dv * (y.conj() @ dv.conj())
 
-    g, b = partition.G, partition.B
+    g, b = y.real, y.imag
     dre, dim = dv.real, dv.imag
     a = g @ dre - b @ dim
     c = g @ dim + b @ dre
@@ -138,7 +140,7 @@ def complex_injection(partition: AdmittancePartition,
                       v_slack: complex) -> np.ndarray:
     """Exact complex power injected at each non-slack bus for ``voltage``."""
     v = np.asarray(voltage, dtype=complex)
-    i_net = (partition.Y @ v + partition.Ybar * v_slack
+    i_net = (partition.Y_csr @ v + partition.Ybar * v_slack
              - np.asarray(i_load, dtype=complex))
     return v * i_net.conj()
 

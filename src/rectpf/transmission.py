@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from ._linalg import solve_checked
+from ._linalg import Factorization
 from .errors import SolverError
 from .linearize import (LinearSolution, SolutionMethod, SolveDiagnostics,
                         flat_nominal)
@@ -39,7 +40,8 @@ class LosslessSystem:
     """Data of the active-power rows at the flat nominal of a lossless grid.
 
     ``re_coeff`` is the diagonal coefficient of the real perturbation (kept
-    as a vector), ``im_coeff`` the full matrix on the imaginary part.
+    as a vector), ``im_coeff`` the full matrix on the imaginary part.  The
+    matrices are dense: lossless grids are studied at desk scale.
     """
 
     B: np.ndarray
@@ -69,7 +71,7 @@ def build_lossless_system(partition: AdmittancePartition,
     is exactly one per-unit at zero angle (the formulation is derived for
     that reference; no attempt is made to rescale).
     """
-    gmax = float(np.abs(partition.G).max(initial=0.0))
+    gmax = float(np.abs(partition.Y_csr.data.real).max(initial=0.0))
     if gmax > LOSSLESS_GMAX:
         raise SolverError(
             f"network has conductance up to {gmax:.3e} pu; the lossless "
@@ -79,7 +81,7 @@ def build_lossless_system(partition: AdmittancePartition,
         raise SolverError(
             "lossless flat-profile solve requires slack voltage 1.0 at "
             "zero angle", code="SLACK_NOT_UNITY")
-    b = partition.B
+    b = partition.Y_csr.imag.toarray()
     bsh = partition.Bsh
     i_load = case.i_load_vector()
     re_coeff = -i_load.real
@@ -155,11 +157,11 @@ def solve_lossless_flat(sys: LosslessSystem,
             "to attempt the solve anyway",
             code="FLAT_CONDITIONS_VIOLATED")
     rhs = sys.p + sys.i_load.real
-    dv_im, cond = solve_checked(sys.im_coeff, rhs,
-                                code="SINGULAR_FLAT_SYSTEM",
-                                what="flat-profile coefficient matrix")
+    lu = Factorization(sys.im_coeff, code="SINGULAR_FLAT_SYSTEM",
+                       what="flat-profile coefficient matrix")
+    dv_im = lu.solve(rhs)
     diagnostics = SolveDiagnostics(
-        condition=cond,
+        condition=lu.condition,
         flags={"flat_profile_conditions": conditions.overall},
         override_used=bool(override_conditions and not conditions.overall),
         violated_buses=violated if not conditions.overall else ())
@@ -192,8 +194,7 @@ def solve_classical_dc(partition: AdmittancePartition,
     is exactly ``(B - diag(Bsh))^(-1) Gsh``.
     """
     p = np.asarray(p, dtype=float)
-    m = -(partition.B - np.diag(partition.Bsh))
+    m = -(partition.Y_csr.imag - sparse.diags_array(partition.Bsh))
     rhs = p - partition.Gsh if keep_shunt_conductance else p
-    theta, _ = solve_checked(m, rhs, code="SINGULAR_B",
-                             what="DC susceptance matrix")
-    return theta
+    return Factorization(m, code="SINGULAR_B",
+                         what="DC susceptance matrix").solve(rhs)

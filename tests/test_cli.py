@@ -147,6 +147,31 @@ def test_solve_rejects_bad_yaml_with_exit_2(runner, tmp_path):
     assert res.stderr.startswith("PARSE_ERROR")
 
 
+# two parallel branches whose conductances sum past the float range
+OVERFLOWING_PARALLEL = """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1}
+  - {id: 2, kind: slack}
+branches:
+  - {from: 1, to: 2, series_g: 1.0e+308, series_b: -1.0}
+  - {from: 1, to: 2, series_g: 1.0e+308, series_b: -1.0}
+"""
+
+
+@pytest.mark.parametrize("argv", [["solve", "--oracle"], ["check"],
+                                  ["compare", "--alpha-list", "1"]])
+def test_overflowing_admittance_exits_2(runner, tmp_path, argv):
+    path = tmp_path / "overflow.yaml"
+    path.write_text(OVERFLOWING_PARALLEL, encoding="utf-8")
+    res = runner.invoke(main, [argv[0], str(path)] + argv[1:])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    err_lines = [l for l in res.stderr.splitlines() if l]
+    assert err_lines
+    assert all(l.startswith("VALIDATION_ERROR:") for l in err_lines)
+
+
 def test_solve_lists_every_validation_problem(runner, tmp_path):
     path = tmp_path / "invalid.yaml"
     path.write_text("""

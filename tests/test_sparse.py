@@ -1,0 +1,79 @@
+"""Sparse storage: edge semantics, and solves that scale with the branches."""
+
+import tracemalloc
+
+import numpy as np
+
+import casegen
+from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage, ZipLoad,
+                    assemble_coefficients, build_admittance,
+                    check_noload_structure, compute_noload_voltage,
+                    real_block_matrix, run_pipeline)
+
+
+def _slack(bid):
+    return Bus(bid, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))
+
+
+def test_cancelling_parallel_branches_are_no_edge():
+    # buses 1 and 2 are joined only by two branches whose admittances cancel
+    # exactly; every bus still reaches the slack, but without that pair the
+    # non-slack graph splits into {1} and {2, 3}
+    case = NetworkCase(
+        (Bus(1, BusKind.ZIP, ZipLoad(power=-0.1 + 0j)), Bus(2, BusKind.ZIP),
+         Bus(3, BusKind.ZIP), _slack(4)),
+        (Branch(1, 4, 1 - 3j), Branch(1, 2, 1 - 2j), Branch(2, 1, -1 + 2j),
+         Branch(2, 3, 1 - 2j), Branch(3, 4, 1 - 3j)))
+    part = build_admittance(case)
+    assert part.Y[0, 1] == 0 and part.Y[1, 0] == 0
+    assert part.Y_csr.nnz == 3 + 2          # diagonal plus the 2-3 pair
+    diag = check_noload_structure(part, case.i_load_vector(), case.v_slack)
+    assert not diag.connected
+    assert "DISCONNECTED" in diag.reasons
+
+
+def test_vectorized_stamps_equal_the_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        case = casegen.random_feeder_case(rng, with_shunt_g=True)
+        # a reversed copy of some branches: duplicates must sum in order
+        extra = tuple(Branch(br.to_bus, br.from_bus,
+                             0.5 * br.series_admittance, 0.01j)
+                      for br in case.branches[::3])
+        case = NetworkCase(case.buses, case.branches + extra)
+        full = build_admittance(case).full_matrix()
+        np.testing.assert_array_equal(full, casegen.oracle_full_matrix(case))
+
+
+def _chain(n):
+    """Radial chain 1-2-...-n-slack, one X/R ratio on every section."""
+    y = 1.0 / complex(1e-4, 2.5e-4)
+    buses = tuple(Bus(k, BusKind.ZIP, ZipLoad(power=complex(-2e-5, -1e-5)))
+                  for k in range(1, n + 1)) + (_slack(n + 1),)
+    branches = tuple(Branch(k, k + 1, y) for k in range(1, n + 1))
+    return NetworkCase(buses, branches)
+
+
+def test_large_radial_feeder_is_solved_in_sparse_memory():
+    n = 3200
+    case = _chain(n)
+    tracemalloc.start()
+    try:
+        report = run_pipeline(case, with_oracle=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.method == "noload"
+    assert report.oracle.converged
+    assert all(b.satisfied for b in report.bounds)
+    # one dense n x n complex matrix alone would take 164 MB
+    assert peak < 32e6
+
+    part = build_admittance(case)
+    assert part.Y_csr.nnz == n + 2 * (n - 1)
+    nominal = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+    jac = real_block_matrix(assemble_coefficients(
+        part, nominal, case.i_load_vector(), case.v_slack))
+    assert jac.shape == (2 * n, 2 * n)
+    assert jac.nnz <= 4 * part.Y_csr.nnz
+    assert np.isfinite(report.condition)

@@ -25,15 +25,14 @@ from .linearize import (LinearSolution, NominalOrigin, NominalVoltage,
 from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
                        NetworkCase, PvSetpoint, SlackVoltage,
                        StructureDiagnosis, ZipLoad, build_admittance,
-                       check_noload_structure, extract_shunts,
-                       scale_power_injections)
+                       check_noload_structure, scale_power_injections)
 from .newton import (InitialGuess, NewtonResult, NewtonSettings,
                      jacobian_check, solve_newton)
 from .report import (CompareReport, RunReport, emit_compare, emit_check,
                      emit_report, run_check, run_compare, run_pipeline)
 from .residuals import (BoundCheck, BoundVerification, ResidualReport,
-                        complex_injection, injection_mismatch, max_row_norm,
-                        nonlinear_mismatch, quadratic_residual, verify_bounds)
+                        complex_injection, max_row_norm, nonlinear_mismatch,
+                        quadratic_residual, verify_bounds)
 from .transmission import (FlatSolveConditions, LosslessSystem,
                            build_lossless_system, check_flat_conditions,
                            reactive_error_bound, solve_classical_dc,
@@ -55,10 +54,10 @@ __all__ = [
     "check_flat_conditions", "check_noload_structure",
     "complex_error_bound", "complex_injection", "compute_noload_voltage",
     "coupling_decomposition", "decoupled_estimate", "dump_case",
-    "emit_check", "emit_compare", "emit_report", "extract_shunts",
-    "flat_nominal", "impedance_decomposition", "injection_mismatch",
-    "jacobian_check", "linear_injection", "load_case", "max_row_norm",
-    "nonlinear_mismatch", "parse_case", "quadratic_residual",
+    "emit_check", "emit_compare", "emit_report", "flat_nominal",
+    "impedance_decomposition", "jacobian_check", "linear_injection",
+    "load_case", "max_row_norm", "nonlinear_mismatch", "parse_case",
+    "quadratic_residual",
     "reactive_error_bound", "real_block_matrix", "run_check", "run_compare",
     "run_pipeline", "save_case", "scale_power_injections",
     "solve_classical_dc", "solve_distribution", "solve_general",

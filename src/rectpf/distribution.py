@@ -65,9 +65,7 @@ class ImpedanceDecomposition:
 
 def impedance_decomposition(partition: AdmittancePartition
                             ) -> ImpedanceDecomposition:
-    lu = Factorization(partition.Y_csr, code="SINGULAR_Y",
-                       what="admittance block Y")
-    yinv = lu.solve(np.eye(partition.n, dtype=complex))
+    yinv = partition.factor.solve(np.eye(partition.n, dtype=complex))
     return ImpedanceDecomposition(yinv.real, yinv.imag)
 
 
@@ -124,6 +122,14 @@ def coupling_decomposition(partition: AdmittancePartition,
                          im_from_p=c @ p, im_from_q=-(a @ q))
 
 
+# The decoupled assumptions count as holding up to roundoff: nominal angles
+# of at most FLAT_ANGLE_TOL radians are flat, and a susceptance row norm of
+# at most ZERO_SUSCEPTANCE_TOL per-unit is zero (the lossless gate's
+# conductance tolerance, mirrored).
+FLAT_ANGLE_TOL = 1e-12
+ZERO_SUSCEPTANCE_TOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class DecoupledEstimate:
     """Magnitude/angle estimates under the fully decoupled assumptions.
@@ -131,13 +137,21 @@ class DecoupledEstimate:
     The assumptions (no susceptance anywhere, flat nominal angles) are
     never silently trusted: ``susceptance_norm`` and ``max_nominal_angle``
     quantify how badly they are violated for the case at hand, and are
-    returned unconditionally.
+    returned unconditionally; ``flags`` reads them against the tolerances
+    above.
     """
 
     v_mag: np.ndarray
     theta: np.ndarray
     susceptance_norm: float
     max_nominal_angle: float
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {"decoupled_assumption_b_zero":
+                    self.susceptance_norm <= ZERO_SUSCEPTANCE_TOL,
+                "decoupled_assumption_flat_angles":
+                    self.max_nominal_angle <= FLAT_ANGLE_TOL}
 
 
 def decoupled_estimate(partition: AdmittancePartition,
@@ -157,6 +171,25 @@ def decoupled_estimate(partition: AdmittancePartition,
         v_mag=vmag + dmag, theta=theta - dang,
         susceptance_norm=max_row_norm(partition.Y_csr.imag),
         max_nominal_angle=float(np.abs(theta).max(initial=0.0)))
+
+
+def solve_decoupled(partition: AdmittancePartition,
+                    case: NetworkCase) -> LinearSolution:
+    """The decoupled estimate at the no-load nominal, as a perturbation.
+
+    Rejects cases with PV buses (``NON_ZIP_BUS_PRESENT``).  The assumption
+    flags of :class:`DecoupledEstimate` ride along in the diagnostics.
+    """
+    if case.has_pv:
+        raise SolverError(
+            "the decoupled estimate requires every non-slack bus to be a ZIP "
+            "bus", code="NON_ZIP_BUS_PRESENT")
+    nominal = compute_noload_voltage(partition, case.i_load_vector(),
+                                     case.v_slack)
+    est = decoupled_estimate(partition, nominal, case.injection_targets()[0])
+    return LinearSolution(
+        nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V,
+        SolutionMethod.DECOUPLED, SolveDiagnostics(flags=est.flags))
 
 
 def solve_no_current_closed_form(partition: AdmittancePartition,
@@ -180,8 +213,7 @@ def solve_no_current_closed_form(partition: AdmittancePartition,
             "this special form assumes no constant-current loads",
             code="NONZERO_CURRENT_LOAD")
     s = np.asarray(s, dtype=complex)
-    lu = Factorization(partition.Y_csr, code="SINGULAR_Y",
-                       what="admittance block Y")
+    lu = partition.factor
     w = lu.solve(-partition.Ybar)
     v0 = v_slack * w
     if np.abs(v0).min(initial=np.inf) < MIN_NOMINAL_VMAG:

@@ -48,6 +48,7 @@ class SolutionMethod(Enum):
     NOLOAD_CLOSED_FORM = "noload-closed-form"
     LOSSLESS_FLAT = "lossless-flat"
     CLASSICAL_DC = "classical-dc"
+    DECOUPLED = "decoupled"
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,13 +217,13 @@ def compute_noload_voltage(partition: AdmittancePartition,
                            v_slack: complex) -> NominalVoltage:
     """Voltage with every constant-power injection removed.
 
-    Solves ``Y V0 = I_L - Ybar V_slack``.  Raises ``SINGULAR_Y`` when Y
-    cannot be factored and ``ZERO_NOLOAD_VOLTAGE`` when any entry of the
-    profile is numerically zero (the closed form divides by it).
+    Solves ``Y V0 = I_L - Ybar V_slack`` on the partition's shared factor
+    of Y.  Raises ``SINGULAR_Y`` when Y cannot be factored and
+    ``ZERO_NOLOAD_VOLTAGE`` when any entry of the profile is numerically
+    zero (the closed form divides by it).
     """
     rhs = np.asarray(i_load, dtype=complex) - partition.Ybar * v_slack
-    v0 = Factorization(partition.Y_csr, code="SINGULAR_Y",
-                       what="admittance block Y").solve(rhs)
+    v0 = partition.factor.solve(rhs)
     if v0.size and np.abs(v0).min() < MIN_NOMINAL_VMAG:
         raise SolverError(
             "no-load voltage vanishes at some bus; the closed form is "
@@ -239,6 +240,8 @@ def solve_noload_closed_form(partition: AdmittancePartition,
 
     At the no-load profile the ``direct`` coefficient vanishes identically
     and the linear model collapses to ``diag(conj(V0)) Y dv = conj(s)``.
+    That scaled matrix is factored here, not solved through the shared
+    factor of Y, so the reported condition is that of the system solved.
     """
     if nominal.origin is not NominalOrigin.NO_LOAD:
         raise ValueError("the closed form is only valid at a no-load nominal")

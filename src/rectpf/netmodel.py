@@ -32,6 +32,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+from ._linalg import Factorization
 from .errors import CaseValidationError
 
 
@@ -297,12 +298,14 @@ class AdmittancePartition:
     (any dense or sparse matrix is accepted and converted; explicit zeros
     are dropped), ``Ybar`` the (N,) coupling column to the slack and
     ``y_slack`` the slack self-admittance.  ``Y``, ``G`` and ``B`` are dense
-    read-only copies built on first access.  The shunt vector obeys
-    ``Ysh = Y @ 1 + Ybar`` by construction: series terms cancel in the row
-    sum, leaving exactly the lumped shunts (line halves plus the
-    constant-impedance load parts).  It is summed over the dense copy, so
-    the identity holds bit for bit; only the lossless and DC formulations,
-    which are desk-scale, use it.
+    read-only copies built on first access.  ``factor``, the LU of Y, is
+    also built on first use and shared by every solver that applies
+    ``Y^(-1)``, so Y is factored at most once per partition.  The shunt
+    vector obeys ``Ysh = Y @ 1 + Ybar`` by construction: series terms
+    cancel in the row sum, leaving exactly the lumped shunts (line halves
+    plus the constant-impedance load parts).  It is summed over the dense
+    copy, so the identity holds bit for bit; only the lossless and DC
+    formulations, which are desk-scale, use it.
     """
 
     Y_csr: sparse.csr_array
@@ -333,6 +336,12 @@ class AdmittancePartition:
         y = self.Y_csr.toarray()
         y.flags.writeable = False
         return y
+
+    @cached_property
+    def factor(self) -> Factorization:
+        """Sparse LU of Y; raises ``SINGULAR_Y`` as :class:`Factorization`."""
+        return Factorization(self.Y_csr, code="SINGULAR_Y",
+                             what="admittance block Y")
 
     @property
     def G(self) -> np.ndarray:
@@ -412,11 +421,6 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
     n = m - 1
     return AdmittancePartition(full[:n, :n], full[:n, [n]].toarray().ravel(),
                                full[n, n])
-
-
-def extract_shunts(partition: AdmittancePartition) -> np.ndarray:
-    """Per-bus shunt admittances recovered from the partition row sums."""
-    return partition.Ysh
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,17 +1,17 @@
 """End-to-end pipeline: dispatch a case to a method and build reports.
 
 Emission is strictly deterministic: identical case plus identical flags
-produce byte-identical output.  Wall-clock timings are collected on the
-report object for programmatic use but never emitted, and all floats are
-rendered with 12 significant digits.
+produce byte-identical output, and all floats are rendered with 12
+significant digits.  Per-bus and per-alpha output share one row model,
+:class:`Rows`, which renders the same cells as CSV and as an aligned table
+and the same values as JSON records.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,9 @@ from . import distribution as dist
 from . import linearize as lin
 from . import transmission as trans
 from .errors import SolverError
-from .netmodel import (AdmittancePartition, NetworkCase, build_admittance,
-                       check_noload_structure, scale_power_injections)
-from .newton import NewtonResult, NewtonSettings, solve_newton
+from .netmodel import (NetworkCase, build_admittance, check_noload_structure,
+                       scale_power_injections)
+from .newton import NewtonSettings, solve_newton
 from .residuals import BoundCheck, nonlinear_mismatch, quadratic_residual
 
 METHODS = ("auto", "general", "noload", "lossless", "dc", "nocurrent",
@@ -29,8 +29,11 @@ METHODS = ("auto", "general", "noload", "lossless", "dc", "nocurrent",
 
 FORMATS = ("table", "csv", "json")
 
-CSV_HEADER = "bus,v_nom_re,v_nom_im,dv_re,dv_im,vmag,theta_deg,p_hot,q_hot"
-CSV_ORACLE_EXTRA = ",v_oracle_re,v_oracle_im,abs_err"
+BUS_COLUMNS = ("bus", "v_nom_re", "v_nom_im", "dv_re", "dv_im", "vmag",
+               "theta_deg", "p_hot", "q_hot")
+ORACLE_COLUMNS = ("v_oracle_re", "v_oracle_im", "abs_err")
+COMPARE_COLUMNS = ("alpha", "voltage_error", "error_over_alpha_sq",
+                   "s_hot_norm", "newton_iterations", "newton_converged")
 
 
 def _fmt(x: float) -> str:
@@ -42,17 +45,44 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-@dataclass(frozen=True)
-class BusRow:
-    bus: int
-    v_nom: complex
-    dv: complex
-    vmag: float
-    theta_deg: float
-    p_hot: float
-    q_hot: float
-    v_oracle: complex | None = None
-    abs_err: float | None = None
+# Renderers by the type of a column's values: text cells for CSV and the
+# table, plain values for JSON.
+_TEXT = {int: str, bool: lambda v: "true" if v else "false", float: _fmt}
+_JSON = {int: int, bool: bool, float: _round12}
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Tabular output: column names and rows of plain values.
+
+    All values in a column share one type, ``int``, ``bool`` or ``float``,
+    and that type picks the column's renderer once for the whole column.
+    """
+
+    columns: tuple[str, ...]
+    values: tuple[tuple, ...]
+
+    def _rendered(self, by_type: dict) -> list[list]:
+        return [list(map(by_type[type(col[0])], col))
+                for col in zip(*self.values)]
+
+    def cells(self) -> list[tuple[str, ...]]:
+        """Text cells, row by row."""
+        return list(zip(*self._rendered(_TEXT)))
+
+    def records(self) -> list[dict]:
+        """One JSON object per row."""
+        return [dict(zip(self.columns, row))
+                for row in zip(*self._rendered(_JSON))]
+
+    def csv_lines(self) -> list[str]:
+        return [",".join(self.columns), *map(",".join, self.cells())]
+
+    def aligned_lines(self) -> list[str]:
+        table = [self.columns, *self.cells()]
+        widths = [max(map(len, col)) for col in zip(*table)]
+        return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+                for row in table]
 
 
 @dataclass(frozen=True)
@@ -66,25 +96,18 @@ class OracleSummary:
 @dataclass(frozen=True, eq=False)
 class RunReport:
     method: str
-    rows: tuple[BusRow, ...]
+    rows: Rows
     norms: dict[str, float]
     bounds: tuple[BoundCheck, ...]
     flags: dict[str, bool]
     condition: float | None
     oracle: OracleSummary | None
-    timings: dict[str, float] = field(default_factory=dict)  # never emitted
-
-
-def _lossless_gate(partition: AdmittancePartition,
-                   case: NetworkCase) -> bool:
-    gmax = float(np.abs(partition.Y_csr.data.real).max(initial=0.0))
-    return gmax <= trans.LOSSLESS_GMAX and abs(case.v_slack - 1.0) <= 1e-12
 
 
 def _resolve_method(partition, case, method: str) -> str:
     if method != "auto":
         return method
-    if _lossless_gate(partition, case):
+    if trans.lossless_gate(partition, case) is None:
         return "lossless"
     if not case.has_pv:
         structure = check_noload_structure(partition, case.i_load_vector(),
@@ -94,48 +117,40 @@ def _resolve_method(partition, case, method: str) -> str:
     return "general"
 
 
-def _dispatch(partition, case, method: str,
-              override_conditions: bool) -> lin.LinearSolution:
-    s, _ = case.injection_targets()
-    if method == "general":
-        return lin.solve_general(partition, case)
-    if method == "noload":
-        return dist.solve_distribution(partition, case)
+def _dispatch(partition, case, method: str, override_conditions: bool
+              ) -> tuple[lin.LinearSolution, float | None]:
+    """Solve with ``method``; also return the method's a-priori bound on
+    the reactive quadratic term, which only the lossless solve has."""
     if method == "lossless":
         sys = trans.build_lossless_system(partition, case)
         conditions = trans.check_flat_conditions(
             sys, partition.slack_adjacent_ids())
-        return trans.solve_lossless_flat(
+        sol = trans.solve_lossless_flat(
             sys, conditions, override_conditions=override_conditions)
-    if method == "dc":
+        return sol, trans.reactive_error_bound(sys, sol)
+    if method == "general":
+        sol = lin.solve_general(partition, case)
+    elif method == "noload":
+        sol = dist.solve_distribution(partition, case)
+    elif method == "dc":
         theta = trans.solve_classical_dc(partition, case.p_vector())
-        return lin.LinearSolution(
+        sol = lin.LinearSolution(
             lin.flat_nominal(partition.n), 1j * theta,
             lin.SolutionMethod.CLASSICAL_DC, lin.SolveDiagnostics())
-    if method == "nocurrent":
+    elif method == "nocurrent":
         if case.has_pv:
             raise SolverError(
                 "this closed form requires every non-slack bus to be a ZIP "
                 "bus", code="NON_ZIP_BUS_PRESENT")
-        return dist.solve_no_current_closed_form(
-            partition, case.v_slack, s, i_load=case.i_load_vector())
-    if method == "decoupled":
-        if case.has_pv:
-            raise SolverError(
-                "the decoupled estimate requires every non-slack bus to be "
-                "a ZIP bus", code="NON_ZIP_BUS_PRESENT")
-        nominal = lin.compute_noload_voltage(
-            partition, case.i_load_vector(), case.v_slack)
-        est = dist.decoupled_estimate(partition, nominal, s)
-        v_approx = est.v_mag * np.exp(1j * est.theta)
-        flags = {"decoupled_assumption_b_zero": est.susceptance_norm == 0.0,
-                 "decoupled_assumption_flat_angles":
-                     est.max_nominal_angle == 0.0}
-        return lin.LinearSolution(
-            nominal, v_approx - nominal.V,
-            lin.SolutionMethod.NOLOAD_CLOSED_FORM,
-            lin.SolveDiagnostics(flags=flags))
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        sol = dist.solve_no_current_closed_form(
+            partition, case.v_slack, case.injection_targets()[0],
+            i_load=case.i_load_vector())
+    elif method == "decoupled":
+        sol = dist.solve_decoupled(partition, case)
+    else:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {METHODS}")
+    return sol, None
 
 
 def run_pipeline(case: NetworkCase, method: str = "auto",
@@ -148,11 +163,10 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
     for all-ZIP cases whose structural conditions hold, and the general
     stacked solve otherwise.
     """
-    t0 = time.perf_counter()
     partition = build_admittance(case)
     resolved = _resolve_method(partition, case, method)
-    sol = _dispatch(partition, case, resolved, override_conditions)
-    t_solve = time.perf_counter() - t0
+    sol, reactive_bound = _dispatch(partition, case, resolved,
+                                    override_conditions)
 
     residual = quadratic_residual(partition, sol.dv)
     v_approx = sol.approx_voltage()
@@ -169,67 +183,41 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
         "mismatch_active": float(np.linalg.norm(mismatch.real)),
     }
     bounds = list(residual.bounds)
+    if reactive_bound is not None:
+        bounds.append(BoundCheck("reactive_quadratic",
+                                 value=residual.norm_q, bound=reactive_bound))
     flags = dict(sol.diagnostics.flags)
-    flags["lossless_gate"] = _lossless_gate(partition, case)
-    if resolved == "lossless":
-        sys = trans.build_lossless_system(partition, case)
-        bounds.append(BoundCheck(
-            "reactive_quadratic",
-            value=residual.norm_q,
-            bound=trans.reactive_error_bound(sys, sol)))
+    flags["lossless_gate"] = trans.lossless_gate(partition, case) is None
 
-    oracle_summary = None
-    v_oracle = None
-    t_oracle = 0.0
+    oracle = v_oracle = None
     if with_oracle:
-        t1 = time.perf_counter()
         result = solve_newton(partition, case)
-        t_oracle = time.perf_counter() - t1
         v_oracle = result.voltage
-        oracle_summary = OracleSummary(
+        oracle = OracleSummary(
             converged=result.converged, iterations=result.iterations,
             final_mismatch=result.final_mismatch,
             voltage_error_norm=float(np.linalg.norm(v_approx - v_oracle)))
 
-    rows = []
-    for i in range(partition.n):
-        vo = None if v_oracle is None else complex(v_oracle[i])
-        rows.append(BusRow(
-            bus=i + 1,
-            v_nom=complex(sol.nominal.V[i]),
-            dv=complex(sol.dv[i]),
-            vmag=float(np.abs(v_approx[i])),
-            theta_deg=math.degrees(math.atan2(v_approx[i].imag,
-                                              v_approx[i].real)),
-            p_hot=float(residual.p_hot[i]),
-            q_hot=float(residual.q_hot[i]),
-            v_oracle=vo,
-            abs_err=None if vo is None else abs(v_approx[i] - vo)))
+    v_nom, dv = sol.nominal.V, sol.dv
+    columns = [list(range(1, partition.n + 1)),
+               v_nom.real.tolist(), v_nom.imag.tolist(),
+               dv.real.tolist(), dv.imag.tolist(),
+               np.abs(v_approx).tolist(),
+               [math.degrees(math.atan2(v.imag, v.real))
+                for v in v_approx.tolist()],
+               residual.p_hot.tolist(), residual.q_hot.tolist()]
+    names = BUS_COLUMNS
+    if v_oracle is not None:
+        columns += [v_oracle.real.tolist(), v_oracle.imag.tolist(),
+                    np.abs(v_approx - v_oracle).tolist()]
+        names += ORACLE_COLUMNS
     return RunReport(
-        method=resolved, rows=tuple(rows), norms=norms,
-        bounds=tuple(bounds), flags=flags,
-        condition=sol.diagnostics.condition, oracle=oracle_summary,
-        timings={"solve_s": t_solve, "oracle_s": t_oracle})
+        method=resolved, rows=Rows(names, tuple(zip(*columns))),
+        norms=norms, bounds=tuple(bounds), flags=flags,
+        condition=sol.diagnostics.condition, oracle=oracle)
 
 
 # -- emission ---------------------------------------------------------------
-
-
-def _row_cells(row: BusRow) -> list[str]:
-    cells = [str(row.bus), _fmt(row.v_nom.real), _fmt(row.v_nom.imag),
-             _fmt(row.dv.real), _fmt(row.dv.imag), _fmt(row.vmag),
-             _fmt(row.theta_deg), _fmt(row.p_hot), _fmt(row.q_hot)]
-    if row.v_oracle is not None:
-        cells += [_fmt(row.v_oracle.real), _fmt(row.v_oracle.imag),
-                  _fmt(row.abs_err)]
-    return cells
-
-
-def _emit_csv(report: RunReport) -> str:
-    header = CSV_HEADER + (CSV_ORACLE_EXTRA if report.oracle else "")
-    lines = [header]
-    lines += [",".join(_row_cells(r)) for r in report.rows]
-    return "\n".join(lines) + "\n"
 
 
 def _emit_json(report: RunReport) -> str:
@@ -251,23 +239,8 @@ def _emit_json(report: RunReport) -> str:
             "voltage_error_norm": _round12(
                 report.oracle.voltage_error_norm),
         },
-        "buses": [],
+        "buses": report.rows.records(),
     }
-    for r in report.rows:
-        entry = {"bus": r.bus,
-                 "v_nom_re": _round12(r.v_nom.real),
-                 "v_nom_im": _round12(r.v_nom.imag),
-                 "dv_re": _round12(r.dv.real),
-                 "dv_im": _round12(r.dv.imag),
-                 "vmag": _round12(r.vmag),
-                 "theta_deg": _round12(r.theta_deg),
-                 "p_hot": _round12(r.p_hot),
-                 "q_hot": _round12(r.q_hot)}
-        if r.v_oracle is not None:
-            entry["v_oracle_re"] = _round12(r.v_oracle.real)
-            entry["v_oracle_im"] = _round12(r.v_oracle.imag)
-            entry["abs_err"] = _round12(r.abs_err)
-        doc["buses"].append(entry)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -289,19 +262,14 @@ def _emit_table(report: RunReport) -> str:
                    f"iterations={o.iterations} "
                    f"final_mismatch={_fmt(o.final_mismatch)} "
                    f"|v_lin - v_newton|={_fmt(o.voltage_error_norm)}")
-    header = CSV_HEADER + (CSV_ORACLE_EXTRA if report.oracle else "")
-    cols = header.split(",")
-    table = [cols] + [_row_cells(r) for r in report.rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(cols))]
     out.append("")
-    for row in table:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    out += report.rows.aligned_lines()
     return "\n".join(out) + "\n"
 
 
 def emit_report(report: RunReport, fmt: str = "table") -> str:
     if fmt == "csv":
-        return _emit_csv(report)
+        return "\n".join(report.rows.csv_lines()) + "\n"
     if fmt == "json":
         return _emit_json(report)
     if fmt == "table":
@@ -325,14 +293,14 @@ def run_check(case: NetworkCase) -> CheckReport:
     partition = build_admittance(case)
     noload = check_noload_structure(partition, case.i_load_vector(),
                                     case.v_slack)
-    gate = _lossless_gate(partition, case)
+    gate = trans.lossless_gate(partition, case) is None
     flat = None
     if gate:
         sys = trans.build_lossless_system(partition, case)
         flat = trans.check_flat_conditions(sys,
                                            partition.slack_adjacent_ids())
     return CheckReport(noload=noload, flat=flat, lossless_gate=gate,
-                       slack_unity=abs(case.v_slack - 1.0) <= 1e-12)
+                       slack_unity=trans.slack_is_unity(case))
 
 
 def emit_check(report: CheckReport, fmt: str = "table") -> str:
@@ -374,20 +342,10 @@ def emit_check(report: CheckReport, fmt: str = "table") -> str:
 # -- linear vs oracle sweep ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    alpha: float
-    voltage_error: float
-    error_over_alpha_sq: float
-    s_hot_norm: float
-    newton_iterations: int
-    newton_converged: bool
-
-
 @dataclass(frozen=True, eq=False)
 class CompareReport:
     method: str
-    rows: tuple[CompareRow, ...]
+    rows: Rows
 
 
 def run_compare(case: NetworkCase, alphas, method: str = "auto",
@@ -399,47 +357,35 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
 
     The ratio ``voltage_error / alpha^2`` staying bounded as alpha shrinks
     is the observable signature that the linear model's error is quadratic
-    in loading.
+    in loading.  Every alpha shares one admittance partition, so Y is
+    factored once for the whole sweep.
     """
     partition = build_admittance(case)
     resolved = _resolve_method(partition, case, method)
-    rows = []
-    for alpha in alphas:
-        scaled = scale_power_injections(case, float(alpha))
-        sol = _dispatch(partition, scaled, resolved, override_conditions)
+    values = []
+    for alpha in map(float, alphas):
+        scaled = scale_power_injections(case, alpha)
+        sol, _ = _dispatch(partition, scaled, resolved, override_conditions)
         result = solve_newton(partition, scaled, newton_settings)
         residual = quadratic_residual(partition, sol.dv)
         err = float(np.linalg.norm(sol.approx_voltage() - result.voltage))
-        rows.append(CompareRow(
-            alpha=float(alpha), voltage_error=err,
-            error_over_alpha_sq=err / float(alpha) ** 2 if alpha else
-            float("nan"),
-            s_hot_norm=residual.norm_s,
-            newton_iterations=result.iterations,
-            newton_converged=result.converged))
-    return CompareReport(method=resolved, rows=tuple(rows))
+        values.append((alpha, err,
+                       err / alpha ** 2 if alpha else float("nan"),
+                       residual.norm_s, int(result.iterations),
+                       bool(result.converged)))
+    return CompareReport(method=resolved,
+                         rows=Rows(COMPARE_COLUMNS, tuple(values)))
 
 
 def emit_compare(report: CompareReport, fmt: str = "table") -> str:
-    header = ("alpha,voltage_error,error_over_alpha_sq,s_hot_norm,"
-              "newton_iterations,newton_converged")
     if fmt == "json":
-        doc = {"method": report.method, "sweep": [
-            {"alpha": _round12(r.alpha),
-             "voltage_error": _round12(r.voltage_error),
-             "error_over_alpha_sq": _round12(r.error_over_alpha_sq),
-             "s_hot_norm": _round12(r.s_hot_norm),
-             "newton_iterations": r.newton_iterations,
-             "newton_converged": r.newton_converged}
-            for r in report.rows]}
+        doc = {"method": report.method, "sweep": report.rows.records()}
         return json.dumps(doc, indent=2) + "\n"
-    lines = [header] if fmt == "csv" else [f"method: {report.method}", header]
-    for r in report.rows:
-        lines.append(",".join([
-            _fmt(r.alpha), _fmt(r.voltage_error),
-            _fmt(r.error_over_alpha_sq), _fmt(r.s_hot_norm),
-            str(r.newton_iterations),
-            "true" if r.newton_converged else "false"]))
-    if fmt not in ("csv", "table"):
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if fmt == "csv":
+        lines = report.rows.csv_lines()
+    elif fmt == "table":
+        lines = [f"method: {report.method}", *report.rows.csv_lines()]
+    else:
+        raise ValueError(
+            f"unknown format {fmt!r}; expected one of {FORMATS}")
     return "\n".join(lines) + "\n"

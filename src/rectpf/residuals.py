@@ -145,16 +145,6 @@ def complex_injection(partition: AdmittancePartition,
     return v * i_net.conj()
 
 
-def injection_mismatch(partition: AdmittancePartition,
-                       voltage: np.ndarray,
-                       i_load: np.ndarray,
-                       v_slack: complex,
-                       s_target: np.ndarray) -> np.ndarray:
-    """Nonlinear power imbalance of ``voltage`` against an explicit target."""
-    return (complex_injection(partition, voltage, i_load, v_slack)
-            - np.asarray(s_target, dtype=complex))
-
-
 def nonlinear_mismatch(partition: AdmittancePartition,
                        voltage: np.ndarray,
                        case: NetworkCase) -> np.ndarray:
@@ -168,5 +158,5 @@ def nonlinear_mismatch(partition: AdmittancePartition,
     and must be masked by the caller (``case.injection_targets()[1]``).
     """
     s_target, _ = case.injection_targets()
-    return injection_mismatch(partition, voltage, case.i_load_vector(),
-                              case.v_slack, s_target)
+    return (complex_injection(partition, voltage, case.i_load_vector(),
+                              case.v_slack) - s_target)

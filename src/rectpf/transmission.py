@@ -62,25 +62,43 @@ class LosslessSystem:
         return self.B.shape[0]
 
 
+def slack_is_unity(case: NetworkCase) -> bool:
+    """True when the slack voltage is one per-unit at zero angle."""
+    return abs(case.v_slack - 1.0) <= 1e-12
+
+
+def lossless_gate(partition: AdmittancePartition,
+                  case: NetworkCase) -> SolverError | None:
+    """Why the lossless flat-profile formulation refuses a case, if it does.
+
+    Returns ``None`` when the case passes the gate, else the error to raise:
+    ``LOSSY_NETWORK`` when any conductance entry exceeds
+    :data:`LOSSLESS_GMAX`, ``SLACK_NOT_UNITY`` unless the slack voltage is
+    exactly one per-unit at zero angle (the formulation is derived for that
+    reference; no attempt is made to rescale).
+    """
+    gmax = float(np.abs(partition.Y_csr.data.real).max(initial=0.0))
+    if gmax > LOSSLESS_GMAX:
+        return SolverError(
+            f"network has conductance up to {gmax:.3e} pu; the lossless "
+            f"formulation requires at most {LOSSLESS_GMAX:.0e}",
+            code="LOSSY_NETWORK")
+    if not slack_is_unity(case):
+        return SolverError(
+            "lossless flat-profile solve requires slack voltage 1.0 at "
+            "zero angle", code="SLACK_NOT_UNITY")
+    return None
+
+
 def build_lossless_system(partition: AdmittancePartition,
                           case: NetworkCase) -> LosslessSystem:
     """Gate a case into the lossless flat-profile formulation.
 
-    Raises ``LOSSY_NETWORK`` when any conductance entry exceeds
-    :data:`LOSSLESS_GMAX` and ``SLACK_NOT_UNITY`` unless the slack voltage
-    is exactly one per-unit at zero angle (the formulation is derived for
-    that reference; no attempt is made to rescale).
+    Raises the error :func:`lossless_gate` returns, if any.
     """
-    gmax = float(np.abs(partition.Y_csr.data.real).max(initial=0.0))
-    if gmax > LOSSLESS_GMAX:
-        raise SolverError(
-            f"network has conductance up to {gmax:.3e} pu; the lossless "
-            f"formulation requires at most {LOSSLESS_GMAX:.0e}",
-            code="LOSSY_NETWORK")
-    if abs(case.v_slack - 1.0) > 1e-12:
-        raise SolverError(
-            "lossless flat-profile solve requires slack voltage 1.0 at "
-            "zero angle", code="SLACK_NOT_UNITY")
+    failure = lossless_gate(partition, case)
+    if failure is not None:
+        raise failure
     b = partition.Y_csr.imag.toarray()
     bsh = partition.Bsh
     i_load = case.i_load_vector()

@@ -11,8 +11,9 @@ from click.testing import CliRunner
 import casegen
 from rectpf import (NewtonSettings, assemble_coefficients, build_admittance,
                     build_lossless_system, check_flat_conditions,
-                    compute_noload_voltage, decoupled_estimate, dump_case,
-                    flat_nominal, injection_mismatch, jacobian_check,
+                    complex_injection, compute_noload_voltage,
+                    decoupled_estimate, dump_case, flat_nominal,
+                    jacobian_check,
                     linear_injection, nonlinear_mismatch, parse_case,
                     quadratic_residual, reactive_error_bound, save_case,
                     scale_power_injections, solve_classical_dc,
@@ -159,8 +160,8 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
         coeffs = assemble_coefficients(part, nominal, case.i_load_vector(),
                                        case.v_slack)
         implied = linear_injection(coeffs, dv)
-        mism = injection_mismatch(part, nominal.V + dv, case.i_load_vector(),
-                                  case.v_slack, implied)
+        mism = complex_injection(part, nominal.V + dv, case.i_load_vector(),
+                                 case.v_slack) - implied
         rep = quadratic_residual(part, dv)
         assert np.abs(mism - rep.s_hot).max() <= \
             1e-10 * (1 + np.abs(implied).max())

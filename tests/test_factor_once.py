@@ -1,0 +1,63 @@
+"""Y is factored once per admittance partition and shared by every solver."""
+
+import pytest
+
+import casegen
+import rectpf._linalg
+from rectpf import (build_admittance, compute_noload_voltage,
+                    impedance_decomposition, run_compare, run_pipeline,
+                    solve_distribution, solve_no_current_closed_form)
+
+
+@pytest.fixture()
+def factored(monkeypatch):
+    """Every matrix handed to SuperLU, in call order."""
+    seen = []
+    splu = rectpf._linalg.spla.splu
+
+    def counting_splu(a, *args, **kwargs):
+        seen.append(a.copy())
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(rectpf._linalg.spla, "splu", counting_splu)
+    return seen
+
+
+def _is_y(a, y) -> bool:
+    return a.shape == y.shape and (a != y).nnz == 0
+
+
+def test_pipeline_with_oracle_factors_y_once(factored):
+    case = casegen.fixed_feeder10()
+    report = run_pipeline(case, with_oracle=True)
+    n = case.n
+    orders = [a.shape[0] for a in factored]
+    # Y, the closed form's diag(conj V0) Y, then one Jacobian per iteration
+    assert report.method == "noload"
+    assert orders.count(n) == 2
+    assert orders.count(2 * n) == report.oracle.iterations >= 1
+    assert len(orders) == 2 + report.oracle.iterations
+    y = build_admittance(case).Y_csr
+    assert sum(_is_y(a, y) for a in factored) == 1
+
+
+def test_compare_sweep_factors_y_once(factored):
+    case = casegen.fixed_feeder10()
+    report = run_compare(case, [1, 0.5, 0.25])
+    assert report.method == "noload"
+    y = build_admittance(case).Y_csr
+    assert sum(_is_y(a, y) for a in factored) == 1
+    # plus one closed-form system per alpha
+    assert [a.shape[0] for a in factored].count(case.n) == 4
+
+
+def test_solvers_share_the_partition_factor(factored):
+    case = casegen.fixed_feeder10()
+    part = build_admittance(case)
+    s, _ = case.injection_targets()
+    compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+    solve_distribution(part, case)
+    solve_no_current_closed_form(part, case.v_slack, s)
+    impedance_decomposition(part)
+    assert part.factor is part.factor
+    assert sum(_is_y(a, part.Y_csr) for a in factored) == 1

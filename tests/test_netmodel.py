@@ -7,8 +7,7 @@ import casegen
 from rectpf import (AdmittancePartition, Branch, Bus, BusKind,
                     CaseValidationError, NetworkCase, PvSetpoint,
                     SlackVoltage, ZipLoad, build_admittance,
-                    check_noload_structure, extract_shunts,
-                    scale_power_injections)
+                    check_noload_structure, scale_power_injections)
 
 
 oracle_full_matrix = casegen.oracle_full_matrix
@@ -54,7 +53,7 @@ def test_shunt_identity_on_random_cases():
     for _ in range(25):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        ysh = extract_shunts(part)
+        ysh = part.Ysh
         np.testing.assert_allclose(ysh, part.Y.sum(axis=1) + part.Ybar,
                                    rtol=0, atol=0)
         # hand-summed shunts: line halves plus bus shunt admittances

@@ -20,9 +20,14 @@ Example::
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import yaml
+from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
+                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
+                         StreamEndEvent)
+from yaml.nodes import ScalarNode
 
 from .errors import CaseValidationError
 from .netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
@@ -38,11 +43,121 @@ _BUS_FIELDS = {
     "pv": {"v_setpoint", "p", "shunt_g", "shunt_b", "i_load_re", "i_load_im"},
     "zip": {"p", "q", "shunt_g", "shunt_b", "i_load_re", "i_load_im"},
 }
+_BUS_ALLOWED = {kind: _BUS_COMMON | fields
+                for kind, fields in _BUS_FIELDS.items()}
 _BRANCH_FIELDS = {"from", "to", "series_g", "series_b", "shunt_b_total"}
 
 # libyaml's parser when PyYAML was built with it; it pairs the C parser with
 # the same resolver and safe constructor, so documents load to equal objects.
 _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _CaseLoader(_SafeLoader):
+    """The safe loader, reading YAML 1.2 scientific notation as floats.
+
+    YAML 1.1 floats need a decimal point and a signed exponent, so ``1e-3``
+    and ``1.0e308`` would load as strings.  The extra resolver comes after
+    the 1.1 ones in the table, so it only claims scalars that resolved to
+    ``str`` before, and ``dump_case`` output loads as it always did.
+    """
+
+
+_CaseLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+_STR_TAG = "tag:yaml.org,2002:str"
+# Plain scalars with these tags are built by the loader's own constructors.
+_BUILT_TAGS = frozenset(f"tag:yaml.org,2002:{name}"
+                        for name in ("int", "float", "bool", "null"))
+_NO_KEY = object()
+
+
+class _NotCovered(Exception):
+    """The document uses YAML the event path leaves to the full loader."""
+
+
+def _document_from_events(loader):
+    """Build the document from ``loader``'s events, skipping the node tree.
+
+    Covers one document of plain and quoted scalars in nested mappings and
+    sequences, with scalar mapping keys.  Anchors, aliases, explicit tags,
+    merge keys, other resolved tags and further documents raise
+    :class:`_NotCovered`.
+    """
+    get_event = loader.get_event
+    # As BaseResolver.resolve: the resolvers for a plain scalar's first
+    # character, then the wildcard ones, in table order.
+    table = loader.yaml_implicit_resolvers
+    wildcard = table.get(None, [])
+    resolvers = {first: found + wildcard for first, found in table.items()}
+    build = {tag: loader.yaml_constructors[tag] for tag in _BUILT_TAGS}
+    get_event()                     # stream start
+    if type(get_event()) is StreamEndEvent:
+        return None                 # an empty stream loads as None
+    root: list = []
+    top, key, parents = root, _NO_KEY, []   # key: pending mapping key
+    while True:
+        event = get_event()
+        kind = type(event)
+        if kind is ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                raise _NotCovered
+            value = event.value
+            if event.implicit[0]:
+                for tag, regexp in resolvers.get(value[:1], wildcard):
+                    if regexp.match(value):
+                        break
+                else:
+                    tag = _STR_TAG
+                if tag in build:
+                    value = build[tag](loader, ScalarNode(tag, value))
+                elif tag != _STR_TAG:
+                    raise _NotCovered
+            if key is _NO_KEY and type(top) is dict:
+                key = value
+                continue
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if (event.anchor is not None or event.tag is not None
+                    or key is _NO_KEY and type(top) is dict):
+                raise _NotCovered
+            value = {} if kind is MappingStartEvent else []
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            top, key = parents.pop()
+            continue
+        elif kind is DocumentEndEvent:
+            if type(get_event()) is not StreamEndEvent:
+                raise _NotCovered
+            return root[0]
+        else:                       # an alias
+            raise _NotCovered
+        if type(top) is list:
+            top.append(value)
+        else:
+            top[key] = value
+            key = _NO_KEY
+        if kind is not ScalarEvent:
+            parents.append((top, key))
+            top = value
+
+
+def _load_document(text: str):
+    """``yaml.load(text, Loader=_CaseLoader)``, built from the event stream.
+
+    Whatever the event path does not cover or cannot build goes through the
+    full loader, which then returns the document or raises its own error.
+    """
+    loader = _CaseLoader(text)
+    try:
+        return _document_from_events(loader)
+    except Exception:
+        # The full loader is the reference for every input the event path
+        # rejects, malformed text included, so no exception is lost here.
+        pass
+    finally:
+        loader.dispose()
+    return yaml.load(text, Loader=_CaseLoader)
 
 
 def _degrees_exact(rad: float) -> float:
@@ -99,7 +214,7 @@ def _parse_bus(entry, index: int, problems: list[str]) -> Bus | None:
         problems.append(f"{where}: 'kind' must be one of "
                         f"{sorted(_BUS_FIELDS)}, got {kind!r}")
         return None
-    _check_fields(entry, _BUS_COMMON | _BUS_FIELDS[kind], where, problems)
+    _check_fields(entry, _BUS_ALLOWED[kind], where, problems)
 
     if kind == "slack":
         v_mag = _num(entry, "v_setpoint", where, problems, default=1.0)
@@ -157,7 +272,7 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     """Parse a case document.  PARSE_ERROR for bad YAML, VALIDATION_ERROR
     (listing every violation) for schema problems."""
     try:
-        doc = yaml.load(text, Loader=_SafeLoader)
+        doc = _load_document(text)
     except yaml.YAMLError as exc:
         detail = ""
         mark = getattr(exc, "problem_mark", None)

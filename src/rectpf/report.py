@@ -50,6 +50,14 @@ def _round12(x: float) -> float:
 _TEXT = {int: str, bool: lambda v: "true" if v else "false", float: _fmt}
 _JSON = {int: int, bool: bool, float: _round12}
 
+# ``json.dumps(indent=2)`` always runs the pure-Python encoder; the C
+# encoder runs only without ``indent``.  A row is a flat object two levels
+# down, so an item separator that carries the newline and the six-space
+# indent of its keys gives the ``indent=2`` layout.
+_ROW_KEY_INDENT = " " * 6
+_encode_row = json.JSONEncoder(
+    separators=(",\n" + _ROW_KEY_INDENT, ": ")).encode
+
 
 @dataclass(frozen=True, eq=False)
 class Rows:
@@ -74,6 +82,17 @@ class Rows:
         """One JSON object per row."""
         return [dict(zip(self.columns, row))
                 for row in zip(*self._rendered(_JSON))]
+
+    def json_document(self, head: dict, key: str) -> str:
+        """``json.dumps({**head, key: self.records()}, indent=2)``, byte for
+        byte, with each row encoded by the C encoder.  ``head`` is not empty.
+        """
+        rows = ",\n".join(
+            f"    {{\n{_ROW_KEY_INDENT}{_encode_row(r)[1:-1]}\n    }}"
+            for r in self.records())
+        array = "[\n" + rows + "\n  ]" if rows else "[]"
+        return (json.dumps(head, indent=2)[:-2] + ",\n  " + json.dumps(key)
+                + ": " + array + "\n}")
 
     def csv_lines(self) -> list[str]:
         return [",".join(self.columns), *map(",".join, self.cells())]
@@ -239,9 +258,8 @@ def _emit_json(report: RunReport) -> str:
             "voltage_error_norm": _round12(
                 report.oracle.voltage_error_norm),
         },
-        "buses": report.rows.records(),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return report.rows.json_document(doc, "buses") + "\n"
 
 
 def _emit_table(report: RunReport) -> str:
@@ -379,8 +397,8 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
 
 def emit_compare(report: CompareReport, fmt: str = "table") -> str:
     if fmt == "json":
-        doc = {"method": report.method, "sweep": report.rows.records()}
-        return json.dumps(doc, indent=2) + "\n"
+        doc = {"method": report.method}
+        return report.rows.json_document(doc, "sweep") + "\n"
     if fmt == "csv":
         lines = report.rows.csv_lines()
     elif fmt == "table":

@@ -32,7 +32,8 @@ ALPHAS = "1,0.5,0.25"
 def commands() -> list[tuple[str, list[str]]]:
     """(case name, argv after the case path) for every recorded run."""
     out = []
-    for case in ("feeder10", "lossless_ladder", "violated_chain"):
+    for case in ("feeder10", "lossless_ladder", "violated_chain", "pv_grid",
+                 "lossy_mesh"):
         for fmt in FORMATS:
             out.append((case, ["check", "--format", fmt]))
             for method in METHODS:
@@ -95,6 +96,8 @@ def record(path: Path = GOLDEN) -> None:
     """Run every command on freshly written cases and store the outputs."""
     import tempfile
 
+    import numpy as np
+
     sys.path.insert(0, str(Path(__file__).parent))
     import casegen
     from test_cli import LOSSLESS_LADDER, VIOLATED_CHAIN
@@ -103,7 +106,14 @@ def record(path: Path = GOLDEN) -> None:
 
     cases = {"feeder10": dump_case(casegen.fixed_feeder10()),
              "lossless_ladder": LOSSLESS_LADDER,
-             "violated_chain": VIOLATED_CHAIN}
+             "violated_chain": VIOLATED_CHAIN,
+             # meshed lossless grid with PV buses: Newton's |V|^2 rows
+             "pv_grid": dump_case(casegen.random_lossless_case(
+                 np.random.default_rng(1), 8, 12, pv_fraction=0.4,
+                 newton_ready=True)),
+             # meshed lossy grid: the general 2N solve off the flat profile
+             "lossy_mesh": dump_case(casegen.random_feeder_case(
+                 np.random.default_rng(1), 5, 7))}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in cases.items():

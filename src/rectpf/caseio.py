@@ -273,7 +273,9 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     (listing every violation) for schema problems."""
     try:
         doc = _load_document(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML's scalar constructors raise a bare ValueError for text the
+        # resolver accepted but cannot convert, such as ``0x_``.
         detail = ""
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

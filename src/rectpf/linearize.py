@@ -16,6 +16,13 @@ with ``direct = conj(Y) conj(V0) + conj(Ybar V_slack) - conj(I_L)``,
 assembles those coefficients, solves the stacked 2N real system in the
 general case, and provides the closed form available at the no-load nominal
 (where ``direct`` and ``offset`` vanish identically).
+
+The stacked 2N real system is filled on the partition's cached block
+pattern (``AdmittancePartition.block_pattern``): its sparsity depends on Y
+alone, so only the values are computed per call.  The cross products are
+formed in real arithmetic exactly as scipy's sparse product forms them,
+which keeps the matrix handed to SuperLU bit-identical to the one composed
+from scipy.sparse operators.
 """
 
 from __future__ import annotations
@@ -107,6 +114,16 @@ class PerturbationCoefficients:
         return self.direct.shape[0]
 
 
+def direct_coefficient(partition: AdmittancePartition,
+                       v0: np.ndarray,
+                       i_load: np.ndarray,
+                       v_slack: complex) -> np.ndarray:
+    """``direct = conj(Y) conj(V0) + conj(Ybar V_slack) - conj(I_L)``."""
+    return (partition.Y_csr.conj() @ v0.conj()
+            + partition.Ybar.conj() * np.conj(v_slack)
+            - np.conj(np.asarray(i_load, dtype=complex)))
+
+
 def assemble_coefficients(partition: AdmittancePartition,
                           nominal: NominalVoltage,
                           i_load: np.ndarray,
@@ -115,30 +132,55 @@ def assemble_coefficients(partition: AdmittancePartition,
     v0 = nominal.V
     if v0.shape[0] != partition.n:
         raise ValueError("nominal voltage length does not match the network")
-    y_conj = partition.Y_csr.conj()
-    direct = (y_conj @ v0.conj()
-              + partition.Ybar.conj() * np.conj(v_slack)
-              - np.conj(np.asarray(i_load, dtype=complex)))
-    cross = sparse.diags_array(v0) @ y_conj
+    direct = direct_coefficient(partition, v0, i_load, v_slack)
+    cross = sparse.diags_array(v0) @ partition.Y_csr.conj()
     offset = -v0 * direct
     return PerturbationCoefficients(nominal, direct, cross, offset)
 
 
-def real_block_matrix(coeffs: PerturbationCoefficients
-                      ) -> sparse.csr_array:
-    """Stack the complex linear model into its 2N x 2N real form (sparse).
+def real_block_matrix(partition: AdmittancePartition,
+                      v: np.ndarray,
+                      direct: np.ndarray,
+                      pv_pos: np.ndarray = ()) -> sparse.csc_array:
+    """Stack ``diag(direct) dv + diag(v) conj(Y) conj(dv)`` into its
+    2N x 2N real form, filled on the partition's cached block pattern.
 
     Unknown ordering is ``[Re dv; Im dv]``; row ordering is active-power
     rows then reactive-power rows.  The same matrix is the power-flow
-    Jacobian at the nominal point, which is why the Newton solver reuses
-    this builder.
+    Jacobian at ``v``, which is why the Newton solver reuses this builder;
+    the reactive row of each bus in ``pv_pos`` is replaced by the gradient
+    of ``|v|^2``.  The cross product ``v_i conj(Y_ij)`` is formed in real
+    arithmetic exactly as scipy's sparse product forms it, and exact zeros
+    are dropped, so the matrix equals the one composed from scipy.sparse
+    operators bit for bit.
     """
-    dre = sparse.diags_array(coeffs.direct.real)
-    dim = sparse.diags_array(coeffs.direct.imag)
-    cre = coeffs.cross.real
-    cim = coeffs.cross.imag
-    return sparse.block_array([[dre + cre, -dim + cim],
-                               [dim + cim, dre - cre]], format="csr")
+    pat = partition.block_pattern
+    n = partition.n
+    v = np.asarray(v, dtype=complex)
+    direct = np.asarray(direct, dtype=complex)
+    if v.shape != (n,) or direct.shape != (n,):
+        raise ValueError("voltage and direct coefficient must have length N")
+    vr = v.real[pat.rows]
+    vi = v.imag[pat.rows]
+    cre = vr * pat.conj_re - vi * pat.conj_im
+    cim = vr * pat.conj_im + vi * pat.conj_re
+    dre = np.zeros(cre.size)
+    dre[pat.diag] = direct.real
+    dim = np.zeros(cre.size)
+    dim[pat.diag] = direct.imag
+    blocks = np.stack([dre + cre, cim - dim, dim + cim, dre - cre])
+    if len(pv_pos):
+        is_pv = np.zeros(n, dtype=bool)
+        is_pv[pv_pos] = True
+        blocks[2:, is_pv[pat.rows]] = 0.0
+        blocks[2, pat.diag[pv_pos]] = 2.0 * v.real[pv_pos]
+        blocks[3, pat.diag[pv_pos]] = 2.0 * v.imag[pv_pos]
+    data = np.empty(blocks.size)
+    data[pat.slots] = blocks
+    keep = data != 0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[pat.indptr]
+    return sparse.csc_array((data[keep], pat.indices[keep], indptr),
+                            shape=(2 * n, 2 * n))
 
 
 def linear_injection(coeffs: PerturbationCoefficients,
@@ -186,7 +228,8 @@ class LinearSolution:
         return self.nominal.V + self.dv
 
 
-def solve_general_2n(coeffs: PerturbationCoefficients,
+def solve_general_2n(partition: AdmittancePartition,
+                     coeffs: PerturbationCoefficients,
                      s: np.ndarray,
                      extra_flags: Mapping[str, bool] | None = None
                      ) -> LinearSolution:
@@ -199,7 +242,7 @@ def solve_general_2n(coeffs: PerturbationCoefficients,
     """
     s = np.asarray(s, dtype=complex)
     n = coeffs.n
-    m = real_block_matrix(coeffs)
+    m = real_block_matrix(partition, coeffs.nominal.V, coeffs.direct)
     rhs = np.concatenate([s.real + coeffs.offset.real,
                           s.imag + coeffs.offset.imag])
     lu = Factorization(m, code="SINGULAR_SYSTEM",
@@ -278,4 +321,4 @@ def solve_general(partition: AdmittancePartition,
     s, _ = case.injection_targets()
     coeffs = assemble_coefficients(partition, nominal, case.i_load_vector(),
                                    case.v_slack)
-    return solve_general_2n(coeffs, s)
+    return solve_general_2n(partition, coeffs, s)

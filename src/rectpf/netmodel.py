@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -290,6 +291,27 @@ def _connected(n_nodes: int, rows, cols) -> bool:
     return connected_components(graph, directed=False)[0] == 1
 
 
+class _BlockPattern(NamedTuple):
+    """Sparsity of ``[[UL, UR], [LL, LR]]``, the 2N real form of a linear
+    model ``diag(direct) dv + diag(V) conj(Y) conj(dv)``.
+
+    Each block has the pattern P of ``Y + I``; P's entries are numbered in
+    CSC order.  ``indices`` and ``indptr`` are the 2N CSC structure,
+    ``slots[b, k]`` is the CSC position of entry k in block b (UL, UR, LL,
+    LR), ``rows[k]`` its row in Y, ``conj_re``/``conj_im`` the parts of
+    ``conj(Y)`` there (zero where only the diagonal is), and ``diag[i]``
+    the entry number of ``(i, i)``.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    conj_re: np.ndarray
+    conj_im: np.ndarray
+    diag: np.ndarray
+    slots: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class AdmittancePartition:
     """Slack-partitioned admittance data.
@@ -305,7 +327,9 @@ class AdmittancePartition:
     cancel in the row sum, leaving exactly the lumped shunts (line halves
     plus the constant-impedance load parts).  It is summed over the dense
     copy, so the identity holds bit for bit; only the lossless and DC
-    formulations, which are desk-scale, use it.
+    formulations, which are desk-scale, use it.  ``block_pattern``, the
+    sparsity of the stacked 2N real system, is likewise built once and
+    shared by every Jacobian of the partition.
     """
 
     Y_csr: sparse.csr_array
@@ -342,6 +366,42 @@ class AdmittancePartition:
         """Sparse LU of Y; raises ``SINGULAR_Y`` as :class:`Factorization`."""
         return Factorization(self.Y_csr, code="SINGULAR_Y",
                              what="admittance block Y")
+
+    @cached_property
+    def block_pattern(self) -> _BlockPattern:
+        """CSC structure of the 2N x 2N real block form, built on first use.
+
+        The pattern depends on Y's sparsity only, so every Jacobian and
+        every stacked linear system of the partition is filled on it.
+        """
+        y = self.Y_csr
+        n = self.n
+        nnz = y.nnz
+        rows = np.repeat(np.arange(n), np.diff(y.indptr))
+        # Column-major keys of Y's entries, then of the diagonal.
+        keys = np.concatenate([y.indices.astype(np.intp) * n + rows,
+                               np.arange(n) * (n + 1)])
+        uniq, where = np.unique(keys, return_inverse=True)
+        cols, prows = np.divmod(uniq, n)
+        conj_y = np.zeros(uniq.size, dtype=complex)
+        conj_y[where[:nnz]] = y.data.conj()
+        # Entry k of P = pattern(Y + I) in column j lands in its column of
+        # each block; the upper blocks lead every column of the 2N form.
+        size = uniq.size
+        colptr = np.searchsorted(cols, np.arange(n + 1))
+        k = np.arange(size)
+        upper = colptr[cols] + k
+        lower = colptr[cols + 1] + k
+        slots = np.stack([upper, 2 * size + upper, lower, 2 * size + lower])
+        indices = np.empty(4 * size, dtype=np.int32)
+        indices[slots] = [prows, prows, prows + n, prows + n]
+        indptr = np.concatenate([2 * colptr, 2 * size + 2 * colptr[1:]])
+        pattern = _BlockPattern(indices, indptr.astype(np.int32), prows,
+                               conj_y.real.copy(), conj_y.imag.copy(),
+                               where[nnz:], slots)
+        for arr in pattern:
+            arr.flags.writeable = False
+        return pattern
 
     @property
     def G(self) -> np.ndarray:

@@ -4,8 +4,11 @@ This is the nonlinear reference the linear models are judged against.  It
 works directly on ``x = [Re V; Im V]`` so its Jacobian is exactly the
 stacked real matrix of the perturbation coefficients evaluated at the
 current iterate; the builder is shared with the linear solvers rather than
-reimplemented.  ZIP buses contribute active and reactive balance rows, PV
-buses an active row and a squared-magnitude row ``|V|^2 = v_set^2``.
+reimplemented.  Each iteration computes only the direct coefficient (one
+sparse product) and fills the partition's cached 2N block pattern, whose
+sparsity never changes between iterations.  ZIP buses contribute active and
+reactive balance rows, PV buses an active row and a squared-magnitude row
+``|V|^2 = v_set^2``.
 
 All residual rows are quadratic in the unknowns, so central finite
 differences reproduce the analytic Jacobian to roundoff; ``jacobian_check``
@@ -18,12 +21,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
 from ._linalg import Factorization
 from .errors import SolverError
-from .linearize import (NominalOrigin, NominalVoltage, assemble_coefficients,
-                        compute_noload_voltage, real_block_matrix)
+from .linearize import (compute_noload_voltage, direct_coefficient,
+                        real_block_matrix)
 from .netmodel import AdmittancePartition, NetworkCase
 from .residuals import complex_injection
 
@@ -107,19 +109,9 @@ def _mismatch_measure(ds, pv_pos, f_lower):
 def _jacobian(partition, i_load, v_slack, pv_pos, v):
     """Sparse analytic Jacobian; shares the block builder with the linear
     solvers, with each PV bus's reactive row replaced by its |V|^2 row."""
-    coeffs = assemble_coefficients(
-        partition, NominalVoltage(v, NominalOrigin.USER), i_load, v_slack)
-    jac = real_block_matrix(coeffs)
-    if not pv_pos.size:
-        return jac
-    rows = partition.n + pv_pos
-    keep = np.ones(jac.shape[0])
-    keep[rows] = 0.0
-    pv_rows = sparse.csr_array(
-        (np.concatenate([2.0 * v.real[pv_pos], 2.0 * v.imag[pv_pos]]),
-         (np.concatenate([rows, rows]), np.concatenate([pv_pos, rows]))),
-        shape=jac.shape)
-    return sparse.diags_array(keep) @ jac + pv_rows
+    return real_block_matrix(
+        partition, v, direct_coefficient(partition, v, i_load, v_slack),
+        pv_pos)
 
 
 def _initial_voltage(partition, case, settings):

@@ -147,6 +147,27 @@ def test_solve_rejects_bad_yaml_with_exit_2(runner, tmp_path):
     assert res.stderr.startswith("PARSE_ERROR")
 
 
+# PyYAML resolves these as ints, then its int constructor raises ValueError
+@pytest.mark.parametrize("command", [["solve"], ["check"],
+                                     ["compare", "--alpha-list", "1,0.5"]])
+@pytest.mark.parametrize("field,value", [("base_mva", "0x_"),
+                                         ("base_mva", "0b_"),
+                                         ("p", "-0x_")])
+def test_unconvertible_yaml_int_is_a_parse_error(runner, tmp_path, command,
+                                                 field, value):
+    text = LOSSLESS_LADDER.replace("p: 0.5", f"p: {value}")
+    if field == "base_mva":
+        text += f"base_mva: {value}\n"
+    path = tmp_path / "bad_int.yaml"
+    path.write_text(text, encoding="utf-8")
+    res = runner.invoke(main, [command[0], str(path), *command[1:]])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"PARSE_ERROR: {path}: not valid YAML: ")
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
 # two parallel branches whose conductances sum past the float range
 OVERFLOWING_PARALLEL = """
 schema_version: "1"

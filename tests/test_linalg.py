@@ -39,7 +39,8 @@ def _systems(seed):
         NominalOrigin.USER)
     coeffs = assemble_coefficients(part, nominal, feeder.i_load_vector(),
                                    feeder.v_slack)
-    yield "general 2N block", real_block_matrix(coeffs)
+    yield "general 2N block", real_block_matrix(part, nominal.V,
+                                                coeffs.direct)
     yield "general cross", coeffs.cross
     grid = casegen.random_lossless_case(rng, n_min=4, n_max=30)
     grid_part = build_admittance(grid)

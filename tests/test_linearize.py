@@ -23,12 +23,13 @@ def _coeffs_for(case, nominal=None):
 
 def test_coefficients_vanish_at_flat_lossless_ladder():
     case = casegen.lossless_ladder_case()
-    _, coeffs = _coeffs_for(case)
+    part, coeffs = _coeffs_for(case)
     np.testing.assert_allclose(coeffs.direct, [0j], rtol=0, atol=0)
     np.testing.assert_allclose(coeffs.offset, [0j], rtol=0, atol=0)
     np.testing.assert_allclose(coeffs.cross.toarray(), [[10j]],
                                rtol=0, atol=0)
-    np.testing.assert_allclose(real_block_matrix(coeffs).toarray(),
+    np.testing.assert_allclose(real_block_matrix(part, coeffs.nominal.V,
+                                                 coeffs.direct).toarray(),
                                [[0, 10], [10, 0]], rtol=0, atol=0)
 
 
@@ -46,8 +47,8 @@ def test_offset_identity_at_random_nominal():
 
 def test_general_2n_lossless_ladder_frozen():
     case = casegen.lossless_ladder_case(p=0.5)
-    _, coeffs = _coeffs_for(case)
-    sol = solve_general_2n(coeffs, np.array([0.5 + 0j]))
+    part, coeffs = _coeffs_for(case)
+    sol = solve_general_2n(part, coeffs, np.array([0.5 + 0j]))
     np.testing.assert_allclose(sol.dv, [0.05j], rtol=0, atol=1e-15)
     assert sol.method is SolutionMethod.GENERAL_2N
     assert sol.diagnostics.condition is not None
@@ -95,7 +96,7 @@ def test_closed_form_equals_general_2n_at_noload_nominal():
         coeffs = assemble_coefficients(part, nom, case.i_load_vector(),
                                        case.v_slack)
         s, _ = case.injection_targets()
-        a = solve_general_2n(coeffs, s)
+        a = solve_general_2n(part, coeffs, s)
         b = solve_noload_closed_form(part, nom, s)
         assert np.abs(a.dv - b.dv).max() <= 1e-10
 
@@ -106,8 +107,8 @@ def test_homogeneous_rhs_gives_zero_perturbation():
     n = case.n
     v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n),
                         NominalOrigin.USER)
-    _, coeffs = _coeffs_for(case, v0)
-    sol = solve_general_2n(coeffs, -coeffs.offset)
+    part, coeffs = _coeffs_for(case, v0)
+    sol = solve_general_2n(part, coeffs, -coeffs.offset)
     np.testing.assert_allclose(sol.dv, np.zeros(n), rtol=0, atol=0)
 
 
@@ -118,9 +119,9 @@ def test_linear_model_rows_are_satisfied():
         n = case.n
         v0 = NominalVoltage(rng.normal(1, 0.05, n)
                             + 1j * rng.normal(0, 0.05, n), NominalOrigin.USER)
-        _, coeffs = _coeffs_for(case, v0)
+        part, coeffs = _coeffs_for(case, v0)
         s, _ = case.injection_targets()
-        sol = solve_general_2n(coeffs, s)
+        sol = solve_general_2n(part, coeffs, s)
         resid = (coeffs.direct * sol.dv + coeffs.cross @ sol.dv.conj()
                  - (s + coeffs.offset))
         assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(s).max())
@@ -210,7 +211,7 @@ def test_block_matrix_equals_numeric_jacobian_of_injection():
                         NominalOrigin.USER)
     coeffs = assemble_coefficients(part, v0, case.i_load_vector(),
                                    case.v_slack)
-    block = real_block_matrix(coeffs)
+    block = real_block_matrix(part, v0.V, coeffs.direct)
     step = 1e-6
     fd = np.zeros((2 * n, 2 * n))
     for j in range(2 * n):

@@ -72,8 +72,8 @@ def test_large_radial_feeder_is_solved_in_sparse_memory():
     part = build_admittance(case)
     assert part.Y_csr.nnz == n + 2 * (n - 1)
     nominal = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
-    jac = real_block_matrix(assemble_coefficients(
-        part, nominal, case.i_load_vector(), case.v_slack))
+    jac = real_block_matrix(part, nominal.V, assemble_coefficients(
+        part, nominal, case.i_load_vector(), case.v_slack).direct)
     assert jac.shape == (2 * n, 2 * n)
     assert jac.nnz <= 4 * part.Y_csr.nnz
     assert np.isfinite(report.condition)

@@ -15,8 +15,9 @@ from scipy import sparse
 
 import casegen
 from rectpf import (AdmittancePartition, Branch, Bus, BusKind, NetworkCase,
-                    PvSetpoint, SlackVoltage, ZipLoad, build_admittance,
-                    compute_noload_voltage, run_compare, run_pipeline)
+                    PvSetpoint, SlackVoltage, SolverError, ZipLoad,
+                    build_admittance, compute_noload_voltage, run_compare,
+                    run_pipeline)
 from rectpf.linearize import direct_coefficient, real_block_matrix
 
 
@@ -79,7 +80,7 @@ def _iterates(rng, case, part):
     try:
         yield compute_noload_voltage(part, case.i_load_vector(),
                                      case.v_slack).V
-    except Exception:   # a singular Y has no no-load profile
+    except SolverError:   # a singular Y has no no-load profile
         pass
     v = rng.uniform(0.8, 1.2, n) + 1j * rng.uniform(-0.3, 0.3, n)
     yield v

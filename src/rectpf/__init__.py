@@ -17,11 +17,10 @@ from .distribution import (CouplingTerms, DecoupledEstimate,
 from .errors import (CaseValidationError, InternalCheckError, RectpfError,
                      SolverError)
 from .linearize import (LinearSolution, NominalOrigin, NominalVoltage,
-                        PerturbationCoefficients, SolutionMethod,
-                        SolveDiagnostics, assemble_coefficients,
+                        SolutionMethod, SolveDiagnostics,
                         compute_noload_voltage, flat_nominal,
-                        linear_injection, real_block_matrix, solve_general,
-                        solve_general_2n, solve_noload_closed_form)
+                        linear_injection, solve_general,
+                        solve_noload_closed_form)
 from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
                        NetworkCase, PvSetpoint, SlackVoltage,
                        StructureDiagnosis, ZipLoad, build_admittance,
@@ -47,10 +46,10 @@ __all__ = [
     "ImpedanceDecomposition", "InitialGuess", "InternalCheckError",
     "LinearSolution", "LosslessSystem", "NetworkCase", "NewtonResult",
     "NewtonSettings", "NominalOrigin", "NominalVoltage",
-    "PerturbationCoefficients", "PvSetpoint", "RectpfError",
+    "PvSetpoint", "RectpfError",
     "ResidualReport", "RunReport", "SlackVoltage", "SolutionMethod",
     "SolveDiagnostics", "SolverError", "StructureDiagnosis", "ZipLoad",
-    "assemble_coefficients", "build_admittance", "build_lossless_system",
+    "build_admittance", "build_lossless_system",
     "check_flat_conditions", "check_noload_structure",
     "complex_error_bound", "complex_injection", "compute_noload_voltage",
     "coupling_decomposition", "decoupled_estimate", "dump_case",
@@ -58,10 +57,10 @@ __all__ = [
     "impedance_decomposition", "jacobian_check", "linear_injection",
     "load_case", "max_row_norm", "nonlinear_mismatch", "parse_case",
     "quadratic_residual",
-    "reactive_error_bound", "real_block_matrix", "run_check", "run_compare",
+    "reactive_error_bound", "run_check", "run_compare",
     "run_pipeline", "save_case", "scale_power_injections",
     "solve_classical_dc", "solve_distribution", "solve_general",
-    "solve_general_2n", "solve_lossless_flat", "solve_newton",
+    "solve_lossless_flat", "solve_newton",
     "solve_no_current_closed_form", "solve_noload_closed_form",
     "verify_bounds",
 ]

@@ -57,7 +57,7 @@ class Factorization:
             raise SolverError(
                 f"{what} is numerically singular "
                 f"(pivot ratio {self.pivot_ratio:.3e})",
-                code=code, condition=self.condition)
+                code=code)
 
     def solve(self, b) -> np.ndarray:
         """``A^(-1) b`` for a vector or for each column of a matrix."""

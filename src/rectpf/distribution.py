@@ -20,8 +20,7 @@ from .errors import InternalCheckError, SolverError
 from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, NominalOrigin,
                         NominalVoltage, SolutionMethod, SolveDiagnostics,
                         compute_noload_voltage, solve_noload_closed_form)
-from .netmodel import (AdmittancePartition, NetworkCase,
-                       check_noload_structure)
+from .netmodel import AdmittancePartition, NetworkCase
 from .residuals import max_row_norm
 
 
@@ -36,13 +35,10 @@ def solve_distribution(partition: AdmittancePartition,
         raise SolverError(
             "distribution closed form requires every non-slack bus to be a "
             "ZIP bus", code="NON_ZIP_BUS_PRESENT")
-    i_load = case.i_load_vector()
-    nominal = compute_noload_voltage(partition, i_load, case.v_slack)
+    nominal = compute_noload_voltage(partition, case.i_load_vector(),
+                                     case.v_slack)
     s, _ = case.injection_targets()
-    structure = check_noload_structure(partition, i_load, case.v_slack)
-    return solve_noload_closed_form(
-        partition, nominal, s,
-        extra_flags={"noload_structure": structure.verdict})
+    return solve_noload_closed_form(partition, nominal, s)
 
 
 @dataclass(frozen=True, eq=False)

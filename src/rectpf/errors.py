@@ -21,18 +21,9 @@ class RectpfError(Exception):
 
 
 class SolverError(RectpfError):
-    """A solve could not produce a result (singular system, failed gate...).
-
-    ``condition`` carries the 1-norm condition estimate of the offending
-    matrix when one was computed before the failure was detected.
-    """
+    """A solve could not produce a result (singular system, failed gate...)."""
 
     code = "SOLVER_ERROR"
-
-    def __init__(self, message: str, *, code: str | None = None,
-                 condition: float | None = None):
-        super().__init__(message, code=code)
-        self.condition = condition
 
 
 class CaseValidationError(RectpfError):

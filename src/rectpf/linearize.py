@@ -12,17 +12,18 @@ remainder::
     S(V0 + dv) - S = [linear residual] + diag(dv) conj(Y) conj(dv)
 
 with ``direct = conj(Y) conj(V0) + conj(Ybar V_slack) - conj(I_L)``,
-``cross = diag(V0) conj(Y)`` and ``offset = -V0 * direct``.  This module
-assembles those coefficients, solves the stacked 2N real system in the
-general case, and provides the closed form available at the no-load nominal
-(where ``direct`` and ``offset`` vanish identically).
+``cross = diag(V0) conj(Y)`` and ``offset = -V0 * direct``.  ``direct`` is
+the one coefficient computed as such; ``offset`` and the products of
+``cross`` are formed where they are used.  This module solves the stacked
+2N real system in the general case, and provides the closed form available
+at the no-load nominal (where ``direct`` and ``offset`` vanish identically).
 
 The stacked 2N real system is filled on the partition's cached block
 pattern (``AdmittancePartition.block_pattern``): its sparsity depends on Y
 alone, so only the values are computed per call.  The cross products are
-formed in real arithmetic exactly as scipy's sparse product forms them,
-which keeps the matrix handed to SuperLU bit-identical to the one composed
-from scipy.sparse operators.
+formed from Y's entries in real arithmetic, exactly as scipy's sparse
+product forms them, so the matrix handed to SuperLU is bit-identical to the
+one composed from scipy.sparse operators; no cross matrix is ever built.
 """
 
 from __future__ import annotations
@@ -84,36 +85,6 @@ def flat_nominal(n: int) -> NominalVoltage:
     return NominalVoltage(np.ones(n, dtype=complex), NominalOrigin.FLAT)
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationCoefficients:
-    """Coefficients of the linear model at a given nominal voltage.
-
-    ``direct`` is the diagonal coefficient of the perturbation itself (kept
-    as a vector; the matrix is diagonal by construction), ``cross`` the
-    sparse matrix multiplying the conjugated perturbation (it has the
-    sparsity of Y), and ``offset`` the constant term moved to the
-    right-hand side.  ``offset == -V0 * direct`` always; both reuse the
-    same shared subexpression.
-    """
-
-    nominal: NominalVoltage
-    direct: np.ndarray
-    cross: sparse.csr_array
-    offset: np.ndarray
-
-    def __post_init__(self):
-        for name in ("direct", "offset"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "cross",
-                           sparse.csr_array(self.cross, dtype=complex))
-
-    @property
-    def n(self) -> int:
-        return self.direct.shape[0]
-
-
 def direct_coefficient(partition: AdmittancePartition,
                        v0: np.ndarray,
                        i_load: np.ndarray,
@@ -122,20 +93,6 @@ def direct_coefficient(partition: AdmittancePartition,
     return (partition.Y_csr.conj() @ v0.conj()
             + partition.Ybar.conj() * np.conj(v_slack)
             - np.conj(np.asarray(i_load, dtype=complex)))
-
-
-def assemble_coefficients(partition: AdmittancePartition,
-                          nominal: NominalVoltage,
-                          i_load: np.ndarray,
-                          v_slack: complex) -> PerturbationCoefficients:
-    """Build the linear-model coefficients around ``nominal``."""
-    v0 = nominal.V
-    if v0.shape[0] != partition.n:
-        raise ValueError("nominal voltage length does not match the network")
-    direct = direct_coefficient(partition, v0, i_load, v_slack)
-    cross = sparse.diags_array(v0) @ partition.Y_csr.conj()
-    offset = -v0 * direct
-    return PerturbationCoefficients(nominal, direct, cross, offset)
 
 
 def real_block_matrix(partition: AdmittancePartition,
@@ -183,17 +140,22 @@ def real_block_matrix(partition: AdmittancePartition,
                             shape=(2 * n, 2 * n))
 
 
-def linear_injection(coeffs: PerturbationCoefficients,
+def linear_injection(partition: AdmittancePartition,
+                     nominal: NominalVoltage,
+                     direct: np.ndarray,
                      dv: np.ndarray) -> np.ndarray:
-    """Complex power the linear model attributes to a perturbation ``dv``.
+    """Complex power the linear model at ``nominal`` (with its ``direct``
+    coefficient) attributes to a perturbation ``dv``.
 
     For a perturbation produced by a full-system solve this reproduces the
     requested injection up to solver roundoff.  For partially constrained
     solves (flat lossless profile: active rows only) the imaginary part is
     the model's own reactive prediction.
     """
+    v0 = nominal.V
     dv = np.asarray(dv, dtype=complex)
-    return coeffs.direct * dv + coeffs.cross @ dv.conj() - coeffs.offset
+    return (direct * dv + v0 * (partition.Y_csr.conj() @ dv.conj())
+            + v0 * direct)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +163,6 @@ class SolveDiagnostics:
     """What a solver observed: conditioning and named gate checks."""
 
     condition: float | None = None
-    singular: bool = False
     flags: Mapping[str, bool] = field(default_factory=dict)
     override_used: bool = False
     violated_buses: tuple[int, ...] = ()
@@ -229,11 +190,11 @@ class LinearSolution:
 
 
 def solve_general_2n(partition: AdmittancePartition,
-                     coeffs: PerturbationCoefficients,
-                     s: np.ndarray,
-                     extra_flags: Mapping[str, bool] | None = None
-                     ) -> LinearSolution:
-    """Solve the full 2N real system for a fully specified injection ``s``.
+                     nominal: NominalVoltage,
+                     direct: np.ndarray,
+                     s: np.ndarray) -> LinearSolution:
+    """Solve the full 2N real system at ``nominal`` (with its ``direct``
+    coefficient) for a fully specified injection ``s``.
 
     Both active and reactive rows are enforced, so every bus must carry a
     known complex power target.  Raises ``SINGULAR_SYSTEM`` when the LU
@@ -241,18 +202,17 @@ def solve_general_2n(partition: AdmittancePartition,
     general nonsingularity guarantee, so this is detected, never assumed.
     """
     s = np.asarray(s, dtype=complex)
-    n = coeffs.n
-    m = real_block_matrix(partition, coeffs.nominal.V, coeffs.direct)
-    rhs = np.concatenate([s.real + coeffs.offset.real,
-                          s.imag + coeffs.offset.imag])
+    v0 = nominal.V
+    offset = -v0 * direct
+    m = real_block_matrix(partition, v0, direct)
+    rhs = np.concatenate([s.real + offset.real, s.imag + offset.imag])
     lu = Factorization(m, code="SINGULAR_SYSTEM",
                        what="stacked 2N perturbation system")
     x = lu.solve(rhs)
+    n = nominal.n
     dv = x[:n] + 1j * x[n:]
-    return LinearSolution(
-        coeffs.nominal, dv, SolutionMethod.GENERAL_2N,
-        SolveDiagnostics(condition=lu.condition,
-                         flags=dict(extra_flags or {})))
+    return LinearSolution(nominal, dv, SolutionMethod.GENERAL_2N,
+                          SolveDiagnostics(condition=lu.condition))
 
 
 def compute_noload_voltage(partition: AdmittancePartition,
@@ -276,9 +236,7 @@ def compute_noload_voltage(partition: AdmittancePartition,
 
 def solve_noload_closed_form(partition: AdmittancePartition,
                              nominal: NominalVoltage,
-                             s: np.ndarray,
-                             extra_flags: Mapping[str, bool] | None = None
-                             ) -> LinearSolution:
+                             s: np.ndarray) -> LinearSolution:
     """Closed-form perturbation at the no-load nominal.
 
     At the no-load profile the ``direct`` coefficient vanishes identically
@@ -298,8 +256,7 @@ def solve_noload_closed_form(partition: AdmittancePartition,
                        what="scaled admittance block diag(conj(V0)) Y")
     return LinearSolution(
         nominal, lu.solve(s.conj()), SolutionMethod.NOLOAD_CLOSED_FORM,
-        SolveDiagnostics(condition=lu.condition,
-                         flags=dict(extra_flags or {})))
+        SolveDiagnostics(condition=lu.condition))
 
 
 def solve_general(partition: AdmittancePartition,
@@ -318,7 +275,9 @@ def solve_general(partition: AdmittancePartition,
             code="PV_UNSUPPORTED_IN_GENERAL")
     if nominal is None:
         nominal = flat_nominal(partition.n)
+    if nominal.n != partition.n:
+        raise ValueError("nominal voltage length does not match the network")
     s, _ = case.injection_targets()
-    coeffs = assemble_coefficients(partition, nominal, case.i_load_vector(),
-                                   case.v_slack)
-    return solve_general_2n(partition, coeffs, s)
+    direct = direct_coefficient(partition, nominal.V, case.i_load_vector(),
+                                case.v_slack)
+    return solve_general_2n(partition, nominal, direct, s)

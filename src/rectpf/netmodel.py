@@ -16,8 +16,8 @@ pinned::
 
 where Y is the N x N block over non-slack buses.  Y is stored as a sparse
 CSR matrix with one entry per bus and per branch end, so a radial feeder
-costs O(N) memory and every solver works in O(nnz); dense copies are built
-only on request, for inspection and for outputs that are dense by nature.
+costs O(N) memory and every solver works in O(nnz); the partition keeps no
+dense copy of Y, and the dense lossless and DC formulations build their own.
 """
 
 from __future__ import annotations
@@ -319,17 +319,17 @@ class AdmittancePartition:
     ``Y_csr`` is the N x N block over non-slack buses as a sparse CSR matrix
     (any dense or sparse matrix is accepted and converted; explicit zeros
     are dropped), ``Ybar`` the (N,) coupling column to the slack and
-    ``y_slack`` the slack self-admittance.  ``Y``, ``G`` and ``B`` are dense
-    read-only copies built on first access.  ``factor``, the LU of Y, is
-    also built on first use and shared by every solver that applies
+    ``y_slack`` the slack self-admittance.  ``factor``, the LU of Y, is
+    built on first use and shared by every solver that applies
     ``Y^(-1)``, so Y is factored at most once per partition.  The shunt
     vector obeys ``Ysh = Y @ 1 + Ybar`` by construction: series terms
     cancel in the row sum, leaving exactly the lumped shunts (line halves
-    plus the constant-impedance load parts).  It is summed over the dense
-    copy, so the identity holds bit for bit; only the lossless and DC
-    formulations, which are desk-scale, use it.  ``block_pattern``, the
-    sparsity of the stacked 2N real system, is likewise built once and
-    shared by every Jacobian of the partition.
+    plus the constant-impedance load parts).  It is the one dense reduction
+    left: it is summed over a transient dense copy of Y, because a CSR row
+    sum adds in another order and differs from the dense row sum in the
+    last bit; only the lossless and DC formulations, which are desk-scale,
+    use it.  ``block_pattern``, the sparsity of the stacked 2N real system,
+    is built once and shared by every Jacobian of the partition.
     """
 
     Y_csr: sparse.csr_array
@@ -354,12 +354,6 @@ class AdmittancePartition:
     @property
     def n(self) -> int:
         return self.Y_csr.shape[0]
-
-    @cached_property
-    def Y(self) -> np.ndarray:
-        y = self.Y_csr.toarray()
-        y.flags.writeable = False
-        return y
 
     @cached_property
     def factor(self) -> Factorization:
@@ -403,41 +397,15 @@ class AdmittancePartition:
             arr.flags.writeable = False
         return pattern
 
-    @property
-    def G(self) -> np.ndarray:
-        return self.Y.real
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.Y.imag
-
     @cached_property
     def Ysh(self) -> np.ndarray:
-        ysh = self.Y.sum(axis=1) + self.Ybar
+        ysh = self.Y_csr.toarray().sum(axis=1) + self.Ybar
         ysh.flags.writeable = False
         return ysh
-
-    @property
-    def Gsh(self) -> np.ndarray:
-        return self.Ysh.real
-
-    @property
-    def Bsh(self) -> np.ndarray:
-        return self.Ysh.imag
 
     def slack_adjacent_ids(self) -> tuple[int, ...]:
         """1-based ids of buses directly coupled to the slack."""
         return tuple(int(i) + 1 for i in np.flatnonzero(self.Ybar != 0))
-
-    def full_matrix(self) -> np.ndarray:
-        """Reassembled (N+1) x (N+1) nodal admittance matrix, dense."""
-        n = self.n
-        full = np.zeros((n + 1, n + 1), dtype=complex)
-        full[:n, :n] = self.Y
-        full[:n, n] = self.Ybar
-        full[n, :n] = self.Ybar
-        full[n, n] = self.y_slack
-        return full
 
 
 def build_admittance(case: NetworkCase) -> AdmittancePartition:
@@ -497,7 +465,6 @@ class StructureDiagnosis:
     connected: bool
     dominance_margins: np.ndarray    # |y_ll| - sum_{m != l} |y_lm|, per bus
     weak_rows: np.ndarray            # margin >= -tol, per bus
-    strict_rows: np.ndarray          # margin > +tol, per bus
     slack_adjacent: tuple[int, ...]  # 1-based ids coupled to the slack
     strict_at_slack_adjacent: bool
     source_nonzero: bool
@@ -543,7 +510,7 @@ def check_noload_structure(partition: AdmittancePartition,
     verdict = not reasons
     return StructureDiagnosis(
         connected=connected, dominance_margins=margins, weak_rows=weak,
-        strict_rows=strict, slack_adjacent=slack_adjacent,
+        slack_adjacent=slack_adjacent,
         strict_at_slack_adjacent=strict_at_adjacent,
         source_nonzero=source_nonzero, verdict=verdict,
         reasons=tuple(reasons))

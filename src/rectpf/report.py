@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,30 +123,34 @@ class RunReport:
     oracle: OracleSummary | None
 
 
-def _resolve_method(partition, case, method: str) -> str:
+def _resolve_method(partition, case, method: str):
+    """The method to run, and the lossless system if ``auto`` built it."""
     if method != "auto":
-        return method
-    if trans.lossless_gate(partition, case) is None:
-        return "lossless"
+        return method, None
+    try:
+        return "lossless", trans.build_lossless_system(partition, case)
+    except SolverError:
+        pass                        # the lossless gate refused the case
     if not case.has_pv:
         structure = check_noload_structure(partition, case.i_load_vector(),
                                            case.v_slack)
         if structure.verdict:
-            return "noload"
-    return "general"
+            return "noload", None
+    return "general", None
 
 
-def _dispatch(partition, case, method: str, override_conditions: bool
-              ) -> tuple[lin.LinearSolution, float | None]:
-    """Solve with ``method``; also return the method's a-priori bound on
-    the reactive quadratic term, which only the lossless solve has."""
+def _dispatch(partition, case, method: str, override_conditions: bool,
+              lossless: trans.LosslessSystem | None
+              ) -> tuple[lin.LinearSolution, trans.LosslessSystem | None]:
+    """Solve with ``method``; the lossless solve also returns its system:
+    ``lossless`` with ``case``'s power injections, or a new one if None."""
     if method == "lossless":
-        sys = trans.build_lossless_system(partition, case)
+        sys = (trans.build_lossless_system(partition, case) if lossless is None
+               else replace(lossless, p=case.p_vector()))
         conditions = trans.check_flat_conditions(
             sys, partition.slack_adjacent_ids())
-        sol = trans.solve_lossless_flat(
-            sys, conditions, override_conditions=override_conditions)
-        return sol, trans.reactive_error_bound(sys, sol)
+        return trans.solve_lossless_flat(
+            sys, conditions, override_conditions=override_conditions), sys
     if method == "general":
         sol = lin.solve_general(partition, case)
     elif method == "noload":
@@ -183,9 +187,9 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
     stacked solve otherwise.
     """
     partition = build_admittance(case)
-    resolved = _resolve_method(partition, case, method)
-    sol, reactive_bound = _dispatch(partition, case, resolved,
-                                    override_conditions)
+    resolved, lossless = _resolve_method(partition, case, method)
+    sol, lossless = _dispatch(partition, case, resolved, override_conditions,
+                              lossless)
 
     residual = quadratic_residual(partition, sol.dv)
     v_approx = sol.approx_voltage()
@@ -202,11 +206,18 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
         "mismatch_active": float(np.linalg.norm(mismatch.real)),
     }
     bounds = list(residual.bounds)
-    if reactive_bound is not None:
-        bounds.append(BoundCheck("reactive_quadratic",
-                                 value=residual.norm_q, bound=reactive_bound))
+    if lossless is not None:
+        bounds.append(BoundCheck(
+            "reactive_quadratic", value=residual.norm_q,
+            bound=trans.reactive_error_bound(lossless, sol)))
     flags = dict(sol.diagnostics.flags)
-    flags["lossless_gate"] = trans.lossless_gate(partition, case) is None
+    # Only a gated case has a lossless system, and auto gated every case;
+    # auto picks the no-load closed form only where its structure check held.
+    flags["lossless_gate"] = lossless is not None or (
+        method != "auto" and trans.lossless_gate(partition, case) is None)
+    if resolved == "noload":
+        flags["noload_structure"] = method == "auto" or check_noload_structure(
+            partition, case.i_load_vector(), case.v_slack).verdict
 
     oracle = v_oracle = None
     if with_oracle:
@@ -311,13 +322,15 @@ def run_check(case: NetworkCase) -> CheckReport:
     partition = build_admittance(case)
     noload = check_noload_structure(partition, case.i_load_vector(),
                                     case.v_slack)
-    gate = trans.lossless_gate(partition, case) is None
-    flat = None
-    if gate:
+    try:
         sys = trans.build_lossless_system(partition, case)
+    except SolverError:             # the lossless gate refused the case
+        flat = None
+    else:
         flat = trans.check_flat_conditions(sys,
                                            partition.slack_adjacent_ids())
-    return CheckReport(noload=noload, flat=flat, lossless_gate=gate,
+    return CheckReport(noload=noload, flat=flat,
+                       lossless_gate=flat is not None,
                        slack_unity=trans.slack_is_unity(case))
 
 
@@ -376,14 +389,15 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
     The ratio ``voltage_error / alpha^2`` staying bounded as alpha shrinks
     is the observable signature that the linear model's error is quadratic
     in loading.  Every alpha shares one admittance partition, so Y is
-    factored once for the whole sweep.
+    factored once for the whole sweep, and the method's checks run once.
     """
     partition = build_admittance(case)
-    resolved = _resolve_method(partition, case, method)
+    resolved, lossless = _resolve_method(partition, case, method)
     values = []
     for alpha in map(float, alphas):
         scaled = scale_power_injections(case, alpha)
-        sol, _ = _dispatch(partition, scaled, resolved, override_conditions)
+        sol, lossless = _dispatch(partition, scaled, resolved,
+                                  override_conditions, lossless)
         result = solve_newton(partition, scaled, newton_settings)
         residual = quadratic_residual(partition, sol.dv)
         err = float(np.linalg.norm(sol.approx_voltage() - result.voltage))

@@ -40,19 +40,20 @@ class LosslessSystem:
     """Data of the active-power rows at the flat nominal of a lossless grid.
 
     ``re_coeff`` is the diagonal coefficient of the real perturbation (kept
-    as a vector), ``im_coeff`` the full matrix on the imaginary part.  The
-    matrices are dense: lossless grids are studied at desk scale.
+    as a vector), ``im_coeff`` the full matrix on the imaginary part, ``bsh``
+    the partition's ``Ysh.imag``.  The matrices are dense: lossless grids
+    are studied at desk scale.
     """
 
     B: np.ndarray
-    Bsh: np.ndarray
+    bsh: np.ndarray
     re_coeff: np.ndarray
     im_coeff: np.ndarray
     p: np.ndarray
     i_load: np.ndarray
 
     def __post_init__(self):
-        for name in ("B", "Bsh", "re_coeff", "im_coeff", "p", "i_load"):
+        for name in ("B", "bsh", "re_coeff", "im_coeff", "p", "i_load"):
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -100,11 +101,11 @@ def build_lossless_system(partition: AdmittancePartition,
     if failure is not None:
         raise failure
     b = partition.Y_csr.imag.toarray()
-    bsh = partition.Bsh
+    bsh = partition.Ysh.imag
     i_load = case.i_load_vector()
     re_coeff = -i_load.real
     im_coeff = -(b - np.diag(bsh)) - np.diag(i_load.imag)
-    return LosslessSystem(B=b, Bsh=bsh, re_coeff=re_coeff,
+    return LosslessSystem(B=b, bsh=bsh, re_coeff=re_coeff,
                           im_coeff=im_coeff, p=case.p_vector(),
                           i_load=i_load)
 
@@ -142,7 +143,7 @@ def check_flat_conditions(sys: LosslessSystem,
     """
     b = sys.B
     diag = np.diag(b)
-    lhs = np.abs(diag - sys.Bsh - sys.i_load.imag)
+    lhs = np.abs(diag - sys.bsh - sys.i_load.imag)
     rhs = np.abs(b).sum(axis=1) - np.abs(diag)
     tol = 1e-12 * (lhs + rhs)
     weak = lhs >= rhs - tol
@@ -212,7 +213,7 @@ def solve_classical_dc(partition: AdmittancePartition,
     is exactly ``(B - diag(Bsh))^(-1) Gsh``.
     """
     p = np.asarray(p, dtype=float)
-    m = -(partition.Y_csr.imag - sparse.diags_array(partition.Bsh))
-    rhs = p - partition.Gsh if keep_shunt_conductance else p
+    m = -(partition.Y_csr.imag - sparse.diags_array(partition.Ysh.imag))
+    rhs = p - partition.Ysh.real if keep_shunt_conductance else p
     return Factorization(m, code="SINGULAR_B",
                          what="DC susceptance matrix").solve(rhs)

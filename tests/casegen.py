@@ -31,6 +31,17 @@ def oracle_full_matrix(case: NetworkCase) -> np.ndarray:
     return full
 
 
+def partition_full_matrix(part) -> np.ndarray:
+    """The (N+1) x (N+1) nodal matrix reassembled from a partition."""
+    n = part.n
+    full = np.zeros((n + 1, n + 1), dtype=complex)
+    full[:n, :n] = part.Y_csr.toarray()
+    full[:n, n] = part.Ybar
+    full[n, :n] = part.Ybar
+    full[n, n] = part.y_slack
+    return full
+
+
 def random_edges(rng, m: int, extra: int | None = None):
     """Random connected topology on 1..m: spanning tree plus extra chords."""
     edges = [(int(rng.integers(1, k)), k) for k in range(2, m + 1)]

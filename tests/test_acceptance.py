@@ -9,7 +9,7 @@ import numpy as np
 from click.testing import CliRunner
 
 import casegen
-from rectpf import (NewtonSettings, assemble_coefficients, build_admittance,
+from rectpf import (NewtonSettings, build_admittance,
                     build_lossless_system, check_flat_conditions,
                     complex_injection, compute_noload_voltage,
                     decoupled_estimate, dump_case, flat_nominal,
@@ -20,6 +20,7 @@ from rectpf import (NewtonSettings, assemble_coefficients, build_admittance,
                     solve_distribution, solve_general, solve_lossless_flat,
                     solve_newton, solve_no_current_closed_form, verify_bounds)
 from rectpf.cli import main
+from rectpf.linearize import direct_coefficient
 from test_residuals import random_row_orthogonal
 
 
@@ -73,13 +74,14 @@ def test_c03_classical_dc_recovery_and_shunt_conductance_gap():
     for _ in range(20):
         case = casegen.random_feeder_case(rng, with_shunt_g=True)
         part = build_admittance(case)
-        assert np.abs(part.Gsh).max() > 0
+        assert np.abs(part.Ysh.real).max() > 0
         p = np.array([b.load.power.real for b in case.buses[:-1]])
         drop = solve_classical_dc(part, p)
         keep = solve_classical_dc(part, p, keep_shunt_conductance=True)
         gap = np.linalg.norm(drop - keep)
         ref = np.linalg.norm(np.linalg.solve(
-            part.B - np.diag(part.Bsh), part.Gsh))
+            part.Y_csr.toarray().imag - np.diag(part.Ysh.imag),
+            part.Ysh.real))
         assert abs(gap - ref) <= 1e-12 * (1 + ref)
     print("criterion 03: classical DC recovered from the flat solve: PASS")
 
@@ -157,9 +159,9 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
                                          case.v_slack)
         est = decoupled_estimate(part, nominal, s)
         dv = est.v_mag * np.exp(1j * est.theta) - nominal.V
-        coeffs = assemble_coefficients(part, nominal, case.i_load_vector(),
-                                       case.v_slack)
-        implied = linear_injection(coeffs, dv)
+        direct = direct_coefficient(part, nominal.V, case.i_load_vector(),
+                                    case.v_slack)
+        implied = linear_injection(part, nominal, direct, dv)
         mism = complex_injection(part, nominal.V + dv, case.i_load_vector(),
                                  case.v_slack) - implied
         rep = quadratic_residual(part, dv)

@@ -7,10 +7,10 @@ from scipy import sparse
 
 import casegen
 from rectpf import (NominalOrigin, NominalVoltage, SolverError,
-                    assemble_coefficients, build_admittance,
-                    build_lossless_system, compute_noload_voltage,
-                    real_block_matrix)
+                    build_admittance, build_lossless_system,
+                    compute_noload_voltage)
 from rectpf._linalg import PIVOT_RTOL, Factorization
+from rectpf.linearize import direct_coefficient, real_block_matrix
 
 
 def gecon_condition(a) -> float:
@@ -37,11 +37,10 @@ def _systems(seed):
     nominal = NominalVoltage(
         rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
         NominalOrigin.USER)
-    coeffs = assemble_coefficients(part, nominal, feeder.i_load_vector(),
-                                   feeder.v_slack)
-    yield "general 2N block", real_block_matrix(part, nominal.V,
-                                                coeffs.direct)
-    yield "general cross", coeffs.cross
+    direct = direct_coefficient(part, nominal.V, feeder.i_load_vector(),
+                                feeder.v_slack)
+    yield "general 2N block", real_block_matrix(part, nominal.V, direct)
+    yield "general cross", sparse.diags_array(nominal.V) @ part.Y_csr.conj()
     grid = casegen.random_lossless_case(rng, n_min=4, n_max=30)
     grid_part = build_admittance(grid)
     yield "lossless im_coeff", build_lossless_system(grid_part, grid).im_coeff

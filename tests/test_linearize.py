@@ -2,34 +2,36 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import casegen
 from rectpf import (NominalOrigin, NominalVoltage, SolutionMethod,
-                    SolverError, assemble_coefficients, build_admittance,
-                    compute_noload_voltage, flat_nominal, linear_injection,
-                    real_block_matrix, solve_general, solve_general_2n,
+                    SolverError, build_admittance, compute_noload_voltage,
+                    flat_nominal, linear_injection, solve_general,
                     solve_noload_closed_form)
+from rectpf.linearize import (direct_coefficient, real_block_matrix,
+                              solve_general_2n)
 from rectpf.netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
                              SlackVoltage, ZipLoad)
 
 
-def _coeffs_for(case, nominal=None):
+def _direct_for(case, nominal=None):
     part = build_admittance(case)
     if nominal is None:
         nominal = flat_nominal(part.n)
-    return part, assemble_coefficients(part, nominal, case.i_load_vector(),
-                                       case.v_slack)
+    return part, nominal, direct_coefficient(
+        part, nominal.V, case.i_load_vector(), case.v_slack)
 
 
 def test_coefficients_vanish_at_flat_lossless_ladder():
     case = casegen.lossless_ladder_case()
-    part, coeffs = _coeffs_for(case)
-    np.testing.assert_allclose(coeffs.direct, [0j], rtol=0, atol=0)
-    np.testing.assert_allclose(coeffs.offset, [0j], rtol=0, atol=0)
-    np.testing.assert_allclose(coeffs.cross.toarray(), [[10j]],
-                               rtol=0, atol=0)
-    np.testing.assert_allclose(real_block_matrix(part, coeffs.nominal.V,
-                                                 coeffs.direct).toarray(),
+    part, nominal, direct = _direct_for(case)
+    np.testing.assert_allclose(direct, [0j], rtol=0, atol=0)
+    np.testing.assert_allclose(-nominal.V * direct, [0j], rtol=0, atol=0)
+    cross = sparse.diags_array(nominal.V) @ part.Y_csr.conj()
+    np.testing.assert_allclose(cross.toarray(), [[10j]], rtol=0, atol=0)
+    np.testing.assert_allclose(real_block_matrix(part, nominal.V,
+                                                 direct).toarray(),
                                [[0, 10], [10, 0]], rtol=0, atol=0)
 
 
@@ -40,15 +42,16 @@ def test_offset_identity_at_random_nominal():
         n = case.n
         v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n),
                             NominalOrigin.USER)
-        _, coeffs = _coeffs_for(case, v0)
-        np.testing.assert_allclose(coeffs.offset, -v0.V * coeffs.direct,
-                                   rtol=0, atol=0)
+        part, _, direct = _direct_for(case, v0)
+        # the model's constant term, read at dv = 0, is -offset
+        offset = -linear_injection(part, v0, direct, np.zeros(n))
+        np.testing.assert_allclose(offset, -v0.V * direct, rtol=0, atol=0)
 
 
 def test_general_2n_lossless_ladder_frozen():
     case = casegen.lossless_ladder_case(p=0.5)
-    part, coeffs = _coeffs_for(case)
-    sol = solve_general_2n(part, coeffs, np.array([0.5 + 0j]))
+    part, nominal, direct = _direct_for(case)
+    sol = solve_general_2n(part, nominal, direct, np.array([0.5 + 0j]))
     np.testing.assert_allclose(sol.dv, [0.05j], rtol=0, atol=1e-15)
     assert sol.method is SolutionMethod.GENERAL_2N
     assert sol.diagnostics.condition is not None
@@ -93,10 +96,10 @@ def test_closed_form_equals_general_2n_at_noload_nominal():
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
         nom = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
-        coeffs = assemble_coefficients(part, nom, case.i_load_vector(),
-                                       case.v_slack)
+        direct = direct_coefficient(part, nom.V, case.i_load_vector(),
+                                    case.v_slack)
         s, _ = case.injection_targets()
-        a = solve_general_2n(part, coeffs, s)
+        a = solve_general_2n(part, nom, direct, s)
         b = solve_noload_closed_form(part, nom, s)
         assert np.abs(a.dv - b.dv).max() <= 1e-10
 
@@ -107,8 +110,8 @@ def test_homogeneous_rhs_gives_zero_perturbation():
     n = case.n
     v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n),
                         NominalOrigin.USER)
-    part, coeffs = _coeffs_for(case, v0)
-    sol = solve_general_2n(part, coeffs, -coeffs.offset)
+    part, _, direct = _direct_for(case, v0)
+    sol = solve_general_2n(part, v0, direct, v0.V * direct)
     np.testing.assert_allclose(sol.dv, np.zeros(n), rtol=0, atol=0)
 
 
@@ -119,15 +122,17 @@ def test_linear_model_rows_are_satisfied():
         n = case.n
         v0 = NominalVoltage(rng.normal(1, 0.05, n)
                             + 1j * rng.normal(0, 0.05, n), NominalOrigin.USER)
-        part, coeffs = _coeffs_for(case, v0)
+        part, _, direct = _direct_for(case, v0)
         s, _ = case.injection_targets()
-        sol = solve_general_2n(part, coeffs, s)
-        resid = (coeffs.direct * sol.dv + coeffs.cross @ sol.dv.conj()
-                 - (s + coeffs.offset))
+        sol = solve_general_2n(part, v0, direct, s)
+        cross_dv = v0.V * (part.Y_csr.conj() @ sol.dv.conj())
+        offset = -v0.V * direct
+        resid = (direct * sol.dv + cross_dv - (s + offset))
         assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(s).max())
         # the helper computes the same thing shifted by the target
-        np.testing.assert_allclose(linear_injection(coeffs, sol.dv) - s,
-                                   resid, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            linear_injection(part, v0, direct, sol.dv) - s,
+            resid, rtol=0, atol=1e-15)
 
 
 def test_solve_general_rejects_pv():
@@ -159,7 +164,7 @@ def test_singular_y_detected():
          Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 5j),))
     part = build_admittance(case)
-    assert part.Y[0, 0] == 0
+    assert part.Y_csr.toarray()[0, 0] == 0
     with pytest.raises(SolverError) as exc:
         compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
     assert exc.value.code == "SINGULAR_Y"
@@ -195,8 +200,7 @@ def test_coefficients_reject_wrong_length():
     case = casegen.ladder_case()
     part = build_admittance(case)
     with pytest.raises(ValueError):
-        assemble_coefficients(part, flat_nominal(3), case.i_load_vector(),
-                              case.v_slack)
+        solve_general(part, case, flat_nominal(3))
 
 
 def test_block_matrix_equals_numeric_jacobian_of_injection():
@@ -209,9 +213,9 @@ def test_block_matrix_equals_numeric_jacobian_of_injection():
     n = case.n
     v0 = NominalVoltage(rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
                         NominalOrigin.USER)
-    coeffs = assemble_coefficients(part, v0, case.i_load_vector(),
-                                   case.v_slack)
-    block = real_block_matrix(part, v0.V, coeffs.direct)
+    direct = direct_coefficient(part, v0.V, case.i_load_vector(),
+                                case.v_slack)
+    block = real_block_matrix(part, v0.V, direct)
     step = 1e-6
     fd = np.zeros((2 * n, 2 * n))
     for j in range(2 * n):

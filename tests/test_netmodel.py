@@ -15,8 +15,8 @@ oracle_full_matrix = casegen.oracle_full_matrix
 
 def test_two_bus_ladder_partition():
     part = build_admittance(casegen.ladder_case())
-    assert part.Y.shape == (1, 1)
-    assert part.Y[0, 0] == 1 - 5j
+    assert part.Y_csr.toarray().shape == (1, 1)
+    assert part.Y_csr.toarray()[0, 0] == 1 - 5j
     assert part.Ybar[0] == -1 + 5j
     assert part.y_slack == 1 - 5j
     assert part.Ysh[0] == 0
@@ -32,8 +32,10 @@ def test_three_bus_ring_matches_oracle():
          Branch(1, 3, 3 - 9j, 0.02j)))
     part = build_admittance(case)
     full = oracle_full_matrix(case)
-    np.testing.assert_allclose(part.full_matrix(), full, rtol=0, atol=0)
-    np.testing.assert_allclose(part.Y, full[:2, :2], rtol=0, atol=0)
+    np.testing.assert_allclose(casegen.partition_full_matrix(part), full,
+                               rtol=0, atol=0)
+    np.testing.assert_allclose(part.Y_csr.toarray(), full[:2, :2],
+                               rtol=0, atol=0)
     np.testing.assert_allclose(part.Ybar, full[:2, 2], rtol=0, atol=0)
     assert part.y_slack == full[2, 2]
 
@@ -44,7 +46,7 @@ def test_parallel_branches_sum():
          Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 3j), Branch(2, 1, 0.5 - 1j, 0.1j)))
     part = build_admittance(case)
-    assert part.Y[0, 0] == (1 - 3j) + (0.5 - 1j) + 0.05j
+    assert part.Y_csr.toarray()[0, 0] == (1 - 3j) + (0.5 - 1j) + 0.05j
     assert part.Ybar[0] == -(1 - 3j) - (0.5 - 1j)
 
 
@@ -54,8 +56,8 @@ def test_shunt_identity_on_random_cases():
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
         ysh = part.Ysh
-        np.testing.assert_allclose(ysh, part.Y.sum(axis=1) + part.Ybar,
-                                   rtol=0, atol=0)
+        np.testing.assert_allclose(
+            ysh, part.Y_csr.toarray().sum(axis=1) + part.Ybar, rtol=0, atol=0)
         # hand-summed shunts: line halves plus bus shunt admittances
         expected = np.zeros(case.n, dtype=complex)
         for br in case.branches:
@@ -71,7 +73,7 @@ def test_full_matrix_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(10):
         case = casegen.random_lossless_case(rng, pv_fraction=0.3)
-        full = build_admittance(case).full_matrix()
+        full = casegen.partition_full_matrix(build_admittance(case))
         np.testing.assert_allclose(full, full.T, rtol=0, atol=0)
         np.testing.assert_allclose(full, oracle_full_matrix(case),
                                    rtol=0, atol=1e-14)
@@ -80,7 +82,7 @@ def test_full_matrix_symmetric():
 def test_partition_arrays_read_only():
     part = build_admittance(casegen.ladder_case())
     with pytest.raises(ValueError):
-        part.Y[0, 0] = 0
+        part.Y_csr.data[0] = 0
 
 
 def test_slack_adjacent_ids():
@@ -211,7 +213,8 @@ def test_structure_check_dominance_violation():
          Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 4j), Branch(2, 3, 1 - 4j)))
     part = build_admittance(case)
-    assert abs(part.Y[0, 0]) < abs(part.Y[0, 1])
+    y = part.Y_csr.toarray()
+    assert abs(y[0, 0]) < abs(y[0, 1])
     diag = check_noload_structure(part, case.i_load_vector(), case.v_slack)
     assert not diag.verdict
     assert "NOT_DIAGONALLY_DOMINANT" in diag.reasons

@@ -10,7 +10,7 @@ import casegen
 from rectpf import (build_admittance, complex_injection, flat_nominal,
                     linear_injection, max_row_norm, nonlinear_mismatch,
                     quadratic_residual, solve_general, verify_bounds)
-from rectpf.linearize import assemble_coefficients
+from rectpf.linearize import direct_coefficient
 
 
 def test_max_row_norm_frozen_values():
@@ -78,10 +78,10 @@ def test_mismatch_identity_holds_for_arbitrary_perturbations():
         part = build_admittance(case)
         n = case.n
         nominal = flat_nominal(n)
-        coeffs = assemble_coefficients(part, nominal, case.i_load_vector(),
-                                       case.v_slack)
+        direct = direct_coefficient(part, nominal.V, case.i_load_vector(),
+                                    case.v_slack)
         dv = rng.normal(0, 0.2, n) + 1j * rng.normal(0, 0.2, n)
-        implied = linear_injection(coeffs, dv)
+        implied = linear_injection(part, nominal, direct, dv)
         mism = complex_injection(part, nominal.V + dv, case.i_load_vector(),
                                  case.v_slack) - implied
         rep = quadratic_residual(part, dv)

@@ -4,7 +4,11 @@ A case is one human-writable YAML document.  Angles live in degrees at this
 boundary and radians inside the data model; every other quantity is a plain
 per-unit float.  Unknown fields are rejected at every level, missing
 optional numerics default to zero, and validation reports every problem it
-finds at once.
+finds at once.  A line scanner reads the two layouts of case files: one
+flow mapping per sequence item, as below, and ``dump_case``'s block
+mappings.  It declines any other text (bool or null scalars, hex, octal,
+escapes, trailing comments, tabs, anchors, tags, empty values, ...), and
+``yaml.load``, the one fallback, reads that text whole.
 
 Example::
 
@@ -24,10 +28,6 @@ import re
 from pathlib import Path
 
 import yaml
-from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
-                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
-                         StreamEndEvent)
-from yaml.nodes import ScalarNode
 
 from .errors import CaseValidationError
 from .netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
@@ -67,97 +67,96 @@ _CaseLoader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
     list("-+.0123456789"))
 
-_STR_TAG = "tag:yaml.org,2002:str"
-# Plain scalars with these tags are built by the loader's own constructors.
-_BUILT_TAGS = frozenset(f"tag:yaml.org,2002:{name}"
-                        for name in ("int", "float", "bool", "null"))
-_NO_KEY = object()
+# The line scanner's grammar.  Every character class is printable ASCII, so
+# tabs, line breaks other than "\n" and characters the YAML reader rejects
+# never match.  A token is a decimal int or float, a quoted scalar without
+# escapes, or a plain word of characters that end no scalar.
+_INT = r"[-+]?(?:0|[1-9][0-9]{0,17})"
+_FLOAT = r"[-+]?[0-9]+(?:\.[0-9]*(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_TOKEN = (r"""(?:'[ -&(-~]*'|"[ !#-\[\]-~]*"|"""
+          r"[-+]?[0-9A-Za-z_][-+.0-9A-Za-z_]*)")
+_VALUE = rf"(?:({_INT})|({_FLOAT})|({_TOKEN}))"
+_NUMBER = re.compile(rf"({_INT})|{_FLOAT}")
+# A flow mapping's pair: the key, then the value's groups as in _VALUE.
+_PAIR = re.compile(rf"({_TOKEN}): {_VALUE}(?:, |$)")
+# A blank or comment line; or an indent, then a flow mapping's pairs, or a
+# block line's dash, key and value.
+_LINE = re.compile(rf" *(?:#[ -~]*)?|( *)(?:- \{{({_TOKEN}: {_TOKEN}(?:, "
+                   rf"{_TOKEN}: {_TOKEN})*)\}}|(- )?({_TOKEN}):(?: {_VALUE})?)")
+_RESOLVERS = _CaseLoader.yaml_implicit_resolvers
+_WILDCARD = _RESOLVERS.get(None, [])
 
 
-class _NotCovered(Exception):
-    """The document uses YAML the event path leaves to the full loader."""
+def _scan_document(text: str) -> dict | None:
+    """What ``yaml.load(text, Loader=_CaseLoader)`` builds, read line by
+    line, or None where ``text`` leaves the scanner's grammar.
 
-
-def _document_from_events(loader):
-    """Build the document from ``loader``'s events, skipping the node tree.
-
-    Covers one document of plain and quoted scalars in nested mappings and
-    sequences, with scalar mapping keys.  Anchors, aliases, explicit tags,
-    merge keys, other resolved tags and further documents raise
-    :class:`_NotCovered`.
+    That is a mapping of ``key: scalar`` and ``key:`` lines, each ``key:``
+    followed by a sequence of flow mappings, one per line, or of block
+    mappings of scalars, with full-line comments and blank lines anywhere.
+    A plain word is kept only where the loader's implicit resolvers leave
+    it a string; a token is at most 256 characters, as YAML limits keys.
     """
-    get_event = loader.get_event
-    # As BaseResolver.resolve: the resolvers for a plain scalar's first
-    # character, then the wildcard ones, in table order.
-    table = loader.yaml_implicit_resolvers
-    wildcard = table.get(None, [])
-    resolvers = {first: found + wildcard for first, found in table.items()}
-    build = {tag: loader.yaml_constructors[tag] for tag in _BUILT_TAGS}
-    get_event()                     # stream start
-    if type(get_event()) is StreamEndEvent:
-        return None                 # an empty stream loads as None
-    root: list = []
-    top, key, parents = root, _NO_KEY, []   # key: pending mapping key
-    while True:
-        event = get_event()
-        kind = type(event)
-        if kind is ScalarEvent:
-            if event.anchor is not None or event.tag is not None:
-                raise _NotCovered
-            value = event.value
-            if event.implicit[0]:
-                for tag, regexp in resolvers.get(value[:1], wildcard):
-                    if regexp.match(value):
-                        break
-                else:
-                    tag = _STR_TAG
-                if tag in build:
-                    value = build[tag](loader, ScalarNode(tag, value))
-                elif tag != _STR_TAG:
-                    raise _NotCovered
-            if key is _NO_KEY and type(top) is dict:
-                key = value
-                continue
-        elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if (event.anchor is not None or event.tag is not None
-                    or key is _NO_KEY and type(top) is dict):
-                raise _NotCovered
-            value = {} if kind is MappingStartEvent else []
-        elif kind is MappingEndEvent or kind is SequenceEndEvent:
-            top, key = parents.pop()
-            continue
-        elif kind is DocumentEndEvent:
-            if type(get_event()) is not StreamEndEvent:
-                raise _NotCovered
-            return root[0]
-        else:                       # an alias
-            raise _NotCovered
-        if type(top) is list:
-            top.append(value)
-        else:
-            top[key] = value
-            key = _NO_KEY
-        if kind is not ScalarEvent:
-            parents.append((top, key))
-            top = value
+    doc: dict = {}
+    built: dict = {}                  # token -> value, for keys and words
+    items = indent = entry = None     # open sequence, its indent, block item
+
+    def scalar(token):
+        value = built.get(token)
+        if value is None and len(token) <= 256:
+            number = _NUMBER.fullmatch(token)
+            if number is not None:
+                value = int(token) if number[1] else float(token)
+            elif token[0] in "'\"":
+                value = token[1:-1]
+            elif not any(regexp.match(token) for _, regexp in
+                         _RESOLVERS.get(token[0], []) + _WILDCARD):
+                value = token         # the resolvers leave it a string
+            built[token] = value
+        return value
+
+    for line in text.split("\n"):
+        match = _LINE.fullmatch(line)
+        if match is None:
+            return None
+        pad, flow, dash, *pair = match.groups()
+        if flow is None and pair[0] is None:
+            continue                  # a blank line or a comment
+        if flow is not None or dash is not None:      # a sequence item
+            if items is None or indent not in (None, len(pad)):
+                return None
+            indent, target = len(pad), {}
+            items.append(target)
+            entry = target if dash else None
+        elif pad:                     # the next line of a block item
+            if entry is None or len(pad) != indent + 2:
+                return None
+            target = entry
+        else:                         # a top-level key
+            if items == []:
+                return None
+            items = indent = entry = None
+            target = doc
+        for key, i, f, word in _PAIR.findall(flow) if flow else [pair]:
+            key = scalar(key)
+            if i or f or word:
+                value = int(i) if i else float(f) if f else scalar(word)
+            elif target is doc:
+                value = items = []
+            else:
+                return None
+            if key is None or value is None:
+                return None
+            target[key] = value
+    return doc if doc and items != [] else None
 
 
 def _load_document(text: str):
-    """``yaml.load(text, Loader=_CaseLoader)``, built from the event stream.
-
-    Whatever the event path does not cover or cannot build goes through the
-    full loader, which then returns the document or raises its own error.
-    """
-    loader = _CaseLoader(text)
-    try:
-        return _document_from_events(loader)
-    except Exception:
-        # The full loader is the reference for every input the event path
-        # rejects, malformed text included, so no exception is lost here.
-        pass
-    finally:
-        loader.dispose()
-    return yaml.load(text, Loader=_CaseLoader)
+    """``yaml.load(text, Loader=_CaseLoader)``, from the line scanner when
+    ``text`` keeps to its grammar; the full loader alone reads the rest and
+    raises every parse error."""
+    doc = _scan_document(text)
+    return doc if doc is not None else yaml.load(text, Loader=_CaseLoader)
 
 
 def _degrees_exact(rad: float) -> float:

@@ -240,5 +240,5 @@ def complex_error_bound(partition: AdmittancePartition,
     """
     if sol.method is not SolutionMethod.NOLOAD_CLOSED_FORM:
         raise ValueError("bound applies to no-load closed-form solutions")
-    return max_row_norm(partition.Y_csr.conj()) * float(
+    return max_row_norm(partition.Y_conj) * float(
         np.linalg.norm(sol.dv)) ** 2

@@ -90,7 +90,7 @@ def direct_coefficient(partition: AdmittancePartition,
                        i_load: np.ndarray,
                        v_slack: complex) -> np.ndarray:
     """``direct = conj(Y) conj(V0) + conj(Ybar V_slack) - conj(I_L)``."""
-    return (partition.Y_csr.conj() @ v0.conj()
+    return (partition.Y_conj @ v0.conj()
             + partition.Ybar.conj() * np.conj(v_slack)
             - np.conj(np.asarray(i_load, dtype=complex)))
 
@@ -154,7 +154,7 @@ def linear_injection(partition: AdmittancePartition,
     """
     v0 = nominal.V
     dv = np.asarray(dv, dtype=complex)
-    return (direct * dv + v0 * (partition.Y_csr.conj() @ dv.conj())
+    return (direct * dv + v0 * (partition.Y_conj @ dv.conj())
             + v0 * direct)
 
 

@@ -321,10 +321,11 @@ class AdmittancePartition:
     are dropped), ``Ybar`` the (N,) coupling column to the slack and
     ``y_slack`` the slack self-admittance.  ``factor``, the LU of Y, is
     built on first use and shared by every solver that applies
-    ``Y^(-1)``, so Y is factored at most once per partition.  The shunt
-    vector obeys ``Ysh = Y @ 1 + Ybar`` by construction: series terms
-    cancel in the row sum, leaving exactly the lumped shunts (line halves
-    plus the constant-impedance load parts).  It is the one dense reduction
+    ``Y^(-1)``, so Y is factored at most once per partition; ``Y_conj``
+    is cached the same way.  The shunt vector obeys ``Ysh = Y @ 1 + Ybar``
+    by construction: series terms cancel in the row sum, leaving exactly
+    the lumped shunts (line halves plus the constant-impedance load
+    parts).  It is the one dense reduction
     left: it is summed over a transient dense copy of Y, because a CSR row
     sum adds in another order and differs from the dense row sum in the
     last bit; only the lossless and DC formulations, which are desk-scale,
@@ -360,6 +361,16 @@ class AdmittancePartition:
         """Sparse LU of Y; raises ``SINGULAR_Y`` as :class:`Factorization`."""
         return Factorization(self.Y_csr, code="SINGULAR_Y",
                              what="admittance block Y")
+
+    @cached_property
+    def Y_conj(self) -> sparse.csr_array:
+        """``conj(Y)``, built on first use, so the linear model and the
+        quadratic term multiply by one copy instead of conjugating Y on
+        every call."""
+        y = self.Y_csr.conj()
+        for arr in (y.data, y.indices, y.indptr):
+            arr.flags.writeable = False
+        return y
 
     @cached_property
     def block_pattern(self) -> _BlockPattern:

@@ -77,7 +77,7 @@ def quadratic_residual(partition: AdmittancePartition,
     """
     dv = np.asarray(dv, dtype=complex)
     y = partition.Y_csr
-    s_hot = dv * (y.conj() @ dv.conj())
+    s_hot = dv * (partition.Y_conj @ dv.conj())
 
     g, b = y.real, y.imag
     dre, dim = dv.real, dv.imag
@@ -95,7 +95,7 @@ def quadratic_residual(partition: AdmittancePartition,
     norm_dv = float(np.linalg.norm(dv))
     bound = BoundCheck("complex_power_quadratic",
                        value=float(np.linalg.norm(s_hot)),
-                       bound=max_row_norm(y.conj()) * norm_dv ** 2)
+                       bound=max_row_norm(partition.Y_conj) * norm_dv**2)
     return ResidualReport(
         s_hot=s_hot, p_hot=p_hot, q_hot=q_hot,
         norm_s=float(np.linalg.norm(s_hot)),

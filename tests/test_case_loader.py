@@ -1,12 +1,19 @@
-"""The event-built case loader against PyYAML's full loader.
+"""The case-file line scanner against PyYAML's full loader.
 
-``caseio`` builds case documents from the loader's event stream and leaves
-anchors, aliases, tags, merge keys, non-scalar keys, extra documents and
-malformed text to ``yaml.load``.  The property below checks that the two
-give the same object, or the same error, on generated documents, with the
-libyaml parser and again with the pure-Python one.
+``caseio`` reads the two layouts its files come in, one flow mapping per
+sequence item (``  - {id: 1, kind: zip}``) and ``dump_case``'s block
+mappings (``- id: 1`` then ``  kind: zip``), with a line scanner.  It
+declines every other text: bool and null scalars, hex, octal, ``_`` and
+``.inf`` numbers, escapes, trailing comments, tabs, ``\r``, document
+markers, anchors, tags, empty values and inconsistent indentation, and
+``yaml.load`` reads what it declines.  The properties below check that
+``_load_document`` gives the object ``yaml.load`` gives, or raises the
+same error, on generated case-shaped documents and on generic YAML, with
+the libyaml parser and again with the pure-Python one.
 """
 
+import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casegen
-from rectpf import caseio, dump_case, parse_case
+from rectpf import CaseValidationError, caseio, dump_case, parse_case
 
 # Plain spellings of every implicit type, plus strings that look like them.
 SPELLINGS = [
@@ -114,10 +121,15 @@ def documents(draw) -> str:
     if draw(st.integers(0, 9)) == 0:
         docs.append(_render(draw(trees)))
     text = ("--- " if draw(st.booleans()) else "") + "---\n".join(docs)
+    return _mangle(draw, text)
+
+
+def _mangle(draw, text: str) -> str:
+    """Sometimes truncate ``text`` or insert one junk character."""
     mangle = draw(st.integers(0, 7))
-    if mangle == 0:
+    if mangle == 6:
         text = text[:draw(st.integers(0, len(text)))]
-    elif mangle == 1:
+    elif mangle == 7:
         at = draw(st.integers(0, len(text)))
         junk = draw(st.sampled_from([":", "[", "]", "{", "-", '"', "'", "\t",
                                      "&", "*", "!", "%", "\n  ", ",", "\x00"]))
@@ -133,14 +145,6 @@ def _outcome(load):
     return ("loaded", type(value), repr(value))
 
 
-def _events_only(text):
-    loader = caseio._CaseLoader(text)
-    try:
-        return caseio._document_from_events(loader)
-    finally:
-        loader.dispose()
-
-
 def _pure_python_loader():
     """The case loader's table on PyYAML's pure-Python safe loader."""
     return type("PureCaseLoader", (yaml.SafeLoader,), {
@@ -151,51 +155,161 @@ LOADERS = {"libyaml": lambda: caseio._CaseLoader,
            "pure-python": _pure_python_loader}
 
 
-@pytest.mark.parametrize("which", sorted(LOADERS))
-@settings(max_examples=400, deadline=None)
-@given(text=documents())
-def test_event_path_matches_full_loader(which, text):
+def _check_against_full_loader(which, text):
+    """``_load_document`` and the scanner agree with ``yaml.load``."""
     loader = LOADERS[which]()
     with mock.patch.object(caseio, "_CaseLoader", loader):
         full = _outcome(lambda: yaml.load(text, Loader=loader))
         assert _outcome(lambda: caseio._load_document(text)) == full
-        events = _outcome(lambda: _events_only(text))
-    # What the event path builds on its own, the full loader builds too.
-    if events[0] == "loaded":
-        assert events == full
+        scanned = caseio._scan_document(text)
+    # What the scanner builds on its own, the full loader builds too.
+    if scanned is not None:
+        assert ("loaded", type(scanned), repr(scanned)) == full
 
 
-@pytest.mark.parametrize("text, error", [
-    ("a: &x 1\nb: *x\n", caseio._NotCovered),
-    ("a: !!float 1\n", caseio._NotCovered),
-    ("c:\n  <<: {q: 2}\n  r: 3\n", caseio._NotCovered),
-    ("t: 2001-12-14\n", caseio._NotCovered),
-    ("= : 1\n", caseio._NotCovered),
-    ("? [1, 2]\n: x\n", caseio._NotCovered),
-    ("a: 1\n---\nb: 2\n", caseio._NotCovered),
-    ("a: [1\n", yaml.YAMLError),
-    ("a: 0x_\n", ValueError),
+@pytest.mark.parametrize("which", sorted(LOADERS))
+@settings(max_examples=400, deadline=None)
+@given(text=documents())
+def test_loader_matches_full_loader(which, text):
+    _check_against_full_loader(which, text)
+
+
+# Scalars case files hold, which the scanner reads, and every spelling of
+# the generic property, most of which it declines.
+common_scalars = st.one_of(
+    st.sampled_from(["id", "kind", "zip", "p", "from", "a-b", "x.y", "_1",
+                     "'1'", '"a b"', "''", "+12", "-0"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+)
+any_scalars = st.one_of(
+    st.sampled_from(SPELLINGS),
+    st.tuples(st.sampled_from(SPELLINGS + QUOTED_ONLY),
+              st.sampled_from(["single", "double"])).map(
+        lambda ts: _quote(*ts)),
+    st.integers(-10 ** 25, 10 ** 25).map(str),
+    common_scalars,
+)
+FILLER = ["", "   ", "#", "# a comment", "  # indented: comment", "#x: 1"]
+
+
+@st.composite
+def case_documents(draw) -> str:
+    """Text in the case layouts: top-level ``key: scalar`` and ``key:``
+    lines, the latter followed by flow-mapping or block-mapping items, with
+    comments, blank lines, mixed indents, CRLF endings, truncation and
+    junk."""
+    odd = draw(st.integers(0, 2)) == 2      # any spelling; empty sequences
+    jittery = draw(st.integers(0, 3)) == 3  # indents off by one or two
+    scalars = any_scalars if odd else common_scalars
+
+    def pad(indent):
+        if jittery:
+            indent += draw(st.sampled_from([0, 0, 0, 1, 2, -1]))
+        return " " * max(indent, 0)
+
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(scalars)
+        if draw(st.integers(0, 2)) == 0:
+            lines.append(f"{key}: {draw(scalars)}")
+            continue
+        lines.append(f"{key}:")
+        indent = draw(st.sampled_from([0, 2, 4]))
+        for _ in range(draw(st.integers(0 if odd else 1, 3))):
+            pairs = [f"{k}: {v}" for k, v in draw(st.lists(
+                st.tuples(scalars, scalars), min_size=1, max_size=4))]
+            if draw(st.booleans()):
+                lines.append(pad(indent) + "- {" + ", ".join(pairs) + "}")
+            else:
+                lines.append(pad(indent) + "- " + pairs[0])
+                lines += [pad(indent + 2) + pair for pair in pairs[1:]]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(FILLER)))
+    end = "\r\n" if draw(st.integers(0, 9)) == 9 else "\n"
+    text = end.join(lines) + (end if draw(st.integers(0, 5)) else "")
+    return _mangle(draw, text)
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+@settings(max_examples=400, deadline=None)
+@given(text=case_documents())
+def test_case_layouts_match_full_loader(which, text):
+    _check_against_full_loader(which, text)
+
+
+# Each place a scalar takes in the case layouts; "@" stands for it.
+SLOTS = ["@: 1\n", "a: @\n", "a:\n- {@: 1, b: 2}\n", "a:\n  - {b: 2, c: @}\n",
+         "a:\n- @: 1\n  b: 2\n", "a:\n- b: 2\n  @: 1\n",
+         "a:\n  - b: @\n    c: 2\n", "a:\n- b: 2\n  c: @\n"]
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+def test_every_spelling_in_every_slot(which):
+    quoted = [_quote(text, style) for text in SPELLINGS + QUOTED_ONLY
+              for style in ("single", "double")]
+    for spelling in SPELLINGS + quoted:
+        for slot in SLOTS:
+            _check_against_full_loader(which, slot.replace("@", spelling))
+
+
+@pytest.mark.parametrize("text", [
+    "a: &x 1\nb: *x\n",
+    "a: !!float 1\n",
+    "c:\n  <<: {q: 2}\n  r: 3\n",
+    "t: 2001-12-14\n",
+    "= : 1\n",
+    "? [1, 2]\n: x\n",
+    "a: 1\n---\nb: 2\n",
+    "a: [1\n",
+    "a: 0x_\n",
 ])
-def test_inputs_the_event_path_leaves_to_the_full_loader(text, error):
-    with pytest.raises(error):
-        _events_only(text)
+def test_inputs_the_scanner_declines(text):
+    assert caseio._scan_document(text) is None
+
+
+def _flow_layout(doc: dict, indent: int) -> str:
+    """``doc`` with each sequence item as a flow mapping on one line."""
+    lines = []
+    for key, value in doc.items():
+        if not isinstance(value, list):
+            lines.append(yaml.safe_dump({key: value}).strip())
+            continue
+        lines.append(f"{key}:")
+        lines += [" " * indent + "- " + yaml.safe_dump(
+            item, default_flow_style=True, width=math.inf).strip()
+            for item in value]
+    return "\n".join(lines) + "\n"
+
+
+def _readme_case() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Case files"):]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
 
 
 def test_generated_feeder_loads_without_the_full_loader(monkeypatch):
     case = casegen.random_feeder_case(np.random.default_rng(5), n_min=200,
                                       n_max=200)
     block = dump_case(case)
-    flow = yaml.safe_dump(yaml.safe_load(block), sort_keys=False,
-                          default_flow_style=None)
-    expected = {text: yaml.load(text, Loader=caseio._CaseLoader)
-                for text in (block, flow)}
+    doc = yaml.safe_load(block)
+    texts = [block, _flow_layout(doc, 0), _flow_layout(doc, 2),
+             _readme_case(),
+             _readme_case().replace("kind: pv,", "kind: pv, colour: red,")]
+    expected = [yaml.load(text, Loader=caseio._CaseLoader) for text in texts]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the full loader ran")
     monkeypatch.setattr(yaml, "load", refuse)
-    for text, doc in expected.items():
-        assert repr(caseio._load_document(text)) == repr(doc)
+    monkeypatch.setattr(caseio, "_CaseLoader", refuse)
+    for text, doc in zip(texts, expected):
+        assert repr(caseio._load_document(text)) == repr(doc), text
     assert parse_case(block).branches == case.branches
+    assert parse_case(texts[2]).buses == case.buses
+    assert parse_case(texts[3]).n == 2
+    with pytest.raises(CaseValidationError, match=r"unknown field.*colour"):
+        parse_case(texts[4])
 
 
 @pytest.mark.parametrize("spelling, value", [

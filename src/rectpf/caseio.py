@@ -193,8 +193,11 @@ def _num(entry: dict, key: str, where: str, problems: list[str],
 
 def _check_fields(entry: dict, allowed: set, where: str,
                   problems: list[str]) -> None:
-    unknown = sorted(set(entry) - allowed)
-    if unknown:
+    if unknown := set(entry) - allowed:
+        try:
+            unknown = sorted(unknown)
+        except TypeError:           # keys of types that do not compare
+            unknown = sorted(unknown, key=repr)
         problems.append(f"{where}: unknown field(s) {unknown}")
 
 
@@ -209,7 +212,7 @@ def _parse_bus(entry, index: int, problems: list[str]) -> Bus | None:
         return None
     where = f"buses[{index}] (id {bus_id})"
     kind = entry.get("kind")
-    if kind not in _BUS_FIELDS:
+    if not isinstance(kind, str) or kind not in _BUS_FIELDS:
         problems.append(f"{where}: 'kind' must be one of "
                         f"{sorted(_BUS_FIELDS)}, got {kind!r}")
         return None
@@ -229,10 +232,8 @@ def _parse_bus(entry, index: int, problems: list[str]) -> Bus | None:
         power=complex(_num(entry, "p", where, problems),
                       _num(entry, "q", where, problems)))
     if kind == "pv":
-        if "v_setpoint" not in entry:
-            problems.append(f"{where}: pv bus requires 'v_setpoint'")
-        if "p" not in entry:
-            problems.append(f"{where}: pv bus requires 'p'")
+        problems += [f"{where}: pv bus requires '{key}'"
+                     for key in ("v_setpoint", "p") if key not in entry]
         setpoint = PvSetpoint(p=_num(entry, "p", where, problems),
                               v_mag=_num(entry, "v_setpoint", where,
                                          problems, default=1.0))
@@ -272,13 +273,12 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     (listing every violation) for schema problems."""
     try:
         doc = _load_document(text)
-    except (yaml.YAMLError, ValueError) as exc:
-        # PyYAML's scalar constructors raise a bare ValueError for text the
-        # resolver accepted but cannot convert, such as ``0x_``.
-        detail = ""
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        # PyYAML's constructors raise bare exceptions for scalars they cannot
+        # convert: ``0x_``, ``!!bool 1``, ``!!int ''`` or ``!!timestamp a``.
         mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            detail = f" at line {mark.line + 1}, column {mark.column + 1}"
+        detail = ("" if mark is None else
+                  f" at line {mark.line + 1}, column {mark.column + 1}")
         raise CaseValidationError(
             [f"{source}: not valid YAML{detail}: {exc}"],
             code="PARSE_ERROR") from exc

@@ -3,8 +3,8 @@
 Emission is strictly deterministic: identical case plus identical flags
 produce byte-identical output, and all floats are rendered with 12
 significant digits.  Per-bus and per-alpha output share one row model,
-:class:`Rows`, which renders the same cells as CSV and as an aligned table
-and the same values as JSON records.
+:class:`Rows`, which renders each column to text cells once; CSV, the
+aligned table and the JSON rows are all written from those cells.
 """
 
 from __future__ import annotations
@@ -45,63 +45,62 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-# Renderers by the type of a column's values: text cells for CSV and the
-# table, plain values for JSON.
+# The text renderer of a column, by the type of its values.
 _TEXT = {int: str, bool: lambda v: "true" if v else "false", float: _fmt}
-_JSON = {int: int, bool: bool, float: _round12}
 
-# ``json.dumps(indent=2)`` always runs the pure-Python encoder; the C
-# encoder runs only without ``indent``.  A row is a flat object two levels
-# down, so an item separator that carries the newline and the six-space
-# indent of its keys gives the ``indent=2`` layout.
-_ROW_KEY_INDENT = " " * 6
-_encode_row = json.JSONEncoder(
-    separators=(",\n" + _ROW_KEY_INDENT, ": ")).encode
+_REPR_EXPONENTS = {"+12", "+13", "+14", "+15", *map(str, range(-324, -307))}
+
+
+def _json_number(text: str) -> str:
+    """``json.dumps(float(text))`` for a ``_fmt`` text.  ``repr`` keeps the
+    digits of a normal double's text, but is positional at exponents 12 to
+    15, and a subnormal (exponent -308 or below) has fewer digits."""
+    _, e, exponent = text.partition("e")
+    if exponent in _REPR_EXPONENTS or not text[-1].isdigit():  # or nan, inf
+        return json.dumps(float(text))
+    return text if e or "." in text else text + ".0"
 
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """Tabular output: column names and rows of plain values.
+    """Tabular output: column names and one list of plain values per column.
 
     All values in a column share one type, ``int``, ``bool`` or ``float``,
-    and that type picks the column's renderer once for the whole column.
+    and that type picks the renderer that turns the column into text cells
+    once; every format is written from those cells.
     """
 
     columns: tuple[str, ...]
-    values: tuple[tuple, ...]
+    values: tuple[list, ...]
 
-    def _rendered(self, by_type: dict) -> list[list]:
-        return [list(map(by_type[type(col[0])], col))
-                for col in zip(*self.values)]
-
-    def cells(self) -> list[tuple[str, ...]]:
-        """Text cells, row by row."""
-        return list(zip(*self._rendered(_TEXT)))
-
-    def records(self) -> list[dict]:
-        """One JSON object per row."""
-        return [dict(zip(self.columns, row))
-                for row in zip(*self._rendered(_JSON))]
+    def cells(self) -> list[list[str]]:
+        """Text cells, column by column."""
+        return [list(map(_TEXT[type(col[0])], col)) if col else []
+                for col in self.values]
 
     def json_document(self, head: dict, key: str) -> str:
-        """``json.dumps({**head, key: self.records()}, indent=2)``, byte for
-        byte, with each row encoded by the C encoder.  ``head`` is not empty.
-        """
-        rows = ",\n".join(
-            f"    {{\n{_ROW_KEY_INDENT}{_encode_row(r)[1:-1]}\n    }}"
-            for r in self.records())
-        array = "[\n" + rows + "\n  ]" if rows else "[]"
+        """``json.dumps({**head, key: rows}, indent=2)``, byte for byte, for
+        one object per row in ``rows``, each float rounded by
+        :func:`_round12`.  ``head`` is not empty."""
+        fields = []
+        for name, col, cells in zip(self.columns, self.values, self.cells()):
+            if col and type(col[0]) is float:
+                cells = map(_json_number, cells)
+            prefix = f"      {json.dumps(name)}: "
+            fields.append([prefix + cell for cell in cells])
+        rows = "\n    },\n    {\n".join(map(",\n".join, zip(*fields)))
+        array = "[\n    {\n" + rows + "\n    }\n  ]" if rows else "[]"
         return (json.dumps(head, indent=2)[:-2] + ",\n  " + json.dumps(key)
                 + ": " + array + "\n}")
 
     def csv_lines(self) -> list[str]:
-        return [",".join(self.columns), *map(",".join, self.cells())]
+        return [",".join(self.columns), *map(",".join, zip(*self.cells()))]
 
     def aligned_lines(self) -> list[str]:
-        table = [self.columns, *self.cells()]
-        widths = [max(map(len, col)) for col in zip(*table)]
+        table = [[n, *col] for n, col in zip(self.columns, self.cells())]
+        widths = [max(map(len, col)) for col in table]
         return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-                for row in table]
+                for row in zip(*table)]
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
                     np.abs(v_approx - v_oracle).tolist()]
         names += ORACLE_COLUMNS
     return RunReport(
-        method=resolved, rows=Rows(names, tuple(zip(*columns))),
+        method=resolved, rows=Rows(names, tuple(columns)),
         norms=norms, bounds=tuple(bounds), flags=flags,
         condition=sol.diagnostics.condition, oracle=oracle)
 
@@ -393,26 +392,27 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
     """
     partition = build_admittance(case)
     resolved, lossless = _resolve_method(partition, case, method)
-    values = []
-    for alpha in map(float, alphas):
+    alphas = [float(alpha) for alpha in alphas]
+    errors, norms, iterations, converged = [], [], [], []
+    for alpha in alphas:
         scaled = scale_power_injections(case, alpha)
         sol, lossless = _dispatch(partition, scaled, resolved,
                                   override_conditions, lossless)
         result = solve_newton(partition, scaled, newton_settings)
-        residual = quadratic_residual(partition, sol.dv)
-        err = float(np.linalg.norm(sol.approx_voltage() - result.voltage))
-        values.append((alpha, err,
-                       err / alpha ** 2 if alpha else float("nan"),
-                       residual.norm_s, int(result.iterations),
-                       bool(result.converged)))
-    return CompareReport(method=resolved,
-                         rows=Rows(COMPARE_COLUMNS, tuple(values)))
+        errors.append(float(np.linalg.norm(sol.approx_voltage()
+                                           - result.voltage)))
+        norms.append(quadratic_residual(partition, sol.dv).norm_s)
+        iterations.append(int(result.iterations))
+        converged.append(bool(result.converged))
+    ratios = [e / a ** 2 if a else math.nan for a, e in zip(alphas, errors)]
+    columns = (alphas, errors, ratios, norms, iterations, converged)
+    return CompareReport(method=resolved, rows=Rows(COMPARE_COLUMNS, columns))
 
 
 def emit_compare(report: CompareReport, fmt: str = "table") -> str:
     if fmt == "json":
-        doc = {"method": report.method}
-        return report.rows.json_document(doc, "sweep") + "\n"
+        return report.rows.json_document({"method": report.method},
+                                         "sweep") + "\n"
     if fmt == "csv":
         lines = report.rows.csv_lines()
     elif fmt == "table":

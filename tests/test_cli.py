@@ -168,6 +168,44 @@ def test_unconvertible_yaml_int_is_a_parse_error(runner, tmp_path, command,
     assert res.stdout == ""
 
 
+
+# PyYAML's constructors for these explicit tags raise KeyError, IndexError
+# and AttributeError, not a YAML error
+@pytest.mark.parametrize("line", ["a: !!bool 1.0e308", "a: !!timestamp foo",
+                                  "a: !!int ''"])
+def test_unconstructible_tagged_scalar_is_a_parse_error(runner, tmp_path,
+                                                        line):
+    path = tmp_path / "bad_tag.yaml"
+    path.write_text(LOSSLESS_LADDER + line + "\n", encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"PARSE_ERROR: {path}: not valid YAML: ")
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
+# Unknown keys of types that do not compare, and a kind that is not hashable
+@pytest.mark.parametrize("old,new,problem", [
+    ("branches:", "1: 2\nzz: 3\nbranches:",
+     "{path}: unknown field(s) ['zz', 1]"),
+    ("p: 0.5}", "p: 0.5, 1: 2, zz: 3}",
+     "buses[0] (id 1): unknown field(s) ['zz', 1]"),
+    ("-10.0}", "-10.0, zz: 3, 1: 2}",
+     "branches[0]: unknown field(s) ['zz', 1]"),
+    ("kind: zip", "kind: [zip]", "buses[0] (id 1): 'kind' must be one of "
+     "['pv', 'slack', 'zip'], got ['zip']"),
+])
+def test_odd_keys_are_a_validation_error(runner, tmp_path, old, new, problem):
+    path = tmp_path / "odd_keys.yaml"
+    path.write_text(LOSSLESS_LADDER.replace(old, new), encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        "VALIDATION_ERROR: " + problem.format(path=path)]
+    assert res.stdout == ""
+
 # two parallel branches whose conductances sum past the float range
 OVERFLOWING_PARALLEL = """
 schema_version: "1"

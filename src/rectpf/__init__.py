@@ -33,9 +33,8 @@ from .residuals import (BoundCheck, BoundVerification, ResidualReport,
                         complex_injection, max_row_norm, nonlinear_mismatch,
                         quadratic_residual, verify_bounds)
 from .transmission import (FlatSolveConditions, LosslessSystem,
-                           build_lossless_system, check_flat_conditions,
-                           reactive_error_bound, solve_classical_dc,
-                           solve_lossless_flat)
+                           build_lossless_system, reactive_error_bound,
+                           solve_classical_dc, solve_lossless_flat)
 
 __version__ = "0.1.0"
 
@@ -49,8 +48,7 @@ __all__ = [
     "PvSetpoint", "RectpfError",
     "ResidualReport", "RunReport", "SlackVoltage", "SolutionMethod",
     "SolveDiagnostics", "SolverError", "StructureDiagnosis", "ZipLoad",
-    "build_admittance", "build_lossless_system",
-    "check_flat_conditions", "check_noload_structure",
+    "build_admittance", "build_lossless_system", "check_noload_structure",
     "complex_error_bound", "complex_injection", "compute_noload_voltage",
     "coupling_decomposition", "decoupled_estimate", "dump_case",
     "emit_check", "emit_compare", "emit_report", "flat_nominal",

@@ -318,7 +318,13 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
 
 def load_case(path) -> NetworkCase:
     path = Path(path)
-    return parse_case(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaseValidationError(
+            [f"{path}: not valid UTF-8: {exc.reason} at byte {exc.start}"],
+            code="PARSE_ERROR") from exc
+    return parse_case(text, source=str(path))
 
 
 def _bus_entry(bus: Bus) -> dict:

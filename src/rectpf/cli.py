@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 case validation or parse failure, 3 solver
-failure.  Every error line printed to stderr starts with the machine-
-readable error code.
+Exit codes: 0 success, 2 case parse, case validation or flag failure, 3
+solver failure.  Every error line printed to stderr starts with the
+machine-readable error code, and nothing is printed before it.
 
 Output goes to the current ``sys.stdout``/``sys.stderr`` explicitly:
 click's default-stream lookup caches a wrapper per stream object that
@@ -15,27 +15,46 @@ from __future__ import annotations
 import sys
 
 import click
+import numpy as np
 
 from .caseio import load_case
-from .errors import CaseValidationError, RectpfError, SolverError
+from .errors import CaseValidationError, SolverError
 from .report import (FORMATS, METHODS, emit_compare, emit_check, emit_report,
                      run_check, run_compare, run_pipeline)
 
 
-def _fail(exc: RectpfError, exit_code: int) -> None:
-    if isinstance(exc, CaseValidationError):
+def _run(case_path: str, command) -> None:
+    """Print ``command(case)`` for the case at ``case_path``, or exit 2 for
+    a case or flag problem and 3 for a solver failure, with one coded stderr
+    line per problem.  Floating-point warnings are silenced so that the coded
+    line comes first: every factorization refuses a non-finite matrix."""
+    try:
+        with np.errstate(all="ignore"):
+            out = command(load_case(case_path))
+    except CaseValidationError as exc:
         for v in exc.violations:
             click.echo(f"{exc.code}: {v}", file=sys.stderr)
-    else:
+        sys.exit(2)
+    except SolverError as exc:
         click.echo(f"{exc.code}: {exc}", file=sys.stderr)
-    sys.exit(exit_code)
+        sys.exit(3)
+    click.echo(out, file=sys.stdout, nl=False)
 
 
-def _load(case_path: str):
+def _alphas(alpha_list: str) -> list[float]:
+    """The loading factors of ``--alpha-list``: one or more finite numbers."""
     try:
-        return load_case(case_path)
-    except CaseValidationError as exc:
-        _fail(exc, 2)
+        alphas = [float(tok) for tok in alpha_list.split(",") if tok.strip()]
+    except ValueError:
+        raise CaseValidationError(
+            f"--alpha-list must be a comma-separated list of numbers, got "
+            f"{alpha_list!r}") from None
+    if not alphas:
+        raise CaseValidationError("--alpha-list is empty")
+    if not np.isfinite(alphas).all():
+        raise CaseValidationError(
+            f"--alpha-list must hold finite numbers, got {alpha_list!r}")
+    return alphas
 
 
 @click.group()
@@ -57,15 +76,9 @@ def main():
                    "conditions fail (recorded in the diagnostics).")
 def solve(case_path, method, oracle, fmt, override_conditions):
     """Solve CASE_PATH and print the per-bus report."""
-    case = _load(case_path)
-    try:
-        report = run_pipeline(case, method=method, with_oracle=oracle,
-                              override_conditions=override_conditions)
-    except SolverError as exc:
-        _fail(exc, 3)
-    except CaseValidationError as exc:
-        _fail(exc, 2)
-    click.echo(emit_report(report, fmt), file=sys.stdout, nl=False)
+    _run(case_path, lambda case: emit_report(run_pipeline(
+        case, method=method, with_oracle=oracle,
+        override_conditions=override_conditions), fmt))
 
 
 @main.command()
@@ -74,14 +87,7 @@ def solve(case_path, method, oracle, fmt, override_conditions):
               show_default=True)
 def check(case_path, fmt):
     """Print the structural diagnostics for CASE_PATH without solving."""
-    case = _load(case_path)
-    try:
-        report = run_check(case)
-    except SolverError as exc:
-        _fail(exc, 3)
-    except CaseValidationError as exc:
-        _fail(exc, 2)
-    click.echo(emit_check(report, fmt), file=sys.stdout, nl=False)
+    _run(case_path, lambda case: emit_check(run_check(case), fmt))
 
 
 @main.command()
@@ -95,25 +101,9 @@ def check(case_path, fmt):
 @click.option("--override-conditions", is_flag=True)
 def compare(case_path, alpha_list, method, fmt, override_conditions):
     """Sweep loading factors and compare the linear solve against Newton."""
-    case = _load(case_path)
-    try:
-        alphas = [float(tok) for tok in alpha_list.split(",") if tok.strip()]
-    except ValueError:
-        click.echo(f"VALIDATION_ERROR: --alpha-list must be a comma-"
-                   f"separated list of numbers, got {alpha_list!r}",
-                   file=sys.stderr)
-        sys.exit(2)
-    if not alphas:
-        click.echo("VALIDATION_ERROR: --alpha-list is empty", file=sys.stderr)
-        sys.exit(2)
-    try:
-        report = run_compare(case, alphas, method=method,
-                             override_conditions=override_conditions)
-    except SolverError as exc:
-        _fail(exc, 3)
-    except CaseValidationError as exc:
-        _fail(exc, 2)
-    click.echo(emit_compare(report, fmt), file=sys.stdout, nl=False)
+    _run(case_path, lambda case: emit_compare(run_compare(
+        case, _alphas(alpha_list), method=method,
+        override_conditions=override_conditions), fmt))
 
 
 if __name__ == "__main__":

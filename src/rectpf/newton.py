@@ -4,9 +4,10 @@ This is the nonlinear reference the linear models are judged against.  It
 works directly on ``x = [Re V; Im V]`` so its Jacobian is exactly the
 stacked real matrix of the perturbation coefficients evaluated at the
 current iterate; the builder is shared with the linear solvers rather than
-reimplemented.  Each iteration computes only the direct coefficient (one
-sparse product) and fills the partition's cached 2N block pattern, whose
-sparsity never changes between iterations.  ZIP buses contribute active and
+reimplemented.  The case's targets, PV rows, current loads and slack
+voltage are bound once per solve; each iteration then computes only the
+direct coefficient (one sparse product) and fills the partition's cached 2N
+block pattern, whose sparsity never changes.  ZIP buses contribute active and
 reactive balance rows, PV buses an active row and a squared-magnitude row
 ``|V|^2 = v_set^2``.
 
@@ -79,39 +80,37 @@ class NewtonResult:
         object.__setattr__(self, "voltage", v)
 
 
-def _case_targets(case: NetworkCase):
+def _equations(partition: AdmittancePartition, case: NetworkCase):
+    """``residual(v) -> (f, mismatch)`` and ``jacobian(v)``, with the case's
+    targets, PV rows, ``I_L`` and ``V_slack`` bound once.  ``f`` stacks the
+    active rows over the reactive rows, a PV bus's replaced by its |V|^2 row;
+    ``mismatch`` is the largest per-bus |complex| mismatch at ZIP buses, and
+    of the active and |V|^2 rows at PV buses."""
+    i_load = case.i_load_vector()
+    v_slack = case.v_slack
     s_target, q_known = case.injection_targets()
     pv_pos = np.flatnonzero(~q_known)
     vset_sq = np.array([case.non_slack[i].pv_setpoint.v_mag ** 2
                         for i in pv_pos])
-    return s_target, pv_pos, vset_sq
 
+    def residual(v):
+        ds = complex_injection(partition, v, i_load, v_slack) - s_target
+        lower = ds.imag.copy()
+        per_bus = np.abs(ds)
+        if pv_pos.size:
+            lower[pv_pos] = (v.real[pv_pos] ** 2 + v.imag[pv_pos] ** 2
+                             - vset_sq)
+            per_bus[pv_pos] = np.maximum(np.abs(ds.real[pv_pos]),
+                                         np.abs(lower[pv_pos]))
+        return (np.concatenate([ds.real, lower]),
+                float(per_bus.max(initial=0.0)))
 
-def _residual(partition, i_load, v_slack, s_target, pv_pos, vset_sq, v):
-    """Stacked residual [active rows; reactive or |V|^2 rows]."""
-    ds = complex_injection(partition, v, i_load, v_slack) - s_target
-    lower = ds.imag.copy()
-    if pv_pos.size:
-        lower[pv_pos] = (v.real[pv_pos] ** 2 + v.imag[pv_pos] ** 2
-                         - vset_sq)
-    return np.concatenate([ds.real, lower]), ds
+    def jacobian(v):
+        return real_block_matrix(
+            partition, v, direct_coefficient(partition, v, i_load, v_slack),
+            pv_pos)
 
-
-def _mismatch_measure(ds, pv_pos, f_lower):
-    """Per-bus mismatch: |complex| at ZIP buses, active and |V|^2 at PV."""
-    per_bus = np.abs(ds)
-    if pv_pos.size:
-        per_bus[pv_pos] = np.maximum(np.abs(ds.real[pv_pos]),
-                                     np.abs(f_lower[pv_pos]))
-    return float(per_bus.max(initial=0.0))
-
-
-def _jacobian(partition, i_load, v_slack, pv_pos, v):
-    """Sparse analytic Jacobian; shares the block builder with the linear
-    solvers, with each PV bus's reactive row replaced by its |V|^2 row."""
-    return real_block_matrix(
-        partition, v, direct_coefficient(partition, v, i_load, v_slack),
-        pv_pos)
+    return residual, jacobian
 
 
 def _initial_voltage(partition, case, settings):
@@ -141,20 +140,15 @@ def solve_newton(partition: AdmittancePartition,
     deviation are at most ``settings.tolerance``.
     """
     settings = settings or NewtonSettings()
-    i_load = case.i_load_vector()
-    v_slack = case.v_slack
-    s_target, pv_pos, vset_sq = _case_targets(case)
+    residual, jacobian = _equations(partition, case)
     v = _initial_voltage(partition, case, settings)
     n = partition.n
 
-    f, ds = _residual(partition, i_load, v_slack, s_target, pv_pos,
-                      vset_sq, v)
-    mismatch = _mismatch_measure(ds, pv_pos, f[n:])
+    f, mismatch = residual(v)
     for it in range(settings.max_iterations):
         if mismatch <= settings.tolerance:
             return NewtonResult(v, True, it, mismatch)
-        jac = _jacobian(partition, i_load, v_slack, pv_pos, v)
-        step2n = Factorization(jac, code="SINGULAR_JACOBIAN",
+        step2n = Factorization(jacobian(v), code="SINGULAR_JACOBIAN",
                                what="power-flow Jacobian").solve(-f)
         step = step2n[:n] + 1j * step2n[n:]
 
@@ -163,15 +157,13 @@ def solve_newton(partition: AdmittancePartition,
         scale = 1.0
         for _ in range(5):
             cand = v + scale * step
-            f_c, ds_c = _residual(partition, i_load, v_slack, s_target,
-                                  pv_pos, vset_sq, cand)
-            m_c = _mismatch_measure(ds_c, pv_pos, f_c[n:])
+            f_c, m_c = residual(cand)
             if best is None or m_c < best[0]:
-                best = (m_c, cand, f_c, ds_c)
+                best = (m_c, cand, f_c)
             if m_c <= mismatch:
                 break
             scale *= 0.5
-        mismatch, v, f, ds = best
+        mismatch, v, f = best
     converged = mismatch <= settings.tolerance
     return NewtonResult(v, converged, settings.max_iterations, mismatch)
 
@@ -186,11 +178,9 @@ def jacobian_check(partition: AdmittancePartition,
     comparison is meaningless there).  Returns 0.0 when nothing qualifies.
     """
     v = np.asarray(voltage, dtype=complex)
-    i_load = case.i_load_vector()
-    v_slack = case.v_slack
-    s_target, pv_pos, vset_sq = _case_targets(case)
+    residual, jacobian = _equations(partition, case)
     n = partition.n
-    analytic = _jacobian(partition, i_load, v_slack, pv_pos, v).toarray()
+    analytic = jacobian(v).toarray()
 
     fd = np.empty_like(analytic)
     for k in range(2 * n):
@@ -199,10 +189,8 @@ def jacobian_check(partition: AdmittancePartition,
             bump[k] = step
         else:
             bump[k - n] = 1j * step
-        f_plus, _ = _residual(partition, i_load, v_slack, s_target, pv_pos,
-                              vset_sq, v + bump)
-        f_minus, _ = _residual(partition, i_load, v_slack, s_target, pv_pos,
-                               vset_sq, v - bump)
+        f_plus, _ = residual(v + bump)
+        f_minus, _ = residual(v - bump)
         fd[:, k] = (f_plus - f_minus) / (2.0 * step)
 
     mask = np.abs(analytic) > 1e-8

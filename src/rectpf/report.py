@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import transmission as trans
 from .errors import SolverError
 from .netmodel import (NetworkCase, build_admittance, check_noload_structure,
                        scale_power_injections)
-from .newton import NewtonSettings, solve_newton
+from .newton import solve_newton
 from .residuals import BoundCheck, nonlinear_mismatch, quadratic_residual
 
 METHODS = ("auto", "general", "noload", "lossless", "dc", "nocurrent",
@@ -123,7 +123,9 @@ class RunReport:
 
 
 def _resolve_method(partition, case, method: str):
-    """The method to run, and the lossless system if ``auto`` built it."""
+    """The method to run, and its lossless system when that is lossless."""
+    if method == "lossless":
+        return method, trans.build_lossless_system(partition, case)
     if method != "auto":
         return method, None
     try:
@@ -139,40 +141,32 @@ def _resolve_method(partition, case, method: str):
 
 
 def _dispatch(partition, case, method: str, override_conditions: bool,
-              lossless: trans.LosslessSystem | None
-              ) -> tuple[lin.LinearSolution, trans.LosslessSystem | None]:
-    """Solve with ``method``; the lossless solve also returns its system:
-    ``lossless`` with ``case``'s power injections, or a new one if None."""
+              lossless: trans.LosslessSystem | None) -> lin.LinearSolution:
+    """Solve with ``method``; ``lossless`` is the lossless method's system."""
     if method == "lossless":
-        sys = (trans.build_lossless_system(partition, case) if lossless is None
-               else replace(lossless, p=case.p_vector()))
-        conditions = trans.check_flat_conditions(
-            sys, partition.slack_adjacent_ids())
         return trans.solve_lossless_flat(
-            sys, conditions, override_conditions=override_conditions), sys
+            lossless, case.p_vector(),
+            override_conditions=override_conditions)
     if method == "general":
-        sol = lin.solve_general(partition, case)
-    elif method == "noload":
-        sol = dist.solve_distribution(partition, case)
-    elif method == "dc":
+        return lin.solve_general(partition, case)
+    if method == "noload":
+        return dist.solve_distribution(partition, case)
+    if method == "dc":
         theta = trans.solve_classical_dc(partition, case.p_vector())
-        sol = lin.LinearSolution(
+        return lin.LinearSolution(
             lin.flat_nominal(partition.n), 1j * theta,
             lin.SolutionMethod.CLASSICAL_DC, lin.SolveDiagnostics())
-    elif method == "nocurrent":
+    if method == "nocurrent":
         if case.has_pv:
             raise SolverError(
                 "this closed form requires every non-slack bus to be a ZIP "
                 "bus", code="NON_ZIP_BUS_PRESENT")
-        sol = dist.solve_no_current_closed_form(
+        return dist.solve_no_current_closed_form(
             partition, case.v_slack, case.injection_targets()[0],
             i_load=case.i_load_vector())
-    elif method == "decoupled":
-        sol = dist.solve_decoupled(partition, case)
-    else:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {METHODS}")
-    return sol, None
+    if method == "decoupled":
+        return dist.solve_decoupled(partition, case)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def run_pipeline(case: NetworkCase, method: str = "auto",
@@ -187,8 +181,7 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
     """
     partition = build_admittance(case)
     resolved, lossless = _resolve_method(partition, case, method)
-    sol, lossless = _dispatch(partition, case, resolved, override_conditions,
-                              lossless)
+    sol = _dispatch(partition, case, resolved, override_conditions, lossless)
 
     residual = quadratic_residual(partition, sol.dv)
     v_approx = sol.approx_voltage()
@@ -322,12 +315,9 @@ def run_check(case: NetworkCase) -> CheckReport:
     noload = check_noload_structure(partition, case.i_load_vector(),
                                     case.v_slack)
     try:
-        sys = trans.build_lossless_system(partition, case)
+        flat = trans.build_lossless_system(partition, case).conditions
     except SolverError:             # the lossless gate refused the case
         flat = None
-    else:
-        flat = trans.check_flat_conditions(sys,
-                                           partition.slack_adjacent_ids())
     return CheckReport(noload=noload, flat=flat,
                        lossless_gate=flat is not None,
                        slack_unity=trans.slack_is_unity(case))
@@ -379,16 +369,15 @@ class CompareReport:
 
 
 def run_compare(case: NetworkCase, alphas, method: str = "auto",
-                override_conditions: bool = False,
-                newton_settings: NewtonSettings | None = None
-                ) -> CompareReport:
+                override_conditions: bool = False) -> CompareReport:
     """Sweep loading factors: scale constant-power injections by each alpha,
     solve linearly and with Newton, and tabulate the gap.
 
     The ratio ``voltage_error / alpha^2`` staying bounded as alpha shrinks
     is the observable signature that the linear model's error is quadratic
     in loading.  Every alpha shares one admittance partition, so Y is
-    factored once for the whole sweep, and the method's checks run once.
+    factored once for the whole sweep, and the method's checks run once; a
+    lossless sweep also shares one system, its conditions and its factor.
     """
     partition = build_admittance(case)
     resolved, lossless = _resolve_method(partition, case, method)
@@ -396,9 +385,9 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
     errors, norms, iterations, converged = [], [], [], []
     for alpha in alphas:
         scaled = scale_power_injections(case, alpha)
-        sol, lossless = _dispatch(partition, scaled, resolved,
-                                  override_conditions, lossless)
-        result = solve_newton(partition, scaled, newton_settings)
+        sol = _dispatch(partition, scaled, resolved, override_conditions,
+                        lossless)
+        result = solve_newton(partition, scaled)
         errors.append(float(np.linalg.norm(sol.approx_voltage()
                                            - result.voltage)))
         norms.append(quadratic_residual(partition, sol.dv).norm_s)

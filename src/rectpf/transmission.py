@@ -4,14 +4,16 @@ For a network with no resistive part anywhere (series or shunt) and a unity
 slack voltage, linearizing around the flat profile leaves the active-power
 rows depending on the perturbation through::
 
-    diag(re_coeff) dRe + im_coeff dIm = P + Re(I_L)
+    -diag(Re(I_L)) dRe + im_coeff dIm = P + Re(I_L)
 
-with ``re_coeff = -Re(I_L)`` and ``im_coeff = -(B - diag(Bsh)) - diag(Im(I_L))``.
-That is N equations in 2N unknowns; fixing ``dRe = 0`` and solving the
-square system for ``dIm`` yields a profile whose neglected active-power
-quadratic term is identically zero, since with zero conductance the term
-reduces to ``-diag(dRe) B dIm + diag(dIm) B dRe``.  The reactive error it
-does commit is bounded a priori by ``max_row_norm(B) |dIm|^2``.
+with ``im_coeff = -(B - diag(Bsh)) - diag(Im(I_L))``.  That is N equations
+in 2N unknowns; fixing ``dRe = 0`` and solving the square system for
+``dIm`` yields a profile whose neglected active-power quadratic term is
+identically zero, since with zero conductance the term reduces to
+``-diag(dRe) B dIm + diag(dIm) B dRe``.  The reactive error it does commit
+is bounded a priori by ``max_row_norm(B) |dIm|^2``.  Neither ``im_coeff``
+nor the conditions that make it invertible depend on P, so one
+:class:`LosslessSystem` and one factor serve every load level of a case.
 
 Dropping the current loads and shunts from the same active-power rows and
 reading ``dIm`` as a small angle recovers the classical DC power flow.
@@ -20,6 +22,7 @@ reading ``dIm`` as a small angle recovers the classical DC power flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -39,21 +42,21 @@ LOSSLESS_GMAX = 1e-9
 class LosslessSystem:
     """Data of the active-power rows at the flat nominal of a lossless grid.
 
-    ``re_coeff`` is the diagonal coefficient of the real perturbation (kept
-    as a vector), ``im_coeff`` the full matrix on the imaginary part, ``bsh``
-    the partition's ``Ysh.imag``.  The matrices are dense: lossless grids
-    are studied at desk scale.
+    ``im_coeff`` is the matrix on the imaginary perturbation, ``bsh`` the
+    partition's ``Ysh.imag`` and ``conditions`` the dominance conditions on
+    ``im_coeff``.  None of it depends on the active injections, which each
+    solve takes as an argument.  The matrices are dense: lossless grids are
+    studied at desk scale.
     """
 
     B: np.ndarray
     bsh: np.ndarray
-    re_coeff: np.ndarray
     im_coeff: np.ndarray
-    p: np.ndarray
     i_load: np.ndarray
+    conditions: FlatSolveConditions
 
     def __post_init__(self):
-        for name in ("B", "bsh", "re_coeff", "im_coeff", "p", "i_load"):
+        for name in ("B", "bsh", "im_coeff", "i_load"):
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -61,6 +64,12 @@ class LosslessSystem:
     @property
     def n(self) -> int:
         return self.B.shape[0]
+
+    @cached_property
+    def factor(self) -> Factorization:
+        """LU of ``im_coeff``, built on first use."""
+        return Factorization(self.im_coeff, code="SINGULAR_FLAT_SYSTEM",
+                             what="flat-profile coefficient matrix")
 
 
 def slack_is_unity(case: NetworkCase) -> bool:
@@ -93,7 +102,8 @@ def lossless_gate(partition: AdmittancePartition,
 
 def build_lossless_system(partition: AdmittancePartition,
                           case: NetworkCase) -> LosslessSystem:
-    """Gate a case into the lossless flat-profile formulation.
+    """Gate a case into the lossless flat-profile formulation and evaluate
+    its dominance conditions.
 
     Raises the error :func:`lossless_gate` returns, if any.
     """
@@ -103,11 +113,11 @@ def build_lossless_system(partition: AdmittancePartition,
     b = partition.Y_csr.imag.toarray()
     bsh = partition.Ysh.imag
     i_load = case.i_load_vector()
-    re_coeff = -i_load.real
     im_coeff = -(b - np.diag(bsh)) - np.diag(i_load.imag)
-    return LosslessSystem(B=b, bsh=bsh, re_coeff=re_coeff,
-                          im_coeff=im_coeff, p=case.p_vector(),
-                          i_load=i_load)
+    conditions = _flat_conditions(b, bsh, i_load,
+                                  partition.slack_adjacent_ids())
+    return LosslessSystem(B=b, bsh=bsh, im_coeff=im_coeff, i_load=i_load,
+                          conditions=conditions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +141,7 @@ class FlatSolveConditions:
         return tuple(int(i) + 1 for i in np.flatnonzero(~self.weak))
 
 
-def check_flat_conditions(sys: LosslessSystem,
-                          slack_adjacent) -> FlatSolveConditions:
+def _flat_conditions(b, bsh, i_load, slack_adjacent) -> FlatSolveConditions:
     """Evaluate the dominance conditions for the flat-profile solve.
 
     Per bus the net susceptance tied to its own voltage (diagonal minus
@@ -141,9 +150,8 @@ def check_flat_conditions(sys: LosslessSystem,
     to the other non-slack buses; strictly so at one slack-adjacent bus.
     ``slack_adjacent`` is a collection of 1-based bus ids.
     """
-    b = sys.B
     diag = np.diag(b)
-    lhs = np.abs(diag - sys.bsh - sys.i_load.imag)
+    lhs = np.abs(diag - bsh - i_load.imag)
     rhs = np.abs(b).sum(axis=1) - np.abs(diag)
     tol = 1e-12 * (lhs + rhs)
     weak = lhs >= rhs - tol
@@ -156,11 +164,11 @@ def check_flat_conditions(sys: LosslessSystem,
                                overall=overall)
 
 
-def solve_lossless_flat(sys: LosslessSystem,
-                        conditions: FlatSolveConditions,
+def solve_lossless_flat(sys: LosslessSystem, p: np.ndarray,
                         *, override_conditions: bool = False
                         ) -> LinearSolution:
-    """Solve the active-power rows at the flat nominal with ``dRe = 0``.
+    """Solve the active-power rows at the flat nominal with ``dRe = 0`` for
+    the active injections ``p``, on the system's cached factor.
 
     Only the N active rows are enforced; the reactive injections are left
     to whatever the profile implies.  When the dominance conditions fail
@@ -168,6 +176,7 @@ def solve_lossless_flat(sys: LosslessSystem,
     the violated buses are recorded in the diagnostics and the LU pivot
     check is the only remaining safeguard (``SINGULAR_FLAT_SYSTEM``).
     """
+    conditions = sys.conditions
     violated = conditions.violated_buses()
     if not conditions.overall and not override_conditions:
         raise SolverError(
@@ -175,15 +184,12 @@ def solve_lossless_flat(sys: LosslessSystem,
             f"(buses {list(violated) or 'strictness'}); pass the override "
             "to attempt the solve anyway",
             code="FLAT_CONDITIONS_VIOLATED")
-    rhs = sys.p + sys.i_load.real
-    lu = Factorization(sys.im_coeff, code="SINGULAR_FLAT_SYSTEM",
-                       what="flat-profile coefficient matrix")
-    dv_im = lu.solve(rhs)
+    dv_im = sys.factor.solve(np.asarray(p, dtype=float) + sys.i_load.real)
     diagnostics = SolveDiagnostics(
-        condition=lu.condition,
+        condition=sys.factor.condition,
         flags={"flat_profile_conditions": conditions.overall},
         override_used=bool(override_conditions and not conditions.overall),
-        violated_buses=violated if not conditions.overall else ())
+        violated_buses=violated)
     return LinearSolution(flat_nominal(sys.n), 1j * dv_im,
                           SolutionMethod.LOSSLESS_FLAT, diagnostics)
 

@@ -10,8 +10,8 @@ from click.testing import CliRunner
 
 import casegen
 from rectpf import (NewtonSettings, build_admittance,
-                    build_lossless_system, check_flat_conditions,
-                    complex_injection, compute_noload_voltage,
+                    build_lossless_system, complex_injection,
+                    compute_noload_voltage,
                     decoupled_estimate, dump_case, flat_nominal,
                     jacobian_check,
                     linear_injection, nonlinear_mismatch, parse_case,
@@ -27,9 +27,8 @@ from test_residuals import random_row_orthogonal
 def _flat_solution(case):
     part = build_admittance(case)
     sys = build_lossless_system(part, case)
-    conds = check_flat_conditions(sys, part.slack_adjacent_ids())
-    assert conds.overall
-    return part, sys, solve_lossless_flat(sys, conds)
+    assert sys.conditions.overall
+    return part, sys, solve_lossless_flat(sys, case.p_vector())
 
 
 def test_c01_flat_solve_zeroes_active_power_error():
@@ -38,7 +37,7 @@ def test_c01_flat_solve_zeroes_active_power_error():
         case = casegen.random_lossless_case(rng, pv_fraction=0.3)
         part, sys, sol = _flat_solution(case)
         rep = quadratic_residual(part, sol.dv)
-        p = sys.p + sys.i_load.real
+        p = case.p_vector() + sys.i_load.real
         assert rep.norm_p <= 1e-10 * (1 + np.linalg.norm(p))
         assert rep.norm_p == 0.0  # exact: every product keeps Re = 0
         mism = nonlinear_mismatch(part, sol.approx_voltage(), case)
@@ -68,7 +67,7 @@ def test_c03_classical_dc_recovery_and_shunt_conductance_gap():
     for _ in range(50):
         case = casegen.random_lossless_case(rng, with_current=False)
         part, sys, sol = _flat_solution(case)
-        theta = solve_classical_dc(part, sys.p)
+        theta = solve_classical_dc(part, case.p_vector())
         assert np.abs(sol.dv.imag - theta).max() <= 1e-12
 
     for _ in range(20):
@@ -146,7 +145,7 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
     for _ in range(20):
         case = casegen.random_lossless_case(rng, with_current=False)
         part, sys, _ = _flat_solution(case)
-        theta = solve_classical_dc(part, sys.p)
+        theta = solve_classical_dc(part, case.p_vector())
         active_identity(case, part, 1j * theta)
     # the decoupled estimate does not satisfy the linear rows, so it is
     # checked against its own implied injection (the identity is algebraic

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -337,3 +338,37 @@ def test_compare_rejects_bad_alpha_list(runner, feeder_path):
     res = runner.invoke(main, ["compare", feeder_path, "--alpha-list", ","])
     assert res.exit_code == 2
     assert "empty" in res.stderr
+
+
+@pytest.mark.parametrize("alphas", ["inf", "1,nan", "-inf,0.5"])
+def test_compare_rejects_non_finite_alpha(runner, feeder_path, alphas):
+    # scaling by inf once made the case's loads non-finite, and the error
+    # blamed the case, not the flag
+    res = runner.invoke(main, ["compare", feeder_path,
+                               "--alpha-list", alphas])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        f"VALIDATION_ERROR: --alpha-list must hold finite numbers, "
+        f"got {alphas!r}"]
+
+
+def test_non_utf8_case_file_is_a_parse_error(runner, tmp_path):
+    path = tmp_path / "case.yaml"
+    head = LOSSLESS_LADDER.encode()
+    path.write_bytes(head + b"# \xff\n")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        f"PARSE_ERROR: {path}: not valid UTF-8: invalid start byte at byte "
+        f"{len(head) + 2}"]
+
+
+def test_overflow_warning_never_precedes_the_coded_line(runner, feeder_path):
+    # pytest records warnings instead of printing them; as errors, a warning
+    # that would reach stderr first ends the command with exit 1 instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["compare", feeder_path,
+                                   "--alpha-list", "1e200"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("SINGULAR_JACOBIAN: ")

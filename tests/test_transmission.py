@@ -6,8 +6,8 @@ import pytest
 import casegen
 from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage,
                     SolutionMethod, SolverError, ZipLoad, build_admittance,
-                    build_lossless_system, check_flat_conditions,
-                    nonlinear_mismatch, quadratic_residual,
+                    build_lossless_system, nonlinear_mismatch,
+                    quadratic_residual,
                     reactive_error_bound, solve_classical_dc,
                     solve_lossless_flat)
 
@@ -15,8 +15,8 @@ from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage,
 def _lossless_pipeline(case, **kw):
     part = build_admittance(case)
     sys = build_lossless_system(part, case)
-    conds = check_flat_conditions(sys, part.slack_adjacent_ids())
-    return part, sys, conds, solve_lossless_flat(sys, conds, **kw)
+    return (part, sys, sys.conditions,
+            solve_lossless_flat(sys, case.p_vector(), **kw))
 
 
 def test_lossy_network_rejected():
@@ -44,9 +44,7 @@ def test_ladder_system_frozen():
     sys = build_lossless_system(part, case)
     np.testing.assert_allclose(sys.B, [[-10.0]], rtol=0, atol=0)
     np.testing.assert_allclose(sys.bsh, [0.0], rtol=0, atol=0)
-    np.testing.assert_allclose(sys.re_coeff, [0.0], rtol=0, atol=0)
     np.testing.assert_allclose(sys.im_coeff, [[10.0]], rtol=0, atol=0)
-    np.testing.assert_allclose(sys.p, [0.5], rtol=0, atol=0)
 
 
 def test_ladder_conditions_and_solution_frozen():
@@ -75,7 +73,7 @@ def test_single_bus_current_cancellation_fails_strictness():
         (Branch(1, 2, -10j),))
     part = build_admittance(case)
     sys = build_lossless_system(part, case)
-    conds = check_flat_conditions(sys, part.slack_adjacent_ids())
+    conds = sys.conditions
     np.testing.assert_allclose(conds.lhs, [0.0], rtol=0, atol=0)
     np.testing.assert_allclose(conds.rhs, [0.0], rtol=0, atol=0)
     assert conds.weak.all()
@@ -83,7 +81,7 @@ def test_single_bus_current_cancellation_fails_strictness():
     assert not conds.overall
     assert conds.violated_buses() == ()
     with pytest.raises(SolverError) as exc:
-        solve_lossless_flat(sys, conds)
+        solve_lossless_flat(sys, case.p_vector())
     assert exc.value.code == "FLAT_CONDITIONS_VIOLATED"
 
 
@@ -97,19 +95,19 @@ def test_weak_violation_and_override():
         (Branch(1, 2, -1j), Branch(2, 3, -2j)))
     part = build_admittance(case)
     sys = build_lossless_system(part, case)
-    conds = check_flat_conditions(sys, part.slack_adjacent_ids())
+    conds = sys.conditions
     assert not conds.weak[0]
     assert conds.violated_buses() == (1,)
     assert not conds.overall
     with pytest.raises(SolverError) as exc:
-        solve_lossless_flat(sys, conds)
+        solve_lossless_flat(sys, case.p_vector())
     assert exc.value.code == "FLAT_CONDITIONS_VIOLATED"
-    sol = solve_lossless_flat(sys, conds, override_conditions=True)
+    sol = solve_lossless_flat(sys, case.p_vector(), override_conditions=True)
     assert sol.diagnostics.override_used
     assert sol.diagnostics.violated_buses == (1,)
     assert not sol.diagnostics.flags["flat_profile_conditions"]
     # the override really solved the stated system
-    rhs = sys.p + sys.i_load.real
+    rhs = case.p_vector() + sys.i_load.real
     np.testing.assert_allclose(sys.im_coeff @ sol.dv.imag, rhs,
                                rtol=0, atol=1e-14)
 

@@ -17,6 +17,7 @@ import sys
 import click
 import numpy as np
 
+from . import __version__
 from .caseio import load_case
 from .errors import CaseValidationError, SolverError
 from .report import (FORMATS, METHODS, emit_compare, emit_check, emit_report,
@@ -58,7 +59,7 @@ def _alphas(alpha_list: str) -> list[float]:
 
 
 @click.group()
-@click.version_option(package_name="rectpf")
+@click.version_option(__version__, prog_name="rectpf")
 def main():
     """Linearized AC power flow in rectangular voltage coordinates."""
 

@@ -35,8 +35,7 @@ def solve_distribution(partition: AdmittancePartition,
         raise SolverError(
             "distribution closed form requires every non-slack bus to be a "
             "ZIP bus", code="NON_ZIP_BUS_PRESENT")
-    nominal = compute_noload_voltage(partition, case.i_load_vector(),
-                                     case.v_slack)
+    nominal = compute_noload_voltage(partition)
     s, _ = case.injection_targets()
     return solve_noload_closed_form(partition, nominal, s)
 
@@ -180,8 +179,7 @@ def solve_decoupled(partition: AdmittancePartition,
         raise SolverError(
             "the decoupled estimate requires every non-slack bus to be a ZIP "
             "bus", code="NON_ZIP_BUS_PRESENT")
-    nominal = compute_noload_voltage(partition, case.i_load_vector(),
-                                     case.v_slack)
+    nominal = compute_noload_voltage(partition)
     est = decoupled_estimate(partition, nominal, case.injection_targets()[0])
     return LinearSolution(
         nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V,
@@ -189,10 +187,7 @@ def solve_decoupled(partition: AdmittancePartition,
 
 
 def solve_no_current_closed_form(partition: AdmittancePartition,
-                                 v_slack: complex,
-                                 s: np.ndarray,
-                                 i_load: np.ndarray | None = None
-                                 ) -> LinearSolution:
+                                 s: np.ndarray) -> LinearSolution:
     """Closed form specialized to feeders without constant-current loads.
 
     The no-load profile factors as ``V0 = V_slack * w`` with the open-circuit
@@ -201,13 +196,14 @@ def solve_no_current_closed_form(partition: AdmittancePartition,
     the same profile the general no-load closed form produces; this is
     asserted internally rather than taken on faith.
 
-    ``i_load`` may be passed for validation; any nonzero entry raises
+    A partition with any nonzero current load raises
     ``NONZERO_CURRENT_LOAD``.
     """
-    if i_load is not None and np.abs(np.asarray(i_load)).max(initial=0.0) > 0:
+    if np.abs(partition.i_load).max(initial=0.0) > 0:
         raise SolverError(
             "this special form assumes no constant-current loads",
             code="NONZERO_CURRENT_LOAD")
+    v_slack = partition.v_slack
     s = np.asarray(s, dtype=complex)
     lu = partition.factor
     w = lu.solve(-partition.Ybar)

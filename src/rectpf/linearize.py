@@ -86,13 +86,11 @@ def flat_nominal(n: int) -> NominalVoltage:
 
 
 def direct_coefficient(partition: AdmittancePartition,
-                       v0: np.ndarray,
-                       i_load: np.ndarray,
-                       v_slack: complex) -> np.ndarray:
+                       v0: np.ndarray) -> np.ndarray:
     """``direct = conj(Y) conj(V0) + conj(Ybar V_slack) - conj(I_L)``."""
     return (partition.Y_conj @ v0.conj()
-            + partition.Ybar.conj() * np.conj(v_slack)
-            - np.conj(np.asarray(i_load, dtype=complex)))
+            + partition.Ybar.conj() * np.conj(partition.v_slack)
+            - np.conj(partition.i_load))
 
 
 def real_block_matrix(partition: AdmittancePartition,
@@ -215,18 +213,15 @@ def solve_general_2n(partition: AdmittancePartition,
                           SolveDiagnostics(condition=lu.condition))
 
 
-def compute_noload_voltage(partition: AdmittancePartition,
-                           i_load: np.ndarray,
-                           v_slack: complex) -> NominalVoltage:
+def compute_noload_voltage(partition: AdmittancePartition) -> NominalVoltage:
     """Voltage with every constant-power injection removed.
 
-    Solves ``Y V0 = I_L - Ybar V_slack`` on the partition's shared factor
-    of Y.  Raises ``SINGULAR_Y`` when Y cannot be factored and
-    ``ZERO_NOLOAD_VOLTAGE`` when any entry of the profile is numerically
-    zero (the closed form divides by it).
+    The partition's ``v_noload``: ``Y V0 = I_L - Ybar V_slack`` solved once
+    per partition on its shared factor of Y.  Raises ``SINGULAR_Y`` when Y
+    cannot be factored and ``ZERO_NOLOAD_VOLTAGE`` when any entry of the
+    profile is numerically zero (the closed form divides by it).
     """
-    rhs = np.asarray(i_load, dtype=complex) - partition.Ybar * v_slack
-    v0 = partition.factor.solve(rhs)
+    v0 = partition.v_noload
     if v0.size and np.abs(v0).min() < MIN_NOMINAL_VMAG:
         raise SolverError(
             "no-load voltage vanishes at some bus; the closed form is "
@@ -278,6 +273,5 @@ def solve_general(partition: AdmittancePartition,
     if nominal.n != partition.n:
         raise ValueError("nominal voltage length does not match the network")
     s, _ = case.injection_targets()
-    direct = direct_coefficient(partition, nominal.V, case.i_load_vector(),
-                                case.v_slack)
+    direct = direct_coefficient(partition, nominal.V)
     return solve_general_2n(partition, nominal, direct, s)

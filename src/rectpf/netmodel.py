@@ -18,6 +18,12 @@ where Y is the N x N block over non-slack buses.  Y is stored as a sparse
 CSR matrix with one entry per bus and per branch end, so a radial feeder
 costs O(N) memory and every solver works in O(nnz); the partition keeps no
 dense copy of Y, and the dense lossless and DC formulations build their own.
+
+The partition is the per-case context every solver, check and residual
+reads: next to Y it carries the two other parts of a case that loading does
+not change, the constant-current loads ``I_L`` and the slack voltage, and
+it solves the no-load profile ``Y^(-1) (I_L - Ybar V_slack)`` once.  Only
+the power injections, which loading scales, come from the case itself.
 """
 
 from __future__ import annotations
@@ -235,11 +241,6 @@ class NetworkCase:
     def has_pv(self) -> bool:
         return any(b.kind is BusKind.PV for b in self.non_slack)
 
-    def i_load_vector(self) -> np.ndarray:
-        """Constant-current injections at non-slack buses, (N,) complex."""
-        return np.array([b.load.current for b in self.non_slack],
-                        dtype=complex)
-
     def injection_targets(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-bus complex power targets and a Q-known mask.
 
@@ -314,18 +315,21 @@ class _BlockPattern(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class AdmittancePartition:
-    """Slack-partitioned admittance data.
+    """Slack-partitioned admittance data and the case's load-independent
+    parts: the one context every solver, check and residual reads.
 
     ``Y_csr`` is the N x N block over non-slack buses as a sparse CSR matrix
     (any dense or sparse matrix is accepted and converted; explicit zeros
-    are dropped), ``Ybar`` the (N,) coupling column to the slack and
-    ``y_slack`` the slack self-admittance.  ``factor``, the LU of Y, is
-    built on first use and shared by every solver that applies
-    ``Y^(-1)``, so Y is factored at most once per partition; ``Y_conj``
-    is cached the same way.  The shunt vector obeys ``Ysh = Y @ 1 + Ybar``
-    by construction: series terms cancel in the row sum, leaving exactly
-    the lumped shunts (line halves plus the constant-impedance load
-    parts).  It is the one dense reduction
+    are dropped), ``Ybar`` the (N,) coupling column to the slack,
+    ``y_slack`` the slack self-admittance, ``i_load`` the (N,)
+    constant-current injections and ``v_slack`` the slack voltage phasor.
+    ``factor``, the LU of Y, is built on first use and shared by every
+    solver that applies ``Y^(-1)``, so Y is factored at most once per
+    partition; ``Y_conj`` and ``v_noload``, the no-load profile, are cached
+    the same way, so the profile is solved at most once per partition.  The
+    shunt vector obeys ``Ysh = Y @ 1 + Ybar`` by construction: series terms
+    cancel in the row sum, leaving exactly the lumped shunts (line halves
+    plus the constant-impedance load parts).  It is the one dense reduction
     left: it is summed over a transient dense copy of Y, because a CSR row
     sum adds in another order and differs from the dense row sum in the
     last bit; only the lossless and DC formulations, which are desk-scale,
@@ -336,21 +340,28 @@ class AdmittancePartition:
     Y_csr: sparse.csr_array
     Ybar: np.ndarray
     y_slack: complex
+    i_load: np.ndarray
+    v_slack: complex
 
     def __post_init__(self):
         y = sparse.csr_array(self.Y_csr, dtype=complex, copy=True)
         ybar = np.array(self.Ybar, dtype=complex)
+        i_load = np.array(self.i_load, dtype=complex)
         if len(y.shape) != 2 or y.shape[0] != y.shape[1]:
             raise ValueError("Y must be a square matrix")
         if ybar.shape != (y.shape[0],):
             raise ValueError("Ybar must be a vector matching Y")
+        if i_load.shape != (y.shape[0],):
+            raise ValueError("i_load must be a vector matching Y")
         y.sum_duplicates()
         y.eliminate_zeros()
-        for arr in (y.data, y.indices, y.indptr, ybar):
+        for arr in (y.data, y.indices, y.indptr, ybar, i_load):
             arr.flags.writeable = False
         object.__setattr__(self, "Y_csr", y)
         object.__setattr__(self, "Ybar", ybar)
         object.__setattr__(self, "y_slack", complex(self.y_slack))
+        object.__setattr__(self, "i_load", i_load)
+        object.__setattr__(self, "v_slack", complex(self.v_slack))
 
     @property
     def n(self) -> int:
@@ -361,6 +372,14 @@ class AdmittancePartition:
         """Sparse LU of Y; raises ``SINGULAR_Y`` as :class:`Factorization`."""
         return Factorization(self.Y_csr, code="SINGULAR_Y",
                              what="admittance block Y")
+
+    @cached_property
+    def v_noload(self) -> np.ndarray:
+        """The no-load profile ``Y^(-1) (I_L - Ybar V_slack)``, solved on
+        ``factor`` on first use; raises as ``factor`` does."""
+        v0 = self.factor.solve(self.i_load - self.Ybar * self.v_slack)
+        v0.flags.writeable = False
+        return v0
 
     @cached_property
     def Y_conj(self) -> sparse.csr_array:
@@ -458,8 +477,10 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
     full = sparse.csr_array((data[keep], np.divmod(keys[keep], m)),
                             shape=(m, m))
     n = m - 1
-    return AdmittancePartition(full[:n, :n], full[:n, [n]].toarray().ravel(),
-                               full[n, n])
+    return AdmittancePartition(
+        full[:n, :n], full[:n, [n]].toarray().ravel(), full[n, n],
+        np.array([b.load.current for b in case.non_slack], dtype=complex),
+        case.v_slack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,9 +504,8 @@ class StructureDiagnosis:
     reasons: tuple[str, ...]
 
 
-def check_noload_structure(partition: AdmittancePartition,
-                           i_load: np.ndarray,
-                           v_slack: complex) -> StructureDiagnosis:
+def check_noload_structure(partition: AdmittancePartition
+                           ) -> StructureDiagnosis:
     """Evaluate the structural no-load solvability conditions.
 
     Dominance comparisons use a relative tolerance of 1e-12 on the row
@@ -505,7 +525,8 @@ def check_noload_structure(partition: AdmittancePartition,
     strict_at_adjacent = bool(slack_adjacent) and all(
         strict[k - 1] for k in slack_adjacent)
 
-    source = np.asarray(i_load, dtype=complex) - partition.Ybar * v_slack
+    v_slack = partition.v_slack
+    source = partition.i_load - partition.Ybar * v_slack
     scale = max(1.0, float(np.abs(partition.Ybar * v_slack).max(initial=0.0)))
     source_nonzero = bool(np.abs(source).max(initial=0.0) > 1e-12 * scale)
 

@@ -4,12 +4,12 @@ This is the nonlinear reference the linear models are judged against.  It
 works directly on ``x = [Re V; Im V]`` so its Jacobian is exactly the
 stacked real matrix of the perturbation coefficients evaluated at the
 current iterate; the builder is shared with the linear solvers rather than
-reimplemented.  The case's targets, PV rows, current loads and slack
-voltage are bound once per solve; each iteration then computes only the
-direct coefficient (one sparse product) and fills the partition's cached 2N
-block pattern, whose sparsity never changes.  ZIP buses contribute active and
-reactive balance rows, PV buses an active row and a squared-magnitude row
-``|V|^2 = v_set^2``.
+reimplemented.  The case's targets and PV rows are bound once per solve,
+and the current loads and slack voltage are read from the partition; each
+iteration then computes only the direct coefficient (one sparse product) and
+fills the partition's cached 2N block pattern, whose sparsity never changes.
+ZIP buses contribute active and reactive balance rows, PV buses an active row
+and a squared-magnitude row ``|V|^2 = v_set^2``.
 
 All residual rows are quadratic in the unknowns, so central finite
 differences reproduce the analytic Jacobian to roundoff; ``jacobian_check``
@@ -82,19 +82,17 @@ class NewtonResult:
 
 def _equations(partition: AdmittancePartition, case: NetworkCase):
     """``residual(v) -> (f, mismatch)`` and ``jacobian(v)``, with the case's
-    targets, PV rows, ``I_L`` and ``V_slack`` bound once.  ``f`` stacks the
-    active rows over the reactive rows, a PV bus's replaced by its |V|^2 row;
-    ``mismatch`` is the largest per-bus |complex| mismatch at ZIP buses, and
-    of the active and |V|^2 rows at PV buses."""
-    i_load = case.i_load_vector()
-    v_slack = case.v_slack
+    targets and PV rows bound once.  ``f`` stacks the active rows over the
+    reactive rows, a PV bus's replaced by its |V|^2 row; ``mismatch`` is the
+    largest per-bus |complex| mismatch at ZIP buses, and of the active and
+    |V|^2 rows at PV buses."""
     s_target, q_known = case.injection_targets()
     pv_pos = np.flatnonzero(~q_known)
     vset_sq = np.array([case.non_slack[i].pv_setpoint.v_mag ** 2
                         for i in pv_pos])
 
     def residual(v):
-        ds = complex_injection(partition, v, i_load, v_slack) - s_target
+        ds = complex_injection(partition, v) - s_target
         lower = ds.imag.copy()
         per_bus = np.abs(ds)
         if pv_pos.size:
@@ -106,14 +104,13 @@ def _equations(partition: AdmittancePartition, case: NetworkCase):
                 float(per_bus.max(initial=0.0)))
 
     def jacobian(v):
-        return real_block_matrix(
-            partition, v, direct_coefficient(partition, v, i_load, v_slack),
-            pv_pos)
+        return real_block_matrix(partition, v,
+                                 direct_coefficient(partition, v), pv_pos)
 
     return residual, jacobian
 
 
-def _initial_voltage(partition, case, settings):
+def _initial_voltage(partition, settings):
     n = partition.n
     if settings.initial is InitialGuess.GIVEN:
         v = np.asarray(settings.initial_voltage, dtype=complex).copy()
@@ -122,8 +119,7 @@ def _initial_voltage(partition, case, settings):
         return v
     if settings.initial is InitialGuess.NO_LOAD:
         try:
-            return compute_noload_voltage(
-                partition, case.i_load_vector(), case.v_slack).V.copy()
+            return compute_noload_voltage(partition).V.copy()
         except SolverError:
             pass
     return np.ones(n, dtype=complex)
@@ -141,7 +137,7 @@ def solve_newton(partition: AdmittancePartition,
     """
     settings = settings or NewtonSettings()
     residual, jacobian = _equations(partition, case)
-    v = _initial_voltage(partition, case, settings)
+    v = _initial_voltage(partition, settings)
     n = partition.n
 
     f, mismatch = residual(v)

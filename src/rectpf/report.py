@@ -125,18 +125,15 @@ class RunReport:
 def _resolve_method(partition, case, method: str):
     """The method to run, and its lossless system when that is lossless."""
     if method == "lossless":
-        return method, trans.build_lossless_system(partition, case)
+        return method, trans.build_lossless_system(partition)
     if method != "auto":
         return method, None
     try:
-        return "lossless", trans.build_lossless_system(partition, case)
+        return "lossless", trans.build_lossless_system(partition)
     except SolverError:
         pass                        # the lossless gate refused the case
-    if not case.has_pv:
-        structure = check_noload_structure(partition, case.i_load_vector(),
-                                           case.v_slack)
-        if structure.verdict:
-            return "noload", None
+    if not case.has_pv and check_noload_structure(partition).verdict:
+        return "noload", None
     return "general", None
 
 
@@ -162,8 +159,7 @@ def _dispatch(partition, case, method: str, override_conditions: bool,
                 "this closed form requires every non-slack bus to be a ZIP "
                 "bus", code="NON_ZIP_BUS_PRESENT")
         return dist.solve_no_current_closed_form(
-            partition, case.v_slack, case.injection_targets()[0],
-            i_load=case.i_load_vector())
+            partition, case.injection_targets()[0])
     if method == "decoupled":
         return dist.solve_decoupled(partition, case)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -206,10 +202,10 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
     # Only a gated case has a lossless system, and auto gated every case;
     # auto picks the no-load closed form only where its structure check held.
     flags["lossless_gate"] = lossless is not None or (
-        method != "auto" and trans.lossless_gate(partition, case) is None)
+        method != "auto" and trans.lossless_gate(partition) is None)
     if resolved == "noload":
         flags["noload_structure"] = method == "auto" or check_noload_structure(
-            partition, case.i_load_vector(), case.v_slack).verdict
+            partition).verdict
 
     oracle = v_oracle = None
     if with_oracle:
@@ -312,15 +308,14 @@ class CheckReport:
 def run_check(case: NetworkCase) -> CheckReport:
     """Evaluate the structural diagnostics without solving anything."""
     partition = build_admittance(case)
-    noload = check_noload_structure(partition, case.i_load_vector(),
-                                    case.v_slack)
+    noload = check_noload_structure(partition)
     try:
-        flat = trans.build_lossless_system(partition, case).conditions
+        flat = trans.build_lossless_system(partition).conditions
     except SolverError:             # the lossless gate refused the case
         flat = None
     return CheckReport(noload=noload, flat=flat,
                        lossless_gate=flat is not None,
-                       slack_unity=trans.slack_is_unity(case))
+                       slack_unity=trans.slack_is_unity(partition))
 
 
 def emit_check(report: CheckReport, fmt: str = "table") -> str:

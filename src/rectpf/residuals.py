@@ -135,13 +135,11 @@ def verify_bounds(x: np.ndarray, a: np.ndarray) -> BoundVerification:
 
 
 def complex_injection(partition: AdmittancePartition,
-                      voltage: np.ndarray,
-                      i_load: np.ndarray,
-                      v_slack: complex) -> np.ndarray:
+                      voltage: np.ndarray) -> np.ndarray:
     """Exact complex power injected at each non-slack bus for ``voltage``."""
     v = np.asarray(voltage, dtype=complex)
-    i_net = (partition.Y_csr @ v + partition.Ybar * v_slack
-             - np.asarray(i_load, dtype=complex))
+    i_net = (partition.Y_csr @ v + partition.Ybar * partition.v_slack
+             - partition.i_load)
     return v * i_net.conj()
 
 
@@ -158,5 +156,4 @@ def nonlinear_mismatch(partition: AdmittancePartition,
     and must be masked by the caller (``case.injection_targets()[1]``).
     """
     s_target, _ = case.injection_targets()
-    return (complex_injection(partition, voltage, case.i_load_vector(),
-                              case.v_slack) - s_target)
+    return complex_injection(partition, voltage) - s_target

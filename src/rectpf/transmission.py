@@ -31,7 +31,7 @@ from ._linalg import Factorization
 from .errors import SolverError
 from .linearize import (LinearSolution, SolutionMethod, SolveDiagnostics,
                         flat_nominal)
-from .netmodel import AdmittancePartition, NetworkCase
+from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
 
 # Largest conductance entry (series or shunt) tolerated by the lossless gate.
@@ -72,13 +72,12 @@ class LosslessSystem:
                              what="flat-profile coefficient matrix")
 
 
-def slack_is_unity(case: NetworkCase) -> bool:
+def slack_is_unity(partition: AdmittancePartition) -> bool:
     """True when the slack voltage is one per-unit at zero angle."""
-    return abs(case.v_slack - 1.0) <= 1e-12
+    return abs(partition.v_slack - 1.0) <= 1e-12
 
 
-def lossless_gate(partition: AdmittancePartition,
-                  case: NetworkCase) -> SolverError | None:
+def lossless_gate(partition: AdmittancePartition) -> SolverError | None:
     """Why the lossless flat-profile formulation refuses a case, if it does.
 
     Returns ``None`` when the case passes the gate, else the error to raise:
@@ -93,26 +92,25 @@ def lossless_gate(partition: AdmittancePartition,
             f"network has conductance up to {gmax:.3e} pu; the lossless "
             f"formulation requires at most {LOSSLESS_GMAX:.0e}",
             code="LOSSY_NETWORK")
-    if not slack_is_unity(case):
+    if not slack_is_unity(partition):
         return SolverError(
             "lossless flat-profile solve requires slack voltage 1.0 at "
             "zero angle", code="SLACK_NOT_UNITY")
     return None
 
 
-def build_lossless_system(partition: AdmittancePartition,
-                          case: NetworkCase) -> LosslessSystem:
+def build_lossless_system(partition: AdmittancePartition) -> LosslessSystem:
     """Gate a case into the lossless flat-profile formulation and evaluate
     its dominance conditions.
 
     Raises the error :func:`lossless_gate` returns, if any.
     """
-    failure = lossless_gate(partition, case)
+    failure = lossless_gate(partition)
     if failure is not None:
         raise failure
     b = partition.Y_csr.imag.toarray()
     bsh = partition.Ysh.imag
-    i_load = case.i_load_vector()
+    i_load = partition.i_load
     im_coeff = -(b - np.diag(bsh)) - np.diag(i_load.imag)
     conditions = _flat_conditions(b, bsh, i_load,
                                   partition.slack_adjacent_ids())

@@ -26,7 +26,7 @@ from test_residuals import random_row_orthogonal
 
 def _flat_solution(case):
     part = build_admittance(case)
-    sys = build_lossless_system(part, case)
+    sys = build_lossless_system(part)
     assert sys.conditions.overall
     return part, sys, solve_lossless_flat(sys, case.p_vector())
 
@@ -93,8 +93,7 @@ def test_c04_zero_power_cases_are_solved_exactly():
 
         closed = solve_distribution(part, case)
         assert np.abs(closed.dv).max() == 0.0
-        nominal = compute_noload_voltage(part, case.i_load_vector(),
-                                         case.v_slack)
+        nominal = compute_noload_voltage(part)
         general = solve_general(part, case, nominal)
         assert np.abs(general.dv).max() <= 1e-12
         for sol in (closed, general):
@@ -136,7 +135,7 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
         case = casegen.random_feeder_case(rng, with_current=False)
         part = build_admittance(case)
         s, _ = case.injection_targets()
-        sol = solve_no_current_closed_form(part, case.v_slack, s)
+        sol = solve_no_current_closed_form(part, s)
         full_identity(case, part, sol)
     for _ in range(30):
         case = casegen.random_lossless_case(rng, pv_fraction=0.3)
@@ -154,15 +153,12 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
         case = casegen.random_feeder_case(rng, with_current=False)
         part = build_admittance(case)
         s, _ = case.injection_targets()
-        nominal = compute_noload_voltage(part, case.i_load_vector(),
-                                         case.v_slack)
+        nominal = compute_noload_voltage(part)
         est = decoupled_estimate(part, nominal, s)
         dv = est.v_mag * np.exp(1j * est.theta) - nominal.V
-        direct = direct_coefficient(part, nominal.V, case.i_load_vector(),
-                                    case.v_slack)
+        direct = direct_coefficient(part, nominal.V)
         implied = linear_injection(part, nominal, direct, dv)
-        mism = complex_injection(part, nominal.V + dv, case.i_load_vector(),
-                                 case.v_slack) - implied
+        mism = complex_injection(part, nominal.V + dv) - implied
         rep = quadratic_residual(part, dv)
         assert np.abs(mism - rep.s_hot).max() <= \
             1e-10 * (1 + np.abs(implied).max())
@@ -176,7 +172,7 @@ def test_c06_no_current_closed_form_matches_general_closed_form():
         case = casegen.random_feeder_case(rng, with_current=False)
         part = build_admittance(case)
         s, _ = case.injection_targets()
-        special = solve_no_current_closed_form(part, case.v_slack, s)
+        special = solve_no_current_closed_form(part, s)
         general = solve_distribution(part, case)
         assert np.abs(special.nominal.V - general.nominal.V).max() <= 1e-12
         assert np.abs(special.approx_voltage()

@@ -21,13 +21,13 @@ from rectpf import (AdmittancePartition, Branch, Bus, BusKind, NetworkCase,
 from rectpf.linearize import direct_coefficient, real_block_matrix
 
 
-def composed_block_matrix(partition, v, i_load, v_slack, pv_pos=()):
+def composed_block_matrix(partition, v, pv_pos=()):
     """The Jacobian as scipy.sparse operators compose it (test oracle)."""
     v = np.array(v, dtype=complex)
     y_conj = partition.Y_csr.conj()
     direct = (y_conj @ v.conj()
-              + partition.Ybar.conj() * np.conj(v_slack)
-              - np.conj(np.asarray(i_load, dtype=complex)))
+              + partition.Ybar.conj() * np.conj(partition.v_slack)
+              - np.conj(partition.i_load))
     cross = sparse.csr_array(sparse.diags_array(v) @ y_conj, dtype=complex)
     dre = sparse.diags_array(direct.real)
     dim = sparse.diags_array(direct.imag)
@@ -47,18 +47,16 @@ def composed_block_matrix(partition, v, i_load, v_slack, pv_pos=()):
     return jac
 
 
-def filled_block_matrix(partition, v, i_load, v_slack, pv_pos=()):
+def filled_block_matrix(partition, v, pv_pos=()):
     v = np.array(v, dtype=complex)
     return real_block_matrix(
-        partition, v, direct_coefficient(partition, v, i_load, v_slack),
+        partition, v, direct_coefficient(partition, v),
         np.asarray(pv_pos, dtype=int))
 
 
-def assert_same_superlu_input(partition, v, i_load, v_slack, pv_pos=()):
-    want = sparse.csc_array(
-        composed_block_matrix(partition, v, i_load, v_slack, pv_pos))
-    got = sparse.csc_array(
-        filled_block_matrix(partition, v, i_load, v_slack, pv_pos))
+def assert_same_superlu_input(partition, v, pv_pos=()):
+    want = sparse.csc_array(composed_block_matrix(partition, v, pv_pos))
+    got = sparse.csc_array(filled_block_matrix(partition, v, pv_pos))
     assert got.shape == want.shape
     assert got.indptr.dtype == want.indptr.dtype
     assert got.indices.dtype == want.indices.dtype
@@ -78,8 +76,7 @@ def _iterates(rng, case, part):
     n = case.n
     yield np.ones(n, dtype=complex)
     try:
-        yield compute_noload_voltage(part, case.i_load_vector(),
-                                     case.v_slack).V
+        yield compute_noload_voltage(part).V
     except SolverError:   # a singular Y has no no-load profile
         pass
     v = rng.uniform(0.8, 1.2, n) + 1j * rng.uniform(-0.3, 0.3, n)
@@ -95,11 +92,9 @@ def _check_case(rng, case):
     part = build_admittance(case)
     pv_pos = _pv_positions(case)
     for v in _iterates(rng, case, part):
-        assert_same_superlu_input(part, v, case.i_load_vector(),
-                                  case.v_slack, pv_pos)
+        assert_same_superlu_input(part, v, pv_pos)
         if pv_pos.size:   # the general-solve form of the same grid
-            assert_same_superlu_input(part, v, case.i_load_vector(),
-                                      case.v_slack)
+            assert_same_superlu_input(part, v)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -132,11 +127,10 @@ def test_flat_start_drops_zero_direct_coefficients():
     case = NetworkCase(buses, branches)
     part = build_admittance(case)
     v = np.ones(case.n, dtype=complex)
-    direct = direct_coefficient(part, v, case.i_load_vector(), case.v_slack)
+    direct = direct_coefficient(part, v)
     np.testing.assert_array_equal(direct, [0.5, 0, 0])
-    assert_same_superlu_input(part, v, case.i_load_vector(), case.v_slack)
-    assert_same_superlu_input(part, v, case.i_load_vector(), case.v_slack,
-                              _pv_positions(case))
+    assert_same_superlu_input(part, v)
+    assert_same_superlu_input(part, v, _pv_positions(case))
 
 
 def test_cancelling_parallel_branches():
@@ -156,10 +150,8 @@ def test_cancelling_parallel_branches():
     assert part.Y_csr[0, 1] == 0 and part.Y_csr[2, 2] == 0
     rng = np.random.default_rng(3)
     for v in _iterates(rng, case, part):
-        assert_same_superlu_input(part, v, case.i_load_vector(),
-                                  case.v_slack)
-        assert_same_superlu_input(part, v, case.i_load_vector(),
-                                  case.v_slack, [1, 2])
+        assert_same_superlu_input(part, v)
+        assert_same_superlu_input(part, v, [1, 2])
 
 
 def test_pattern_is_read_only_and_shared():

@@ -1,12 +1,17 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import casegen
+import rectpf
 from rectpf import save_case
 from rectpf.cli import main
 
@@ -372,3 +377,13 @@ def test_overflow_warning_never_precedes_the_coded_line(runner, feeder_path):
                                    "--alpha-list", "1e200"])
     assert res.exit_code == 3
     assert res.stderr.startswith("SINGULAR_JACOBIAN: ")
+
+
+def test_version_from_a_source_checkout():
+    # the package need not be installed: the version is the package's own
+    src = str(Path(rectpf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-m", "rectpf.cli", "--version"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        0, f"rectpf, version {rectpf.__version__}\n", "")

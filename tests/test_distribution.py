@@ -1,5 +1,7 @@
 """Distribution closed form, P/Q coupling split, decoupled estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,20 +150,23 @@ def test_no_current_special_matches_general_closed_form():
         part = build_admittance(case)
         general = solve_distribution(part, case)
         s, _ = case.injection_targets()
-        special = solve_no_current_closed_form(part, case.v_slack, s)
+        special = solve_no_current_closed_form(part, s)
         assert np.abs(special.dv - general.dv).max() <= 1e-12
         assert np.abs(special.nominal.V - general.nominal.V).max() <= 1e-12
         assert special.diagnostics.flags["no_current_special"]
 
 
 def test_no_current_special_rejects_current_loads():
+    # the case's own current loads, and current loads put on the partition
     case = casegen.random_feeder_case(np.random.default_rng(79))
     part = build_admittance(case)
+    assert np.abs(part.i_load).max() > 0
     s, _ = case.injection_targets()
     i_load = np.ones(case.n, dtype=complex) * 0.1
-    with pytest.raises(SolverError) as exc:
-        solve_no_current_closed_form(part, case.v_slack, s, i_load=i_load)
-    assert exc.value.code == "NONZERO_CURRENT_LOAD"
+    for loaded in (part, dataclasses.replace(part, i_load=i_load)):
+        with pytest.raises(SolverError) as exc:
+            solve_no_current_closed_form(loaded, s)
+        assert exc.value.code == "NONZERO_CURRENT_LOAD"
 
 
 def test_no_current_special_nonunit_slack():
@@ -171,7 +176,7 @@ def test_no_current_special_nonunit_slack():
     assert abs(case.v_slack - 1.0) > 1e-6
     part = build_admittance(case)
     s, _ = case.injection_targets()
-    sol = solve_no_current_closed_form(part, case.v_slack, s)
+    sol = solve_no_current_closed_form(part, s)
     mism = nonlinear_mismatch(part, sol.approx_voltage(), case)
     rep = quadratic_residual(part, sol.dv)
     assert np.abs(mism - rep.s_hot).max() <= 1e-10 * (1 + np.abs(s).max())

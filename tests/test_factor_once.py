@@ -1,5 +1,7 @@
-"""Y is factored once per admittance partition and shared by every solver."""
+"""Y is factored once per admittance partition and shared by every solver,
+and the no-load profile is solved on that factor once."""
 
+import numpy as np
 import pytest
 
 import casegen
@@ -21,6 +23,28 @@ def factored(monkeypatch):
 
     monkeypatch.setattr(rectpf._linalg.spla, "splu", counting_splu)
     return seen
+
+
+@pytest.fixture()
+def solved(monkeypatch):
+    """Every right-hand side handed to a factorization, in call order."""
+    seen = []
+    solve = rectpf._linalg.Factorization.solve
+
+    def counting_solve(self, b):
+        seen.append(np.array(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(rectpf._linalg.Factorization, "solve",
+                        counting_solve)
+    return seen
+
+
+def _noload_solves(seen, case) -> int:
+    """How many of ``seen`` are the no-load right-hand side of ``case``."""
+    part = build_admittance(case)
+    rhs = part.i_load - part.Ybar * part.v_slack
+    return sum(b.shape == rhs.shape and np.array_equal(b, rhs) for b in seen)
 
 
 def _is_y(a, y) -> bool:
@@ -55,9 +79,24 @@ def test_solvers_share_the_partition_factor(factored):
     case = casegen.fixed_feeder10()
     part = build_admittance(case)
     s, _ = case.injection_targets()
-    compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+    compute_noload_voltage(part)
     solve_distribution(part, case)
-    solve_no_current_closed_form(part, case.v_slack, s)
+    solve_no_current_closed_form(part, s)
     impedance_decomposition(part)
     assert part.factor is part.factor
     assert sum(_is_y(a, part.Y_csr) for a in factored) == 1
+
+
+def test_pipeline_with_oracle_solves_the_noload_profile_once(solved):
+    case = casegen.fixed_feeder10()
+    report = run_pipeline(case, with_oracle=True)
+    # the closed form's nominal and Newton's initial guess share one solve
+    assert report.method == "noload"
+    assert _noload_solves(solved, case) == 1
+
+
+def test_compare_sweep_solves_the_noload_profile_once(solved):
+    case = casegen.fixed_feeder10()
+    report = run_compare(case, [1, 0.5, 0.25])
+    assert report.method == "noload"
+    assert _noload_solves(solved, case) == 1

@@ -28,7 +28,7 @@ def _systems(seed):
     rng = np.random.default_rng(seed)
     feeder = casegen.random_feeder_case(rng, n_min=4, n_max=30)
     part = build_admittance(feeder)
-    v0 = compute_noload_voltage(part, feeder.i_load_vector(), feeder.v_slack)
+    v0 = compute_noload_voltage(part)
     yield "feeder Y", part.Y_csr
     yield ("feeder diag(conj V0) Y",
            sparse.diags_array(v0.V.conj()) @ part.Y_csr)
@@ -37,13 +37,12 @@ def _systems(seed):
     nominal = NominalVoltage(
         rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
         NominalOrigin.USER)
-    direct = direct_coefficient(part, nominal.V, feeder.i_load_vector(),
-                                feeder.v_slack)
+    direct = direct_coefficient(part, nominal.V)
     yield "general 2N block", real_block_matrix(part, nominal.V, direct)
     yield "general cross", sparse.diags_array(nominal.V) @ part.Y_csr.conj()
     grid = casegen.random_lossless_case(rng, n_min=4, n_max=30)
     grid_part = build_admittance(grid)
-    yield "lossless im_coeff", build_lossless_system(grid_part, grid).im_coeff
+    yield "lossless im_coeff", build_lossless_system(grid_part).im_coeff
     yield "lossless Y", grid_part.Y_csr
 
 

@@ -19,8 +19,7 @@ def _direct_for(case, nominal=None):
     part = build_admittance(case)
     if nominal is None:
         nominal = flat_nominal(part.n)
-    return part, nominal, direct_coefficient(
-        part, nominal.V, case.i_load_vector(), case.v_slack)
+    return part, nominal, direct_coefficient(part, nominal.V)
 
 
 def test_coefficients_vanish_at_flat_lossless_ladder():
@@ -62,7 +61,7 @@ def test_general_2n_lossless_ladder_frozen():
 def test_noload_voltage_ladder_is_unity():
     case = casegen.ladder_case()
     part = build_admittance(case)
-    nom = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+    nom = compute_noload_voltage(part)
     assert nom.origin is NominalOrigin.NO_LOAD
     np.testing.assert_allclose(nom.V, [1 + 0j], rtol=0, atol=1e-15)
 
@@ -70,7 +69,7 @@ def test_noload_voltage_ladder_is_unity():
 def test_noload_closed_form_ladder_frozen():
     case = casegen.ladder_case(power=-0.1 - 0.05j)
     part = build_admittance(case)
-    nom = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+    nom = compute_noload_voltage(part)
     sol = solve_noload_closed_form(part, nom, np.array([-0.1 - 0.05j]))
     expected = (-0.35 - 0.45j) / 26
     np.testing.assert_allclose(sol.dv, [expected], rtol=1e-14, atol=0)
@@ -82,10 +81,11 @@ def test_noload_voltage_matches_independent_nodal_solve():
     for _ in range(15):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        nom = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+        nom = compute_noload_voltage(part)
         full = casegen.oracle_full_matrix(case)
         n = case.n
-        rhs = case.i_load_vector() - full[:n, n] * case.v_slack
+        i_l = np.array([b.load.current for b in case.non_slack])
+        rhs = i_l - full[:n, n] * case.v_slack
         expected = np.linalg.solve(full[:n, :n], rhs)
         np.testing.assert_allclose(nom.V, expected, rtol=1e-11, atol=1e-13)
 
@@ -95,9 +95,8 @@ def test_closed_form_equals_general_2n_at_noload_nominal():
     for _ in range(20):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        nom = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
-        direct = direct_coefficient(part, nom.V, case.i_load_vector(),
-                                    case.v_slack)
+        nom = compute_noload_voltage(part)
+        direct = direct_coefficient(part, nom.V)
         s, _ = case.injection_targets()
         a = solve_general_2n(part, nom, direct, s)
         b = solve_noload_closed_form(part, nom, s)
@@ -152,7 +151,7 @@ def test_solve_general_defaults_to_flat():
     sol = solve_general(part, case)
     assert sol.nominal.origin is NominalOrigin.FLAT
     # flat == no-load for this network, so the closed form must agree
-    nom = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+    nom = compute_noload_voltage(part)
     ref = solve_noload_closed_form(part, nom, np.array([-0.1 - 0.05j]))
     assert np.abs(sol.dv - ref.dv).max() <= 1e-12
 
@@ -166,7 +165,7 @@ def test_singular_y_detected():
     part = build_admittance(case)
     assert part.Y_csr.toarray()[0, 0] == 0
     with pytest.raises(SolverError) as exc:
-        compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+        compute_noload_voltage(part)
     assert exc.value.code == "SINGULAR_Y"
 
 
@@ -178,7 +177,7 @@ def test_zero_noload_voltage_detected():
         (Branch(1, 2, 1 - 5j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
+        compute_noload_voltage(part)
     assert exc.value.code == "ZERO_NOLOAD_VOLTAGE"
 
 
@@ -213,8 +212,7 @@ def test_block_matrix_equals_numeric_jacobian_of_injection():
     n = case.n
     v0 = NominalVoltage(rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
                         NominalOrigin.USER)
-    direct = direct_coefficient(part, v0.V, case.i_load_vector(),
-                                case.v_slack)
+    direct = direct_coefficient(part, v0.V)
     block = real_block_matrix(part, v0.V, direct)
     step = 1e-6
     fd = np.zeros((2 * n, 2 * n))
@@ -222,9 +220,8 @@ def test_block_matrix_equals_numeric_jacobian_of_injection():
         x = np.zeros(2 * n)
         x[j] = step
         dv = x[:n] + 1j * x[n:]
-        i_l, v_s = case.i_load_vector(), case.v_slack
-        s_plus = complex_injection(part, v0.V + dv, i_l, v_s)
-        s_minus = complex_injection(part, v0.V - dv, i_l, v_s)
+        s_plus = complex_injection(part, v0.V + dv)
+        s_minus = complex_injection(part, v0.V - dv)
         col = (s_plus - s_minus) / (2 * step)
         fd[:n, j] = col.real
         fd[n:, j] = col.imag

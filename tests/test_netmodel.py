@@ -182,7 +182,7 @@ def test_pv_power_load_rejected():
 def test_structure_check_ladder_good():
     case = casegen.ladder_case()
     part = build_admittance(case)
-    diag = check_noload_structure(part, case.i_load_vector(), case.v_slack)
+    diag = check_noload_structure(part)
     assert diag.verdict
     assert diag.connected
     assert diag.source_nonzero
@@ -200,7 +200,7 @@ def test_structure_check_zero_source():
          Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 5j),))
     part = build_admittance(case)
-    diag = check_noload_structure(part, case.i_load_vector(), case.v_slack)
+    diag = check_noload_structure(part)
     assert not diag.verdict
     assert "NO_LOAD_VOLTAGE_ZERO" in diag.reasons
 
@@ -215,7 +215,7 @@ def test_structure_check_dominance_violation():
     part = build_admittance(case)
     y = part.Y_csr.toarray()
     assert abs(y[0, 0]) < abs(y[0, 1])
-    diag = check_noload_structure(part, case.i_load_vector(), case.v_slack)
+    diag = check_noload_structure(part)
     assert not diag.verdict
     assert "NOT_DIAGONALLY_DOMINANT" in diag.reasons
 
@@ -231,7 +231,7 @@ def test_structure_check_no_strict_dominance():
         (Branch(1, 2, 1 - 4j), Branch(2, 3, -1 + 4j)))
     part = build_admittance(case)
     # row 2: diagonal (1-4j) + (-1+4j) + (1-4j) = 1-4j, off-diag sum 1-4j
-    diag = check_noload_structure(part, case.i_load_vector(), case.v_slack)
+    diag = check_noload_structure(part)
     assert not diag.strict_at_slack_adjacent
     assert not diag.verdict
     assert "NO_STRICT_DOMINANCE" in diag.reasons
@@ -240,4 +240,9 @@ def test_structure_check_no_strict_dominance():
 def test_admittance_partition_validates_shapes():
     with pytest.raises(ValueError):
         AdmittancePartition(np.eye(2, dtype=complex),
+                            np.zeros(3, dtype=complex), 1 + 0j,
+                            np.zeros(2, dtype=complex), 1 + 0j)
+    with pytest.raises(ValueError, match="i_load"):
+        AdmittancePartition(np.eye(2, dtype=complex),
+                            np.zeros(2, dtype=complex), 1 + 0j,
                             np.zeros(3, dtype=complex), 1 + 0j)

@@ -28,7 +28,7 @@ def test_cancelling_parallel_branches_are_no_edge():
     y = part.Y_csr.toarray()
     assert y[0, 1] == 0 and y[1, 0] == 0
     assert part.Y_csr.nnz == 3 + 2          # diagonal plus the 2-3 pair
-    diag = check_noload_structure(part, case.i_load_vector(), case.v_slack)
+    diag = check_noload_structure(part)
     assert not diag.connected
     assert "DISCONNECTED" in diag.reasons
 
@@ -72,9 +72,9 @@ def test_large_radial_feeder_is_solved_in_sparse_memory():
 
     part = build_admittance(case)
     assert part.Y_csr.nnz == n + 2 * (n - 1)
-    nominal = compute_noload_voltage(part, case.i_load_vector(), case.v_slack)
-    jac = real_block_matrix(part, nominal.V, direct_coefficient(
-        part, nominal.V, case.i_load_vector(), case.v_slack))
+    nominal = compute_noload_voltage(part)
+    jac = real_block_matrix(part, nominal.V,
+                            direct_coefficient(part, nominal.V))
     assert jac.shape == (2 * n, 2 * n)
     assert jac.nnz <= 4 * part.Y_csr.nnz
     assert np.isfinite(report.condition)

@@ -14,7 +14,7 @@ from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage,
 
 def _lossless_pipeline(case, **kw):
     part = build_admittance(case)
-    sys = build_lossless_system(part, case)
+    sys = build_lossless_system(part)
     return (part, sys, sys.conditions,
             solve_lossless_flat(sys, case.p_vector(), **kw))
 
@@ -23,7 +23,7 @@ def test_lossy_network_rejected():
     case = casegen.ladder_case()   # series 1-5j has conductance
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        build_lossless_system(part, case)
+        build_lossless_system(part)
     assert exc.value.code == "LOSSY_NETWORK"
 
 
@@ -34,14 +34,14 @@ def test_non_unity_slack_rejected():
         (Branch(1, 2, -10j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        build_lossless_system(part, case)
+        build_lossless_system(part)
     assert exc.value.code == "SLACK_NOT_UNITY"
 
 
 def test_ladder_system_frozen():
     case = casegen.lossless_ladder_case(p=0.5)
     part = build_admittance(case)
-    sys = build_lossless_system(part, case)
+    sys = build_lossless_system(part)
     np.testing.assert_allclose(sys.B, [[-10.0]], rtol=0, atol=0)
     np.testing.assert_allclose(sys.bsh, [0.0], rtol=0, atol=0)
     np.testing.assert_allclose(sys.im_coeff, [[10.0]], rtol=0, atol=0)
@@ -72,7 +72,7 @@ def test_single_bus_current_cancellation_fails_strictness():
          Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, -10j),))
     part = build_admittance(case)
-    sys = build_lossless_system(part, case)
+    sys = build_lossless_system(part)
     conds = sys.conditions
     np.testing.assert_allclose(conds.lhs, [0.0], rtol=0, atol=0)
     np.testing.assert_allclose(conds.rhs, [0.0], rtol=0, atol=0)
@@ -94,7 +94,7 @@ def test_weak_violation_and_override():
          Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, -1j), Branch(2, 3, -2j)))
     part = build_admittance(case)
-    sys = build_lossless_system(part, case)
+    sys = build_lossless_system(part)
     conds = sys.conditions
     assert not conds.weak[0]
     assert conds.violated_buses() == (1,)
@@ -171,7 +171,7 @@ def test_dc_singular_on_resistive_network():
 def test_reactive_bound_rejects_other_methods():
     case = casegen.lossless_ladder_case()
     part = build_admittance(case)
-    sys = build_lossless_system(part, case)
+    sys = build_lossless_system(part)
     from rectpf import solve_general
     sol = solve_general(part, case)
     with pytest.raises(ValueError):
@@ -185,5 +185,5 @@ def test_slack_angle_zero_but_magnitude_off_rejected():
         (Branch(1, 2, -4j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        build_lossless_system(part, case)
+        build_lossless_system(part)
     assert exc.value.code == "SLACK_NOT_UNITY"

@@ -10,10 +10,9 @@ coordinate Newton-Raphson solver as the nonlinear reference.
 
 from .caseio import dump_case, load_case, parse_case, save_case
 from .distribution import (CouplingTerms, DecoupledEstimate,
-                           ImpedanceDecomposition, complex_error_bound,
-                           coupling_decomposition, decoupled_estimate,
-                           impedance_decomposition, solve_distribution,
-                           solve_no_current_closed_form)
+                           ImpedanceDecomposition, coupling_decomposition,
+                           decoupled_estimate, impedance_decomposition,
+                           solve_distribution, solve_no_current_closed_form)
 from .errors import (CaseValidationError, InternalCheckError, RectpfError,
                      SolverError)
 from .linearize import (LinearSolution, NominalOrigin, NominalVoltage,
@@ -49,7 +48,7 @@ __all__ = [
     "ResidualReport", "RunReport", "SlackVoltage", "SolutionMethod",
     "SolveDiagnostics", "SolverError", "StructureDiagnosis", "ZipLoad",
     "build_admittance", "build_lossless_system", "check_noload_structure",
-    "complex_error_bound", "complex_injection", "compute_noload_voltage",
+    "complex_injection", "compute_noload_voltage",
     "coupling_decomposition", "decoupled_estimate", "dump_case",
     "emit_check", "emit_compare", "emit_report", "flat_nominal",
     "impedance_decomposition", "jacobian_check", "linear_injection",

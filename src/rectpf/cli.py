@@ -58,6 +58,17 @@ def _alphas(alpha_list: str) -> list[float]:
     return alphas
 
 
+# The options that more than one command takes, with one help text each.
+_method = click.option("--method", type=click.Choice(METHODS), default="auto",
+                       show_default=True, help="Linearization to run.")
+_format = click.option("--format", "fmt", type=click.Choice(FORMATS),
+                       default="table", show_default=True)
+_override = click.option(
+    "--override-conditions", is_flag=True,
+    help="Attempt the lossless flat solve even when its dominance "
+         "conditions fail (recorded in the diagnostics).")
+
+
 @click.group()
 @click.version_option(__version__, prog_name="rectpf")
 def main():
@@ -66,15 +77,11 @@ def main():
 
 @main.command()
 @click.argument("case_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(METHODS), default="auto",
-              show_default=True, help="Linearization to run.")
+@_method
 @click.option("--oracle", is_flag=True,
               help="Also run the Newton reference solver and report the gap.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
-              show_default=True)
-@click.option("--override-conditions", is_flag=True,
-              help="Attempt the lossless flat solve even when its dominance "
-                   "conditions fail (recorded in the diagnostics).")
+@_format
+@_override
 def solve(case_path, method, oracle, fmt, override_conditions):
     """Solve CASE_PATH and print the per-bus report."""
     _run(case_path, lambda case: emit_report(run_pipeline(
@@ -84,8 +91,7 @@ def solve(case_path, method, oracle, fmt, override_conditions):
 
 @main.command()
 @click.argument("case_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
-              show_default=True)
+@_format
 def check(case_path, fmt):
     """Print the structural diagnostics for CASE_PATH without solving."""
     _run(case_path, lambda case: emit_check(run_check(case), fmt))
@@ -95,11 +101,9 @@ def check(case_path, fmt):
 @click.argument("case_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--alpha-list", required=True,
               help="Comma-separated loading factors, e.g. '1,0.5,0.25'.")
-@click.option("--method", type=click.Choice(METHODS), default="auto",
-              show_default=True)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
-              show_default=True)
-@click.option("--override-conditions", is_flag=True)
+@_method
+@_format
+@_override
 def compare(case_path, alpha_list, method, fmt, override_conditions):
     """Sweep loading factors and compare the linear solve against Newton."""
     _run(case_path, lambda case: emit_compare(run_compare(

@@ -3,7 +3,8 @@
 With every non-slack bus carrying only a ZIP load, linearizing around the
 no-load voltage gives the closed form ``dv = Y^(-1) diag(1/conj(V0)) conj(S)``
 whose neglected term is bounded a priori by
-``max_row_norm(conj(Y)) |dv|^2``.  Splitting ``Y^(-1) = R + jX`` and the
+``max_row_norm(conj(Y)) |dv|^2``, the ``complex_power_quadratic`` bound
+that ``quadratic_residual`` reports.  Splitting ``Y^(-1) = R + jX`` and the
 nominal into magnitude and angle separates the P and Q pathways into real
 and imaginary voltage changes; when coupling vanishes (X = 0, flat angles)
 the familiar decoupled magnitude/angle estimates drop out.
@@ -104,17 +105,17 @@ def coupling_decomposition(partition: AdmittancePartition,
     ``C = X diag(cos/Vm) + R diag(sin/Vm)``::
 
         Re dv = A P + C Q        Im dv = C P - A Q
+
+    As ``1/conj(V0) = (cos + j sin)/Vm``, ``Y^(-1) (P/conj(V0)) = A P + j C P``
+    and likewise for Q: one two-column solve on Y's factor gives all four.
     """
-    dec = impedance_decomposition(partition)
-    vmag, theta = _magnitude_angle(nominal)
+    _magnitude_angle(nominal)         # rejects a vanishing nominal
     s = np.asarray(s, dtype=complex)
-    p, q = s.real, s.imag
-    dc = np.cos(theta) / vmag
-    ds = np.sin(theta) / vmag
-    a = dec.R * dc[None, :] - dec.X * ds[None, :]
-    c = dec.X * dc[None, :] + dec.R * ds[None, :]
-    return CouplingTerms(re_from_p=a @ p, re_from_q=c @ q,
-                         im_from_p=c @ p, im_from_q=-(a @ q))
+    e = 1.0 / nominal.V.conj()
+    from_p, from_q = partition.factor.solve(
+        np.column_stack([e * s.real, e * s.imag])).T
+    return CouplingTerms(re_from_p=from_p.real, re_from_q=from_q.imag,
+                         im_from_p=from_p.imag, im_from_q=-from_q.real)
 
 
 # The decoupled assumptions count as holding up to roundoff: nominal angles
@@ -225,16 +226,3 @@ def solve_no_current_closed_form(partition: AdmittancePartition,
     return LinearSolution(nominal, dv, SolutionMethod.NOLOAD_CLOSED_FORM,
                           diagnostics)
 
-
-def complex_error_bound(partition: AdmittancePartition,
-                        sol: LinearSolution) -> float:
-    """A-priori bound on the closed form's neglected complex power.
-
-    ``max_row_norm(conj(Y)) |dv|^2``.  For the no-current special form this
-    is identical to the slack-scaled statement of the same bound, since
-    ``|dv|`` already carries the 1/|V_slack| factor.
-    """
-    if sol.method is not SolutionMethod.NOLOAD_CLOSED_FORM:
-        raise ValueError("bound applies to no-load closed-form solutions")
-    return max_row_norm(partition.Y_conj) * float(
-        np.linalg.norm(sol.dv)) ** 2

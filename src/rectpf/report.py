@@ -9,6 +9,8 @@ aligned table and the JSON rows are all written from those cells.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from . import transmission as trans
 from .errors import SolverError
 from .netmodel import (NetworkCase, build_admittance, check_noload_structure,
                        scale_power_injections)
-from .newton import solve_newton
+from .newton import NewtonResult, solve_newton
 from .residuals import BoundCheck, nonlinear_mismatch, quadratic_residual
 
 METHODS = ("auto", "general", "noload", "lossless", "dc", "nocurrent",
@@ -103,14 +105,6 @@ class Rows:
                 for row in zip(*table)]
 
 
-@dataclass(frozen=True)
-class OracleSummary:
-    converged: bool
-    iterations: int
-    final_mismatch: float
-    voltage_error_norm: float
-
-
 @dataclass(frozen=True, eq=False)
 class RunReport:
     method: str
@@ -119,7 +113,8 @@ class RunReport:
     bounds: tuple[BoundCheck, ...]
     flags: dict[str, bool]
     condition: float | None
-    oracle: OracleSummary | None
+    oracle: NewtonResult | None     # Newton's result, when it ran,
+    oracle_error: float | None      # and |v_lin - v_newton|
 
 
 def _resolve_method(partition, case, method: str):
@@ -207,15 +202,6 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
         flags["noload_structure"] = method == "auto" or check_noload_structure(
             partition).verdict
 
-    oracle = v_oracle = None
-    if with_oracle:
-        result = solve_newton(partition, case)
-        v_oracle = result.voltage
-        oracle = OracleSummary(
-            converged=result.converged, iterations=result.iterations,
-            final_mismatch=result.final_mismatch,
-            voltage_error_norm=float(np.linalg.norm(v_approx - v_oracle)))
-
     v_nom, dv = sol.nominal.V, sol.dv
     columns = [list(range(1, partition.n + 1)),
                v_nom.real.tolist(), v_nom.imag.tolist(),
@@ -224,15 +210,19 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
                [math.degrees(math.atan2(v.imag, v.real))
                 for v in v_approx.tolist()],
                residual.p_hot.tolist(), residual.q_hot.tolist()]
-    names = BUS_COLUMNS
-    if v_oracle is not None:
+    names, oracle, oracle_error = BUS_COLUMNS, None, None
+    if with_oracle:
+        oracle = solve_newton(partition, case)
+        v_oracle = oracle.voltage
+        oracle_error = float(np.linalg.norm(v_approx - v_oracle))
         columns += [v_oracle.real.tolist(), v_oracle.imag.tolist(),
                     np.abs(v_approx - v_oracle).tolist()]
         names += ORACLE_COLUMNS
     return RunReport(
         method=resolved, rows=Rows(names, tuple(columns)),
         norms=norms, bounds=tuple(bounds), flags=flags,
-        condition=sol.diagnostics.condition, oracle=oracle)
+        condition=sol.diagnostics.condition, oracle=oracle,
+        oracle_error=oracle_error)
 
 
 # -- emission ---------------------------------------------------------------
@@ -254,8 +244,7 @@ def _emit_json(report: RunReport) -> str:
             "converged": report.oracle.converged,
             "iterations": report.oracle.iterations,
             "final_mismatch": _round12(report.oracle.final_mismatch),
-            "voltage_error_norm": _round12(
-                report.oracle.voltage_error_norm),
+            "voltage_error_norm": _round12(report.oracle_error),
         },
     }
     return report.rows.json_document(doc, "buses") + "\n"
@@ -278,7 +267,7 @@ def _emit_table(report: RunReport) -> str:
         out.append(f"oracle: converged={'yes' if o.converged else 'no'} "
                    f"iterations={o.iterations} "
                    f"final_mismatch={_fmt(o.final_mismatch)} "
-                   f"|v_lin - v_newton|={_fmt(o.voltage_error_norm)}")
+                   f"|v_lin - v_newton|={_fmt(report.oracle_error)}")
     out.append("")
     out += report.rows.aligned_lines()
     return "\n".join(out) + "\n"
@@ -301,7 +290,6 @@ def emit_report(report: RunReport, fmt: str = "table") -> str:
 class CheckReport:
     noload: "object"          # StructureDiagnosis
     flat: "object | None"     # FlatSolveConditions, when the gate passes
-    lossless_gate: bool
     slack_unity: bool
 
 
@@ -314,44 +302,44 @@ def run_check(case: NetworkCase) -> CheckReport:
     except SolverError:             # the lossless gate refused the case
         flat = None
     return CheckReport(noload=noload, flat=flat,
-                       lossless_gate=flat is not None,
                        slack_unity=trans.slack_is_unity(partition))
 
 
 def emit_check(report: CheckReport, fmt: str = "table") -> str:
-    items = [
-        ("lossless_gate", report.lossless_gate),
+    """One ordered list of (name, value) items, rendered in any format."""
+    noload, flat = report.noload, report.flat
+    checks = [
+        ("lossless_gate", flat is not None),
         ("slack_unity", report.slack_unity),
-        ("noload_connected", report.noload.connected),
-        ("noload_weak_dominance", bool(report.noload.weak_rows.all())),
-        ("noload_strict_at_slack_adjacent",
-         report.noload.strict_at_slack_adjacent),
-        ("noload_source_nonzero", report.noload.source_nonzero),
-        ("noload_verdict", report.noload.verdict),
+        ("noload_connected", noload.connected),
+        ("noload_weak_dominance", noload.weak_rows.all()),
+        ("noload_strict_at_slack_adjacent", noload.strict_at_slack_adjacent),
+        ("noload_source_nonzero", noload.source_nonzero),
+        ("noload_verdict", noload.verdict),
     ]
-    if report.flat is not None:
-        items += [
-            ("flat_weak_dominance", bool(report.flat.weak.all())),
-            ("flat_strict_at_slack_adjacent",
-             report.flat.strict_at_slack_adjacent),
-            ("flat_overall", report.flat.overall),
+    if flat is not None:
+        checks += [
+            ("flat_weak_dominance", flat.weak.all()),
+            ("flat_strict_at_slack_adjacent", flat.strict_at_slack_adjacent),
+            ("flat_overall", flat.overall),
         ]
-    reasons = ",".join(report.noload.reasons)
+    items = [*((k, bool(v)) for k, v in checks),
+             ("noload_reasons", list(noload.reasons))]
     if fmt == "json":
-        doc = {k: bool(v) for k, v in items}
-        doc["noload_reasons"] = list(report.noload.reasons)
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        lines = ["check,result"]
-        lines += [f"{k},{'true' if v else 'false'}" for k, v in items]
-        lines.append(f"noload_reasons,{reasons or '-'}")
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        lines = [f"{k}: {'yes' if v else 'no'}" for k, v in items]
-        if reasons:
-            lines.append(f"noload_reasons: {reasons}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        return json.dumps(dict(items), indent=2) + "\n"
+    if fmt not in FORMATS:
+        raise ValueError(
+            f"unknown format {fmt!r}; expected one of {FORMATS}")
+    yes, no, none = (("true", "false", "-") if fmt == "csv"
+                     else ("yes", "no", ""))
+    texts = [(k, (",".join(v) or none) if isinstance(v, list)
+              else yes if v else no) for k, v in items]
+    if fmt == "table":              # no reasons, no line
+        return "".join(f"{k}: {text}\n" for k, text in texts if text)
+    out = io.StringIO()             # a CSV cell holding a comma is quoted
+    csv.writer(out, lineterminator="\n").writerows(
+        [("check", "result"), *texts])
+    return out.getvalue()
 
 
 # -- linear vs oracle sweep ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -314,6 +315,41 @@ def test_check_csv_format(runner, feeder_path):
     lines = res.stdout.splitlines()
     assert lines[0] == "check,result"
     assert "noload_verdict,true" in lines
+
+
+# a shunt outweighs bus 1's branches and branch 2-3 is capacitive, so the
+# no-load structure check fails for two reasons
+TWO_REASONS = """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1, shunt_b: 30}
+  - {id: 2, kind: zip, p: -0.1}
+  - {id: 3, kind: slack}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0}
+  - {from: 2, to: 3, series_g: 0.0, series_b: 1.0}
+"""
+
+
+def test_check_csv_quotes_a_list_of_reasons(runner, tmp_path):
+    path = tmp_path / "two_reasons.yaml"
+    path.write_text(TWO_REASONS, encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path), "--format", "csv"])
+    assert res.exit_code == 0
+    rows = list(csv.reader(res.stdout.splitlines()))
+    assert all(len(row) == 2 for row in rows)
+    assert rows[-1] == ["noload_reasons",
+                        "NOT_DIAGONALLY_DOMINANT,NO_STRICT_DOMINANCE"]
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.stdout.endswith(
+        "noload_reasons: NOT_DIAGONALLY_DOMINANT,NO_STRICT_DOMINANCE\n")
+
+
+def test_compare_help_describes_its_solve_options(runner):
+    solve = runner.invoke(main, ["solve", "--help"]).stdout
+    compare = runner.invoke(main, ["compare", "--help"]).stdout
+    for text in ("Linearization to run.", "Attempt the lossless flat solve"):
+        assert text in solve and text in compare
 
 
 def test_compare_sweep(runner, feeder_path):

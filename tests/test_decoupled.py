@@ -1,11 +1,10 @@
 """The decoupled estimate: its own method tag and tolerant assumption flags."""
 
 import numpy as np
-import pytest
 
 import casegen
 from rectpf import (NominalOrigin, NominalVoltage, SolutionMethod,
-                    build_admittance, complex_error_bound, decoupled_estimate)
+                    build_admittance, decoupled_estimate)
 from rectpf.distribution import (FLAT_ANGLE_TOL, ZERO_SUSCEPTANCE_TOL,
                                  solve_decoupled)
 
@@ -15,8 +14,6 @@ def test_decoupled_solution_is_not_a_closed_form():
     part = build_admittance(case)
     sol = solve_decoupled(part, case)
     assert sol.method is SolutionMethod.DECOUPLED
-    with pytest.raises(ValueError):
-        complex_error_bound(part, sol)
 
 
 def test_roundoff_angle_reads_flat():

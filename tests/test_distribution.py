@@ -8,11 +8,10 @@ import pytest
 import casegen
 from rectpf import (Branch, Bus, BusKind, InternalCheckError, NetworkCase,
                     PvSetpoint, SlackVoltage, SolverError, ZipLoad,
-                    build_admittance, complex_error_bound,
-                    coupling_decomposition, decoupled_estimate,
-                    impedance_decomposition, nonlinear_mismatch,
-                    quadratic_residual, run_pipeline, solve_distribution,
-                    solve_no_current_closed_form)
+                    build_admittance, coupling_decomposition,
+                    decoupled_estimate, impedance_decomposition,
+                    nonlinear_mismatch, quadratic_residual, run_pipeline,
+                    solve_distribution, solve_no_current_closed_form)
 
 
 def test_ladder_closed_form_frozen():
@@ -62,6 +61,27 @@ def test_coupling_terms_sum_to_full_perturbation():
         s, _ = case.injection_targets()
         terms = coupling_decomposition(part, sol.nominal, s)
         assert np.abs(terms.dv - sol.dv).max() <= 1e-11 * (1 + np.abs(sol.dv).max())
+
+
+def test_coupling_matches_the_dense_formulas():
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        case = casegen.random_feeder_case(rng)
+        part = build_admittance(case)
+        sol = solve_distribution(part, case)
+        s, _ = case.injection_targets()
+        terms = coupling_decomposition(part, sol.nominal, s)
+        dec = impedance_decomposition(part)
+        vmag, theta = np.abs(sol.nominal.V), np.angle(sol.nominal.V)
+        dc, ds = np.cos(theta) / vmag, np.sin(theta) / vmag
+        a = dec.R * dc - dec.X * ds
+        c = dec.X * dc + dec.R * ds
+        dense = {"re_from_p": a @ s.real, "re_from_q": c @ s.imag,
+                 "im_from_p": c @ s.real, "im_from_q": -(a @ s.imag)}
+        scale = max(np.abs(v).max() for v in dense.values())
+        for name, expected in dense.items():
+            gap = np.abs(getattr(terms, name) - expected).max()
+            assert gap <= 1e-10 * scale, name
 
 
 def test_coupling_cross_terms_vanish_for_resistive_flat_network():
@@ -189,7 +209,9 @@ def test_error_bound_dominates_residual():
         part = build_admittance(case)
         sol = solve_distribution(part, case)
         rep = quadratic_residual(part, sol.dv)
-        assert rep.norm_s <= complex_error_bound(part, sol) + 1e-12
+        bound, = rep.bounds
+        assert bound.name == "complex_power_quadratic"
+        assert rep.norm_s <= bound.bound + 1e-12
 
 
 def test_error_bound_tight_for_single_bus():
@@ -197,13 +219,6 @@ def test_error_bound_tight_for_single_bus():
     part = build_admittance(case)
     sol = solve_distribution(part, case)
     rep = quadratic_residual(part, sol.dv)
-    bound = complex_error_bound(part, sol)
-    assert rep.norm_s == pytest.approx(bound, rel=1e-13)
-
-
-def test_error_bound_rejects_other_methods():
-    case = casegen.ladder_case()
-    part = build_admittance(case)
-    from rectpf import solve_general
-    with pytest.raises(ValueError):
-        complex_error_bound(part, solve_general(part, case))
+    bound, = rep.bounds
+    assert bound.name == "complex_power_quadratic"
+    assert rep.norm_s == pytest.approx(bound.bound, rel=1e-13)

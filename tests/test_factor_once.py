@@ -7,8 +7,9 @@ import pytest
 import casegen
 import rectpf._linalg
 from rectpf import (build_admittance, compute_noload_voltage,
-                    impedance_decomposition, run_compare, run_pipeline,
-                    solve_distribution, solve_no_current_closed_form)
+                    coupling_decomposition, impedance_decomposition,
+                    run_compare, run_pipeline, solve_distribution,
+                    solve_no_current_closed_form)
 
 
 @pytest.fixture()
@@ -85,6 +86,20 @@ def test_solvers_share_the_partition_factor(factored):
     impedance_decomposition(part)
     assert part.factor is part.factor
     assert sum(_is_y(a, part.Y_csr) for a in factored) == 1
+
+
+def test_coupling_solves_two_columns_on_the_partition_factor(factored,
+                                                             solved):
+    rng = np.random.default_rng(73)
+    for _ in range(5):
+        case = casegen.random_feeder_case(rng)
+        part = build_admittance(case)
+        nominal = compute_noload_voltage(part)
+        factored.clear()
+        solved.clear()
+        coupling_decomposition(part, nominal, case.injection_targets()[0])
+        assert factored == []
+        assert sum(1 if b.ndim == 1 else b.shape[1] for b in solved) <= 2
 
 
 def test_pipeline_with_oracle_solves_the_noload_profile_once(solved):

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 case parse, case validation or flag failure, 3
-solver failure.  Every error line printed to stderr starts with the
-machine-readable error code, and nothing is printed before it.
+solver failure or failed internal check.  Every stderr error line starts
+with the machine-readable error code, and nothing is printed before it.
 
 Output goes to the current ``sys.stdout``/``sys.stderr`` explicitly:
 click's default-stream lookup caches a wrapper per stream object that
@@ -19,16 +19,17 @@ import numpy as np
 
 from . import __version__
 from .caseio import load_case
-from .errors import CaseValidationError, SolverError
+from .errors import CaseValidationError, InternalCheckError, SolverError
 from .report import (FORMATS, METHODS, emit_compare, emit_check, emit_report,
                      run_check, run_compare, run_pipeline)
 
 
 def _run(case_path: str, command) -> None:
     """Print ``command(case)`` for the case at ``case_path``, or exit 2 for
-    a case or flag problem and 3 for a solver failure, with one coded stderr
-    line per problem.  Floating-point warnings are silenced so that the coded
-    line comes first: every factorization refuses a non-finite matrix."""
+    a case or flag problem and 3 for a solver failure or a failed internal
+    check, with one coded stderr line per problem.  Floating-point warnings
+    are silenced so that the coded line comes first: every factorization
+    refuses a non-finite matrix."""
     try:
         with np.errstate(all="ignore"):
             out = command(load_case(case_path))
@@ -36,7 +37,7 @@ def _run(case_path: str, command) -> None:
         for v in exc.violations:
             click.echo(f"{exc.code}: {v}", file=sys.stderr)
         sys.exit(2)
-    except SolverError as exc:
+    except (SolverError, InternalCheckError) as exc:
         click.echo(f"{exc.code}: {exc}", file=sys.stderr)
         sys.exit(3)
     click.echo(out, file=sys.stdout, nl=False)

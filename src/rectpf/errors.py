@@ -3,7 +3,8 @@
 Every failure mode in the package carries a short code string (for example
 ``SINGULAR_Y`` or ``LOSSY_NETWORK``) so that CLI output and tests can match
 on it without parsing prose.  The CLI maps :class:`CaseValidationError` to
-exit code 2 and :class:`SolverError` to exit code 3.
+exit code 2, and :class:`SolverError` and :class:`InternalCheckError` to
+exit code 3.
 """
 
 from __future__ import annotations

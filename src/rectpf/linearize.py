@@ -218,10 +218,14 @@ def compute_noload_voltage(partition: AdmittancePartition) -> NominalVoltage:
 
     The partition's ``v_noload``: ``Y V0 = I_L - Ybar V_slack`` solved once
     per partition on its shared factor of Y.  Raises ``SINGULAR_Y`` when Y
-    cannot be factored and ``ZERO_NOLOAD_VOLTAGE`` when any entry of the
-    profile is numerically zero (the closed form divides by it).
+    cannot be factored, ``NONFINITE_NOLOAD_VOLTAGE`` when the solve
+    overflows, and ``ZERO_NOLOAD_VOLTAGE`` when any entry of the profile is
+    numerically zero (the closed form divides by it).
     """
     v0 = partition.v_noload
+    if not np.isfinite(v0).all():
+        raise SolverError("no-load voltage is not finite at some bus",
+                          code="NONFINITE_NOLOAD_VOLTAGE")
     if v0.size and np.abs(v0).min() < MIN_NOMINAL_VMAG:
         raise SolverError(
             "no-load voltage vanishes at some bus; the closed form is "
@@ -235,9 +239,9 @@ def solve_noload_closed_form(partition: AdmittancePartition,
     """Closed-form perturbation at the no-load nominal.
 
     At the no-load profile the ``direct`` coefficient vanishes identically
-    and the linear model collapses to ``diag(conj(V0)) Y dv = conj(s)``.
-    That scaled matrix is factored here, not solved through the shared
-    factor of Y, so the reported condition is that of the system solved.
+    and the linear model collapses to ``diag(conj(V0)) Y dv = conj(s)``,
+    which is solved as ``Y dv = conj(s) / conj(V0)`` on the partition's
+    shared factor of Y; the reported condition is that of Y.
     """
     if nominal.origin is not NominalOrigin.NO_LOAD:
         raise ValueError("the closed form is only valid at a no-load nominal")
@@ -246,12 +250,10 @@ def solve_noload_closed_form(partition: AdmittancePartition,
         raise SolverError("nominal voltage vanishes at some bus",
                           code="ZERO_NOLOAD_VOLTAGE")
     s = np.asarray(s, dtype=complex)
-    system = sparse.diags_array(v0.conj()) @ partition.Y_csr
-    lu = Factorization(system, code="SINGULAR_Y",
-                       what="scaled admittance block diag(conj(V0)) Y")
-    return LinearSolution(
-        nominal, lu.solve(s.conj()), SolutionMethod.NOLOAD_CLOSED_FORM,
-        SolveDiagnostics(condition=lu.condition))
+    lu = partition.factor
+    return LinearSolution(nominal, lu.solve(s.conj() / v0.conj()),
+                          SolutionMethod.NOLOAD_CLOSED_FORM,
+                          SolveDiagnostics(condition=lu.condition))
 
 
 def solve_general(partition: AdmittancePartition,

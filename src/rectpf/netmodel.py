@@ -16,8 +16,8 @@ pinned::
 
 where Y is the N x N block over non-slack buses.  Y is stored as a sparse
 CSR matrix with one entry per bus and per branch end, so a radial feeder
-costs O(N) memory and every solver works in O(nnz); the partition keeps no
-dense copy of Y, and the dense lossless and DC formulations build their own.
+costs O(N) memory and every solver works in O(nnz); no solver builds a
+dense copy of Y.
 
 The partition is the per-case context every solver, check and residual
 reads: next to Y it carries the two other parts of a case that loading does
@@ -327,14 +327,11 @@ class AdmittancePartition:
     solver that applies ``Y^(-1)``, so Y is factored at most once per
     partition; ``Y_conj`` and ``v_noload``, the no-load profile, are cached
     the same way, so the profile is solved at most once per partition.  The
-    shunt vector obeys ``Ysh = Y @ 1 + Ybar`` by construction: series terms
+    shunt vector is the CSR row sum ``Ysh = Y @ 1 + Ybar``: series terms
     cancel in the row sum, leaving exactly the lumped shunts (line halves
-    plus the constant-impedance load parts).  It is the one dense reduction
-    left: it is summed over a transient dense copy of Y, because a CSR row
-    sum adds in another order and differs from the dense row sum in the
-    last bit; only the lossless and DC formulations, which are desk-scale,
-    use it.  ``block_pattern``, the sparsity of the stacked 2N real system,
-    is built once and shared by every Jacobian of the partition.
+    plus the constant-impedance load parts).  ``block_pattern``, the
+    sparsity of the stacked 2N real system, is built once and shared by
+    every Jacobian of the partition.
     """
 
     Y_csr: sparse.csr_array
@@ -429,7 +426,7 @@ class AdmittancePartition:
 
     @cached_property
     def Ysh(self) -> np.ndarray:
-        ysh = self.Y_csr.toarray().sum(axis=1) + self.Ybar
+        ysh = self.Y_csr.sum(axis=1) + self.Ybar
         ysh.flags.writeable = False
         return ysh
 

@@ -376,7 +376,9 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
         norms.append(quadratic_residual(partition, sol.dv).norm_s)
         iterations.append(int(result.iterations))
         converged.append(bool(result.converged))
-    ratios = [e / a ** 2 if a else math.nan for a, e in zip(alphas, errors)]
+    # numpy's a ** 2 rounds as Python's, but under/overflows without raising
+    ratios = [float(e / np.float64(a) ** 2) if a else math.nan
+              for a, e in zip(alphas, errors)]
     columns = (alphas, errors, ratios, norms, iterations, converged)
     return CompareReport(method=resolved, rows=Rows(COMPARE_COLUMNS, columns))
 

@@ -72,7 +72,8 @@ def quadratic_residual(partition: AdmittancePartition,
     """Evaluate ``diag(dv) conj(Y) conj(dv)`` with a dual-route cross-check.
 
     The two routes are algebraically identical; a discrepancy above 1e-12
-    (relative to the residual scale) indicates a bug and raises
+    of the largest term they sum, ``max |dv| (|Y| |dv|)``, which on a stiff
+    branch far exceeds the residual, indicates a bug and raises
     :class:`InternalCheckError` rather than returning silently wrong data.
     """
     dv = np.asarray(dv, dtype=complex)
@@ -86,7 +87,8 @@ def quadratic_residual(partition: AdmittancePartition,
     p_hot = dre * a + dim * c
     q_hot = dim * a - dre * c
 
-    scale = 1.0 + float(np.abs(s_hot).max(initial=0.0))
+    mag = np.abs(dv)
+    scale = float((mag * (abs(y) @ mag)).max(initial=0.0))
     gap = np.abs(s_hot - (p_hot + 1j * q_hot)).max(initial=0.0)
     if gap > 1e-12 * scale:
         raise InternalCheckError(

@@ -16,7 +16,9 @@ nor the conditions that make it invertible depend on P, so one
 :class:`LosslessSystem` and one factor serve every load level of a case.
 
 Dropping the current loads and shunts from the same active-power rows and
-reading ``dIm`` as a small angle recovers the classical DC power flow.
+reading ``dIm`` as a small angle recovers the classical DC power flow.  Both
+formulations are built on one sparse matrix, ``-(B - diag(Bsh))``, from the
+partition's CSR data, so a grid of thousands of buses costs O(nnz) memory.
 """
 
 from __future__ import annotations
@@ -42,28 +44,15 @@ LOSSLESS_GMAX = 1e-9
 class LosslessSystem:
     """Data of the active-power rows at the flat nominal of a lossless grid.
 
-    ``im_coeff`` is the matrix on the imaginary perturbation, ``bsh`` the
-    partition's ``Ysh.imag`` and ``conditions`` the dominance conditions on
-    ``im_coeff``.  None of it depends on the active injections, which each
-    solve takes as an argument.  The matrices are dense: lossless grids are
-    studied at desk scale.
+    ``im_coeff`` is the sparse matrix on the imaginary perturbation and
+    ``conditions`` the dominance conditions on it; B, ``Bsh`` and the
+    current loads are read from ``partition``.  None of it depends on the
+    active injections, which each solve takes as an argument.
     """
 
-    B: np.ndarray
-    bsh: np.ndarray
-    im_coeff: np.ndarray
-    i_load: np.ndarray
+    partition: AdmittancePartition
+    im_coeff: sparse.csr_array
     conditions: FlatSolveConditions
-
-    def __post_init__(self):
-        for name in ("B", "bsh", "im_coeff", "i_load"):
-            arr = np.array(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
 
     @cached_property
     def factor(self) -> Factorization:
@@ -108,14 +97,14 @@ def build_lossless_system(partition: AdmittancePartition) -> LosslessSystem:
     failure = lossless_gate(partition)
     if failure is not None:
         raise failure
-    b = partition.Y_csr.imag.toarray()
-    bsh = partition.Ysh.imag
-    i_load = partition.i_load
-    im_coeff = -(b - np.diag(bsh)) - np.diag(i_load.imag)
-    conditions = _flat_conditions(b, bsh, i_load,
-                                  partition.slack_adjacent_ids())
-    return LosslessSystem(B=b, bsh=bsh, im_coeff=im_coeff, i_load=i_load,
-                          conditions=conditions)
+    im_coeff = (_dc_matrix(partition)
+                - sparse.diags_array(partition.i_load.imag))
+    return LosslessSystem(partition, im_coeff, _flat_conditions(partition))
+
+
+def _dc_matrix(partition: AdmittancePartition) -> sparse.csr_array:
+    """The sparse susceptance matrix ``-(B - diag(Bsh))``."""
+    return -(partition.Y_csr.imag - sparse.diags_array(partition.Ysh.imag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,23 +128,22 @@ class FlatSolveConditions:
         return tuple(int(i) + 1 for i in np.flatnonzero(~self.weak))
 
 
-def _flat_conditions(b, bsh, i_load, slack_adjacent) -> FlatSolveConditions:
+def _flat_conditions(partition: AdmittancePartition) -> FlatSolveConditions:
     """Evaluate the dominance conditions for the flat-profile solve.
 
     Per bus the net susceptance tied to its own voltage (diagonal minus
     shunt, i.e. minus the sum of all incident series susceptances) shifted
     by the imaginary current load must weakly dominate the row of couplings
     to the other non-slack buses; strictly so at one slack-adjacent bus.
-    ``slack_adjacent`` is a collection of 1-based bus ids.
     """
-    diag = np.diag(b)
-    lhs = np.abs(diag - bsh - i_load.imag)
-    rhs = np.abs(b).sum(axis=1) - np.abs(diag)
+    b = partition.Y_csr.imag
+    diag = b.diagonal()
+    lhs = np.abs(diag - partition.Ysh.imag - partition.i_load.imag)
+    rhs = abs(b).sum(axis=1) - np.abs(diag)
     tol = 1e-12 * (lhs + rhs)
     weak = lhs >= rhs - tol
     strict = lhs > rhs + tol
-    adjacent = sorted(int(k) for k in slack_adjacent)
-    strict_at = any(strict[k - 1] for k in adjacent)
+    strict_at = any(strict[k - 1] for k in partition.slack_adjacent_ids())
     overall = bool(weak.all() and strict_at)
     return FlatSolveConditions(lhs=lhs, rhs=rhs, weak=weak, strict=strict,
                                strict_at_slack_adjacent=strict_at,
@@ -182,13 +170,14 @@ def solve_lossless_flat(sys: LosslessSystem, p: np.ndarray,
             f"(buses {list(violated) or 'strictness'}); pass the override "
             "to attempt the solve anyway",
             code="FLAT_CONDITIONS_VIOLATED")
-    dv_im = sys.factor.solve(np.asarray(p, dtype=float) + sys.i_load.real)
+    dv_im = sys.factor.solve(np.asarray(p, dtype=float)
+                             + sys.partition.i_load.real)
     diagnostics = SolveDiagnostics(
         condition=sys.factor.condition,
         flags={"flat_profile_conditions": conditions.overall},
         override_used=bool(override_conditions and not conditions.overall),
         violated_buses=violated)
-    return LinearSolution(flat_nominal(sys.n), 1j * dv_im,
+    return LinearSolution(flat_nominal(sys.partition.n), 1j * dv_im,
                           SolutionMethod.LOSSLESS_FLAT, diagnostics)
 
 
@@ -200,8 +189,8 @@ def reactive_error_bound(sys: LosslessSystem, sol: LinearSolution) -> float:
     """
     if sol.method is not SolutionMethod.LOSSLESS_FLAT:
         raise ValueError("bound applies to flat-profile solutions only")
-    dim = sol.dv.imag
-    return max_row_norm(sys.B) * float(np.linalg.norm(dim)) ** 2
+    b = sys.partition.Y_csr.imag
+    return max_row_norm(b) * float(np.linalg.norm(sol.dv.imag)) ** 2
 
 
 def solve_classical_dc(partition: AdmittancePartition,
@@ -217,7 +206,6 @@ def solve_classical_dc(partition: AdmittancePartition,
     is exactly ``(B - diag(Bsh))^(-1) Gsh``.
     """
     p = np.asarray(p, dtype=float)
-    m = -(partition.Y_csr.imag - sparse.diags_array(partition.Ysh.imag))
     rhs = p - partition.Ysh.real if keep_shunt_conductance else p
-    return Factorization(m, code="SINGULAR_B",
+    return Factorization(_dc_matrix(partition), code="SINGULAR_B",
                          what="DC susceptance matrix").solve(rhs)

@@ -37,7 +37,7 @@ def test_c01_flat_solve_zeroes_active_power_error():
         case = casegen.random_lossless_case(rng, pv_fraction=0.3)
         part, sys, sol = _flat_solution(case)
         rep = quadratic_residual(part, sol.dv)
-        p = case.p_vector() + sys.i_load.real
+        p = case.p_vector() + part.i_load.real
         assert rep.norm_p <= 1e-10 * (1 + np.linalg.norm(p))
         assert rep.norm_p == 0.0  # exact: every product keeps Re = 0
         mism = nonlinear_mismatch(part, sol.approx_voltage(), case)

@@ -415,6 +415,18 @@ def test_overflow_warning_never_precedes_the_coded_line(runner, feeder_path):
     assert res.stderr.startswith("SINGULAR_JACOBIAN: ")
 
 
+def test_failed_internal_check_exits_3_with_its_code(runner, feeder_path,
+                                                     monkeypatch):
+    def disagreeing_routes(*args):
+        raise rectpf.InternalCheckError("routes disagree")
+
+    monkeypatch.setattr(rectpf.report, "quadratic_residual",
+                        disagreeing_routes)
+    res = runner.invoke(main, ["solve", feeder_path])
+    assert res.exit_code == 3
+    assert res.stderr == "INTERNAL_CHECK: routes disagree\n"
+
+
 def test_version_from_a_source_checkout():
     # the package need not be installed: the version is the package's own
     src = str(Path(rectpf.__file__).resolve().parents[1])

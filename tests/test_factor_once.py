@@ -57,11 +57,11 @@ def test_pipeline_with_oracle_factors_y_once(factored):
     report = run_pipeline(case, with_oracle=True)
     n = case.n
     orders = [a.shape[0] for a in factored]
-    # Y, the closed form's diag(conj V0) Y, then one Jacobian per iteration
+    # Y, which the closed form solves on, then one Jacobian per iteration
     assert report.method == "noload"
-    assert orders.count(n) == 2
+    assert orders.count(n) == 1
     assert orders.count(2 * n) == report.oracle.iterations >= 1
-    assert len(orders) == 2 + report.oracle.iterations
+    assert len(orders) == 1 + report.oracle.iterations
     y = build_admittance(case).Y_csr
     assert sum(_is_y(a, y) for a in factored) == 1
 
@@ -72,8 +72,8 @@ def test_compare_sweep_factors_y_once(factored):
     assert report.method == "noload"
     y = build_admittance(case).Y_csr
     assert sum(_is_y(a, y) for a in factored) == 1
-    # plus one closed-form system per alpha
-    assert [a.shape[0] for a in factored].count(case.n) == 4
+    # the closed form of every alpha solves on Y's factor
+    assert [a.shape[0] for a in factored].count(case.n) == 1
 
 
 def test_solvers_share_the_partition_factor(factored):

@@ -7,7 +7,9 @@ After an intended output change, re-record the file with::
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and list every changed expectation with the change.
+and list every changed expectation with the change: the recorder prints
+one line for each key whose exit code, stdout or stderr changed against
+the stored file.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def test_output_matches_golden(case_paths, case, argv):
 
 
 def record(path: Path = GOLDEN) -> None:
-    """Run every command on freshly written cases and store the outputs."""
+    """Run every command on freshly written cases, store the outputs and
+    print each key whose outputs differ from the stored ones."""
     import tempfile
 
     import numpy as np
@@ -120,6 +123,12 @@ def record(path: Path = GOLDEN) -> None:
             (Path(tmp) / f"{name}.yaml").write_text(text, encoding="utf-8")
         for case, argv in commands():
             runs[_key(case, argv)] = _run(Path(tmp) / f"{case}.yaml", argv)
+    stored = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    for key, run in runs.items():
+        changed = [part for part, text in run.items()
+                   if stored.get(key, {}).get(part) != text]
+        if changed:
+            print(f"{key}: {', '.join(changed)}")
     path.write_text(json.dumps({"cases": cases, "runs": runs}, indent=1,
                                sort_keys=True) + "\n", encoding="utf-8")
 

@@ -181,6 +181,18 @@ def test_zero_noload_voltage_detected():
     assert exc.value.code == "ZERO_NOLOAD_VOLTAGE"
 
 
+def test_nonfinite_noload_voltage_detected():
+    # the current load divided by a branch admittance below one overflows
+    case = NetworkCase(
+        (Bus(1, BusKind.ZIP, ZipLoad(current=1e308j)),
+         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+        (Branch(1, 2, 0.1 - 0.5j),))
+    part = build_admittance(case)
+    with pytest.raises(SolverError) as exc:
+        compute_noload_voltage(part)
+    assert exc.value.code == "NONFINITE_NOLOAD_VOLTAGE"
+
+
 def test_closed_form_requires_noload_origin():
     case = casegen.ladder_case()
     part = build_admittance(case)

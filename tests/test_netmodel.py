@@ -57,7 +57,7 @@ def test_shunt_identity_on_random_cases():
         part = build_admittance(case)
         ysh = part.Ysh
         np.testing.assert_allclose(
-            ysh, part.Y_csr.toarray().sum(axis=1) + part.Ybar, rtol=0, atol=0)
+            ysh, part.Y_csr.sum(axis=1) + part.Ybar, rtol=0, atol=0)
         # hand-summed shunts: line halves plus bus shunt admittances
         expected = np.zeros(case.n, dtype=complex)
         for br in case.branches:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import casegen
-from rectpf import (build_admittance, complex_injection, flat_nominal,
-                    linear_injection, max_row_norm, nonlinear_mismatch,
-                    quadratic_residual, solve_general, verify_bounds)
+from rectpf import (InternalCheckError, build_admittance, complex_injection,
+                    flat_nominal, linear_injection, max_row_norm,
+                    nonlinear_mismatch, quadratic_residual, solve_general,
+                    verify_bounds)
 from rectpf.linearize import direct_coefficient
 
 
@@ -49,6 +50,20 @@ def test_dual_routes_agree_on_random_data():
         np.testing.assert_allclose(rep.p_hot + 1j * rep.q_hot, rep.s_hot,
                                    rtol=0,
                                    atol=1e-12 * (1 + np.abs(rep.s_hot).max()))
+
+
+def test_corrupted_route_fails_the_cross_check(monkeypatch):
+    # conj(Y)'s first entry off by 1e-6 relative: far above the roundoff of
+    # the summed terms, so the routes must be reported as disagreeing
+    rng = np.random.default_rng(17)
+    part = build_admittance(casegen.fixed_feeder10())
+    dv = rng.normal(0, 0.1, part.n) + 1j * rng.normal(0, 0.1, part.n)
+    quadratic_residual(part, dv)
+    corrupted = part.Y_conj.copy()
+    corrupted.data[0] *= 1 + 1e-6
+    monkeypatch.setitem(part.__dict__, "Y_conj", corrupted)
+    with pytest.raises(InternalCheckError):
+        quadratic_residual(part, dv)
 
 
 def test_complex_injection_ladder_exact():

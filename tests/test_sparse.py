@@ -6,8 +6,9 @@ import numpy as np
 
 import casegen
 from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage, ZipLoad,
-                    build_admittance, check_noload_structure,
-                    compute_noload_voltage, run_pipeline)
+                    build_admittance, build_lossless_system,
+                    check_noload_structure, compute_noload_voltage,
+                    run_pipeline, solve_classical_dc, solve_lossless_flat)
 from rectpf.linearize import direct_coefficient, real_block_matrix
 
 
@@ -78,3 +79,36 @@ def test_large_radial_feeder_is_solved_in_sparse_memory():
     assert jac.shape == (2 * n, 2 * n)
     assert jac.nnz <= 4 * part.Y_csr.nnz
     assert np.isfinite(report.condition)
+
+
+def _lossless_grid(n):
+    """Lossless mesh: chain 1-2-...-n-slack plus a chord from every fifth
+    bus, with line charging and shunt loads but no current loads."""
+    buses = tuple(
+        Bus(k, BusKind.ZIP, ZipLoad(shunt_admittance=0.01j * (k % 3),
+                                    power=complex((k % 7 - 3) / 10, -0.05)))
+        for k in range(1, n + 1)) + (_slack(n + 1),)
+    branches = tuple(Branch(k, k + 1, -1j * (10 + k % 7), 0.02j)
+                     for k in range(1, n + 1))
+    chords = tuple(Branch(k, k + 9, -5j) for k in range(1, n - 9, 5))
+    return NetworkCase(buses, branches + chords)
+
+
+def test_large_lossless_grid_is_solved_in_sparse_memory():
+    n = 2000
+    case = _lossless_grid(n)
+    p = case.p_vector()
+    tracemalloc.start()
+    try:
+        part = build_admittance(case)
+        sys = build_lossless_system(part)
+        sol = solve_lossless_flat(sys, p)
+        theta = solve_classical_dc(part, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys.conditions.overall
+    # one dense n x n float array alone would take 32 MB
+    assert peak < 8e6
+    # with no current loads the flat and DC systems are the same matrix
+    np.testing.assert_allclose(sol.dv.imag, theta, rtol=1e-12, atol=0)

@@ -42,9 +42,11 @@ def test_ladder_system_frozen():
     case = casegen.lossless_ladder_case(p=0.5)
     part = build_admittance(case)
     sys = build_lossless_system(part)
-    np.testing.assert_allclose(sys.B, [[-10.0]], rtol=0, atol=0)
-    np.testing.assert_allclose(sys.bsh, [0.0], rtol=0, atol=0)
-    np.testing.assert_allclose(sys.im_coeff, [[10.0]], rtol=0, atol=0)
+    np.testing.assert_allclose(part.Y_csr.imag.toarray(), [[-10.0]],
+                               rtol=0, atol=0)
+    np.testing.assert_allclose(part.Ysh.imag, [0.0], rtol=0, atol=0)
+    np.testing.assert_allclose(sys.im_coeff.toarray(), [[10.0]],
+                               rtol=0, atol=0)
 
 
 def test_ladder_conditions_and_solution_frozen():
@@ -107,8 +109,8 @@ def test_weak_violation_and_override():
     assert sol.diagnostics.violated_buses == (1,)
     assert not sol.diagnostics.flags["flat_profile_conditions"]
     # the override really solved the stated system
-    rhs = case.p_vector() + sys.i_load.real
-    np.testing.assert_allclose(sys.im_coeff @ sol.dv.imag, rhs,
+    rhs = case.p_vector() + part.i_load.real
+    np.testing.assert_allclose(sys.im_coeff.toarray() @ sol.dv.imag, rhs,
                                rtol=0, atol=1e-14)
 
 

@@ -15,6 +15,7 @@ the stored file.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,6 +30,113 @@ FORMATS = ("table", "csv", "json")
 METHODS = ("auto", "general", "noload", "lossless", "dc", "nocurrent",
            "decoupled")
 ALPHAS = "1,0.5,0.25"
+
+# Cases that fail parsing or validation, each recorded under ``check`` and
+# ``solve --format json``: the coded stderr lines and their order.  Buses
+# are listed out of id order where model checks run, which report in id
+# order; schema checks report in file order.
+INVALID = {
+    "unknown_field": """
+schema_version: "1"
+colour: red
+buses:
+  - {id: 1, kind: zip, p: -0.1, flavour: sour, aroma: 2}
+  - {id: 2, kind: slack, v_setpoint: 1.0, p: 0.5}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0, length: 3}
+""",
+    "wrong_types": """
+schema_version: 2
+base_mva: big
+buses:
+  - {id: 1, kind: zip, p: abc, q: [1], shunt_g: true, i_load_im: null}
+  - {id: one, kind: zip}
+  - {id: 3, kind: pq}
+  - 7
+  - {id: 4, kind: slack, v_setpoint: '1.0', theta_deg: x}
+branches:
+  - {from: 1.5, to: 2, series_g: 1.0}
+  - {from: 1, to: 4, series_g: '1', series_b: -5.0, shunt_b_total: no}
+""",
+    "pv_bad_p": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: pv, p: abc, v_setpoint: 1.0}
+  - {id: 2, kind: slack}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0}
+""",
+    "pv_missing_p": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1}
+  - {id: 2, kind: pv, v_setpoint: 1.02}
+  - {id: 3, kind: pv}
+  - {id: 4, kind: slack}
+branches:
+  - {from: 1, to: 4, series_g: 1.0, series_b: -5.0}
+  - {from: 2, to: 4, series_g: 1.0, series_b: -5.0}
+  - {from: 3, to: 4, series_g: 1.0, series_b: -5.0}
+""",
+    "noncontiguous_ids": """
+schema_version: "1"
+buses:
+  - {id: 5, kind: slack}
+  - {id: 2, kind: zip, p: -0.1}
+  - {id: 2, kind: zip, p: -0.2}
+  - {id: 1, kind: slack, v_setpoint: 0.0}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0}
+  - {from: 2, to: 5, series_g: 1.0, series_b: -5.0}
+""",
+    "misplaced_slack": """
+schema_version: "1"
+buses:
+  - {id: 2, kind: zip, p: -0.1}
+  - {id: 1, kind: slack}
+  - {id: 3, kind: pv, p: 0.2, v_setpoint: 1.0}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0}
+  - {from: 2, to: 3, series_g: 1.0, series_b: -5.0}
+""",
+    "nonfinite_loads": """
+schema_version: "1"
+base_mva: -100
+buses:
+  - {id: 3, kind: pv, p: .inf, v_setpoint: -1.0, shunt_b: .nan}
+  - {id: 1, kind: zip, p: 1e400, q: -.inf, i_load_re: .nan}
+  - {id: 2, kind: zip, shunt_g: -.inf, i_load_im: 1.0e308}
+  - {id: 4, kind: slack, v_setpoint: .nan, theta_deg: .inf}
+branches:
+  - {from: 1, to: 2, series_g: .inf, series_b: -5.0, shunt_b_total: .nan}
+  - {from: 2, to: 3, series_g: 0.0, series_b: 0.0}
+  - {from: 3, to: 4, series_g: 1.0, series_b: -5.0}
+""",
+    "bad_endpoint": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1}
+  - {id: 2, kind: zip, p: -0.1}
+  - {id: 3, kind: slack}
+branches:
+  - {from: 1, to: 9, series_g: 1.0, series_b: -5.0}
+  - {from: 2, to: 2, series_g: 1.0, series_b: -5.0}
+  - {from: 0, to: 0, series_g: 0.0, series_b: 0.0}
+  - {from: 2, to: 3, series_g: 1.0, series_b: -5.0}
+""",
+    "disconnected": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1}
+  - {id: 2, kind: zip, p: -0.1}
+  - {id: 3, kind: zip, p: -0.1}
+  - {id: 4, kind: slack}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0}
+  - {from: 3, to: 4, series_g: 1.0, series_b: -5.0}
+""",
+    "not_yaml": "buses: [unclosed\n",
+}
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -52,11 +160,20 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append(("violated_chain", ["compare", "--alpha-list", ALPHAS,
                                        "--override-conditions",
                                        "--format", fmt]))
+    for case in INVALID:
+        out += [(case, ["check"]), (case, ["solve", "--format", "json"])]
     return out
 
 
 def _run(path: Path, argv: list[str]) -> dict:
-    res = CliRunner().invoke(main, [argv[0], str(path), *argv[1:]])
+    """Run ``argv`` on the case at ``path``, named relative to its folder so
+    that error lines do not depend on where the case was written."""
+    cwd = os.getcwd()
+    os.chdir(path.parent)
+    try:
+        res = CliRunner().invoke(main, [argv[0], path.name, *argv[1:]])
+    finally:
+        os.chdir(cwd)
     if res.exception is not None and not isinstance(res.exception,
                                                     SystemExit):
         raise res.exception
@@ -116,7 +233,7 @@ def record(path: Path = GOLDEN) -> None:
                  newton_ready=True)),
              # meshed lossy grid: the general 2N solve off the flat profile
              "lossy_mesh": dump_case(casegen.random_feeder_case(
-                 np.random.default_rng(1), 5, 7))}
+                 np.random.default_rng(1), 5, 7)), **INVALID}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in cases.items():

@@ -27,11 +27,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import CaseValidationError
-from .netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
-                       SlackVoltage, ZipLoad)
+from .netmodel import (_PV, _SLACK, _ZIP, KINDS, Bus, BusKind, NetworkCase,
+                       _raise_problems)
 
 SCHEMA_VERSION = "1"
 _DEG = math.pi / 180.0
@@ -46,6 +47,7 @@ _BUS_FIELDS = {
 _BUS_ALLOWED = {kind: _BUS_COMMON | fields
                 for kind, fields in _BUS_FIELDS.items()}
 _BRANCH_FIELDS = {"from", "to", "series_g", "series_b", "shunt_b_total"}
+_CODES = {kind.value: KINDS.index(kind) for kind in KINDS}
 
 # libyaml's parser when PyYAML was built with it; it pairs the C parser with
 # the same resolver and safe constructor, so documents load to equal objects.
@@ -179,98 +181,140 @@ def _degrees_exact(rad: float) -> float:
     return deg
 
 
-def _num(entry: dict, key: str, where: str, problems: list[str],
-         default: float = 0.0) -> float:
-    if key not in entry:
-        return default
-    val = entry[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        problems.append(f"{where}: field '{key}' must be a number, "
-                        f"got {val!r}")
-        return default
-    return float(val)
+def _float(value) -> float:
+    """``float(value)``, reading an int beyond the float range as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _check_fields(entry: dict, allowed: set, where: str,
-                  problems: list[str]) -> None:
-    if unknown := set(entry) - allowed:
-        try:
-            unknown = sorted(unknown)
-        except TypeError:           # keys of types that do not compare
-            unknown = sorted(unknown, key=repr)
-        problems.append(f"{where}: unknown field(s) {unknown}")
+def _unknown(entry: dict, allowed: set) -> str:
+    unknown = set(entry) - allowed
+    try:
+        unknown = sorted(unknown)
+    except TypeError:               # keys of types that do not compare
+        unknown = sorted(unknown, key=repr)
+    return f"unknown field(s) {unknown}"
 
 
-def _parse_bus(entry, index: int, problems: list[str]) -> Bus | None:
-    where = f"buses[{index}]"
-    if not isinstance(entry, dict):
-        problems.append(f"{where}: expected a mapping, got {type(entry).__name__}")
-        return None
-    bus_id = entry.get("id")
-    if isinstance(bus_id, bool) or not isinstance(bus_id, int):
-        problems.append(f"{where}: 'id' must be an integer")
-        return None
-    where = f"buses[{index}] (id {bus_id})"
-    kind = entry.get("kind")
-    if not isinstance(kind, str) or kind not in _BUS_FIELDS:
-        problems.append(f"{where}: 'kind' must be one of "
-                        f"{sorted(_BUS_FIELDS)}, got {kind!r}")
-        return None
-    _check_fields(entry, _BUS_ALLOWED[kind], where, problems)
-
-    if kind == "slack":
-        v_mag = _num(entry, "v_setpoint", where, problems, default=1.0)
-        theta = _num(entry, "theta_deg", where, problems) * _DEG
-        return Bus(bus_id, BusKind.SLACK,
-                   slack_voltage=SlackVoltage(v_mag, theta))
-
-    load = ZipLoad(
-        shunt_admittance=complex(_num(entry, "shunt_g", where, problems),
-                                 _num(entry, "shunt_b", where, problems)),
-        current=complex(_num(entry, "i_load_re", where, problems),
-                        _num(entry, "i_load_im", where, problems)),
-        power=complex(_num(entry, "p", where, problems),
-                      _num(entry, "q", where, problems)))
-    if kind == "pv":
-        problems += [f"{where}: pv bus requires '{key}'"
-                     for key in ("v_setpoint", "p") if key not in entry]
-        setpoint = PvSetpoint(p=_num(entry, "p", where, problems),
-                              v_mag=_num(entry, "v_setpoint", where,
-                                         problems, default=1.0))
-        load = ZipLoad(load.shunt_admittance, load.current, 0j)
-        return Bus(bus_id, BusKind.PV, load=load, pv_setpoint=setpoint)
-    return Bus(bus_id, BusKind.ZIP, load=load)
+def _numbers(entries: list, check: int, key: str, default: float, flag,
+             read) -> np.ndarray:
+    """Field ``key`` of ``entries`` as floats, ``default`` where it is absent
+    or no number; ``flag(j, check, text)`` reports that where ``read[j]``."""
+    values = [entry.get(key, default) for entry in entries]
+    if not set(map(type, values)) <= {int, float}:
+        for j, value in enumerate(values):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if read[j]:
+                    flag(j, check, f"field '{key}' must be a number, "
+                                   f"got {value!r}")
+                values[j] = default
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array([_float(value) for value in values])
 
 
-def _parse_branch(entry, index: int, problems: list[str]) -> Branch | None:
-    where = f"branches[{index}]"
-    if not isinstance(entry, dict):
-        problems.append(f"{where}: expected a mapping, got {type(entry).__name__}")
-        return None
-    _check_fields(entry, _BRANCH_FIELDS, where, problems)
-    ok = True
-    for key in ("from", "to"):
-        val = entry.get(key)
-        if isinstance(val, bool) or not isinstance(val, int):
-            problems.append(f"{where}: '{key}' must be an integer bus id")
-            ok = False
-    for key in ("series_g", "series_b"):
-        if key not in entry:
-            problems.append(f"{where}: '{key}' is required")
-            ok = False
-    if not ok:
-        return None
-    return Branch(
-        from_bus=entry["from"], to_bus=entry["to"],
-        series_admittance=complex(_num(entry, "series_g", where, problems),
-                                  _num(entry, "series_b", where, problems)),
-        shunt_admittance_total=complex(
-            0.0, _num(entry, "shunt_b_total", where, problems)))
+def _complex(real, imag) -> np.ndarray:
+    """Both parts kept bit for bit, where ``real + 1j * imag`` can flip a
+    zero's sign and turns ``inf * 0`` into nan."""
+    column = np.empty(len(real), dtype=complex)
+    column.real, column.imag = real, imag
+    return column
+
+
+# The numeric bus fields: check order, name, default and the kinds that
+# read it.  A pv bus reads "q" too, which its unknown-field check rejects;
+# a pv bus's missing fields are checks 10 and 11.
+_BUS_NUMBERS = [(4 + k, key, 0.0, (_ZIP, _PV)) for k, key in enumerate(
+    ("shunt_g", "shunt_b", "i_load_re", "i_load_im", "p", "q"))] + [
+    (12, "v_setpoint", 1.0, (_PV, _SLACK)), (13, "theta_deg", 0.0, (_SLACK,))]
+
+
+def _bus_columns(raw: list, keyed: list) -> tuple[np.ndarray, dict]:
+    """The ids and bus columns of the entries ``raw`` in file order, each
+    schema problem added to ``keyed`` under its entry and check."""
+    def flag(i, check, text):
+        keyed.append((1, i, check, f"buses[{i}]{text}"))
+
+    at = []                         # the entries that have an id and kind
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            flag(i, 0, f": expected a mapping, got {type(entry).__name__}")
+            continue
+        bus_id, kind = entry.get("id"), entry.get("kind")
+        if isinstance(bus_id, bool) or not isinstance(bus_id, int):
+            flag(i, 1, ": 'id' must be an integer")
+        elif not isinstance(kind, str) or kind not in _BUS_FIELDS:
+            flag(i, 2, f" (id {bus_id}): 'kind' must be one of "
+                       f"{sorted(_BUS_FIELDS)}, got {kind!r}")
+        else:
+            if not entry.keys() <= _BUS_ALLOWED[kind]:
+                flag(i, 3, f" (id {bus_id}): "
+                           f"{_unknown(entry, _BUS_ALLOWED[kind])}")
+            at.append(i)
+    entries = [raw[i] for i in at]
+
+    def flag_entry(j, check, text):
+        flag(at[j], check, f" (id {entries[j]['id']}): {text}")
+
+    codes = np.array([_CODES[entry["kind"]] for entry in entries], np.int8)
+    col = {key: _numbers(entries, check, key, default, flag_entry,
+                         np.isin(codes, kinds))
+           for check, key, default, kinds in _BUS_NUMBERS}
+    pv = codes == _PV
+    for j in np.flatnonzero(pv).tolist():
+        for check, key in ((10, "v_setpoint"), (11, "p")):
+            if key not in entries[j]:
+                flag_entry(j, check, f"pv bus requires '{key}'")
+    return [entry["id"] for entry in entries], {
+        "kind": codes, "shunt": _complex(col["shunt_g"], col["shunt_b"]),
+        "current": _complex(col["i_load_re"], col["i_load_im"]),
+        "power": _complex(np.where(pv, 0.0, col["p"]), col["q"]),
+        "p_set": np.where(pv, col["p"], 0.0), "v_set": col["v_setpoint"],
+        "theta": col["theta_deg"] * _DEG}
+
+
+def _branch_columns(raw: list, keyed: list) -> dict:
+    """The branch columns of the entries ``raw``, as ``_bus_columns``."""
+    def flag(i, check, text):
+        keyed.append((2, i, check, f"branches[{i}]: {text}"))
+
+    at = []                         # the entries that have ends and series
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            flag(i, 0, f"expected a mapping, got {type(entry).__name__}")
+            continue
+        if not entry.keys() <= _BRANCH_FIELDS:
+            flag(i, 1, _unknown(entry, _BRANCH_FIELDS))
+        count = len(keyed)
+        for check, key in ((2, "from"), (3, "to")):
+            value = entry.get(key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                flag(i, check, f"'{key}' must be an integer bus id")
+        for check, key in ((4, "series_g"), (5, "series_b")):
+            if key not in entry:
+                flag(i, check, f"'{key}' is required")
+        if len(keyed) == count:
+            at.append(i)
+    entries = [raw[i] for i in at]
+    def flag_entry(j, check, text):
+        flag(at[j], check, text)
+    read = [True] * len(entries)
+    g, b, shunt = (_numbers(entries, check, key, 0.0, flag_entry, read)
+                   for check, key in ((6, "series_g"), (7, "series_b"),
+                                      (8, "shunt_b_total")))
+    return {"from_bus": [entry["from"] for entry in entries],
+            "to_bus": [entry["to"] for entry in entries],
+            "series": _complex(g, b),
+            "line_shunt": _complex(np.zeros_like(shunt), shunt)}
 
 
 def parse_case(text: str, source: str = "<case>") -> NetworkCase:
-    """Parse a case document.  PARSE_ERROR for bad YAML, VALIDATION_ERROR
-    (listing every violation) for schema problems."""
+    """Parse a case document straight into :class:`NetworkCase` columns.
+    PARSE_ERROR for bad YAML; VALIDATION_ERROR lists every schema problem
+    in file order or, if there is none, every model problem."""
     try:
         doc = _load_document(text)
     except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
@@ -287,33 +331,34 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
             [f"{source}: document root must be a mapping"],
             code="PARSE_ERROR")
 
-    problems: list[str] = []
-    _check_fields(doc, _TOP_FIELDS, source, problems)
+    head: list[str] = []
+    if not doc.keys() <= _TOP_FIELDS:
+        head.append(f"{source}: {_unknown(doc, _TOP_FIELDS)}")
     version = doc.get("schema_version")
     if version not in (SCHEMA_VERSION, int(SCHEMA_VERSION)):
-        problems.append(
+        head.append(
             f"{source}: schema_version must be \"{SCHEMA_VERSION}\", "
             f"got {version!r}")
-    base_mva = _num(doc, "base_mva", source, problems, default=100.0)
+    base_mva = doc.get("base_mva", 100.0)
+    if isinstance(base_mva, bool) or not isinstance(base_mva, (int, float)):
+        head.append(f"{source}: field 'base_mva' must be a number, "
+                    f"got {base_mva!r}")
+        base_mva = 100.0
 
     raw_buses = doc.get("buses")
     raw_branches = doc.get("branches")
     if not isinstance(raw_buses, list) or not raw_buses:
-        problems.append(f"{source}: 'buses' must be a non-empty list")
+        head.append(f"{source}: 'buses' must be a non-empty list")
         raw_buses = []
     if not isinstance(raw_branches, list) or not raw_branches:
-        problems.append(f"{source}: 'branches' must be a non-empty list")
+        head.append(f"{source}: 'branches' must be a non-empty list")
         raw_branches = []
 
-    buses = [b for i, e in enumerate(raw_buses)
-             if (b := _parse_bus(e, i, problems)) is not None]
-    branches = [b for i, e in enumerate(raw_branches)
-                if (b := _parse_branch(e, i, problems)) is not None]
-    if problems:
-        raise CaseValidationError(problems)
-    # NetworkCase construction runs the structural checks (ids, slack
-    # placement, connectivity...) and raises with its own violation list.
-    return NetworkCase(tuple(buses), tuple(branches), base_mva)
+    keyed: list[tuple] = []
+    ids, columns = _bus_columns(raw_buses, keyed)
+    columns |= _branch_columns(raw_branches, keyed)
+    _raise_problems(head, keyed)
+    return NetworkCase.from_columns(_float(base_mva), ids, columns)
 
 
 def load_case(path) -> NetworkCase:

@@ -5,6 +5,11 @@ All stored quantities are per-unit on the case's MVA base; angles are
 radians (the case-file layer converts from degrees).  Every type here is
 immutable after construction, so instances are safe to share freely.
 
+A case is stored as columns, one read-only array per quantity with one row
+per bus or per branch, because every solver reads the loads and
+injections as vectors; the :class:`Bus` and :class:`Branch` objects of a
+:class:`NetworkCase` are views of its columns.
+
 Index convention: bus id ``k`` (1-based) occupies position ``k - 1`` in all
 vectors and matrices over the non-slack buses; the slack bus has no position.
 
@@ -63,10 +68,6 @@ class ZipLoad:
     current: complex = 0j
     power: complex = 0j
 
-    def is_zero(self) -> bool:
-        return (self.shunt_admittance == 0 and self.current == 0
-                and self.power == 0)
-
 
 @dataclass(frozen=True)
 class PvSetpoint:
@@ -111,119 +112,179 @@ class Branch:
     shunt_admittance_total: complex = 0j
 
 
-def _finite(x) -> bool:
-    if isinstance(x, complex):
-        return math.isfinite(x.real) and math.isfinite(x.imag)
-    return math.isfinite(x)
+# A bus's ``kind`` column holds the index of its kind in ``KINDS``.
+KINDS = tuple(BusKind)
+_SLACK, _PV, _ZIP = map(KINDS.index, (BusKind.SLACK, BusKind.PV, BusKind.ZIP))
+_BUS_COLUMNS = {"kind": np.int8, "shunt": complex, "current": complex,
+                "power": complex, "p_set": float, "v_set": float,
+                "theta": float}
+_BRANCH_COLUMNS = {"from_bus": None, "to_bus": None, "series": complex,
+                   "line_shunt": complex}
 
 
-def _validate_bus(bus: Bus, problems: list[str]) -> None:
-    where = f"bus {bus.id}"
-    for name, val in (("shunt_admittance", bus.load.shunt_admittance),
-                      ("current", bus.load.current),
-                      ("power", bus.load.power)):
-        if not _finite(val):
-            problems.append(f"{where}: load.{name} is not finite")
-    if bus.kind is BusKind.SLACK:
-        if bus.slack_voltage is None:
-            problems.append(f"{where}: slack bus needs a slack_voltage")
-        else:
-            if not (_finite(bus.slack_voltage.v_mag)
-                    and bus.slack_voltage.v_mag > 0):
-                problems.append(f"{where}: slack v_mag must be positive")
-            if not _finite(bus.slack_voltage.theta):
-                problems.append(f"{where}: slack theta is not finite")
-        if bus.pv_setpoint is not None:
-            problems.append(f"{where}: slack bus cannot carry a pv_setpoint")
-        if not bus.load.is_zero():
-            problems.append(f"{where}: slack bus cannot carry a load")
-    elif bus.kind is BusKind.PV:
-        if bus.slack_voltage is not None:
-            problems.append(f"{where}: only the slack bus has slack_voltage")
-        if bus.pv_setpoint is None:
-            problems.append(f"{where}: pv bus needs a pv_setpoint")
-        else:
-            if not (_finite(bus.pv_setpoint.v_mag)
-                    and bus.pv_setpoint.v_mag > 0):
-                problems.append(f"{where}: pv v_mag must be positive")
-            if not _finite(bus.pv_setpoint.p):
-                problems.append(f"{where}: pv p is not finite")
-        if bus.load.power != 0:
-            # The active injection of a pv bus is its setpoint; a separate
-            # constant-power load term would be ambiguous.
-            problems.append(
-                f"{where}: pv bus cannot carry a constant-power load")
-    else:
-        if bus.slack_voltage is not None:
-            problems.append(f"{where}: only the slack bus has slack_voltage")
-        if bus.pv_setpoint is not None:
-            problems.append(f"{where}: only pv buses have pv_setpoint")
+def _ints(values) -> np.ndarray:
+    """An int64 column, or an object column holding what is no int64."""
+    column = np.array(values)
+    if column.dtype.kind == "i":
+        return column
+    return np.array(values, dtype=object if len(values) else np.int64)
 
 
-@dataclass(frozen=True)
+def _flag(keyed: list, section: int, where, checks) -> None:
+    """Add ``(section, i, check, message)`` for every position ``i`` of
+    each ``(check, mask, text)``; ``where(i)`` names entry ``i``."""
+    for check, mask, text in checks:
+        keyed += [(section, i, check, f"{where(i)}: {text}")
+                  for i in np.flatnonzero(mask).tolist()]
+
+
+def _raise_problems(head: list[str], keyed: list[tuple]) -> None:
+    """Raise the ``head`` messages, then the keyed ones sorted by section,
+    position and check, if there are any."""
+    if head or keyed:
+        raise CaseValidationError(head + [p[3] for p in sorted(
+            keyed, key=lambda p: p[:3])])
+
+
 class NetworkCase:
-    """A validated network: N+1 buses, branches, MVA base.
+    """A validated network: N+1 buses, branches and the MVA base, stored as
+    read-only columns.
 
-    Construction validates the whole case and raises
-    :class:`CaseValidationError` listing every violation.  Buses are stored
-    sorted by id; ids must be contiguous 1..N+1 with the slack bus at N+1.
+    Bus columns have one row per bus, sorted by id, so the slack is last:
+    ``kind`` (an index into :data:`KINDS`); the load's complex ``shunt``,
+    ``current`` and ``power`` (zero at the slack, ``power`` zero at a PV
+    bus); ``p_set``, a PV bus's active setpoint; ``v_set``, the voltage
+    magnitude of a PV or slack bus; ``theta``, the slack angle in radians
+    (zero, one and zero elsewhere).  Branch columns keep the input order:
+    ``from_bus``, ``to_bus``, the complex ``series`` admittance and total
+    ``line_shunt``.  ``buses`` and ``branches`` are views, built on first
+    access.  Construction from objects or, in ``parse_case``, straight
+    from the file validates the case: :class:`CaseValidationError` lists
+    every violation.  Ids must be contiguous 1..N+1, slack at N+1.
     """
 
-    buses: tuple[Bus, ...]
-    branches: tuple[Branch, ...]
-    base_mva: float = 100.0
+    def __init__(self, buses, branches, base_mva: float = 100.0):
+        buses = sorted(buses, key=lambda b: b.id)
+        # A bus fills the setpoint columns of its kind only; the two has_
+        # columns tell the checks which objects it carries.
+        pv = [b.pv_setpoint if b.kind is BusKind.PV else None for b in buses]
+        sv = [b.slack_voltage if b.kind is BusKind.SLACK else None
+              for b in buses]
+        self._fill(base_mva, [b.id for b in buses], {
+            "kind": [KINDS.index(b.kind) for b in buses],
+            "shunt": [b.load.shunt_admittance for b in buses],
+            "current": [b.load.current for b in buses],
+            "power": [b.load.power for b in buses],
+            "p_set": [s.p if s else 0.0 for s in pv],
+            "v_set": [(s or v).v_mag if s or v else 1.0
+                      for s, v in zip(pv, sv)],
+            "theta": [v.theta if v else 0.0 for v in sv],
+            "has_slack_voltage": [b.slack_voltage is not None
+                                  for b in buses],
+            "has_pv_setpoint": [b.pv_setpoint is not None for b in buses],
+            "from_bus": [br.from_bus for br in branches],
+            "to_bus": [br.to_bus for br in branches],
+            "series": [br.series_admittance for br in branches],
+            "line_shunt": [br.shunt_admittance_total for br in branches]})
 
-    def __post_init__(self):
-        buses = tuple(sorted(self.buses, key=lambda b: b.id))
-        object.__setattr__(self, "buses", buses)
-        object.__setattr__(self, "branches", tuple(self.branches))
-        problems: list[str] = []
-        if not (_finite(self.base_mva) and self.base_mva > 0):
-            problems.append("base_mva must be a positive finite number")
-        if len(buses) < 2:
-            problems.append("a case needs at least two buses")
-        ids = [b.id for b in buses]
-        if ids != list(range(1, len(buses) + 1)):
-            problems.append(
-                f"bus ids must be contiguous 1..{len(buses)}, got {ids}")
-        slack_ids = [b.id for b in buses if b.kind is BusKind.SLACK]
+    @classmethod
+    def from_columns(cls, base_mva: float, ids, columns: dict) -> NetworkCase:
+        """The validated case of ``columns``; the bus columns list the buses
+        in the order of ``ids``, and the case sorts them by id."""
+        case = object.__new__(cls)
+        case._fill(base_mva, ids, columns)
+        return case
+
+    def _fill(self, base_mva, ids, columns: dict) -> None:
+        """Store the columns, read-only and sorted by id, and validate them:
+        every check is a mask over the entries plus its message."""
+        ids = _ints(ids)
+        order = np.argsort(ids, kind="stable")
+        cols = {name: np.asarray(columns[name], dtype)[order]
+                for name, dtype in _BUS_COLUMNS.items()}
+        cols |= {name: np.asarray(columns[name], dtype) if dtype
+                 else _ints(columns[name])
+                 for name, dtype in _BRANCH_COLUMNS.items()}
+        for col in cols.values():
+            col.flags.writeable = False
+        self.__dict__.update(cols, base_mva=base_mva)
+        ids = ids[order]
+        slack, pv = self.kind == _SLACK, self.kind == _PV
+        has_v, has_s = (np.asarray(columns[name], bool)[order]
+                        if name in columns else mask
+                        for name, mask in (("has_slack_voltage", slack),
+                                           ("has_pv_setpoint", pv)))
+        m, slack_ids, head, keyed = len(ids), ids[slack].tolist(), [], []
+        if not (math.isfinite(base_mva) and base_mva > 0):
+            head.append("base_mva must be a positive finite number")
+        if m < 2:
+            head.append("a case needs at least two buses")
+        if not np.array_equal(ids, np.arange(1, m + 1)):
+            head.append(f"bus ids must be contiguous 1..{m}, "
+                        f"got {ids.tolist()}")
         if len(slack_ids) != 1:
-            problems.append(
+            head.append(
                 f"exactly one slack bus required, found {len(slack_ids)}")
-        elif buses and slack_ids[0] != buses[-1].id:
-            problems.append(
-                f"slack bus must have the highest id {buses[-1].id}, "
-                f"got {slack_ids[0]}")
-        for bus in buses:
-            _validate_bus(bus, problems)
-        id_set = set(ids)
-        for i, br in enumerate(self.branches):
-            where = f"branch[{i}] ({br.from_bus}-{br.to_bus})"
-            if br.from_bus not in id_set or br.to_bus not in id_set:
-                problems.append(f"{where}: endpoint is not a known bus id")
-            if br.from_bus == br.to_bus:
-                problems.append(f"{where}: endpoints must differ")
-            if not _finite(br.series_admittance):
-                problems.append(f"{where}: series admittance is not finite")
-            elif br.series_admittance == 0:
-                problems.append(f"{where}: series admittance must be nonzero")
-            if not _finite(br.shunt_admittance_total):
-                problems.append(f"{where}: shunt admittance is not finite")
-        if not problems:
-            ends = np.array([(br.from_bus - 1, br.to_bus - 1)
-                             for br in self.branches], dtype=int)
-            ends = ends.reshape(-1, 2)
-            if not _connected(len(buses), ends[:, 0], ends[:, 1]):
-                problems.append("network graph is not connected")
-        if problems:
-            raise CaseValidationError(problems)
+        elif slack_ids[0] != ids[-1]:
+            head.append(f"slack bus must have the highest id {ids[-1]}, "
+                        f"got {slack_ids[0]}")
+        load = (self.shunt != 0) | (self.current != 0) | (self.power != 0)
+        v_bad = ~(np.isfinite(self.v_set) & (self.v_set > 0))
+        _flag(keyed, 1, lambda i: f"bus {ids[i]}", [
+            (0, ~np.isfinite(self.shunt),
+             "load.shunt_admittance is not finite"),
+            (1, ~np.isfinite(self.current), "load.current is not finite"),
+            (2, ~np.isfinite(self.power), "load.power is not finite"),
+            (3, slack & ~has_v, "slack bus needs a slack_voltage"),
+            (3, ~slack & has_v, "only the slack bus has slack_voltage"),
+            (4, pv & ~has_s, "pv bus needs a pv_setpoint"),
+            (4, (self.kind == _ZIP) & has_s, "only pv buses have pv_setpoint"),
+            (5, slack & v_bad, "slack v_mag must be positive"),
+            (6, slack & ~np.isfinite(self.theta), "slack theta is not finite"),
+            (7, slack & has_s, "slack bus cannot carry a pv_setpoint"),
+            (8, slack & load, "slack bus cannot carry a load"),
+            (5, pv & v_bad, "pv v_mag must be positive"),
+            (6, pv & ~np.isfinite(self.p_set), "pv p is not finite"),
+            # A pv bus's active injection is its setpoint; a separate
+            # constant-power load term would be ambiguous.
+            (8, pv & (self.power != 0),
+             "pv bus cannot carry a constant-power load")])
+        f, t, series = self.from_bus, self.to_bus, self.series
+        _flag(keyed, 2, lambda i: f"branch[{i}] ({f[i]}-{t[i]})", [
+            (0, ~(np.isin(f, ids) & np.isin(t, ids)),
+             "endpoint is not a known bus id"),
+            (1, f == t, "endpoints must differ"),
+            (2, ~np.isfinite(series), "series admittance is not finite"),
+            (3, np.isfinite(series) & (series == 0),
+             "series admittance must be nonzero"),
+            (4, ~np.isfinite(self.line_shunt),
+             "shunt admittance is not finite")])
+        if not (head or keyed or _connected(m, f - 1, t - 1)):
+            head.append("network graph is not connected")
+        _raise_problems(head, keyed)
 
-    # -- accessors ---------------------------------------------------------
+    def __eq__(self, other):
+        if not isinstance(other, NetworkCase):
+            return NotImplemented
+        return self.base_mva == other.base_mva and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS))
 
-    @property
-    def n(self) -> int:
-        """Number of non-slack buses."""
-        return len(self.buses) - 1
+    @cached_property
+    def buses(self) -> tuple[Bus, ...]:
+        """The buses as :class:`Bus` objects, sorted by id."""
+        return tuple(
+            Bus(k, KINDS[code], ZipLoad(y, i, s),
+                PvSetpoint(p, v) if code == _PV else None,
+                SlackVoltage(v, th) if code == _SLACK else None)
+            for k, (code, y, i, s, p, v, th) in enumerate(zip(*(
+                getattr(self, name).tolist() for name in _BUS_COLUMNS)), 1))
+
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """The branches as :class:`Branch` objects, in input order."""
+        return tuple(Branch(*row) for row in zip(*(
+            getattr(self, name).tolist() for name in _BRANCH_COLUMNS)))
 
     @property
     def slack(self) -> Bus:
@@ -234,12 +295,17 @@ class NetworkCase:
         return self.buses[:-1]
 
     @property
+    def n(self) -> int:
+        """Number of non-slack buses."""
+        return len(self.kind) - 1
+
+    @property
     def v_slack(self) -> complex:
-        return self.slack.slack_voltage.phasor
+        return self.v_set.item(-1) * cmath.exp(1j * self.theta.item(-1))
 
     @property
     def has_pv(self) -> bool:
-        return any(b.kind is BusKind.PV for b in self.non_slack)
+        return bool((self.kind == _PV).any())
 
     def injection_targets(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-bus complex power targets and a Q-known mask.
@@ -249,16 +315,8 @@ class NetworkCase:
         so the imaginary part of any mismatch against this target is not
         meaningful and callers must mask it.
         """
-        s = np.empty(self.n, dtype=complex)
-        q_known = np.empty(self.n, dtype=bool)
-        for i, b in enumerate(self.non_slack):
-            if b.kind is BusKind.PV:
-                s[i] = complex(b.pv_setpoint.p, 0.0)
-                q_known[i] = False
-            else:
-                s[i] = b.load.power
-                q_known[i] = True
-        return s, q_known
+        pv = self.kind[:-1] == _PV
+        return np.where(pv, self.p_set[:-1], self.power[:-1]), ~pv
 
     def p_vector(self) -> np.ndarray:
         """Active-power injections at non-slack buses, (N,) real."""
@@ -269,17 +327,19 @@ def scale_power_injections(case: NetworkCase, alpha: float) -> NetworkCase:
     """Scale every constant-power injection (and PV setpoint P) by ``alpha``.
 
     Constant-impedance and constant-current load parts are left untouched,
-    so the no-load voltage profile of the scaled case is unchanged.
+    so the no-load voltage profile of the scaled case is unchanged, and the
+    scaled case is validated again.  Power is scaled term by term as
+    Python's ``complex * float`` multiplies, with ``alpha + 0j``: numpy's
+    complex product can fuse the terms and round a zero's sign otherwise.
     """
-    buses = []
-    for b in case.buses:
-        load = ZipLoad(b.load.shunt_admittance, b.load.current,
-                       b.load.power * alpha)
-        setpoint = b.pv_setpoint
-        if setpoint is not None:
-            setpoint = PvSetpoint(setpoint.p * alpha, setpoint.v_mag)
-        buses.append(Bus(b.id, b.kind, load, setpoint, b.slack_voltage))
-    return NetworkCase(tuple(buses), case.branches, case.base_mva)
+    s, power = case.power, np.empty_like(case.power)
+    power.real = s.real * alpha - s.imag * 0.0
+    power.imag = s.real * 0.0 + s.imag * alpha
+    columns = {name: getattr(case, name)
+               for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS)}
+    return NetworkCase.from_columns(
+        case.base_mva, np.arange(1, case.n + 2),
+        columns | {"power": power, "p_set": case.p_set * alpha})
 
 
 def _connected(n_nodes: int, rows, cols) -> bool:
@@ -359,6 +419,14 @@ class AdmittancePartition:
         object.__setattr__(self, "y_slack", complex(self.y_slack))
         object.__setattr__(self, "i_load", i_load)
         object.__setattr__(self, "v_slack", complex(self.v_slack))
+
+    @property
+    def slack(self) -> Bus:
+        return self.buses[-1]
+
+    @property
+    def non_slack(self) -> tuple[Bus, ...]:
+        return self.buses[:-1]
 
     @property
     def n(self) -> int:
@@ -446,13 +514,10 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
     matrix is symmetric exactly.  A sum that overflows raises
     :class:`CaseValidationError`.
     """
-    m = len(case.buses)
-    f, t = np.array([(br.from_bus - 1, br.to_bus - 1)
-                     for br in case.branches], dtype=int).reshape(-1, 2).T
-    ys = np.array([br.series_admittance for br in case.branches],
-                  dtype=complex)
-    half = np.array([br.shunt_admittance_total for br in case.branches],
-                    dtype=complex) / 2.0
+    m = case.n + 1
+    f, t = case.from_bus - 1, case.to_bus - 1
+    ys = case.series
+    half = case.line_shunt / 2.0
     buses = np.arange(m)
     rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), buses])
     cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), buses])
@@ -461,8 +526,7 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         vals = np.concatenate([
             np.stack([ys + half, ys + half, -ys, -ys], axis=1).ravel(),
-            np.array([b.load.shunt_admittance for b in case.buses],
-                     dtype=complex)])
+            case.shunt])
         np.add.at(data, where, vals)
     finite = np.isfinite(data)
     if not finite.all():
@@ -476,8 +540,7 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
     n = m - 1
     return AdmittancePartition(
         full[:n, :n], full[:n, [n]].toarray().ravel(), full[n, n],
-        np.array([b.load.current for b in case.non_slack], dtype=complex),
-        case.v_slack)
+        case.current[:-1], case.v_slack)
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,8 +88,8 @@ def _equations(partition: AdmittancePartition, case: NetworkCase):
     |V|^2 rows at PV buses."""
     s_target, q_known = case.injection_targets()
     pv_pos = np.flatnonzero(~q_known)
-    vset_sq = np.array([case.non_slack[i].pv_setpoint.v_mag ** 2
-                        for i in pv_pos])
+    # Python's float power, which can round x * x differently
+    vset_sq = np.array([v ** 2 for v in case.v_set[pv_pos].tolist()])
 
     def residual(v):
         ds = complex_injection(partition, v) - s_target

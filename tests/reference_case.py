@@ -1,0 +1,239 @@
+"""Reference case reader: one object per bus and branch, validated one by one.
+
+This is the per-entry reader the columnar ``parse_case`` replaced, kept as
+a test oracle: ``_parse_bus`` and ``_parse_branch`` build :class:`Bus` and
+:class:`Branch` objects, and :func:`validate` runs the model checks over
+them in the order ``NetworkCase`` used to.  It differs from that reader in
+two declared ways only: an int beyond the float range reads as +-inf
+instead of raising ``OverflowError``, and a pv bus's bad ``p`` is reported
+once instead of twice.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from rectpf.caseio import (_BRANCH_FIELDS, _BUS_ALLOWED, _BUS_FIELDS, _DEG,
+                           _TOP_FIELDS, SCHEMA_VERSION)
+from rectpf.errors import CaseValidationError
+from rectpf.netmodel import (Branch, Bus, BusKind, PvSetpoint, SlackVoltage,
+                             ZipLoad, _connected)
+
+
+def _num(entry: dict, key: str, where: str, problems: list[str],
+         default: float = 0.0) -> float:
+    if key not in entry:
+        return default
+    val = entry[key]
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        problems.append(f"{where}: field '{key}' must be a number, "
+                        f"got {val!r}")
+        return default
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf if val > 0 else -math.inf
+
+
+def _check_fields(entry: dict, allowed: set, where: str,
+                  problems: list[str]) -> None:
+    if unknown := set(entry) - allowed:
+        try:
+            unknown = sorted(unknown)
+        except TypeError:
+            unknown = sorted(unknown, key=repr)
+        problems.append(f"{where}: unknown field(s) {unknown}")
+
+
+def _parse_bus(entry, index: int, problems: list[str]) -> Bus | None:
+    where = f"buses[{index}]"
+    if not isinstance(entry, dict):
+        problems.append(
+            f"{where}: expected a mapping, got {type(entry).__name__}")
+        return None
+    bus_id = entry.get("id")
+    if isinstance(bus_id, bool) or not isinstance(bus_id, int):
+        problems.append(f"{where}: 'id' must be an integer")
+        return None
+    where = f"buses[{index}] (id {bus_id})"
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in _BUS_FIELDS:
+        problems.append(f"{where}: 'kind' must be one of "
+                        f"{sorted(_BUS_FIELDS)}, got {kind!r}")
+        return None
+    _check_fields(entry, _BUS_ALLOWED[kind], where, problems)
+
+    if kind == "slack":
+        v_mag = _num(entry, "v_setpoint", where, problems, default=1.0)
+        theta = _num(entry, "theta_deg", where, problems) * _DEG
+        return Bus(bus_id, BusKind.SLACK,
+                   slack_voltage=SlackVoltage(v_mag, theta))
+
+    load = ZipLoad(
+        shunt_admittance=complex(_num(entry, "shunt_g", where, problems),
+                                 _num(entry, "shunt_b", where, problems)),
+        current=complex(_num(entry, "i_load_re", where, problems),
+                        _num(entry, "i_load_im", where, problems)),
+        power=complex(_num(entry, "p", where, problems),
+                      _num(entry, "q", where, problems)))
+    if kind == "pv":
+        problems += [f"{where}: pv bus requires '{key}'"
+                     for key in ("v_setpoint", "p") if key not in entry]
+        setpoint = PvSetpoint(p=load.power.real,
+                              v_mag=_num(entry, "v_setpoint", where,
+                                         problems, default=1.0))
+        load = ZipLoad(load.shunt_admittance, load.current, 0j)
+        return Bus(bus_id, BusKind.PV, load=load, pv_setpoint=setpoint)
+    return Bus(bus_id, BusKind.ZIP, load=load)
+
+
+def _parse_branch(entry, index: int, problems: list[str]) -> Branch | None:
+    where = f"branches[{index}]"
+    if not isinstance(entry, dict):
+        problems.append(
+            f"{where}: expected a mapping, got {type(entry).__name__}")
+        return None
+    _check_fields(entry, _BRANCH_FIELDS, where, problems)
+    ok = True
+    for key in ("from", "to"):
+        val = entry.get(key)
+        if isinstance(val, bool) or not isinstance(val, int):
+            problems.append(f"{where}: '{key}' must be an integer bus id")
+            ok = False
+    for key in ("series_g", "series_b"):
+        if key not in entry:
+            problems.append(f"{where}: '{key}' is required")
+            ok = False
+    if not ok:
+        return None
+    return Branch(
+        from_bus=entry["from"], to_bus=entry["to"],
+        series_admittance=complex(_num(entry, "series_g", where, problems),
+                                  _num(entry, "series_b", where, problems)),
+        shunt_admittance_total=complex(
+            0.0, _num(entry, "shunt_b_total", where, problems)))
+
+
+def _finite(x) -> bool:
+    if isinstance(x, complex):
+        return math.isfinite(x.real) and math.isfinite(x.imag)
+    return math.isfinite(x)
+
+
+def _validate_bus(bus: Bus, problems: list[str]) -> None:
+    where = f"bus {bus.id}"
+    for name, val in (("shunt_admittance", bus.load.shunt_admittance),
+                      ("current", bus.load.current),
+                      ("power", bus.load.power)):
+        if not _finite(val):
+            problems.append(f"{where}: load.{name} is not finite")
+    load_zero = (bus.load.shunt_admittance == 0 and bus.load.current == 0
+                 and bus.load.power == 0)
+    if bus.kind is BusKind.SLACK:
+        if bus.slack_voltage is None:
+            problems.append(f"{where}: slack bus needs a slack_voltage")
+        else:
+            if not (_finite(bus.slack_voltage.v_mag)
+                    and bus.slack_voltage.v_mag > 0):
+                problems.append(f"{where}: slack v_mag must be positive")
+            if not _finite(bus.slack_voltage.theta):
+                problems.append(f"{where}: slack theta is not finite")
+        if bus.pv_setpoint is not None:
+            problems.append(f"{where}: slack bus cannot carry a pv_setpoint")
+        if not load_zero:
+            problems.append(f"{where}: slack bus cannot carry a load")
+    elif bus.kind is BusKind.PV:
+        if bus.slack_voltage is not None:
+            problems.append(f"{where}: only the slack bus has slack_voltage")
+        if bus.pv_setpoint is None:
+            problems.append(f"{where}: pv bus needs a pv_setpoint")
+        else:
+            if not (_finite(bus.pv_setpoint.v_mag)
+                    and bus.pv_setpoint.v_mag > 0):
+                problems.append(f"{where}: pv v_mag must be positive")
+            if not _finite(bus.pv_setpoint.p):
+                problems.append(f"{where}: pv p is not finite")
+        if bus.load.power != 0:
+            problems.append(
+                f"{where}: pv bus cannot carry a constant-power load")
+    else:
+        if bus.slack_voltage is not None:
+            problems.append(f"{where}: only the slack bus has slack_voltage")
+        if bus.pv_setpoint is not None:
+            problems.append(f"{where}: only pv buses have pv_setpoint")
+
+
+def validate(buses, branches, base_mva) -> tuple[list[Bus], list[str]]:
+    """The buses sorted by id, and every model problem of the case."""
+    buses = sorted(buses, key=lambda b: b.id)
+    problems: list[str] = []
+    if not (_finite(base_mva) and base_mva > 0):
+        problems.append("base_mva must be a positive finite number")
+    if len(buses) < 2:
+        problems.append("a case needs at least two buses")
+    ids = [b.id for b in buses]
+    if ids != list(range(1, len(buses) + 1)):
+        problems.append(
+            f"bus ids must be contiguous 1..{len(buses)}, got {ids}")
+    slack_ids = [b.id for b in buses if b.kind is BusKind.SLACK]
+    if len(slack_ids) != 1:
+        problems.append(
+            f"exactly one slack bus required, found {len(slack_ids)}")
+    elif buses and slack_ids[0] != buses[-1].id:
+        problems.append(
+            f"slack bus must have the highest id {buses[-1].id}, "
+            f"got {slack_ids[0]}")
+    for bus in buses:
+        _validate_bus(bus, problems)
+    id_set = set(ids)
+    for i, br in enumerate(branches):
+        where = f"branch[{i}] ({br.from_bus}-{br.to_bus})"
+        if br.from_bus not in id_set or br.to_bus not in id_set:
+            problems.append(f"{where}: endpoint is not a known bus id")
+        if br.from_bus == br.to_bus:
+            problems.append(f"{where}: endpoints must differ")
+        if not _finite(br.series_admittance):
+            problems.append(f"{where}: series admittance is not finite")
+        elif br.series_admittance == 0:
+            problems.append(f"{where}: series admittance must be nonzero")
+        if not _finite(br.shunt_admittance_total):
+            problems.append(f"{where}: shunt admittance is not finite")
+    if not problems:
+        ends = np.array([(br.from_bus - 1, br.to_bus - 1)
+                         for br in branches], dtype=int).reshape(-1, 2)
+        if not _connected(len(buses), ends[:, 0], ends[:, 1]):
+            problems.append("network graph is not connected")
+    return buses, problems
+
+
+def reference_parse(doc: dict, source: str = "<case>"):
+    """``(buses sorted by id, branches, base_mva)`` of a loaded case
+    document; raises :class:`CaseValidationError` as the reader did."""
+    problems: list[str] = []
+    _check_fields(doc, _TOP_FIELDS, source, problems)
+    version = doc.get("schema_version")
+    if version not in (SCHEMA_VERSION, int(SCHEMA_VERSION)):
+        problems.append(
+            f"{source}: schema_version must be \"{SCHEMA_VERSION}\", "
+            f"got {version!r}")
+    base_mva = _num(doc, "base_mva", source, problems, default=100.0)
+    raw_buses = doc.get("buses")
+    raw_branches = doc.get("branches")
+    if not isinstance(raw_buses, list) or not raw_buses:
+        problems.append(f"{source}: 'buses' must be a non-empty list")
+        raw_buses = []
+    if not isinstance(raw_branches, list) or not raw_branches:
+        problems.append(f"{source}: 'branches' must be a non-empty list")
+        raw_branches = []
+    buses = [b for i, e in enumerate(raw_buses)
+             if (b := _parse_bus(e, i, problems)) is not None]
+    branches = [b for i, e in enumerate(raw_branches)
+                if (b := _parse_branch(e, i, problems)) is not None]
+    if problems:
+        raise CaseValidationError(problems)
+    buses, problems = validate(buses, branches, base_mva)
+    if problems:
+        raise CaseValidationError(problems)
+    return buses, branches, base_mva

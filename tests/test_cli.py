@@ -255,6 +255,39 @@ branches:
     assert all(l.startswith("VALIDATION_ERROR:") for l in err_lines)
 
 
+def test_bad_pv_setpoint_is_reported_once(runner, tmp_path):
+    path = tmp_path / "pv.yaml"
+    path.write_text(LOSSLESS_LADDER.replace(
+        "{id: 1, kind: zip, p: 0.5}",
+        "{id: 1, kind: pv, p: abc, v_setpoint: 1.0}"), encoding="utf-8")
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        "VALIDATION_ERROR: buses[0] (id 1): field 'p' must be a number, "
+        "got 'abc'"]
+
+
+# Ints that no float or int64 holds, read by the full YAML loader
+@pytest.mark.parametrize("old,new,problem", [
+    ("p: 0.5}", "p: 0.5, q: 1" + "0" * 400 + "}",
+     "bus 1: load.power is not finite"),
+    ("kind: slack}", "kind: slack, v_setpoint: -1" + "0" * 400 + "}",
+     "bus 2: slack v_mag must be positive"),
+    ("{id: 2,", "{id: 2" + "0" * 30 + ",",
+     "bus ids must be contiguous 1..2, got [1, 2" + "0" * 30 + "]\n"
+     "VALIDATION_ERROR: branch[0] (1-2): endpoint is not a known bus id"),
+    ("{from: 1,", "{from: 1" + "0" * 30 + ",",
+     "branch[0] (1" + "0" * 30 + "-2): endpoint is not a known bus id"),
+])
+def test_huge_ints_get_coded_messages(runner, tmp_path, old, new, problem):
+    path = tmp_path / "huge.yaml"
+    path.write_text(LOSSLESS_LADDER.replace(old, new), encoding="utf-8")
+    res = runner.invoke(main, ["solve", str(path)])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code == 2
+    assert res.stderr == f"VALIDATION_ERROR: {problem}\n"
+
+
 def test_missing_file_is_a_usage_error(runner):
     res = runner.invoke(main, ["solve", "/nonexistent/case.yaml"])
     assert res.exit_code == 2

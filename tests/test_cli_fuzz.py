@@ -33,7 +33,8 @@ FIELDS = {
 }
 VALUES = [0, 1, -1, 2.5, 1.0e308, -1.0e308, 5e-324, 1.0e12, -1.0e12,
           float("inf"), float("-inf"), float("nan"), "x", "zip", "slack",
-          "pv", "1", True, False, None, [], [1], {}, {"a": 1}]
+          "pv", "1", True, False, None, [], [1], {}, {"a": 1}, 10 ** 400,
+          -10 ** 400]
 ALPHAS = ["1", "1,0.5,0.25", "0", "-1", "1e308", "nan", "", "a", "2,,3"]
 
 
@@ -93,6 +94,8 @@ def case_file(tmp_path_factory):
 @example(text=NONFINITE_NOLOAD, argv=["solve"])
 @example(text=STIFF_BRANCH, argv=["solve"])
 @example(text=STIFF_BRANCH, argv=["solve", "--oracle"])
+# an int too large for a float, read by the full YAML loader
+@example(text=_with(BASES[0], [("buses", 0, "q", 10 ** 400)]), argv=["solve"])
 # an alpha whose square underflows
 @example(text=_with(BASES[0], []), argv=["compare", "--alpha-list", "5e-247"])
 def test_cli_contract_holds_for_any_case_and_command(case_file, text, argv):

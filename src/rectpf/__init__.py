@@ -12,14 +12,13 @@ from .caseio import dump_case, load_case, parse_case, save_case
 from .distribution import (CouplingTerms, DecoupledEstimate,
                            ImpedanceDecomposition, coupling_decomposition,
                            decoupled_estimate, impedance_decomposition,
-                           solve_distribution, solve_no_current_closed_form)
+                           solve_no_current_closed_form)
 from .errors import (CaseValidationError, InternalCheckError, RectpfError,
                      SolverError)
-from .linearize import (LinearSolution, NominalOrigin, NominalVoltage,
-                        SolutionMethod, SolveDiagnostics,
+from .linearize import (LinearModel, LinearSolution, NominalOrigin,
+                        NominalVoltage, SolutionMethod, SolveDiagnostics,
                         compute_noload_voltage, flat_nominal,
-                        linear_injection, solve_general,
-                        solve_noload_closed_form)
+                        linear_injection, solve_noload_closed_form)
 from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
                        NetworkCase, PvSetpoint, SlackVoltage,
                        StructureDiagnosis, ZipLoad, build_admittance,
@@ -27,37 +26,30 @@ from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
 from .newton import (InitialGuess, NewtonResult, NewtonSettings,
                      jacobian_check, solve_newton)
 from .report import (CompareReport, RunReport, emit_compare, emit_check,
-                     emit_report, run_check, run_compare, run_pipeline)
+                     emit_report, prepare, run_check, run_compare,
+                     run_pipeline)
 from .residuals import (BoundCheck, BoundVerification, ResidualReport,
                         complex_injection, max_row_norm, nonlinear_mismatch,
                         quadratic_residual, verify_bounds)
-from .transmission import (FlatSolveConditions, LosslessSystem,
-                           build_lossless_system, reactive_error_bound,
-                           solve_classical_dc, solve_lossless_flat)
+from .transmission import FlatSolveConditions
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmittancePartition", "BoundCheck", "BoundVerification", "Branch",
-    "Bus", "BusKind", "CaseValidationError", "CompareReport",
-    "CouplingTerms", "DecoupledEstimate", "FlatSolveConditions",
-    "ImpedanceDecomposition", "InitialGuess", "InternalCheckError",
-    "LinearSolution", "LosslessSystem", "NetworkCase", "NewtonResult",
-    "NewtonSettings", "NominalOrigin", "NominalVoltage",
-    "PvSetpoint", "RectpfError",
-    "ResidualReport", "RunReport", "SlackVoltage", "SolutionMethod",
-    "SolveDiagnostics", "SolverError", "StructureDiagnosis", "ZipLoad",
-    "build_admittance", "build_lossless_system", "check_noload_structure",
-    "complex_injection", "compute_noload_voltage",
-    "coupling_decomposition", "decoupled_estimate", "dump_case",
-    "emit_check", "emit_compare", "emit_report", "flat_nominal",
-    "impedance_decomposition", "jacobian_check", "linear_injection",
-    "load_case", "max_row_norm", "nonlinear_mismatch", "parse_case",
-    "quadratic_residual",
-    "reactive_error_bound", "run_check", "run_compare",
-    "run_pipeline", "save_case", "scale_power_injections",
-    "solve_classical_dc", "solve_distribution", "solve_general",
-    "solve_lossless_flat", "solve_newton",
-    "solve_no_current_closed_form", "solve_noload_closed_form",
-    "verify_bounds",
+    "AdmittancePartition", "BoundCheck", "BoundVerification", "Branch", "Bus",
+    "BusKind", "CaseValidationError", "CompareReport", "CouplingTerms",
+    "DecoupledEstimate", "FlatSolveConditions", "ImpedanceDecomposition",
+    "InitialGuess", "InternalCheckError", "LinearModel", "LinearSolution",
+    "NetworkCase", "NewtonResult", "NewtonSettings", "NominalOrigin",
+    "NominalVoltage", "PvSetpoint", "RectpfError", "ResidualReport",
+    "RunReport", "SlackVoltage", "SolutionMethod", "SolveDiagnostics",
+    "SolverError", "StructureDiagnosis", "ZipLoad", "build_admittance",
+    "check_noload_structure", "complex_injection", "compute_noload_voltage",
+    "coupling_decomposition", "decoupled_estimate", "dump_case", "emit_check",
+    "emit_compare", "emit_report", "flat_nominal", "impedance_decomposition",
+    "jacobian_check", "linear_injection", "load_case", "max_row_norm",
+    "nonlinear_mismatch", "parse_case", "prepare", "quadratic_residual",
+    "run_check", "run_compare", "run_pipeline", "save_case",
+    "scale_power_injections", "solve_newton", "solve_no_current_closed_form",
+    "solve_noload_closed_form", "verify_bounds",
 ]

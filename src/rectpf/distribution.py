@@ -18,27 +18,12 @@ import numpy as np
 
 from ._linalg import Factorization
 from .errors import InternalCheckError, SolverError
-from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, NominalOrigin,
-                        NominalVoltage, SolutionMethod, SolveDiagnostics,
-                        compute_noload_voltage, solve_noload_closed_form)
-from .netmodel import AdmittancePartition, NetworkCase
+from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, ModelParts,
+                        NominalOrigin, NominalVoltage, SolutionMethod,
+                        SolveDiagnostics, compute_noload_voltage,
+                        solve_noload_closed_form)
+from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
-
-
-def solve_distribution(partition: AdmittancePartition,
-                       case: NetworkCase) -> LinearSolution:
-    """No-load closed form for an all-ZIP case.
-
-    Rejects cases with PV buses (``NON_ZIP_BUS_PRESENT``): the closed form
-    needs a known complex power at every bus.
-    """
-    if case.has_pv:
-        raise SolverError(
-            "distribution closed form requires every non-slack bus to be a "
-            "ZIP bus", code="NON_ZIP_BUS_PRESENT")
-    nominal = compute_noload_voltage(partition)
-    s, _ = case.injection_targets()
-    return solve_noload_closed_form(partition, nominal, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,45 +135,51 @@ class DecoupledEstimate:
                     self.max_nominal_angle <= FLAT_ANGLE_TOL}
 
 
+def _estimator(partition: AdmittancePartition, nominal: NominalVoltage):
+    """A factor of G, and the estimate at ``nominal`` on it for any ``s``."""
+    vmag, theta = _magnitude_angle(nominal)
+    lu = Factorization(partition.Y_csr.real, code="SINGULAR_G",
+                       what="conductance block G")
+
+    def estimate(s) -> DecoupledEstimate:
+        s = np.asarray(s, dtype=complex)
+        dmag, dang = lu.solve(np.column_stack([s.real / vmag,
+                                               s.imag / vmag])).T
+        return DecoupledEstimate(
+            v_mag=vmag + dmag, theta=theta - dang,
+            susceptance_norm=max_row_norm(partition.Y_csr.imag),
+            max_nominal_angle=float(np.abs(theta).max(initial=0.0)))
+    return lu, estimate
+
+
 def decoupled_estimate(partition: AdmittancePartition,
                        nominal: NominalVoltage,
                        s: np.ndarray) -> DecoupledEstimate:
     """Magnitude from P, angle from Q, through the conductance block only.
 
     Returns ``|V0| + G^(-1) diag(1/|V0|) P`` and
-    ``angle(V0) - G^(-1) diag(1/|V0|) Q``.
+    ``angle(V0) - G^(-1) diag(1/|V0|) Q``, on a factor of G made for this
+    estimate; :func:`prepare_decoupled`'s model makes one for all.
     """
-    vmag, theta = _magnitude_angle(nominal)
-    s = np.asarray(s, dtype=complex)
-    lu = Factorization(partition.Y_csr.real, code="SINGULAR_G",
-                       what="conductance block G")
-    dmag, dang = lu.solve(np.column_stack([s.real / vmag, s.imag / vmag])).T
-    return DecoupledEstimate(
-        v_mag=vmag + dmag, theta=theta - dang,
-        susceptance_norm=max_row_norm(partition.Y_csr.imag),
-        max_nominal_angle=float(np.abs(theta).max(initial=0.0)))
+    return _estimator(partition, nominal)[1](s)
 
 
-def solve_decoupled(partition: AdmittancePartition,
-                    case: NetworkCase) -> LinearSolution:
-    """The decoupled estimate at the no-load nominal, as a perturbation.
-
-    Rejects cases with PV buses (``NON_ZIP_BUS_PRESENT``).  The assumption
-    flags of :class:`DecoupledEstimate` ride along in the diagnostics.
-    """
-    if case.has_pv:
-        raise SolverError(
-            "the decoupled estimate requires every non-slack bus to be a ZIP "
-            "bus", code="NON_ZIP_BUS_PRESENT")
+def prepare_decoupled(partition: AdmittancePartition) -> ModelParts:
+    """The decoupled estimate at the no-load nominal, as a perturbation;
+    the assumption flags of :class:`DecoupledEstimate` ride along in the
+    diagnostics."""
     nominal = compute_noload_voltage(partition)
-    est = decoupled_estimate(partition, nominal, case.injection_targets()[0])
-    return LinearSolution(
-        nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V,
-        SolutionMethod.DECOUPLED, SolveDiagnostics(flags=est.flags))
+    lu, estimate = _estimator(partition, nominal)
+
+    def solve(s):
+        est = estimate(s)
+        return LinearSolution(
+            nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V,
+            SolutionMethod.DECOUPLED, SolveDiagnostics(flags=est.flags))
+    return ModelParts(nominal, lu, solve, None)
 
 
-def solve_no_current_closed_form(partition: AdmittancePartition,
-                                 s: np.ndarray) -> LinearSolution:
+def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
     """Closed form specialized to feeders without constant-current loads.
 
     The no-load profile factors as ``V0 = V_slack * w`` with the open-circuit
@@ -204,25 +195,30 @@ def solve_no_current_closed_form(partition: AdmittancePartition,
         raise SolverError(
             "this special form assumes no constant-current loads",
             code="NONZERO_CURRENT_LOAD")
-    v_slack = partition.v_slack
-    s = np.asarray(s, dtype=complex)
-    lu = partition.factor
+    v_slack, lu = partition.v_slack, partition.factor
     w = lu.solve(-partition.Ybar)
     v0 = v_slack * w
     if np.abs(v0).min(initial=np.inf) < MIN_NOMINAL_VMAG:
         raise SolverError("open-circuit voltage vanishes at some bus",
                           code="ZERO_NOLOAD_VOLTAGE")
-    dv = (v_slack / abs(v_slack) ** 2) * lu.solve(s.conj() / w.conj())
-
     nominal = NominalVoltage(v0, NominalOrigin.NO_LOAD)
-    reference = solve_noload_closed_form(partition, nominal, s)
-    gap = float(np.abs(dv - reference.dv).max(initial=0.0))
-    if gap > 1e-12 * (1.0 + float(np.abs(dv).max(initial=0.0))):
-        raise InternalCheckError(
-            f"no-current special form disagrees with the general closed "
-            f"form by {gap:.3e}")
-    diagnostics = SolveDiagnostics(condition=lu.condition,
-                                   flags={"no_current_special": True})
-    return LinearSolution(nominal, dv, SolutionMethod.NOLOAD_CLOSED_FORM,
-                          diagnostics)
 
+    def solve(s):
+        dv = (v_slack / abs(v_slack) ** 2) * lu.solve(s.conj() / w.conj())
+        reference = solve_noload_closed_form(partition, nominal, s)
+        gap = float(np.abs(dv - reference.dv).max(initial=0.0))
+        if gap > 1e-12 * (1.0 + float(np.abs(dv).max(initial=0.0))):
+            raise InternalCheckError(
+                f"no-current special form disagrees with the general closed "
+                f"form by {gap:.3e}")
+        diagnostics = SolveDiagnostics(condition=lu.condition,
+                                       flags={"no_current_special": True})
+        return LinearSolution(nominal, dv, SolutionMethod.NOLOAD_CLOSED_FORM,
+                              diagnostics)
+    return ModelParts(nominal, lu, solve, None)
+
+
+def solve_no_current_closed_form(partition: AdmittancePartition,
+                                 s: np.ndarray) -> LinearSolution:
+    """The special form of :func:`prepare_no_current` for one ``s``."""
+    return prepare_no_current(partition).solve(np.asarray(s, dtype=complex))

@@ -17,6 +17,8 @@ the one coefficient computed as such; ``offset`` and the products of
 ``cross`` are formed where they are used.  This module solves the stacked
 2N real system in the general case, and provides the closed form available
 at the no-load nominal (where ``direct`` and ``offset`` vanish identically).
+Every method is such a model around a fixed nominal; loading changes only
+``s``, so a :class:`LinearModel` builds the rest once.
 
 The stacked 2N real system is filled on the partition's cached block
 pattern (``AdmittancePartition.block_pattern``): its sparsity depends on Y
@@ -30,15 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from ._linalg import Factorization
 from .errors import SolverError
-from .netmodel import AdmittancePartition, NetworkCase
+from .netmodel import AdmittancePartition
 
 # Nominal-voltage entries below this magnitude make the closed form (which
 # divides by conj(V0)) meaningless.
@@ -85,18 +88,17 @@ def flat_nominal(n: int) -> NominalVoltage:
     return NominalVoltage(np.ones(n, dtype=complex), NominalOrigin.FLAT)
 
 
-def direct_coefficient(partition: AdmittancePartition,
-                       v0: np.ndarray) -> np.ndarray:
+def _direct_coefficient(partition: AdmittancePartition,
+                        v0: np.ndarray) -> np.ndarray:
     """``direct = conj(Y) conj(V0) + conj(Ybar V_slack) - conj(I_L)``."""
     return (partition.Y_conj @ v0.conj()
             + partition.Ybar.conj() * np.conj(partition.v_slack)
             - np.conj(partition.i_load))
 
 
-def real_block_matrix(partition: AdmittancePartition,
-                      v: np.ndarray,
-                      direct: np.ndarray,
-                      pv_pos: np.ndarray = ()) -> sparse.csc_array:
+def _real_block_matrix(partition: AdmittancePartition, v: np.ndarray,
+                       direct: np.ndarray,
+                       pv_pos: np.ndarray = ()) -> sparse.csc_array:
     """Stack ``diag(direct) dv + diag(v) conj(Y) conj(dv)`` into its
     2N x 2N real form, filled on the partition's cached block pattern.
 
@@ -187,30 +189,32 @@ class LinearSolution:
         return self.nominal.V + self.dv
 
 
-def solve_general_2n(partition: AdmittancePartition,
-                     nominal: NominalVoltage,
-                     direct: np.ndarray,
-                     s: np.ndarray) -> LinearSolution:
-    """Solve the full 2N real system at ``nominal`` (with its ``direct``
-    coefficient) for a fully specified injection ``s``.
+class ModelParts(NamedTuple):
+    """What a model builds once; ``reactive_bound`` is the coefficient ``c``
+    of its bound ``c |Im dv|^2`` on the reactive quadratic term, if any."""
 
-    Both active and reactive rows are enforced, so every bus must carry a
-    known complex power target.  Raises ``SINGULAR_SYSTEM`` when the LU
-    pivot ratio collapses; the coefficients at an arbitrary nominal carry no
-    general nonsingularity guarantee, so this is detected, never assumed.
-    """
-    s = np.asarray(s, dtype=complex)
-    v0 = nominal.V
-    offset = -v0 * direct
-    m = real_block_matrix(partition, v0, direct)
-    rhs = np.concatenate([s.real + offset.real, s.imag + offset.imag])
-    lu = Factorization(m, code="SINGULAR_SYSTEM",
-                       what="stacked 2N perturbation system")
-    x = lu.solve(rhs)
-    n = nominal.n
-    dv = x[:n] + 1j * x[n:]
-    return LinearSolution(nominal, dv, SolutionMethod.GENERAL_2N,
-                          SolveDiagnostics(condition=lu.condition))
+    nominal: NominalVoltage
+    factor: Factorization
+    solve: Callable[[np.ndarray], LinearSolution]
+    reactive_bound: float | None
+
+
+@dataclass(frozen=True, eq=False)
+class LinearModel:
+    """One method's linear model around its fixed nominal: ``build`` makes
+    its parts, and runs the checks that refuse a case, on the first solve,
+    and every later solve reuses them.  ``flags`` are the verdicts of the
+    method choice."""
+
+    flags: Mapping[str, bool]
+    build: Callable[[], ModelParts]
+
+    @cached_property
+    def parts(self) -> ModelParts:
+        return self.build()
+
+    def solve(self, s) -> LinearSolution:
+        return self.parts.solve(np.asarray(s, dtype=complex))
 
 
 def compute_noload_voltage(partition: AdmittancePartition) -> NominalVoltage:
@@ -256,24 +260,32 @@ def solve_noload_closed_form(partition: AdmittancePartition,
                           SolveDiagnostics(condition=lu.condition))
 
 
-def solve_general(partition: AdmittancePartition,
-                  case: NetworkCase,
-                  nominal: NominalVoltage | None = None) -> LinearSolution:
-    """Case-level general solve at an arbitrary nominal (flat by default).
+def prepare_general(partition: AdmittancePartition,
+                    nominal: NominalVoltage) -> ModelParts:
+    """The stacked 2N real system at ``nominal``: both power rows at every
+    bus.  Raises ``SINGULAR_SYSTEM`` when the LU pivot ratio collapses; the
+    coefficients at an arbitrary nominal carry no general nonsingularity
+    guarantee, so this is detected, never assumed."""
+    v0, n = nominal.V, nominal.n
+    direct = _direct_coefficient(partition, v0)
+    offset = -v0 * direct
+    lu = Factorization(_real_block_matrix(partition, v0, direct),
+                       code="SINGULAR_SYSTEM",
+                       what="stacked 2N perturbation system")
 
-    The stacked system enforces both power rows at every bus, which leaves
-    no room for a free reactive injection: cases containing PV buses are
-    rejected with ``PV_UNSUPPORTED_IN_GENERAL``.
-    """
-    if case.has_pv:
-        raise SolverError(
-            "the general 2N solve needs a fully specified complex power at "
-            "every bus; PV buses are not supported here",
-            code="PV_UNSUPPORTED_IN_GENERAL")
-    if nominal is None:
-        nominal = flat_nominal(partition.n)
-    if nominal.n != partition.n:
-        raise ValueError("nominal voltage length does not match the network")
-    s, _ = case.injection_targets()
-    direct = direct_coefficient(partition, nominal.V)
-    return solve_general_2n(partition, nominal, direct, s)
+    def solve(s):
+        x = lu.solve(np.concatenate([s.real + offset.real,
+                                     s.imag + offset.imag]))
+        return LinearSolution(nominal, x[:n] + 1j * x[n:],
+                              SolutionMethod.GENERAL_2N,
+                              SolveDiagnostics(condition=lu.condition))
+    return ModelParts(nominal, lu, solve, None)
+
+
+def prepare_noload(partition: AdmittancePartition) -> ModelParts:
+    """The closed form at the no-load nominal, on Y's shared factor; raises
+    as :func:`compute_noload_voltage` does."""
+    nominal = compute_noload_voltage(partition)
+    return ModelParts(
+        nominal, partition.factor,
+        lambda s: solve_noload_closed_form(partition, nominal, s), None)

@@ -421,14 +421,6 @@ class AdmittancePartition:
         object.__setattr__(self, "v_slack", complex(self.v_slack))
 
     @property
-    def slack(self) -> Bus:
-        return self.buses[-1]
-
-    @property
-    def non_slack(self) -> tuple[Bus, ...]:
-        return self.buses[:-1]
-
-    @property
     def n(self) -> int:
         return self.Y_csr.shape[0]
 

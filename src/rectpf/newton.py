@@ -25,8 +25,8 @@ import numpy as np
 
 from ._linalg import Factorization
 from .errors import SolverError
-from .linearize import (compute_noload_voltage, direct_coefficient,
-                        real_block_matrix)
+from .linearize import (_direct_coefficient, _real_block_matrix,
+                        compute_noload_voltage)
 from .netmodel import AdmittancePartition, NetworkCase
 from .residuals import complex_injection
 
@@ -104,8 +104,8 @@ def _equations(partition: AdmittancePartition, case: NetworkCase):
                 float(per_bus.max(initial=0.0)))
 
     def jacobian(v):
-        return real_block_matrix(partition, v,
-                                 direct_coefficient(partition, v), pv_pos)
+        return _real_block_matrix(partition, v,
+                                  _direct_coefficient(partition, v), pv_pos)
 
     return residual, jacobian
 

@@ -1,4 +1,4 @@
-"""End-to-end pipeline: dispatch a case to a method and build reports.
+"""End-to-end pipeline: solve a case with its method's model and report.
 
 Emission is strictly deterministic: identical case plus identical flags
 produce byte-identical output, and all floats are rendered with 12
@@ -21,13 +21,10 @@ from . import distribution as dist
 from . import linearize as lin
 from . import transmission as trans
 from .errors import SolverError
-from .netmodel import (NetworkCase, build_admittance, check_noload_structure,
-                       scale_power_injections)
+from .netmodel import (AdmittancePartition, NetworkCase, build_admittance,
+                       check_noload_structure, scale_power_injections)
 from .newton import NewtonResult, solve_newton
 from .residuals import BoundCheck, nonlinear_mismatch, quadratic_residual
-
-METHODS = ("auto", "general", "noload", "lossless", "dc", "nocurrent",
-           "decoupled")
 
 FORMATS = ("table", "csv", "json")
 
@@ -117,67 +114,82 @@ class RunReport:
     oracle_error: float | None      # and |v_lin - v_newton|
 
 
-def _resolve_method(partition, case, method: str):
-    """The method to run, and its lossless system when that is lossless."""
-    if method == "lossless":
-        return method, trans.build_lossless_system(partition)
-    if method != "auto":
-        return method, None
-    try:
-        return "lossless", trans.build_lossless_system(partition)
-    except SolverError:
-        pass                        # the lossless gate refused the case
-    if not case.has_pv and check_noload_structure(partition).verdict:
-        return "noload", None
-    return "general", None
+# The refusal of a case with PV buses by each method that needs a complex
+# power at every bus.
+_PV_REFUSALS = {
+    "general": ("PV_UNSUPPORTED_IN_GENERAL",
+                "the general 2N solve needs a fully specified complex power "
+                "at every bus; PV buses are not supported here"),
+    "noload": ("NON_ZIP_BUS_PRESENT",
+               "distribution closed form requires every non-slack bus to be "
+               "a ZIP bus"),
+    "nocurrent": ("NON_ZIP_BUS_PRESENT",
+                  "this closed form requires every non-slack bus to be a ZIP "
+                  "bus"),
+    "decoupled": ("NON_ZIP_BUS_PRESENT",
+                  "the decoupled estimate requires every non-slack bus to be "
+                  "a ZIP bus"),
+}
+
+# The model of each method, built from the partition and the override flag.
+_MODELS = {
+    "general": lambda p, _: lin.prepare_general(p, lin.flat_nominal(p.n)),
+    "noload": lambda p, _: lin.prepare_noload(p),
+    "lossless": trans.prepare_lossless,
+    "dc": lambda p, _: trans.prepare_dc(p),
+    "nocurrent": lambda p, _: dist.prepare_no_current(p),
+    "decoupled": lambda p, _: dist.prepare_decoupled(p),
+}
+METHODS = ("auto", *_MODELS)
 
 
-def _dispatch(partition, case, method: str, override_conditions: bool,
-              lossless: trans.LosslessSystem | None) -> lin.LinearSolution:
-    """Solve with ``method``; ``lossless`` is the lossless method's system."""
-    if method == "lossless":
-        return trans.solve_lossless_flat(
-            lossless, case.p_vector(),
-            override_conditions=override_conditions)
-    if method == "general":
-        return lin.solve_general(partition, case)
-    if method == "noload":
-        return dist.solve_distribution(partition, case)
-    if method == "dc":
-        theta = trans.solve_classical_dc(partition, case.p_vector())
-        return lin.LinearSolution(
-            lin.flat_nominal(partition.n), 1j * theta,
-            lin.SolutionMethod.CLASSICAL_DC, lin.SolveDiagnostics())
-    if method == "nocurrent":
-        if case.has_pv:
-            raise SolverError(
-                "this closed form requires every non-slack bus to be a ZIP "
-                "bus", code="NON_ZIP_BUS_PRESENT")
-        return dist.solve_no_current_closed_form(
-            partition, case.injection_targets()[0])
-    if method == "decoupled":
-        return dist.solve_decoupled(partition, case)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+def prepare(partition: AdmittancePartition, case: NetworkCase, method: str,
+            override_conditions: bool) -> tuple[str, lin.LinearModel]:
+    """The method that runs for ``method`` and its model of ``case``.
+
+    ``auto`` picks the lossless model when the lossless gate passes, the
+    no-load closed form for all-ZIP cases whose structural conditions hold,
+    and the general model otherwise.  An explicit ``lossless`` raises the
+    gate's error here, every other refusal the model's first solve.
+    """
+    gate = trans.lossless_gate(partition)
+    flags = {"lossless_gate": gate is None}
+    if method == "auto":
+        if gate is None:
+            method = "lossless"
+        elif case.has_pv or not check_noload_structure(partition).verdict:
+            method = "general"
+        else:
+            method, flags["noload_structure"] = "noload", True
+    elif method == "noload":
+        flags["noload_structure"] = check_noload_structure(partition).verdict
+    elif method == "lossless" and gate is not None:
+        raise gate
+    if method not in _MODELS:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {METHODS}")
+    refusal = _PV_REFUSALS.get(method) if case.has_pv else None
+
+    def build() -> lin.ModelParts:
+        if refusal is not None:
+            raise SolverError(refusal[1], code=refusal[0])
+        return _MODELS[method](partition, override_conditions)
+    return method, lin.LinearModel(flags, build)
 
 
 def run_pipeline(case: NetworkCase, method: str = "auto",
                  with_oracle: bool = False,
                  override_conditions: bool = False) -> RunReport:
-    """Solve a case and assemble the full report.
-
-    ``method='auto'`` picks the lossless flat-profile path when the
-    conductance gate and unity-slack check pass, the no-load closed form
-    for all-ZIP cases whose structural conditions hold, and the general
-    stacked solve otherwise.
-    """
+    """Solve a case with the model :func:`prepare` picks for ``method`` and
+    assemble the full report."""
     partition = build_admittance(case)
-    resolved, lossless = _resolve_method(partition, case, method)
-    sol = _dispatch(partition, case, resolved, override_conditions, lossless)
+    resolved, model = prepare(partition, case, method, override_conditions)
+    s, q_known = case.injection_targets()
+    sol = model.solve(s)
 
     residual = quadratic_residual(partition, sol.dv)
     v_approx = sol.approx_voltage()
     mismatch = nonlinear_mismatch(partition, v_approx, case)
-    _, q_known = case.injection_targets()
     masked = np.where(q_known, mismatch, mismatch.real)
 
     norms = {
@@ -189,18 +201,12 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
         "mismatch_active": float(np.linalg.norm(mismatch.real)),
     }
     bounds = list(residual.bounds)
-    if lossless is not None:
+    coefficient = model.parts.reactive_bound
+    if coefficient is not None:
         bounds.append(BoundCheck(
             "reactive_quadratic", value=residual.norm_q,
-            bound=trans.reactive_error_bound(lossless, sol)))
-    flags = dict(sol.diagnostics.flags)
-    # Only a gated case has a lossless system, and auto gated every case;
-    # auto picks the no-load closed form only where its structure check held.
-    flags["lossless_gate"] = lossless is not None or (
-        method != "auto" and trans.lossless_gate(partition) is None)
-    if resolved == "noload":
-        flags["noload_structure"] = method == "auto" or check_noload_structure(
-            partition).verdict
+            bound=coefficient * float(np.linalg.norm(sol.dv.imag)) ** 2))
+    flags = {**sol.diagnostics.flags, **model.flags}
 
     v_nom, dv = sol.nominal.V, sol.dv
     columns = [list(range(1, partition.n + 1)),
@@ -297,10 +303,8 @@ def run_check(case: NetworkCase) -> CheckReport:
     """Evaluate the structural diagnostics without solving anything."""
     partition = build_admittance(case)
     noload = check_noload_structure(partition)
-    try:
-        flat = trans.build_lossless_system(partition).conditions
-    except SolverError:             # the lossless gate refused the case
-        flat = None
+    flat = (trans.flat_conditions(partition)
+            if trans.lossless_gate(partition) is None else None)
     return CheckReport(noload=noload, flat=flat,
                        slack_unity=trans.slack_is_unity(partition))
 
@@ -358,18 +362,17 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
 
     The ratio ``voltage_error / alpha^2`` staying bounded as alpha shrinks
     is the observable signature that the linear model's error is quadratic
-    in loading.  Every alpha shares one admittance partition, so Y is
-    factored once for the whole sweep, and the method's checks run once; a
-    lossless sweep also shares one system, its conditions and its factor.
+    in loading.  Every alpha shares one partition and one model, so each
+    matrix that loading does not change is factored once, after the first
+    alpha is scaled and validated.
     """
     partition = build_admittance(case)
-    resolved, lossless = _resolve_method(partition, case, method)
+    resolved, model = prepare(partition, case, method, override_conditions)
     alphas = [float(alpha) for alpha in alphas]
     errors, norms, iterations, converged = [], [], [], []
     for alpha in alphas:
         scaled = scale_power_injections(case, alpha)
-        sol = _dispatch(partition, scaled, resolved, override_conditions,
-                        lossless)
+        sol = model.solve(scaled.injection_targets()[0])
         result = solve_newton(partition, scaled)
         errors.append(float(np.linalg.norm(sol.approx_voltage()
                                            - result.voltage)))

@@ -12,8 +12,8 @@ in 2N unknowns; fixing ``dRe = 0`` and solving the square system for
 identically zero, since with zero conductance the term reduces to
 ``-diag(dRe) B dIm + diag(dIm) B dRe``.  The reactive error it does commit
 is bounded a priori by ``max_row_norm(B) |dIm|^2``.  Neither ``im_coeff``
-nor the conditions that make it invertible depend on P, so one
-:class:`LosslessSystem` and one factor serve every load level of a case.
+nor the conditions that make it invertible depend on P, so one prepared
+model and one factor serve every load level of a case.
 
 Dropping the current loads and shunts from the same active-power rows and
 reading ``dIm`` as a small angle recovers the classical DC power flow.  Both
@@ -24,41 +24,19 @@ partition's CSR data, so a grid of thousands of buses costs O(nnz) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from ._linalg import Factorization
 from .errors import SolverError
-from .linearize import (LinearSolution, SolutionMethod, SolveDiagnostics,
-                        flat_nominal)
+from .linearize import (LinearSolution, ModelParts, SolutionMethod,
+                        SolveDiagnostics, flat_nominal)
 from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
 
 # Largest conductance entry (series or shunt) tolerated by the lossless gate.
 LOSSLESS_GMAX = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class LosslessSystem:
-    """Data of the active-power rows at the flat nominal of a lossless grid.
-
-    ``im_coeff`` is the sparse matrix on the imaginary perturbation and
-    ``conditions`` the dominance conditions on it; B, ``Bsh`` and the
-    current loads are read from ``partition``.  None of it depends on the
-    active injections, which each solve takes as an argument.
-    """
-
-    partition: AdmittancePartition
-    im_coeff: sparse.csr_array
-    conditions: FlatSolveConditions
-
-    @cached_property
-    def factor(self) -> Factorization:
-        """LU of ``im_coeff``, built on first use."""
-        return Factorization(self.im_coeff, code="SINGULAR_FLAT_SYSTEM",
-                             what="flat-profile coefficient matrix")
 
 
 def slack_is_unity(partition: AdmittancePartition) -> bool:
@@ -88,23 +66,14 @@ def lossless_gate(partition: AdmittancePartition) -> SolverError | None:
     return None
 
 
-def build_lossless_system(partition: AdmittancePartition) -> LosslessSystem:
-    """Gate a case into the lossless flat-profile formulation and evaluate
-    its dominance conditions.
-
-    Raises the error :func:`lossless_gate` returns, if any.
-    """
-    failure = lossless_gate(partition)
-    if failure is not None:
-        raise failure
-    im_coeff = (_dc_matrix(partition)
-                - sparse.diags_array(partition.i_load.imag))
-    return LosslessSystem(partition, im_coeff, _flat_conditions(partition))
-
-
 def _dc_matrix(partition: AdmittancePartition) -> sparse.csr_array:
     """The sparse susceptance matrix ``-(B - diag(Bsh))``."""
     return -(partition.Y_csr.imag - sparse.diags_array(partition.Ysh.imag))
+
+
+def _im_coeff(partition: AdmittancePartition) -> sparse.csr_array:
+    """``im_coeff = -(B - diag(Bsh)) - diag(Im(I_L))``."""
+    return _dc_matrix(partition) - sparse.diags_array(partition.i_load.imag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +97,7 @@ class FlatSolveConditions:
         return tuple(int(i) + 1 for i in np.flatnonzero(~self.weak))
 
 
-def _flat_conditions(partition: AdmittancePartition) -> FlatSolveConditions:
+def flat_conditions(partition: AdmittancePartition) -> FlatSolveConditions:
     """Evaluate the dominance conditions for the flat-profile solve.
 
     Per bus the net susceptance tied to its own voltage (diagonal minus
@@ -150,19 +119,14 @@ def _flat_conditions(partition: AdmittancePartition) -> FlatSolveConditions:
                                overall=overall)
 
 
-def solve_lossless_flat(sys: LosslessSystem, p: np.ndarray,
-                        *, override_conditions: bool = False
-                        ) -> LinearSolution:
-    """Solve the active-power rows at the flat nominal with ``dRe = 0`` for
-    the active injections ``p``, on the system's cached factor.
-
-    Only the N active rows are enforced; the reactive injections are left
-    to whatever the profile implies.  When the dominance conditions fail
-    the solve refuses unless ``override_conditions`` is set, in which case
-    the violated buses are recorded in the diagnostics and the LU pivot
-    check is the only remaining safeguard (``SINGULAR_FLAT_SYSTEM``).
-    """
-    conditions = sys.conditions
+def prepare_lossless(partition: AdmittancePartition,
+                     override_conditions: bool) -> ModelParts:
+    """The N active rows at the flat nominal with ``dRe = 0``, for a case
+    that passed :func:`lossless_gate`.  Failed dominance conditions refuse
+    the case unless ``override_conditions`` is set; the violated buses are
+    then recorded in the diagnostics, and the LU pivot check is the only
+    remaining safeguard (``SINGULAR_FLAT_SYSTEM``)."""
+    conditions = flat_conditions(partition)
     violated = conditions.violated_buses()
     if not conditions.overall and not override_conditions:
         raise SolverError(
@@ -170,42 +134,28 @@ def solve_lossless_flat(sys: LosslessSystem, p: np.ndarray,
             f"(buses {list(violated) or 'strictness'}); pass the override "
             "to attempt the solve anyway",
             code="FLAT_CONDITIONS_VIOLATED")
-    dv_im = sys.factor.solve(np.asarray(p, dtype=float)
-                             + sys.partition.i_load.real)
+    lu = Factorization(_im_coeff(partition), code="SINGULAR_FLAT_SYSTEM",
+                       what="flat-profile coefficient matrix")
+    nominal, i_re = flat_nominal(partition.n), partition.i_load.real
     diagnostics = SolveDiagnostics(
-        condition=sys.factor.condition,
+        condition=lu.condition,
         flags={"flat_profile_conditions": conditions.overall},
         override_used=bool(override_conditions and not conditions.overall),
         violated_buses=violated)
-    return LinearSolution(flat_nominal(sys.partition.n), 1j * dv_im,
-                          SolutionMethod.LOSSLESS_FLAT, diagnostics)
+    return ModelParts(nominal, lu, lambda s: LinearSolution(
+        nominal, 1j * lu.solve(s.real + i_re), SolutionMethod.LOSSLESS_FLAT,
+        diagnostics), max_row_norm(partition.Y_csr.imag))
 
 
-def reactive_error_bound(sys: LosslessSystem, sol: LinearSolution) -> float:
-    """A-priori bound on the reactive quadratic term of the flat solve.
-
-    With ``dRe = 0`` that term is ``-diag(dIm) B dIm``, so its norm is at
-    most ``max_row_norm(B) |dIm|^2``.
+def prepare_dc(partition: AdmittancePartition) -> ModelParts:
+    """Classical DC power flow ``-(B - diag(Bsh)) theta = P``: the flat
+    active rows without conductances or current loads, with the imaginary
+    perturbation read as a bus angle.  Solving for ``P - Gsh`` keeps the
+    shunt-conductance load, and moves theta by ``(B - diag(Bsh))^(-1) Gsh``.
     """
-    if sol.method is not SolutionMethod.LOSSLESS_FLAT:
-        raise ValueError("bound applies to flat-profile solutions only")
-    b = sys.partition.Y_csr.imag
-    return max_row_norm(b) * float(np.linalg.norm(sol.dv.imag)) ** 2
-
-
-def solve_classical_dc(partition: AdmittancePartition,
-                       p: np.ndarray,
-                       keep_shunt_conductance: bool = False) -> np.ndarray:
-    """Classical DC power flow: ``-(B - diag(Bsh)) theta = P``.
-
-    This drops every conductance and current load from the flat-profile
-    active rows and reads the imaginary perturbation as a bus angle (the
-    small-angle identification happens only here).  With
-    ``keep_shunt_conductance`` the shunt-conductance load stays on the
-    right-hand side (``P - Gsh``); the difference between the two variants
-    is exactly ``(B - diag(Bsh))^(-1) Gsh``.
-    """
-    p = np.asarray(p, dtype=float)
-    rhs = p - partition.Ysh.real if keep_shunt_conductance else p
-    return Factorization(_dc_matrix(partition), code="SINGULAR_B",
-                         what="DC susceptance matrix").solve(rhs)
+    lu = Factorization(_dc_matrix(partition), code="SINGULAR_B",
+                       what="DC susceptance matrix")
+    nominal = flat_nominal(partition.n)
+    return ModelParts(nominal, lu, lambda s: LinearSolution(
+        nominal, 1j * lu.solve(s.real), SolutionMethod.CLASSICAL_DC,
+        SolveDiagnostics()), None)

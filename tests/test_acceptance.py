@@ -9,33 +9,46 @@ import numpy as np
 from click.testing import CliRunner
 
 import casegen
-from rectpf import (NewtonSettings, build_admittance,
-                    build_lossless_system, complex_injection,
+from rectpf import (NewtonSettings, build_admittance, complex_injection,
                     compute_noload_voltage,
                     decoupled_estimate, dump_case, flat_nominal,
                     jacobian_check,
                     linear_injection, nonlinear_mismatch, parse_case,
-                    quadratic_residual, reactive_error_bound, save_case,
-                    scale_power_injections, solve_classical_dc,
-                    solve_distribution, solve_general, solve_lossless_flat,
+                    prepare, quadratic_residual, save_case,
+                    scale_power_injections,
                     solve_newton, solve_no_current_closed_form, verify_bounds)
 from rectpf.cli import main
-from rectpf.linearize import direct_coefficient
+from rectpf.linearize import _direct_coefficient, prepare_general
+from rectpf.transmission import flat_conditions
 from test_residuals import random_row_orthogonal
+
+
+def _solve(part, case, method):
+    return prepare(part, case, method, False)[1].solve(
+        case.injection_targets()[0])
+
+
+def _classical_dc(part, case, p):
+    return prepare(part, case, "dc", False)[1].solve(p).dv.imag
 
 
 def _flat_solution(case):
     part = build_admittance(case)
-    sys = build_lossless_system(part)
-    assert sys.conditions.overall
-    return part, sys, solve_lossless_flat(sys, case.p_vector())
+    model = prepare(part, case, "lossless", False)[1]
+    assert flat_conditions(part).overall
+    return part, model, model.solve(case.injection_targets()[0])
+
+
+def _reactive_bound(model, sol):
+    return model.parts.reactive_bound * float(
+        np.linalg.norm(sol.dv.imag)) ** 2
 
 
 def test_c01_flat_solve_zeroes_active_power_error():
     rng = np.random.default_rng(10001)
     for _ in range(100):
         case = casegen.random_lossless_case(rng, pv_fraction=0.3)
-        part, sys, sol = _flat_solution(case)
+        part, model, sol = _flat_solution(case)
         rep = quadratic_residual(part, sol.dv)
         p = case.p_vector() + part.i_load.real
         assert rep.norm_p <= 1e-10 * (1 + np.linalg.norm(p))
@@ -49,13 +62,13 @@ def test_c02_reactive_error_bound_holds_and_is_tight_on_ladder():
     rng = np.random.default_rng(10002)
     for _ in range(100):
         case = casegen.random_lossless_case(rng, pv_fraction=0.3)
-        part, sys, sol = _flat_solution(case)
+        part, model, sol = _flat_solution(case)
         rep = quadratic_residual(part, sol.dv)
-        assert rep.norm_q <= reactive_error_bound(sys, sol) + 1e-12
+        assert rep.norm_q <= _reactive_bound(model, sol) + 1e-12
 
-    part, sys, sol = _flat_solution(casegen.lossless_ladder_case(p=0.5))
+    part, model, sol = _flat_solution(casegen.lossless_ladder_case(p=0.5))
     rep = quadratic_residual(part, sol.dv)
-    bound = reactive_error_bound(sys, sol)
+    bound = _reactive_bound(model, sol)
     assert abs(rep.norm_q - 0.025) <= 1e-12
     assert abs(bound - 0.025) <= 1e-12
     print("criterion 02: reactive quadratic bound holds, tight on ladder: "
@@ -66,8 +79,8 @@ def test_c03_classical_dc_recovery_and_shunt_conductance_gap():
     rng = np.random.default_rng(10003)
     for _ in range(50):
         case = casegen.random_lossless_case(rng, with_current=False)
-        part, sys, sol = _flat_solution(case)
-        theta = solve_classical_dc(part, case.p_vector())
+        part, model, sol = _flat_solution(case)
+        theta = _classical_dc(part, case, case.p_vector())
         assert np.abs(sol.dv.imag - theta).max() <= 1e-12
 
     for _ in range(20):
@@ -75,8 +88,8 @@ def test_c03_classical_dc_recovery_and_shunt_conductance_gap():
         part = build_admittance(case)
         assert np.abs(part.Ysh.real).max() > 0
         p = np.array([b.load.power.real for b in case.buses[:-1]])
-        drop = solve_classical_dc(part, p)
-        keep = solve_classical_dc(part, p, keep_shunt_conductance=True)
+        drop = _classical_dc(part, case, p)
+        keep = _classical_dc(part, case, p - part.Ysh.real)
         gap = np.linalg.norm(drop - keep)
         ref = np.linalg.norm(np.linalg.solve(
             part.Y_csr.toarray().imag - np.diag(part.Ysh.imag),
@@ -91,10 +104,11 @@ def test_c04_zero_power_cases_are_solved_exactly():
         case = casegen.random_feeder_case(rng, load_scale=0.0)
         part = build_admittance(case)
 
-        closed = solve_distribution(part, case)
+        closed = _solve(part, case, "noload")
         assert np.abs(closed.dv).max() == 0.0
         nominal = compute_noload_voltage(part)
-        general = solve_general(part, case, nominal)
+        general = prepare_general(part, nominal).solve(
+            case.injection_targets()[0])
         assert np.abs(general.dv).max() <= 1e-12
         for sol in (closed, general):
             mism = nonlinear_mismatch(part, sol.approx_voltage(), case)
@@ -126,11 +140,11 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
     for _ in range(60):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        full_identity(case, part, solve_general(part, case))
+        full_identity(case, part, _solve(part, case, "general"))
     for _ in range(50):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        full_identity(case, part, solve_distribution(part, case))
+        full_identity(case, part, _solve(part, case, "noload"))
     for _ in range(40):
         case = casegen.random_feeder_case(rng, with_current=False)
         part = build_admittance(case)
@@ -139,12 +153,12 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
         full_identity(case, part, sol)
     for _ in range(30):
         case = casegen.random_lossless_case(rng, pv_fraction=0.3)
-        part, sys, sol = _flat_solution(case)
+        part, model, sol = _flat_solution(case)
         active_identity(case, part, sol.dv)
     for _ in range(20):
         case = casegen.random_lossless_case(rng, with_current=False)
-        part, sys, _ = _flat_solution(case)
-        theta = solve_classical_dc(part, case.p_vector())
+        part, model, _ = _flat_solution(case)
+        theta = _classical_dc(part, case, case.p_vector())
         active_identity(case, part, 1j * theta)
     # the decoupled estimate does not satisfy the linear rows, so it is
     # checked against its own implied injection (the identity is algebraic
@@ -156,7 +170,7 @@ def test_c05_mismatch_equals_quadratic_term_across_methods():
         nominal = compute_noload_voltage(part)
         est = decoupled_estimate(part, nominal, s)
         dv = est.v_mag * np.exp(1j * est.theta) - nominal.V
-        direct = direct_coefficient(part, nominal.V)
+        direct = _direct_coefficient(part, nominal.V)
         implied = linear_injection(part, nominal, direct, dv)
         mism = complex_injection(part, nominal.V + dv) - implied
         rep = quadratic_residual(part, dv)
@@ -173,7 +187,7 @@ def test_c06_no_current_closed_form_matches_general_closed_form():
         part = build_admittance(case)
         s, _ = case.injection_targets()
         special = solve_no_current_closed_form(part, s)
-        general = solve_distribution(part, case)
+        general = _solve(part, case, "noload")
         assert np.abs(special.nominal.V - general.nominal.V).max() <= 1e-12
         assert np.abs(special.approx_voltage()
                       - general.approx_voltage()).max() <= 1e-12
@@ -189,7 +203,7 @@ def test_c07_linearization_error_is_quadratic_in_loading():
     shot_norms = []
     for alpha in alphas:
         scaled = scale_power_injections(case, alpha)
-        sol = solve_distribution(part, scaled)
+        sol = _solve(part, scaled, "noload")
         newton = solve_newton(part, scaled)
         assert newton.converged
         err = np.linalg.norm(sol.approx_voltage() - newton.voltage)
@@ -230,7 +244,7 @@ def test_c08_row_norm_inequalities_and_residual_dominance():
     for _ in range(30):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        rep = quadratic_residual(part, solve_distribution(part, case).dv)
+        rep = quadratic_residual(part, _solve(part, case, "noload").dv)
         check = rep.bounds[0]
         assert check.satisfied
         assert check.value <= check.bound + 1e-12

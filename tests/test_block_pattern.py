@@ -1,6 +1,6 @@
 """The 2N block builder against the scipy-composed formula, bit for bit.
 
-``real_block_matrix`` fills the partition's cached CSC pattern with
+``_real_block_matrix`` fills the partition's cached CSC pattern with
 vectorized numpy.  The oracle below is the formula it replaced: the block
 matrix composed from scipy.sparse operators, with each PV bus's reactive
 row swapped for its |V|^2 row.  SuperLU receives ``csc_array`` of either,
@@ -18,7 +18,7 @@ from rectpf import (AdmittancePartition, Branch, Bus, BusKind, NetworkCase,
                     PvSetpoint, SlackVoltage, SolverError, ZipLoad,
                     build_admittance, compute_noload_voltage, run_compare,
                     run_pipeline)
-from rectpf.linearize import direct_coefficient, real_block_matrix
+from rectpf.linearize import _direct_coefficient, _real_block_matrix
 
 
 def composed_block_matrix(partition, v, pv_pos=()):
@@ -49,8 +49,8 @@ def composed_block_matrix(partition, v, pv_pos=()):
 
 def filled_block_matrix(partition, v, pv_pos=()):
     v = np.array(v, dtype=complex)
-    return real_block_matrix(
-        partition, v, direct_coefficient(partition, v),
+    return _real_block_matrix(
+        partition, v, _direct_coefficient(partition, v),
         np.asarray(pv_pos, dtype=int))
 
 
@@ -127,7 +127,7 @@ def test_flat_start_drops_zero_direct_coefficients():
     case = NetworkCase(buses, branches)
     part = build_admittance(case)
     v = np.ones(case.n, dtype=complex)
-    direct = direct_coefficient(part, v)
+    direct = _direct_coefficient(part, v)
     np.testing.assert_array_equal(direct, [0.5, 0, 0])
     assert_same_superlu_input(part, v)
     assert_same_superlu_input(part, v, _pv_positions(case))
@@ -159,14 +159,14 @@ def test_pattern_is_read_only_and_shared():
     pat = part.block_pattern
     assert pat is part.block_pattern
     assert all(not arr.flags.writeable for arr in pat)
-    m = real_block_matrix(part, np.ones(part.n), np.ones(part.n))
+    m = _real_block_matrix(part, np.ones(part.n), np.ones(part.n))
     m.data[:] = 0.0    # the returned matrix owns its data
 
 
 def test_rejects_a_voltage_of_the_wrong_length():
     part = build_admittance(casegen.fixed_feeder10())
     with pytest.raises(ValueError):
-        real_block_matrix(part, np.ones(part.n + 1), np.ones(part.n))
+        _real_block_matrix(part, np.ones(part.n + 1), np.ones(part.n))
 
 
 @pytest.fixture()

@@ -426,6 +426,29 @@ def test_compare_rejects_non_finite_alpha(runner, feeder_path, alphas):
         f"got {alphas!r}"]
 
 
+@pytest.mark.parametrize("make_case, method, alphas, code, line", [
+    # G = 0 on the lossless ladder, but the first alpha's scaled loads are
+    # validated before the decoupled model is built
+    (lambda: casegen.lossless_ladder_case(p=5.0), "decoupled", "1e308", 2,
+     "VALIDATION_ERROR: bus 1: load.power is not finite"),
+    (lambda: casegen.lossless_ladder_case(p=5.0), "decoupled", "1,1e308", 3,
+     "SINGULAR_G: conductance block G is numerically singular (pivot ratio "
+     "0.000e+00)"),
+    # the lossless gate refuses a lossy case before any alpha is scaled
+    (lambda: casegen.ladder_case(power=-5 - 5j), "lossless", "1e308", 3,
+     "LOSSY_NETWORK: network has conductance up to 1.000e+00 pu; the "
+     "lossless formulation requires at most 1e-09"),
+], ids=["first-alpha-invalid", "second-alpha-invalid", "lossless-gate"])
+def test_compare_error_precedence(runner, tmp_path, make_case, method,
+                                  alphas, code, line):
+    path = tmp_path / "case.yaml"
+    save_case(make_case(), path)
+    res = runner.invoke(main, ["compare", str(path), "--alpha-list", alphas,
+                               "--method", method])
+    assert res.exit_code == code
+    assert res.stderr.splitlines() == [line]
+
+
 def test_non_utf8_case_file_is_a_parse_error(runner, tmp_path):
     path = tmp_path / "case.yaml"
     head = LOSSLESS_LADDER.encode()

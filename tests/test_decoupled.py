@@ -4,15 +4,15 @@ import numpy as np
 
 import casegen
 from rectpf import (NominalOrigin, NominalVoltage, SolutionMethod,
-                    build_admittance, decoupled_estimate)
-from rectpf.distribution import (FLAT_ANGLE_TOL, ZERO_SUSCEPTANCE_TOL,
-                                 solve_decoupled)
+                    build_admittance, decoupled_estimate, prepare)
+from rectpf.distribution import FLAT_ANGLE_TOL, ZERO_SUSCEPTANCE_TOL
 
 
 def test_decoupled_solution_is_not_a_closed_form():
     case = casegen.fixed_feeder10()
     part = build_admittance(case)
-    sol = solve_decoupled(part, case)
+    sol = prepare(part, case, "decoupled", False)[1].solve(
+        case.injection_targets()[0])
     assert sol.method is SolutionMethod.DECOUPLED
 
 

@@ -10,14 +10,19 @@ from rectpf import (Branch, Bus, BusKind, InternalCheckError, NetworkCase,
                     PvSetpoint, SlackVoltage, SolverError, ZipLoad,
                     build_admittance, coupling_decomposition,
                     decoupled_estimate, impedance_decomposition,
-                    nonlinear_mismatch, quadratic_residual, run_pipeline,
-                    solve_distribution, solve_no_current_closed_form)
+                    nonlinear_mismatch, prepare, quadratic_residual,
+                    run_pipeline, solve_no_current_closed_form)
+
+
+def _noload(part, case):
+    return prepare(part, case, "noload", False)[1].solve(
+        case.injection_targets()[0])
 
 
 def test_ladder_closed_form_frozen():
     case = casegen.ladder_case(power=-0.1 - 0.05j)
     part = build_admittance(case)
-    sol = solve_distribution(part, case)
+    sol = _noload(part, case)
     expected = (-0.35 - 0.45j) / 26
     np.testing.assert_allclose(sol.dv, [expected], rtol=1e-14)
     np.testing.assert_allclose(sol.nominal.V, [1 + 0j], rtol=0, atol=1e-15)
@@ -31,7 +36,7 @@ def test_rejects_pv_bus():
         (Branch(1, 2, 1 - 4j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        solve_distribution(part, case)
+        _noload(part, case)
     assert exc.value.code == "NON_ZIP_BUS_PRESENT"
 
 
@@ -57,7 +62,7 @@ def test_coupling_terms_sum_to_full_perturbation():
     for _ in range(20):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        sol = solve_distribution(part, case)
+        sol = _noload(part, case)
         s, _ = case.injection_targets()
         terms = coupling_decomposition(part, sol.nominal, s)
         assert np.abs(terms.dv - sol.dv).max() <= 1e-11 * (1 + np.abs(sol.dv).max())
@@ -68,7 +73,7 @@ def test_coupling_matches_the_dense_formulas():
     for _ in range(20):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        sol = solve_distribution(part, case)
+        sol = _noload(part, case)
         s, _ = case.injection_targets()
         terms = coupling_decomposition(part, sol.nominal, s)
         dec = impedance_decomposition(part)
@@ -93,7 +98,7 @@ def test_coupling_cross_terms_vanish_for_resistive_flat_network():
          Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 4 + 0j), Branch(2, 3, 5 + 0j)))
     part = build_admittance(case)
-    sol = solve_distribution(part, case)
+    sol = _noload(part, case)
     s, _ = case.injection_targets()
     terms = coupling_decomposition(part, sol.nominal, s)
     np.testing.assert_allclose(terms.re_from_q, 0, atol=1e-15)
@@ -109,7 +114,7 @@ def test_decoupled_estimate_exact_for_resistive_flat_network():
          Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 4 + 0j), Branch(2, 3, 5 + 0j)))
     part = build_admittance(case)
-    sol = solve_distribution(part, case)
+    sol = _noload(part, case)
     s, _ = case.injection_targets()
     est = decoupled_estimate(part, sol.nominal, s)
     assert est.susceptance_norm == 0.0
@@ -139,7 +144,7 @@ def test_decoupled_estimate_degrades_with_reactance():
     def estimate_error(series):
         case = feeder(series)
         part = build_admittance(case)
-        sol = solve_distribution(part, case)
+        sol = _noload(part, case)
         s, _ = case.injection_targets()
         est = decoupled_estimate(part, sol.nominal, s)
         dmag = est.v_mag - (np.abs(sol.nominal.V) + sol.dv.real)
@@ -168,7 +173,7 @@ def test_no_current_special_matches_general_closed_form():
     for _ in range(20):
         case = casegen.random_feeder_case(rng, with_current=False)
         part = build_admittance(case)
-        general = solve_distribution(part, case)
+        general = _noload(part, case)
         s, _ = case.injection_targets()
         special = solve_no_current_closed_form(part, s)
         assert np.abs(special.dv - general.dv).max() <= 1e-12
@@ -207,7 +212,7 @@ def test_error_bound_dominates_residual():
     for _ in range(25):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        sol = solve_distribution(part, case)
+        sol = _noload(part, case)
         rep = quadratic_residual(part, sol.dv)
         bound, = rep.bounds
         assert bound.name == "complex_power_quadratic"
@@ -217,7 +222,7 @@ def test_error_bound_dominates_residual():
 def test_error_bound_tight_for_single_bus():
     case = casegen.ladder_case(power=-0.1 - 0.05j)
     part = build_admittance(case)
-    sol = solve_distribution(part, case)
+    sol = _noload(part, case)
     rep = quadratic_residual(part, sol.dv)
     bound, = rep.bounds
     assert bound.name == "complex_power_quadratic"

@@ -7,9 +7,8 @@ import pytest
 import casegen
 import rectpf._linalg
 from rectpf import (build_admittance, compute_noload_voltage,
-                    coupling_decomposition, impedance_decomposition,
-                    run_compare, run_pipeline, solve_distribution,
-                    solve_no_current_closed_form)
+                    coupling_decomposition, impedance_decomposition, prepare,
+                    run_compare, run_pipeline, solve_no_current_closed_form)
 
 
 @pytest.fixture()
@@ -81,7 +80,7 @@ def test_solvers_share_the_partition_factor(factored):
     part = build_admittance(case)
     s, _ = case.injection_targets()
     compute_noload_voltage(part)
-    solve_distribution(part, case)
+    prepare(part, case, "noload", False)[1].solve(s)
     solve_no_current_closed_form(part, s)
     impedance_decomposition(part)
     assert part.factor is part.factor

@@ -7,10 +7,10 @@ from scipy import sparse
 
 import casegen
 from rectpf import (NominalOrigin, NominalVoltage, SolverError,
-                    build_admittance, build_lossless_system,
-                    compute_noload_voltage)
+                    build_admittance, compute_noload_voltage)
 from rectpf._linalg import PIVOT_RTOL, Factorization
-from rectpf.linearize import direct_coefficient, real_block_matrix
+from rectpf.linearize import _direct_coefficient, _real_block_matrix
+from rectpf.transmission import _im_coeff
 
 
 def gecon_condition(a) -> float:
@@ -37,12 +37,12 @@ def _systems(seed):
     nominal = NominalVoltage(
         rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
         NominalOrigin.USER)
-    direct = direct_coefficient(part, nominal.V)
-    yield "general 2N block", real_block_matrix(part, nominal.V, direct)
+    direct = _direct_coefficient(part, nominal.V)
+    yield "general 2N block", _real_block_matrix(part, nominal.V, direct)
     yield "general cross", sparse.diags_array(nominal.V) @ part.Y_csr.conj()
     grid = casegen.random_lossless_case(rng, n_min=4, n_max=30)
     grid_part = build_admittance(grid)
-    yield "lossless im_coeff", build_lossless_system(grid_part).im_coeff
+    yield "lossless im_coeff", _im_coeff(grid_part)
     yield "lossless Y", grid_part.Y_csr
 
 

@@ -7,10 +7,10 @@ from scipy import sparse
 import casegen
 from rectpf import (NominalOrigin, NominalVoltage, SolutionMethod,
                     SolverError, build_admittance, compute_noload_voltage,
-                    flat_nominal, linear_injection, solve_general,
+                    flat_nominal, linear_injection, prepare,
                     solve_noload_closed_form)
-from rectpf.linearize import (direct_coefficient, real_block_matrix,
-                              solve_general_2n)
+from rectpf.linearize import (_direct_coefficient, _real_block_matrix,
+                              prepare_general)
 from rectpf.netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
                              SlackVoltage, ZipLoad)
 
@@ -19,7 +19,7 @@ def _direct_for(case, nominal=None):
     part = build_admittance(case)
     if nominal is None:
         nominal = flat_nominal(part.n)
-    return part, nominal, direct_coefficient(part, nominal.V)
+    return part, nominal, _direct_coefficient(part, nominal.V)
 
 
 def test_coefficients_vanish_at_flat_lossless_ladder():
@@ -29,8 +29,8 @@ def test_coefficients_vanish_at_flat_lossless_ladder():
     np.testing.assert_allclose(-nominal.V * direct, [0j], rtol=0, atol=0)
     cross = sparse.diags_array(nominal.V) @ part.Y_csr.conj()
     np.testing.assert_allclose(cross.toarray(), [[10j]], rtol=0, atol=0)
-    np.testing.assert_allclose(real_block_matrix(part, nominal.V,
-                                                 direct).toarray(),
+    np.testing.assert_allclose(_real_block_matrix(part, nominal.V,
+                                                  direct).toarray(),
                                [[0, 10], [10, 0]], rtol=0, atol=0)
 
 
@@ -49,8 +49,8 @@ def test_offset_identity_at_random_nominal():
 
 def test_general_2n_lossless_ladder_frozen():
     case = casegen.lossless_ladder_case(p=0.5)
-    part, nominal, direct = _direct_for(case)
-    sol = solve_general_2n(part, nominal, direct, np.array([0.5 + 0j]))
+    part, nominal, _ = _direct_for(case)
+    sol = prepare_general(part, nominal).solve(np.array([0.5 + 0j]))
     np.testing.assert_allclose(sol.dv, [0.05j], rtol=0, atol=1e-15)
     assert sol.method is SolutionMethod.GENERAL_2N
     assert sol.diagnostics.condition is not None
@@ -96,9 +96,8 @@ def test_closed_form_equals_general_2n_at_noload_nominal():
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
         nom = compute_noload_voltage(part)
-        direct = direct_coefficient(part, nom.V)
         s, _ = case.injection_targets()
-        a = solve_general_2n(part, nom, direct, s)
+        a = prepare_general(part, nom).solve(s)
         b = solve_noload_closed_form(part, nom, s)
         assert np.abs(a.dv - b.dv).max() <= 1e-10
 
@@ -110,7 +109,7 @@ def test_homogeneous_rhs_gives_zero_perturbation():
     v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n),
                         NominalOrigin.USER)
     part, _, direct = _direct_for(case, v0)
-    sol = solve_general_2n(part, v0, direct, v0.V * direct)
+    sol = prepare_general(part, v0).solve(v0.V * direct)
     np.testing.assert_allclose(sol.dv, np.zeros(n), rtol=0, atol=0)
 
 
@@ -123,7 +122,7 @@ def test_linear_model_rows_are_satisfied():
                             + 1j * rng.normal(0, 0.05, n), NominalOrigin.USER)
         part, _, direct = _direct_for(case, v0)
         s, _ = case.injection_targets()
-        sol = solve_general_2n(part, v0, direct, s)
+        sol = prepare_general(part, v0).solve(s)
         cross_dv = v0.V * (part.Y_csr.conj() @ sol.dv.conj())
         offset = -v0.V * direct
         resid = (direct * sol.dv + cross_dv - (s + offset))
@@ -141,14 +140,16 @@ def test_solve_general_rejects_pv():
         (Branch(1, 2, 1 - 4j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        solve_general(part, case)
+        prepare(part, case, "general", False)[1].solve(
+            case.injection_targets()[0])
     assert exc.value.code == "PV_UNSUPPORTED_IN_GENERAL"
 
 
 def test_solve_general_defaults_to_flat():
     case = casegen.ladder_case()
     part = build_admittance(case)
-    sol = solve_general(part, case)
+    sol = prepare(part, case, "general", False)[1].solve(
+        case.injection_targets()[0])
     assert sol.nominal.origin is NominalOrigin.FLAT
     # flat == no-load for this network, so the closed form must agree
     nom = compute_noload_voltage(part)
@@ -211,7 +212,7 @@ def test_coefficients_reject_wrong_length():
     case = casegen.ladder_case()
     part = build_admittance(case)
     with pytest.raises(ValueError):
-        solve_general(part, case, flat_nominal(3))
+        prepare_general(part, flat_nominal(3))
 
 
 def test_block_matrix_equals_numeric_jacobian_of_injection():
@@ -224,8 +225,8 @@ def test_block_matrix_equals_numeric_jacobian_of_injection():
     n = case.n
     v0 = NominalVoltage(rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
                         NominalOrigin.USER)
-    direct = direct_coefficient(part, v0.V)
-    block = real_block_matrix(part, v0.V, direct)
+    direct = _direct_coefficient(part, v0.V)
+    block = _real_block_matrix(part, v0.V, direct)
     step = 1e-6
     fd = np.zeros((2 * n, 2 * n))
     for j in range(2 * n):

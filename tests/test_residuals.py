@@ -9,9 +9,9 @@ from hypothesis.extra import numpy as hnp
 import casegen
 from rectpf import (InternalCheckError, build_admittance, complex_injection,
                     flat_nominal, linear_injection, max_row_norm,
-                    nonlinear_mismatch, quadratic_residual, solve_general,
+                    nonlinear_mismatch, prepare, quadratic_residual,
                     verify_bounds)
-from rectpf.linearize import direct_coefficient
+from rectpf.linearize import _direct_coefficient
 
 
 def test_max_row_norm_frozen_values():
@@ -78,7 +78,8 @@ def test_mismatch_equals_quadratic_term_for_full_solve():
     for _ in range(20):
         case = casegen.random_feeder_case(rng)
         part = build_admittance(case)
-        sol = solve_general(part, case)
+        sol = prepare(part, case, "general", False)[1].solve(
+            case.injection_targets()[0])
         mism = nonlinear_mismatch(part, sol.approx_voltage(), case)
         rep = quadratic_residual(part, sol.dv)
         s, _ = case.injection_targets()
@@ -93,7 +94,7 @@ def test_mismatch_identity_holds_for_arbitrary_perturbations():
         part = build_admittance(case)
         n = case.n
         nominal = flat_nominal(n)
-        direct = direct_coefficient(part, nominal.V)
+        direct = _direct_coefficient(part, nominal.V)
         dv = rng.normal(0, 0.2, n) + 1j * rng.normal(0, 0.2, n)
         implied = linear_injection(part, nominal, direct, dv)
         mism = complex_injection(part, nominal.V + dv) - implied

@@ -6,10 +6,10 @@ import numpy as np
 
 import casegen
 from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage, ZipLoad,
-                    build_admittance, build_lossless_system,
-                    check_noload_structure, compute_noload_voltage,
-                    run_pipeline, solve_classical_dc, solve_lossless_flat)
-from rectpf.linearize import direct_coefficient, real_block_matrix
+                    build_admittance, check_noload_structure,
+                    compute_noload_voltage, prepare, run_pipeline)
+from rectpf.linearize import _direct_coefficient, _real_block_matrix
+from rectpf.transmission import flat_conditions
 
 
 def _slack(bid):
@@ -74,8 +74,8 @@ def test_large_radial_feeder_is_solved_in_sparse_memory():
     part = build_admittance(case)
     assert part.Y_csr.nnz == n + 2 * (n - 1)
     nominal = compute_noload_voltage(part)
-    jac = real_block_matrix(part, nominal.V,
-                            direct_coefficient(part, nominal.V))
+    jac = _real_block_matrix(part, nominal.V,
+                             _direct_coefficient(part, nominal.V))
     assert jac.shape == (2 * n, 2 * n)
     assert jac.nnz <= 4 * part.Y_csr.nnz
     assert np.isfinite(report.condition)
@@ -101,13 +101,12 @@ def test_large_lossless_grid_is_solved_in_sparse_memory():
     tracemalloc.start()
     try:
         part = build_admittance(case)
-        sys = build_lossless_system(part)
-        sol = solve_lossless_flat(sys, p)
-        theta = solve_classical_dc(part, p)
+        sol = prepare(part, case, "lossless", False)[1].solve(p)
+        theta = prepare(part, case, "dc", False)[1].solve(p).dv.imag
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sys.conditions.overall
+    assert flat_conditions(part).overall
     # one dense n x n float array alone would take 32 MB
     assert peak < 8e6
     # with no current loads the flat and DC systems are the same matrix

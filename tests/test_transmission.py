@@ -6,24 +6,31 @@ import pytest
 import casegen
 from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage,
                     SolutionMethod, SolverError, ZipLoad, build_admittance,
-                    build_lossless_system, nonlinear_mismatch,
-                    quadratic_residual,
-                    reactive_error_bound, solve_classical_dc,
-                    solve_lossless_flat)
+                    nonlinear_mismatch, prepare, quadratic_residual)
+from rectpf.transmission import _im_coeff, flat_conditions
 
 
-def _lossless_pipeline(case, **kw):
+def _lossless_pipeline(case):
     part = build_admittance(case)
-    sys = build_lossless_system(part)
-    return (part, sys, sys.conditions,
-            solve_lossless_flat(sys, case.p_vector(), **kw))
+    model = prepare(part, case, "lossless", False)[1]
+    return (part, model, flat_conditions(part),
+            model.solve(case.injection_targets()[0]))
+
+
+def _reactive_bound(model, sol):
+    return model.parts.reactive_bound * float(
+        np.linalg.norm(sol.dv.imag)) ** 2
+
+
+def _dc(part, case, p):
+    return prepare(part, case, "dc", False)[1].solve(p).dv.imag
 
 
 def test_lossy_network_rejected():
     case = casegen.ladder_case()   # series 1-5j has conductance
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        build_lossless_system(part)
+        prepare(part, case, "lossless", False)
     assert exc.value.code == "LOSSY_NETWORK"
 
 
@@ -34,24 +41,23 @@ def test_non_unity_slack_rejected():
         (Branch(1, 2, -10j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        build_lossless_system(part)
+        prepare(part, case, "lossless", False)
     assert exc.value.code == "SLACK_NOT_UNITY"
 
 
 def test_ladder_system_frozen():
     case = casegen.lossless_ladder_case(p=0.5)
     part = build_admittance(case)
-    sys = build_lossless_system(part)
     np.testing.assert_allclose(part.Y_csr.imag.toarray(), [[-10.0]],
                                rtol=0, atol=0)
     np.testing.assert_allclose(part.Ysh.imag, [0.0], rtol=0, atol=0)
-    np.testing.assert_allclose(sys.im_coeff.toarray(), [[10.0]],
+    np.testing.assert_allclose(_im_coeff(part).toarray(), [[10.0]],
                                rtol=0, atol=0)
 
 
 def test_ladder_conditions_and_solution_frozen():
     case = casegen.lossless_ladder_case(p=0.5)
-    part, sys, conds, sol = _lossless_pipeline(case)
+    part, model, conds, sol = _lossless_pipeline(case)
     np.testing.assert_allclose(conds.lhs, [10.0], rtol=0, atol=0)
     np.testing.assert_allclose(conds.rhs, [0.0], rtol=0, atol=0)
     assert conds.overall
@@ -61,7 +67,7 @@ def test_ladder_conditions_and_solution_frozen():
     rep = quadratic_residual(part, sol.dv)
     np.testing.assert_allclose(rep.p_hot, [0.0], rtol=0, atol=0)
     np.testing.assert_allclose(rep.q_hot, [0.025], rtol=0, atol=1e-17)
-    bound = reactive_error_bound(sys, sol)
+    bound = _reactive_bound(model, sol)
     assert bound == pytest.approx(0.025, abs=1e-15)
     assert rep.norm_q <= bound + 1e-12
 
@@ -74,8 +80,7 @@ def test_single_bus_current_cancellation_fails_strictness():
          Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, -10j),))
     part = build_admittance(case)
-    sys = build_lossless_system(part)
-    conds = sys.conditions
+    conds = flat_conditions(part)
     np.testing.assert_allclose(conds.lhs, [0.0], rtol=0, atol=0)
     np.testing.assert_allclose(conds.rhs, [0.0], rtol=0, atol=0)
     assert conds.weak.all()
@@ -83,7 +88,7 @@ def test_single_bus_current_cancellation_fails_strictness():
     assert not conds.overall
     assert conds.violated_buses() == ()
     with pytest.raises(SolverError) as exc:
-        solve_lossless_flat(sys, case.p_vector())
+        _lossless_pipeline(case)
     assert exc.value.code == "FLAT_CONDITIONS_VIOLATED"
 
 
@@ -96,21 +101,21 @@ def test_weak_violation_and_override():
          Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, -1j), Branch(2, 3, -2j)))
     part = build_admittance(case)
-    sys = build_lossless_system(part)
-    conds = sys.conditions
+    conds = flat_conditions(part)
     assert not conds.weak[0]
     assert conds.violated_buses() == (1,)
     assert not conds.overall
     with pytest.raises(SolverError) as exc:
-        solve_lossless_flat(sys, case.p_vector())
+        _lossless_pipeline(case)
     assert exc.value.code == "FLAT_CONDITIONS_VIOLATED"
-    sol = solve_lossless_flat(sys, case.p_vector(), override_conditions=True)
+    sol = prepare(part, case, "lossless", True)[1].solve(
+        case.injection_targets()[0])
     assert sol.diagnostics.override_used
     assert sol.diagnostics.violated_buses == (1,)
     assert not sol.diagnostics.flags["flat_profile_conditions"]
     # the override really solved the stated system
     rhs = case.p_vector() + part.i_load.real
-    np.testing.assert_allclose(sys.im_coeff.toarray() @ sol.dv.imag, rhs,
+    np.testing.assert_allclose(_im_coeff(part).toarray() @ sol.dv.imag, rhs,
                                rtol=0, atol=1e-14)
 
 
@@ -118,28 +123,29 @@ def test_random_cases_active_residual_vanishes():
     rng = np.random.default_rng(37)
     for _ in range(30):
         case = casegen.random_lossless_case(rng, pv_fraction=0.4)
-        part, sys, conds, sol = _lossless_pipeline(case)
+        part, model, conds, sol = _lossless_pipeline(case)
         assert conds.overall
         rep = quadratic_residual(part, sol.dv)
         # with G = 0 and dRe = 0 the active quadratic term is identically 0
         assert rep.norm_p == 0.0
         mism = nonlinear_mismatch(part, sol.approx_voltage(), case)
         assert np.abs(mism.real).max() <= 1e-9
-        assert rep.norm_q <= reactive_error_bound(sys, sol) + 1e-12
+        assert rep.norm_q <= _reactive_bound(model, sol) + 1e-12
 
 
 def test_dc_equals_flat_imaginary_part_without_currents_or_shunt_g():
     rng = np.random.default_rng(43)
     for _ in range(20):
         case = casegen.random_lossless_case(rng, with_current=False)
-        part, sys, conds, sol = _lossless_pipeline(case)
-        theta = solve_classical_dc(part, case.p_vector())
+        part, model, conds, sol = _lossless_pipeline(case)
+        theta = _dc(part, case, case.p_vector())
         assert np.abs(sol.dv.imag - theta).max() <= 1e-12
 
 
 def test_dc_ladder_frozen():
-    part = build_admittance(casegen.lossless_ladder_case(p=0.5))
-    theta = solve_classical_dc(part, np.array([0.5]))
+    case = casegen.lossless_ladder_case(p=0.5)
+    part = build_admittance(case)
+    theta = _dc(part, case, np.array([0.5]))
     np.testing.assert_allclose(theta, [0.05], rtol=0, atol=1e-16)
 
 
@@ -150,8 +156,8 @@ def test_dc_shunt_conductance_variants_differ_by_known_vector():
         part = build_admittance(case)
         assert np.abs(part.Ysh.real).max() > 0
         p = case.p_vector()
-        t_drop = solve_classical_dc(part, p)
-        t_keep = solve_classical_dc(part, p, keep_shunt_conductance=True)
+        t_drop = _dc(part, case, p)
+        t_keep = _dc(part, case, p - part.Ysh.real)
         expected = np.linalg.solve(
             part.Y_csr.toarray().imag - np.diag(part.Ysh.imag),
             part.Ysh.real)
@@ -166,18 +172,8 @@ def test_dc_singular_on_resistive_network():
         (Branch(1, 2, 2 + 0j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        solve_classical_dc(part, case.p_vector())
+        _dc(part, case, case.p_vector())
     assert exc.value.code == "SINGULAR_B"
-
-
-def test_reactive_bound_rejects_other_methods():
-    case = casegen.lossless_ladder_case()
-    part = build_admittance(case)
-    sys = build_lossless_system(part)
-    from rectpf import solve_general
-    sol = solve_general(part, case)
-    with pytest.raises(ValueError):
-        reactive_error_bound(sys, sol)
 
 
 def test_slack_angle_zero_but_magnitude_off_rejected():
@@ -187,5 +183,5 @@ def test_slack_angle_zero_but_magnitude_off_rejected():
         (Branch(1, 2, -4j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        build_lossless_system(part)
+        prepare(part, case, "lossless", False)
     assert exc.value.code == "SLACK_NOT_UNITY"

@@ -71,20 +71,18 @@ _CaseLoader.add_implicit_resolver(
 
 # The line scanner's grammar.  Every character class is printable ASCII, so
 # tabs, line breaks other than "\n" and characters the YAML reader rejects
-# never match.  A token is a decimal int or float, a quoted scalar without
-# escapes, or a plain word of characters that end no scalar.
+# never match.  A token is a quoted scalar without escapes or a plain word
+# of characters that end no scalar, such as _NUMBER's ints and floats.
 _INT = r"[-+]?(?:0|[1-9][0-9]{0,17})"
 _FLOAT = r"[-+]?[0-9]+(?:\.[0-9]*(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _TOKEN = (r"""(?:'[ -&(-~]*'|"[ !#-\[\]-~]*"|"""
           r"[-+]?[0-9A-Za-z_][-+.0-9A-Za-z_]*)")
-_VALUE = rf"(?:({_INT})|({_FLOAT})|({_TOKEN}))"
 _NUMBER = re.compile(rf"({_INT})|{_FLOAT}")
-# A flow mapping's pair: the key, then the value's groups as in _VALUE.
-_PAIR = re.compile(rf"({_TOKEN}): {_VALUE}(?:, |$)")
 # A blank or comment line; or an indent, then a flow mapping's pairs, or a
 # block line's dash, key and value.
 _LINE = re.compile(rf" *(?:#[ -~]*)?|( *)(?:- \{{({_TOKEN}: {_TOKEN}(?:, "
-                   rf"{_TOKEN}: {_TOKEN})*)\}}|(- )?({_TOKEN}):(?: {_VALUE})?)")
+                   rf"{_TOKEN}: {_TOKEN})*)\}}|(- )?({_TOKEN}):"
+                   rf"(?: ({_TOKEN}))?)")
 _RESOLVERS = _CaseLoader.yaml_implicit_resolvers
 _WILDCARD = _RESOLVERS.get(None, [])
 
@@ -98,6 +96,9 @@ def _scan_document(text: str) -> dict | None:
     mappings of scalars, with full-line comments and blank lines anywhere.
     A plain word is kept only where the loader's implicit resolvers leave
     it a string; a token is at most 256 characters, as YAML limits keys.
+    A flow mapping is split at ", " and ": " and declined where a fragment
+    opens a quote it does not close.  A value with "." or "e"/"E", a final
+    digit (so no "inf") and no "_" that ``float`` reads is a _FLOAT token.
     """
     doc: dict = {}
     built: dict = {}                  # token -> value, for keys and words
@@ -105,12 +106,12 @@ def _scan_document(text: str) -> dict | None:
 
     def scalar(token):
         value = built.get(token)
-        if value is None and len(token) <= 256:
+        if value is None and 0 < len(token) <= 256:
             number = _NUMBER.fullmatch(token)
             if number is not None:
                 value = int(token) if number[1] else float(token)
-            elif token[0] in "'\"":
-                value = token[1:-1]
+            elif token[0] in "'\"":  # None for a fragment of a split one
+                value = token[1:-1] if token[1:].endswith(token[0]) else None
             elif not any(regexp.match(token) for _, regexp in
                          _RESOLVERS.get(token[0], []) + _WILDCARD):
                 value = token         # the resolvers leave it a string
@@ -121,8 +122,8 @@ def _scan_document(text: str) -> dict | None:
         match = _LINE.fullmatch(line)
         if match is None:
             return None
-        pad, flow, dash, *pair = match.groups()
-        if flow is None and pair[0] is None:
+        pad, flow, dash, key, word = match.groups()
+        if flow is None and key is None:
             continue                  # a blank line or a comment
         if flow is not None or dash is not None:      # a sequence item
             if items is None or indent not in (None, len(pad)):
@@ -139,14 +140,20 @@ def _scan_document(text: str) -> dict | None:
                 return None
             items = indent = entry = None
             target = doc
-        for key, i, f, word in _PAIR.findall(flow) if flow else [pair]:
-            key = scalar(key)
-            if i or f or word:
-                value = int(i) if i else float(f) if f else scalar(word)
-            elif target is doc:
-                value = items = []
-            else:
+        if flow is None and word is None:   # a "key:" line opens a sequence
+            if target is not doc or scalar(key) is None:
                 return None
+            doc[scalar(key)] = items = []
+            continue
+        tokens = flow.replace(", ", ": ").split(": ") if flow else (key, word)
+        for key, token in zip(tokens[::2], tokens[1::2]):
+            fast = (("." in token or "e" in token or "E" in token)
+                    and "_" not in token and token[-1] in "0123456789")
+            try:
+                value = float(token) if fast else scalar(token)
+            except ValueError:        # such as "1.2.3"
+                value = scalar(token)
+            key = built.get(key) or scalar(key)  # miss or falsy: scalar()
             if key is None or value is None:
                 return None
             target[key] = value
@@ -224,12 +231,14 @@ def _complex(real, imag) -> np.ndarray:
     return column
 
 
-# The numeric bus fields: check order, name, default and the kinds that
-# read it.  A pv bus reads "q" too, which its unknown-field check rejects;
-# a pv bus's missing fields are checks 10 and 11.
-_BUS_NUMBERS = [(4 + k, key, 0.0, (_ZIP, _PV)) for k, key in enumerate(
-    ("shunt_g", "shunt_b", "i_load_re", "i_load_im", "p", "q"))] + [
-    (12, "v_setpoint", 1.0, (_PV, _SLACK)), (13, "theta_deg", 0.0, (_SLACK,))]
+# The numeric bus fields: check order, name, default and, by kind code,
+# whether a bus of that kind reads it.  A pv bus reads "q" too, which its
+# unknown-field check rejects; a pv bus's missing fields are checks 10, 11.
+_BUS_NUMBERS = [(check, key, default, np.isin(range(len(KINDS)), kinds))
+                for check, key, default, kinds in [*(
+    (4 + k, key, 0.0, (_ZIP, _PV)) for k, key in enumerate(
+        ("shunt_g", "shunt_b", "i_load_re", "i_load_im", "p", "q"))),
+    (12, "v_setpoint", 1.0, (_PV, _SLACK)), (13, "theta_deg", 0.0, (_SLACK,))]]
 
 
 def _bus_columns(raw: list, keyed: list) -> tuple[np.ndarray, dict]:
@@ -261,8 +270,8 @@ def _bus_columns(raw: list, keyed: list) -> tuple[np.ndarray, dict]:
 
     codes = np.array([_CODES[entry["kind"]] for entry in entries], np.int8)
     col = {key: _numbers(entries, check, key, default, flag_entry,
-                         np.isin(codes, kinds))
-           for check, key, default, kinds in _BUS_NUMBERS}
+                         read_by[codes])
+           for check, key, default, read_by in _BUS_NUMBERS}
     pv = codes == _PV
     for j in np.flatnonzero(pv).tolist():
         for check, key in ((10, "v_setpoint"), (11, "p")):

@@ -188,8 +188,8 @@ def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
     the same profile the general no-load closed form produces; this is
     asserted internally rather than taken on faith.
 
-    A partition with any nonzero current load raises
-    ``NONZERO_CURRENT_LOAD``.
+    Raises ``NONZERO_CURRENT_LOAD`` for any current load and
+    ``NONFINITE_NOLOAD_VOLTAGE`` when ``V0`` or ``|V_slack|^2`` overflows.
     """
     if np.abs(partition.i_load).max(initial=0.0) > 0:
         raise SolverError(
@@ -198,13 +198,20 @@ def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
     v_slack, lu = partition.v_slack, partition.factor
     w = lu.solve(-partition.Ybar)
     v0 = v_slack * w
+    try:
+        scale = v_slack / abs(v_slack) ** 2
+    except OverflowError:
+        scale = np.inf
+    if not (np.isfinite(v0).all() and np.isfinite(scale)):
+        raise SolverError("open-circuit voltage or |V_slack|^2 is not finite",
+                          code="NONFINITE_NOLOAD_VOLTAGE")
     if np.abs(v0).min(initial=np.inf) < MIN_NOMINAL_VMAG:
         raise SolverError("open-circuit voltage vanishes at some bus",
                           code="ZERO_NOLOAD_VOLTAGE")
     nominal = NominalVoltage(v0, NominalOrigin.NO_LOAD)
 
     def solve(s):
-        dv = (v_slack / abs(v_slack) ** 2) * lu.solve(s.conj() / w.conj())
+        dv = scale * lu.solve(s.conj() / w.conj())
         reference = solve_noload_closed_form(partition, nominal, s)
         gap = float(np.abs(dv - reference.dv).max(initial=0.0))
         if gap > 1e-12 * (1.0 + float(np.abs(dv).max(initial=0.0))):

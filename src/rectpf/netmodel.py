@@ -84,10 +84,6 @@ class SlackVoltage:
     v_mag: float
     theta: float = 0.0
 
-    @property
-    def phasor(self) -> complex:
-        return self.v_mag * cmath.exp(1j * self.theta)
-
 
 @dataclass(frozen=True)
 class Bus:
@@ -285,10 +281,6 @@ class NetworkCase:
         """The branches as :class:`Branch` objects, in input order."""
         return tuple(Branch(*row) for row in zip(*(
             getattr(self, name).tolist() for name in _BRANCH_COLUMNS)))
-
-    @property
-    def slack(self) -> Bus:
-        return self.buses[-1]
 
     @property
     def non_slack(self) -> tuple[Bus, ...]:

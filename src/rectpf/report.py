@@ -44,8 +44,8 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-# The text renderer of a column, by the type of its values.
-_TEXT = {int: str, bool: lambda v: "true" if v else "false", float: _fmt}
+# The text renderer of an int or bool column's values.
+_TEXT = {int: str, bool: lambda v: "true" if v else "false"}
 
 _REPR_EXPONENTS = {"+12", "+13", "+14", "+15", *map(str, range(-324, -307))}
 
@@ -73,22 +73,26 @@ class Rows:
     values: tuple[list, ...]
 
     def cells(self) -> list[list[str]]:
-        """Text cells, column by column."""
-        return [list(map(_TEXT[type(col[0])], col)) if col else []
+        """Text cells, column by column; a float column in one format call."""
+        return [list(map(_TEXT[type(col[0])], col))
+                if col and type(col[0]) is not float
+                else ("%.12g\n" * len(col) % tuple(col)).splitlines()
                 for col in self.values]
 
     def json_document(self, head: dict, key: str) -> str:
         """``json.dumps({**head, key: rows}, indent=2)``, byte for byte, for
         one object per row in ``rows``, each float rounded by
-        :func:`_round12`.  ``head`` is not empty."""
-        fields = []
-        for name, col, cells in zip(self.columns, self.values, self.cells()):
-            if col and type(col[0]) is float:
-                cells = map(_json_number, cells)
-            prefix = f"      {json.dumps(name)}: "
-            fields.append([prefix + cell for cell in cells])
-        rows = "\n    },\n    {\n".join(map(",\n".join, zip(*fields)))
-        array = "[\n    {\n" + rows + "\n    }\n  ]" if rows else "[]"
+        :func:`_round12`.  ``head`` is not empty.  A float cell with "." or
+        an exponent other than e+1x or e-3xx is its own JSON text."""
+        columns = [[c if ("." in c or "e" in c) and "e+1" not in c
+                    and "e-3" not in c else _json_number(c) for c in cells]
+                   if col and type(col[0]) is float else cells
+                   for col, cells in zip(self.values, self.cells())]
+        row = "    {\n" + ",\n".join(
+            "      " + json.dumps(name).replace("%", "%%") + ": %s"
+            for name in self.columns) + "\n    }"
+        rows = ",\n".join(map(row.__mod__, zip(*columns)))
+        array = "[\n" + rows + "\n  ]" if rows else "[]"
         return (json.dumps(head, indent=2)[:-2] + ",\n  " + json.dumps(key)
                 + ": " + array + "\n}")
 

@@ -5,8 +5,9 @@ sequence item (``  - {id: 1, kind: zip}``) and ``dump_case``'s block
 mappings (``- id: 1`` then ``  kind: zip``), with a line scanner.  It
 declines every other text: bool and null scalars, hex, octal, ``_`` and
 ``.inf`` numbers, escapes, trailing comments, tabs, ``\r``, document
-markers, anchors, tags, empty values and inconsistent indentation, and
-``yaml.load`` reads what it declines.  The properties below check that
+markers, anchors, tags, empty values, inconsistent indentation and flow
+mappings whose quoted scalars hold ", " or ": ", and ``yaml.load`` reads
+what it declines.  The properties below check that
 ``_load_document`` gives the object ``yaml.load`` gives, or raises the
 same error, on generated case-shaped documents and on generic YAML, with
 the libyaml parser and again with the pure-Python one.
@@ -34,10 +35,15 @@ SPELLINGS = [
     ".nan", ".NaN", ".NAN", "~", "null", "Null", "NULL", "", "yes", "No",
     "on", "OFF", "true", "False", "TRUE", "y", "n", "2001-12-14",
     "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10", "=", "zip",
-    "slack", "id", "a b", "-", "1.2.3", "0o17",
+    "slack", "id", "a b", "-", "1.2.3", "0o17", "inf", "-Infinity", "nan",
+    "NaN", "1_0", "0_1.5", "1.5_0", "1e1_0", "00.5", "-012", "1.5e+",
+    "1234567890123456789", "-12345678901234567890", "1.E5",
 ]
-# Strings that cannot be plain scalars anywhere, used quoted only.
-QUOTED_ONLY = [" lead", "a: b", "#x", "[1]", "{a: 1}", "'", "line\\nbreak"]
+# Strings that cannot be plain scalars anywhere, used quoted only; those with
+# ", " or ": " make the scanner decline the flow mapping that holds them,
+# and ", : " splits into an empty fragment.
+QUOTED_ONLY = [" lead", "a: b", "#x", "[1]", "{a: 1}", "'", "line\\nbreak",
+               "a, b", "x: y, z", ", : "]
 
 ANCHORS = ["a1", "a2"]
 
@@ -294,9 +300,13 @@ def test_generated_feeder_loads_without_the_full_loader(monkeypatch):
                                       n_max=200)
     block = dump_case(case)
     doc = yaml.safe_load(block)
+    big = yaml.load(dump_case(casegen.random_feeder_case(
+        np.random.default_rng(6), n_min=1200, n_max=1200, load_scale=0.01,
+        with_shunts=False)), Loader=caseio._SafeLoader)
     texts = [block, _flow_layout(doc, 0), _flow_layout(doc, 2),
              _readme_case(),
-             _readme_case().replace("kind: pv,", "kind: pv, colour: red,")]
+             _readme_case().replace("kind: pv,", "kind: pv, colour: red,"),
+             _flow_layout(big, 2)]
     expected = [yaml.load(text, Loader=caseio._CaseLoader) for text in texts]
 
     def refuse(*args, **kwargs):
@@ -310,6 +320,7 @@ def test_generated_feeder_loads_without_the_full_loader(monkeypatch):
     assert parse_case(texts[3]).n == 2
     with pytest.raises(CaseValidationError, match=r"unknown field.*colour"):
         parse_case(texts[4])
+    assert parse_case(texts[5]).n == 1200
 
 
 @pytest.mark.parametrize("spelling, value", [

@@ -313,6 +313,27 @@ branches:
     assert res.stderr.startswith("NON_ZIP_BUS_PRESENT")
 
 
+# |V_slack|^2 overflows at 1e200; at 1.7e308 the open-circuit profile does
+@pytest.mark.parametrize("v_setpoint", ["1.0e200", "1.7e308"])
+def test_nocurrent_method_with_a_huge_slack_voltage_exits_3(runner, tmp_path,
+                                                            v_setpoint):
+    path = tmp_path / "huge.yaml"
+    path.write_text(f"""
+schema_version: "1"
+buses:
+  - {{id: 1, kind: zip, shunt_b: 0.5}}
+  - {{id: 2, kind: slack, v_setpoint: {v_setpoint}}}
+branches:
+  - {{from: 1, to: 2, series_g: 1.0, series_b: -2.0}}
+""", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["solve", str(path), "--method",
+                                   "nocurrent"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("NONFINITE_NOLOAD_VOLTAGE: ")
+
+
 def test_flat_conditions_violation_and_override(runner, tmp_path):
     path = tmp_path / "violated.yaml"
     path.write_text(VIOLATED_CHAIN, encoding="utf-8")

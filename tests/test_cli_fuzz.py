@@ -96,6 +96,9 @@ def case_file(tmp_path_factory):
 @example(text=STIFF_BRANCH, argv=["solve", "--oracle"])
 # an int too large for a float, read by the full YAML loader
 @example(text=_with(BASES[0], [("buses", 0, "q", 10 ** 400)]), argv=["solve"])
+# |V_slack|^2 overflows in the no-current special form
+@example(text=_with(BASES[0], [("buses", -1, "v_setpoint", 1.0e200)]),
+         argv=["solve", "--method", "nocurrent"])
 # an alpha whose square underflows
 @example(text=_with(BASES[0], []), argv=["compare", "--alpha-list", "5e-247"])
 def test_cli_contract_holds_for_any_case_and_command(case_file, text, argv):

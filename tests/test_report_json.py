@@ -110,3 +110,59 @@ def test_wide_report_json_matches_encoding_rounded_rows():
              for row in zip(*rep.rows.values)]
     assert len(buses) == 1000
     assert out == json.dumps({**head, "buses": buses}, indent=2) + "\n"
+
+
+# Floats whose text or JSON spelling is special: signed zeros, nan, inf,
+# subnormals, the exponents repr writes positionally, integer values and
+# values that round to integers at 12 significant digits.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, 2.2250738585072014e-308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e11, 1e17), st.floats(-1e17, -1e11),
+    st.integers(-10 ** 17, 10 ** 17).map(float),
+    st.tuples(st.integers(-10 ** 12, 10 ** 12), st.floats(-4e-13, 4e-13)).map(
+        lambda t: t[0] * (1.0 + t[1])),
+    st.floats(),
+)
+COLUMN_VALUES = {float: edge_floats, int: st.integers(-10 ** 20, 10 ** 20),
+                 bool: st.booleans()}
+
+
+@st.composite
+def row_sets(draw) -> report.Rows:
+    names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=5,
+                          unique=True))
+    n = draw(st.integers(0, 6))
+    values = tuple(draw(st.lists(COLUMN_VALUES[kind], min_size=n, max_size=n))
+                   for kind in draw(st.lists(st.sampled_from(sorted(
+                       COLUMN_VALUES, key=str)), min_size=len(names),
+                       max_size=len(names))))
+    return report.Rows(tuple(names), values)
+
+
+def _text(v) -> str:
+    """A cell's text, one value at a time."""
+    if type(v) is bool:
+        return "true" if v else "false"
+    return str(v) if type(v) is int else report._fmt(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=row_sets())
+def test_every_format_renders_each_cell_as_the_per_cell_oracle(rows):
+    texts = [list(map(_text, col)) for col in rows.values]
+    assert rows.csv_lines() == [",".join(rows.columns),
+                                *map(",".join, zip(*texts))]
+    widths = [max(map(len, [name, *col]))
+              for name, col in zip(rows.columns, texts)]
+    assert rows.aligned_lines() == [
+        "  ".join(cell.rjust(w) for cell, w in zip(line, widths))
+        for line in [rows.columns, *zip(*texts)]]
+    # the encoder writes each rounded float as json.dumps(float(_fmt(x)))
+    records = [{name: float(report._fmt(v)) if type(v) is float else v
+                for name, v in zip(rows.columns, row)}
+               for row in zip(*rows.values)]
+    head = {"method": "x"}
+    assert (rows.json_document(head, "rows")
+            == json.dumps({**head, "rows": records}, indent=2))

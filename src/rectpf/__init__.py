@@ -10,13 +10,12 @@ coordinate Newton-Raphson solver as the nonlinear reference.
 
 from .caseio import dump_case, load_case, parse_case, save_case
 from .distribution import (CouplingTerms, DecoupledEstimate,
-                           ImpedanceDecomposition, coupling_decomposition,
-                           decoupled_estimate, impedance_decomposition,
+                           coupling_decomposition, decoupled_estimate,
                            solve_no_current_closed_form)
 from .errors import (CaseValidationError, InternalCheckError, RectpfError,
                      SolverError)
 from .linearize import (LinearModel, LinearSolution, NominalOrigin,
-                        NominalVoltage, SolutionMethod, SolveDiagnostics,
+                        NominalVoltage, SolveDiagnostics,
                         compute_noload_voltage, flat_nominal,
                         linear_injection, solve_noload_closed_form)
 from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
@@ -38,15 +37,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmittancePartition", "BoundCheck", "BoundVerification", "Branch", "Bus",
     "BusKind", "CaseValidationError", "CompareReport", "CouplingTerms",
-    "DecoupledEstimate", "FlatSolveConditions", "ImpedanceDecomposition",
-    "InitialGuess", "InternalCheckError", "LinearModel", "LinearSolution",
-    "NetworkCase", "NewtonResult", "NewtonSettings", "NominalOrigin",
-    "NominalVoltage", "PvSetpoint", "RectpfError", "ResidualReport",
-    "RunReport", "SlackVoltage", "SolutionMethod", "SolveDiagnostics",
-    "SolverError", "StructureDiagnosis", "ZipLoad", "build_admittance",
-    "check_noload_structure", "complex_injection", "compute_noload_voltage",
-    "coupling_decomposition", "decoupled_estimate", "dump_case", "emit_check",
-    "emit_compare", "emit_report", "flat_nominal", "impedance_decomposition",
+    "DecoupledEstimate", "FlatSolveConditions", "InitialGuess",
+    "InternalCheckError", "LinearModel", "LinearSolution", "NetworkCase",
+    "NewtonResult", "NewtonSettings", "NominalOrigin", "NominalVoltage",
+    "PvSetpoint", "RectpfError", "ResidualReport", "RunReport", "SlackVoltage",
+    "SolveDiagnostics", "SolverError", "StructureDiagnosis", "ZipLoad",
+    "build_admittance", "check_noload_structure", "complex_injection",
+    "compute_noload_voltage", "coupling_decomposition", "decoupled_estimate",
+    "dump_case", "emit_check", "emit_compare", "emit_report", "flat_nominal",
     "jacobian_check", "linear_injection", "load_case", "max_row_norm",
     "nonlinear_mismatch", "parse_case", "prepare", "quadratic_residual",
     "run_check", "run_compare", "run_pipeline", "save_case",

@@ -31,8 +31,7 @@ import numpy as np
 import yaml
 
 from .errors import CaseValidationError
-from .netmodel import (_PV, _SLACK, _ZIP, KINDS, Bus, BusKind, NetworkCase,
-                       _raise_problems)
+from .netmodel import _PV, _SLACK, _ZIP, KINDS, NetworkCase, _raise_problems
 
 SCHEMA_VERSION = "1"
 _DEG = math.pi / 180.0
@@ -49,9 +48,11 @@ _BUS_ALLOWED = {kind: _BUS_COMMON | fields
 _BRANCH_FIELDS = {"from", "to", "series_g", "series_b", "shunt_b_total"}
 _CODES = {kind.value: KINDS.index(kind) for kind in KINDS}
 
-# libyaml's parser when PyYAML was built with it; it pairs the C parser with
-# the same resolver and safe constructor, so documents load to equal objects.
+# libyaml's parser and emitter when PyYAML was built with them; each pairs
+# the C code with the same resolver and safe constructor or representer, so
+# documents load to equal objects and dump to the same text.
 _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class _CaseLoader(_SafeLoader):
@@ -327,13 +328,16 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     try:
         doc = _load_document(text)
     except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
-        # PyYAML's constructors raise bare exceptions for scalars they cannot
-        # convert: ``0x_``, ``!!bool 1``, ``!!int ''`` or ``!!timestamp a``.
+        # PyYAML's constructors raise bare exceptions, with no position and
+        # a text that names no input, for scalars they cannot convert:
+        # ``0x_``, ``!!bool 1``, ``!!int ''`` or ``!!timestamp a``.
         mark = getattr(exc, "problem_mark", None)
         detail = ("" if mark is None else
                   f" at line {mark.line + 1}, column {mark.column + 1}")
+        what = str(exc) if isinstance(exc, yaml.YAMLError) else (
+            f"a scalar could not be converted ({type(exc).__name__}: {exc})")
         raise CaseValidationError(
-            [f"{source}: not valid YAML{detail}: {exc}"],
+            [f"{source}: not valid YAML{detail}: {what}"],
             code="PARSE_ERROR") from exc
     if not isinstance(doc, dict):
         raise CaseValidationError(
@@ -381,56 +385,48 @@ def load_case(path) -> NetworkCase:
     return parse_case(text, source=str(path))
 
 
-def _bus_entry(bus: Bus) -> dict:
-    entry: dict = {"id": bus.id, "kind": bus.kind.value}
-    if bus.kind is BusKind.SLACK:
-        entry["v_setpoint"] = bus.slack_voltage.v_mag
-        entry["theta_deg"] = _degrees_exact(bus.slack_voltage.theta)
-        return entry
-    if bus.kind is BusKind.PV:
-        entry["v_setpoint"] = bus.pv_setpoint.v_mag
-        entry["p"] = bus.pv_setpoint.p
-    else:
-        if bus.load.power.real:
-            entry["p"] = bus.load.power.real
-        if bus.load.power.imag:
-            entry["q"] = bus.load.power.imag
-    if bus.load.shunt_admittance.real:
-        entry["shunt_g"] = bus.load.shunt_admittance.real
-    if bus.load.shunt_admittance.imag:
-        entry["shunt_b"] = bus.load.shunt_admittance.imag
-    if bus.load.current.real:
-        entry["i_load_re"] = bus.load.current.real
-    if bus.load.current.imag:
-        entry["i_load_im"] = bus.load.current.imag
-    return entry
+# The optional fields of a pv or zip bus, in file order: the real and
+# imaginary parts of its power, shunt and current columns.
+_OPTIONAL = ("p", "q", "shunt_g", "shunt_b", "i_load_re", "i_load_im")
+
+
+def _rows(*columns):
+    return zip(*(column.tolist() for column in columns))
 
 
 def dump_case(case: NetworkCase) -> str:
-    """Serialize a case; parsing the result reproduces the case exactly.
-
-    Zero-valued optional fields are omitted.  Exactness of the angle
-    round-trip relies on :func:`_degrees_exact`.
+    """Serialize a case from its columns; parsing the result reproduces the
+    case exactly.  Zero-valued optional fields are omitted, and the angle
+    round-trip is exact through :func:`_degrees_exact`.  A conductive line
+    shunt has no field in the format: the error lists every such branch.
     """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "base_mva": case.base_mva,
-        "buses": [_bus_entry(b) for b in case.buses],
-        "branches": [],
-    }
-    for br in case.branches:
-        if br.shunt_admittance_total.real != 0:
-            # The file format only carries susceptance-type line shunts.
-            raise CaseValidationError(
-                [f"branch {br.from_bus}-{br.to_bus}: conductive line shunts "
-                 "cannot be represented in the case-file format"])
-        entry = {"from": br.from_bus, "to": br.to_bus,
-                 "series_g": br.series_admittance.real,
-                 "series_b": br.series_admittance.imag}
-        if br.shunt_admittance_total.imag:
-            entry["shunt_b_total"] = br.shunt_admittance_total.imag
-        doc["branches"].append(entry)
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    conductive = np.flatnonzero(case.line_shunt.real).tolist()
+    if conductive:
+        raise CaseValidationError(
+            [f"branch {case.from_bus[i]}-{case.to_bus[i]}: conductive line "
+             "shunts cannot be represented in the case-file format"
+             for i in conductive])
+    buses = []
+    for k, (code, p, v, theta, *values) in enumerate(_rows(
+            case.kind, case.p_set, case.v_set, case.theta,
+            *(part for column in (case.power, case.shunt, case.current)
+              for part in (column.real, column.imag))), 1):
+        entry = {"id": k, "kind": KINDS[code].value}
+        if code == _SLACK:
+            entry |= {"v_setpoint": v, "theta_deg": _degrees_exact(theta)}
+        else:               # a pv bus's power is zero, its p the setpoint
+            entry |= {"v_setpoint": v, "p": p} if code == _PV else {}
+            entry |= {key: x for key, x in zip(_OPTIONAL, values) if x}
+        buses.append(entry)
+    branches = [{"from": f, "to": t, "series_g": g, "series_b": b,
+                 **({"shunt_b_total": shunt} if shunt else {})}
+                for f, t, g, b, shunt in _rows(
+                    case.from_bus, case.to_bus, case.series.real,
+                    case.series.imag, case.line_shunt.imag)]
+    doc = {"schema_version": SCHEMA_VERSION, "base_mva": case.base_mva,
+           "buses": buses, "branches": branches}
+    return yaml.dump(doc, Dumper=_SafeDumper, sort_keys=False,
+                     default_flow_style=False)
 
 
 def save_case(case: NetworkCase, path) -> None:

@@ -19,35 +19,10 @@ import numpy as np
 from ._linalg import Factorization
 from .errors import InternalCheckError, SolverError
 from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, ModelParts,
-                        NominalOrigin, NominalVoltage, SolutionMethod,
-                        SolveDiagnostics, compute_noload_voltage,
-                        solve_noload_closed_form)
+                        NominalOrigin, NominalVoltage, SolveDiagnostics,
+                        compute_noload_voltage, solve_noload_closed_form)
 from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
-
-
-@dataclass(frozen=True, eq=False)
-class ImpedanceDecomposition:
-    """Real and imaginary parts of the inverted admittance block.
-
-    ``(R + jX)(G + jB) = I`` holds to inversion accuracy; both matrices are
-    dense and generally full even for radial feeders.
-    """
-
-    R: np.ndarray
-    X: np.ndarray
-
-    def __post_init__(self):
-        for name in ("R", "X"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def impedance_decomposition(partition: AdmittancePartition
-                            ) -> ImpedanceDecomposition:
-    yinv = partition.factor.solve(np.eye(partition.n, dtype=complex))
-    return ImpedanceDecomposition(yinv.real, yinv.imag)
 
 
 def _magnitude_angle(nominal: NominalVoltage):
@@ -175,7 +150,7 @@ def prepare_decoupled(partition: AdmittancePartition) -> ModelParts:
         est = estimate(s)
         return LinearSolution(
             nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V,
-            SolutionMethod.DECOUPLED, SolveDiagnostics(flags=est.flags))
+            SolveDiagnostics(flags=est.flags))
     return ModelParts(nominal, lu, solve, None)
 
 
@@ -188,8 +163,9 @@ def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
     the same profile the general no-load closed form produces; this is
     asserted internally rather than taken on faith.
 
-    Raises ``NONZERO_CURRENT_LOAD`` for any current load and
-    ``NONFINITE_NOLOAD_VOLTAGE`` when ``V0`` or ``|V_slack|^2`` overflows.
+    Raises ``NONZERO_CURRENT_LOAD`` for any current load,
+    ``ZERO_NOLOAD_VOLTAGE`` when ``V0`` vanishes at some bus and
+    ``NONFINITE_NOLOAD_VOLTAGE`` when ``V0`` or ``V_slack/|V_slack|^2`` is not.
     """
     if np.abs(partition.i_load).max(initial=0.0) > 0:
         raise SolverError(
@@ -200,14 +176,15 @@ def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
     v0 = v_slack * w
     try:
         scale = v_slack / abs(v_slack) ** 2
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         scale = np.inf
-    if not (np.isfinite(v0).all() and np.isfinite(scale)):
-        raise SolverError("open-circuit voltage or |V_slack|^2 is not finite",
-                          code="NONFINITE_NOLOAD_VOLTAGE")
     if np.abs(v0).min(initial=np.inf) < MIN_NOMINAL_VMAG:
         raise SolverError("open-circuit voltage vanishes at some bus",
                           code="ZERO_NOLOAD_VOLTAGE")
+    if not (np.isfinite(v0).all() and np.isfinite(scale)):
+        raise SolverError(
+            "open-circuit voltage or V_slack/|V_slack|^2 is not finite",
+            code="NONFINITE_NOLOAD_VOLTAGE")
     nominal = NominalVoltage(v0, NominalOrigin.NO_LOAD)
 
     def solve(s):
@@ -220,8 +197,7 @@ def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
                 f"form by {gap:.3e}")
         diagnostics = SolveDiagnostics(condition=lu.condition,
                                        flags={"no_current_special": True})
-        return LinearSolution(nominal, dv, SolutionMethod.NOLOAD_CLOSED_FORM,
-                              diagnostics)
+        return LinearSolution(nominal, dv, diagnostics)
     return ModelParts(nominal, lu, solve, None)
 
 

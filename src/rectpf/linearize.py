@@ -54,14 +54,6 @@ class NominalOrigin(Enum):
     USER = "user"
 
 
-class SolutionMethod(Enum):
-    GENERAL_2N = "general-2n"
-    NOLOAD_CLOSED_FORM = "noload-closed-form"
-    LOSSLESS_FLAT = "lossless-flat"
-    CLASSICAL_DC = "classical-dc"
-    DECOUPLED = "decoupled"
-
-
 @dataclass(frozen=True, eq=False)
 class NominalVoltage:
     """A nominal complex voltage profile and where it came from."""
@@ -177,7 +169,6 @@ class LinearSolution:
 
     nominal: NominalVoltage
     dv: np.ndarray
-    method: SolutionMethod
     diagnostics: SolveDiagnostics
 
     def __post_init__(self):
@@ -256,7 +247,6 @@ def solve_noload_closed_form(partition: AdmittancePartition,
     s = np.asarray(s, dtype=complex)
     lu = partition.factor
     return LinearSolution(nominal, lu.solve(s.conj() / v0.conj()),
-                          SolutionMethod.NOLOAD_CLOSED_FORM,
                           SolveDiagnostics(condition=lu.condition))
 
 
@@ -277,7 +267,6 @@ def prepare_general(partition: AdmittancePartition,
         x = lu.solve(np.concatenate([s.real + offset.real,
                                      s.imag + offset.imag]))
         return LinearSolution(nominal, x[:n] + 1j * x[n:],
-                              SolutionMethod.GENERAL_2N,
                               SolveDiagnostics(condition=lu.condition))
     return ModelParts(nominal, lu, solve, None)
 

@@ -30,8 +30,8 @@ from scipy import sparse
 
 from ._linalg import Factorization
 from .errors import SolverError
-from .linearize import (LinearSolution, ModelParts, SolutionMethod,
-                        SolveDiagnostics, flat_nominal)
+from .linearize import (LinearSolution, ModelParts, SolveDiagnostics,
+                        flat_nominal)
 from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
 
@@ -143,8 +143,8 @@ def prepare_lossless(partition: AdmittancePartition,
         override_used=bool(override_conditions and not conditions.overall),
         violated_buses=violated)
     return ModelParts(nominal, lu, lambda s: LinearSolution(
-        nominal, 1j * lu.solve(s.real + i_re), SolutionMethod.LOSSLESS_FLAT,
-        diagnostics), max_row_norm(partition.Y_csr.imag))
+        nominal, 1j * lu.solve(s.real + i_re), diagnostics),
+        max_row_norm(partition.Y_csr.imag))
 
 
 def prepare_dc(partition: AdmittancePartition) -> ModelParts:
@@ -157,5 +157,4 @@ def prepare_dc(partition: AdmittancePartition) -> ModelParts:
                        what="DC susceptance matrix")
     nominal = flat_nominal(partition.n)
     return ModelParts(nominal, lu, lambda s: LinearSolution(
-        nominal, 1j * lu.solve(s.real), SolutionMethod.CLASSICAL_DC,
-        SolveDiagnostics()), None)
+        nominal, 1j * lu.solve(s.real), SolveDiagnostics()), None)

@@ -1,4 +1,4 @@
-"""Reference case reader: one object per bus and branch, validated one by one.
+"""Reference case reader and writer: one object per bus and branch.
 
 This is the per-entry reader the columnar ``parse_case`` replaced, kept as
 a test oracle: ``_parse_bus`` and ``_parse_branch`` build :class:`Bus` and
@@ -7,6 +7,9 @@ them in the order ``NetworkCase`` used to.  It differs from that reader in
 two declared ways only: an int beyond the float range reads as +-inf
 instead of raising ``OverflowError``, and a pv bus's bad ``p`` is reported
 once instead of twice.
+
+:func:`reference_dump` is the writer the columnar ``dump_case`` replaced:
+one entry per :class:`Bus` view, emitted by ``yaml.safe_dump``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import yaml
 
 from rectpf.caseio import (_BRANCH_FIELDS, _BUS_ALLOWED, _BUS_FIELDS, _DEG,
-                           _TOP_FIELDS, SCHEMA_VERSION)
+                           _TOP_FIELDS, SCHEMA_VERSION, _degrees_exact)
 from rectpf.errors import CaseValidationError
-from rectpf.netmodel import (Branch, Bus, BusKind, PvSetpoint, SlackVoltage,
-                             ZipLoad, _connected)
+from rectpf.netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
+                             SlackVoltage, ZipLoad, _connected)
 
 
 def _num(entry: dict, key: str, where: str, problems: list[str],
@@ -237,3 +241,51 @@ def reference_parse(doc: dict, source: str = "<case>"):
     if problems:
         raise CaseValidationError(problems)
     return buses, branches, base_mva
+
+
+def _bus_entry(bus: Bus) -> dict:
+    entry: dict = {"id": bus.id, "kind": bus.kind.value}
+    if bus.kind is BusKind.SLACK:
+        entry["v_setpoint"] = bus.slack_voltage.v_mag
+        entry["theta_deg"] = _degrees_exact(bus.slack_voltage.theta)
+        return entry
+    if bus.kind is BusKind.PV:
+        entry["v_setpoint"] = bus.pv_setpoint.v_mag
+        entry["p"] = bus.pv_setpoint.p
+    else:
+        if bus.load.power.real:
+            entry["p"] = bus.load.power.real
+        if bus.load.power.imag:
+            entry["q"] = bus.load.power.imag
+    if bus.load.shunt_admittance.real:
+        entry["shunt_g"] = bus.load.shunt_admittance.real
+    if bus.load.shunt_admittance.imag:
+        entry["shunt_b"] = bus.load.shunt_admittance.imag
+    if bus.load.current.real:
+        entry["i_load_re"] = bus.load.current.real
+    if bus.load.current.imag:
+        entry["i_load_im"] = bus.load.current.imag
+    return entry
+
+
+def reference_dump(case: NetworkCase) -> str:
+    """The case file of ``case`` as the object writer wrote it; raises
+    :class:`CaseValidationError` on the first conductive line shunt."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "base_mva": case.base_mva,
+        "buses": [_bus_entry(b) for b in case.buses],
+        "branches": [],
+    }
+    for br in case.branches:
+        if br.shunt_admittance_total.real != 0:
+            raise CaseValidationError(
+                [f"branch {br.from_bus}-{br.to_bus}: conductive line shunts "
+                 "cannot be represented in the case-file format"])
+        entry = {"from": br.from_bus, "to": br.to_bus,
+                 "series_g": br.series_admittance.real,
+                 "series_b": br.series_admittance.imag}
+        if br.shunt_admittance_total.imag:
+            entry["shunt_b_total"] = br.shunt_admittance_total.imag
+        doc["branches"].append(entry)
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)

@@ -235,7 +235,31 @@ def test_load_reports_file_name_in_errors(tmp_path):
 def test_conductive_line_shunt_cannot_be_dumped():
     case = NetworkCase(
         (Bus(1, BusKind.ZIP, ZipLoad(power=-0.1 + 0j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
-        (Branch(1, 2, 1 - 5j, shunt_admittance_total=0.1 + 0.2j),))
-    with pytest.raises(CaseValidationError, match="conductive line shunts"):
+         Bus(2, BusKind.ZIP),
+         Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+        (Branch(3, 1, 1 - 5j, shunt_admittance_total=0.1 + 0.2j),
+         Branch(1, 2, 1 - 5j, shunt_admittance_total=0.2j),
+         Branch(2, 3, 1 - 5j, shunt_admittance_total=-0.3 + 0j)))
+    with pytest.raises(CaseValidationError) as exc:
         dump_case(case)
+    # every such branch, in branch order
+    assert exc.value.violations == [
+        f"branch {ends}: conductive line shunts cannot be represented in "
+        "the case-file format" for ends in ("3-1", "2-3")]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("a: !!bool 1.0e308", "KeyError: '1.0e308'"),
+    ("a: !!timestamp foo",
+     "AttributeError: 'NoneType' object has no attribute 'groupdict'"),
+    ('a: !!int ""', "IndexError: string index out of range"),
+    ("a: 0x_", "ValueError: invalid literal for int() with base 16: ''"),
+])
+def test_unconvertible_scalar_is_named_as_such(text, error):
+    # PyYAML's constructors raise these without a position
+    with pytest.raises(CaseValidationError) as exc:
+        parse_case(text, source="case.yaml")
+    assert exc.value.code == "PARSE_ERROR"
+    assert exc.value.violations == [
+        "case.yaml: not valid YAML: a scalar could not be converted "
+        f"({error})"]

@@ -334,6 +334,24 @@ branches:
     assert res.stderr.startswith("NONFINITE_NOLOAD_VOLTAGE: ")
 
 
+# |V_slack|^2 underflows at 1e-200, and the open-circuit profile with it
+@pytest.mark.parametrize("v_setpoint", ["1.0e-200", "5e-324"])
+def test_nocurrent_method_with_a_tiny_slack_voltage_exits_3(runner, tmp_path,
+                                                            v_setpoint):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(f"""
+schema_version: "1"
+buses:
+  - {{id: 1, kind: zip, shunt_b: 0.5}}
+  - {{id: 2, kind: slack, v_setpoint: {v_setpoint}}}
+branches:
+  - {{from: 1, to: 2, series_g: 1.0, series_b: -2.0}}
+""", encoding="utf-8")
+    res = runner.invoke(main, ["solve", str(path), "--method", "nocurrent"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("ZERO_NOLOAD_VOLTAGE: ")
+
+
 def test_flat_conditions_violation_and_override(runner, tmp_path):
     path = tmp_path / "violated.yaml"
     path.write_text(VIOLATED_CHAIN, encoding="utf-8")

@@ -60,13 +60,66 @@ def case_texts(draw) -> str:
     return _with(draw(st.sampled_from(BASES)), edits)
 
 
+# Each method's refusals, reached from these bases by editing these fields
+# (bus -1 is the slack):
+#   general    PV_UNSUPPORTED_IN_GENERAL, SINGULAR_SYSTEM
+#   noload     NON_ZIP_BUS_PRESENT, NONFINITE_ and ZERO_NOLOAD_VOLTAGE
+#   lossless   LOSSY_NETWORK, SLACK_NOT_UNITY, FLAT_CONDITIONS_VIOLATED,
+#              SINGULAR_FLAT_SYSTEM
+#   dc         SINGULAR_B
+#   nocurrent  NON_ZIP_BUS_PRESENT, NONZERO_CURRENT_LOAD, NONFINITE_ and
+#              ZERO_NOLOAD_VOLTAGE, from the current-free and PV bases
+#   decoupled  NON_ZIP_BUS_PRESENT, SINGULAR_G, ZERO_NOLOAD_VOLTAGE
+# ``auto`` refuses nothing itself; its fields steer its choice.
+SLACK = [("buses", -1, "v_setpoint"), ("buses", -1, "theta_deg")]
+REFUSALS = {
+    "auto": (BASES, [*SLACK, ("branches", 0, "series_g"),
+                     ("buses", 0, "i_load_im")]),
+    "general": (BASES, [*SLACK, ("branches", 0, "series_g"),
+                        ("branches", 0, "series_b")]),
+    "noload": (BASES, [*SLACK, ("buses", 0, "i_load_re"),
+                       ("buses", 0, "i_load_im")]),
+    "lossless": ([BASES[0], BASES[2], BASES[4]], [
+        *SLACK, ("branches", 0, "series_g"), ("buses", 0, "shunt_g"),
+        ("buses", 0, "shunt_b"), ("buses", 0, "i_load_im")]),
+    "dc": (BASES, [("branches", 0, "series_b"), ("buses", 0, "shunt_b")]),
+    "nocurrent": ([BASES[0], BASES[1], BASES[2], BASES[4]], [
+        ("buses", -1, "v_setpoint"), ("buses", 0, "i_load_re")]),
+    "decoupled": (BASES, [*SLACK, ("branches", 0, "series_g")]),
+}
+# Magnitudes whose square overflows or underflows; a voltage magnitude
+# takes these, and any other field either sign of them, zero or a value
+# that moves the flat conditions.
+MAGNITUDES = [1.0e200, 1.0e308, 5e-324, 1.0e-200]
+SIGNED = [0.0, *(sign * x for x in [0.5, 10.0, *MAGNITUDES]
+                 for sign in (1, -1))]
+# The method drawn for one example, shared by its case and command line.
+METHOD = st.shared(st.sampled_from(METHODS), key="method")
+
+
 @st.composite
-def command_lines(draw) -> list[str]:
+def method_case_texts(draw, method: str) -> str:
+    """A base that can reach ``method``'s refusals, with one or two edits
+    of the fields that reach them and at most one edit of any field."""
+    bases, fields = REFUSALS[method]
+    edits = [(*field, draw(st.sampled_from(
+        MAGNITUDES if field[2] == "v_setpoint" else SIGNED)))
+        for field in draw(st.lists(st.sampled_from(fields), min_size=1,
+                                   max_size=2))]
+    edits += draw(st.lists(st.sampled_from(sorted(FIELDS)).flatmap(
+        lambda place: st.tuples(st.just(place), st.integers(0, 20),
+                                st.sampled_from(FIELDS[place]),
+                                st.sampled_from(VALUES))), max_size=1))
+    return _with(draw(st.sampled_from(bases)), edits)
+
+
+@st.composite
+def command_lines(draw, method: str) -> list[str]:
     command = draw(st.sampled_from(["solve", "check", "compare"]))
     argv = [command, "--format", draw(st.sampled_from(FORMATS))]
     if command == "check":
         return argv
-    argv += ["--method", draw(st.sampled_from(METHODS))]
+    argv += ["--method", method]
     if draw(st.booleans()):
         argv.append("--override-conditions")
     if command == "solve":
@@ -90,7 +143,8 @@ def case_file(tmp_path_factory):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(text=case_texts(), argv=command_lines())
+@given(text=METHOD.flatmap(method_case_texts),
+       argv=METHOD.flatmap(command_lines))
 @example(text=NONFINITE_NOLOAD, argv=["solve"])
 @example(text=STIFF_BRANCH, argv=["solve"])
 @example(text=STIFF_BRANCH, argv=["solve", "--oracle"])
@@ -98,6 +152,9 @@ def case_file(tmp_path_factory):
 @example(text=_with(BASES[0], [("buses", 0, "q", 10 ** 400)]), argv=["solve"])
 # |V_slack|^2 overflows in the no-current special form
 @example(text=_with(BASES[0], [("buses", -1, "v_setpoint", 1.0e200)]),
+         argv=["solve", "--method", "nocurrent"])
+# ... and underflows
+@example(text=_with(BASES[0], [("buses", -1, "v_setpoint", 1.0e-200)]),
          argv=["solve", "--method", "nocurrent"])
 # an alpha whose square underflows
 @example(text=_with(BASES[0], []), argv=["compare", "--alpha-list", "5e-247"])

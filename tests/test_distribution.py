@@ -9,9 +9,9 @@ import casegen
 from rectpf import (Branch, Bus, BusKind, InternalCheckError, NetworkCase,
                     PvSetpoint, SlackVoltage, SolverError, ZipLoad,
                     build_admittance, coupling_decomposition,
-                    decoupled_estimate, impedance_decomposition,
-                    nonlinear_mismatch, prepare, quadratic_residual,
-                    run_pipeline, solve_no_current_closed_form)
+                    decoupled_estimate, nonlinear_mismatch, prepare,
+                    quadratic_residual, run_pipeline,
+                    solve_no_current_closed_form)
 
 
 def _noload(part, case):
@@ -40,23 +40,6 @@ def test_rejects_pv_bus():
     assert exc.value.code == "NON_ZIP_BUS_PRESENT"
 
 
-def test_impedance_decomposition_inverts():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        case = casegen.random_feeder_case(rng)
-        part = build_admittance(case)
-        dec = impedance_decomposition(part)
-        prod = (dec.R + 1j * dec.X) @ part.Y_csr.toarray()
-        np.testing.assert_allclose(prod, np.eye(case.n), rtol=0, atol=1e-10)
-
-
-def test_impedance_decomposition_ladder_frozen():
-    part = build_admittance(casegen.ladder_case())
-    dec = impedance_decomposition(part)
-    np.testing.assert_allclose(dec.R, [[1 / 26]], rtol=1e-14)
-    np.testing.assert_allclose(dec.X, [[5 / 26]], rtol=1e-14)
-
-
 def test_coupling_terms_sum_to_full_perturbation():
     rng = np.random.default_rng(67)
     for _ in range(20):
@@ -76,11 +59,11 @@ def test_coupling_matches_the_dense_formulas():
         sol = _noload(part, case)
         s, _ = case.injection_targets()
         terms = coupling_decomposition(part, sol.nominal, s)
-        dec = impedance_decomposition(part)
+        z = np.linalg.inv(part.Y_csr.toarray())
         vmag, theta = np.abs(sol.nominal.V), np.angle(sol.nominal.V)
         dc, ds = np.cos(theta) / vmag, np.sin(theta) / vmag
-        a = dec.R * dc - dec.X * ds
-        c = dec.X * dc + dec.R * ds
+        a = z.real * dc - z.imag * ds
+        c = z.imag * dc + z.real * ds
         dense = {"re_from_p": a @ s.real, "re_from_q": c @ s.imag,
                  "im_from_p": c @ s.real, "im_from_q": -(a @ s.imag)}
         scale = max(np.abs(v).max() for v in dense.values())

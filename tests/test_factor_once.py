@@ -7,8 +7,8 @@ import pytest
 import casegen
 import rectpf._linalg
 from rectpf import (build_admittance, compute_noload_voltage,
-                    coupling_decomposition, impedance_decomposition, prepare,
-                    run_compare, run_pipeline, solve_no_current_closed_form)
+                    coupling_decomposition, prepare, run_compare,
+                    run_pipeline, solve_no_current_closed_form)
 
 
 @pytest.fixture()
@@ -82,7 +82,6 @@ def test_solvers_share_the_partition_factor(factored):
     compute_noload_voltage(part)
     prepare(part, case, "noload", False)[1].solve(s)
     solve_no_current_closed_form(part, s)
-    impedance_decomposition(part)
     assert part.factor is part.factor
     assert sum(_is_y(a, part.Y_csr) for a in factored) == 1
 

@@ -15,8 +15,7 @@ from .distribution import (CouplingTerms, DecoupledEstimate,
 from .errors import (CaseValidationError, InternalCheckError, RectpfError,
                      SolverError)
 from .linearize import (LinearModel, LinearSolution, NominalOrigin,
-                        NominalVoltage, SolveDiagnostics,
-                        compute_noload_voltage, flat_nominal,
+                        NominalVoltage, compute_noload_voltage, flat_nominal,
                         linear_injection, solve_noload_closed_form)
 from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
                        NetworkCase, PvSetpoint, SlackVoltage,
@@ -41,7 +40,7 @@ __all__ = [
     "InternalCheckError", "LinearModel", "LinearSolution", "NetworkCase",
     "NewtonResult", "NewtonSettings", "NominalOrigin", "NominalVoltage",
     "PvSetpoint", "RectpfError", "ResidualReport", "RunReport", "SlackVoltage",
-    "SolveDiagnostics", "SolverError", "StructureDiagnosis", "ZipLoad",
+    "SolverError", "StructureDiagnosis", "ZipLoad",
     "build_admittance", "check_noload_structure", "complex_injection",
     "compute_noload_voltage", "coupling_decomposition", "decoupled_estimate",
     "dump_case", "emit_check", "emit_compare", "emit_report", "flat_nominal",

@@ -423,7 +423,7 @@ def dump_case(case: NetworkCase) -> str:
                 for f, t, g, b, shunt in _rows(
                     case.from_bus, case.to_bus, case.series.real,
                     case.series.imag, case.line_shunt.imag)]
-    doc = {"schema_version": SCHEMA_VERSION, "base_mva": case.base_mva,
+    doc = {"schema_version": SCHEMA_VERSION, "base_mva": float(case.base_mva),
            "buses": buses, "branches": branches}
     return yaml.dump(doc, Dumper=_SafeDumper, sort_keys=False,
                      default_flow_style=False)

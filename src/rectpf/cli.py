@@ -67,7 +67,7 @@ _format = click.option("--format", "fmt", type=click.Choice(FORMATS),
 _override = click.option(
     "--override-conditions", is_flag=True,
     help="Attempt the lossless flat solve even when its dominance "
-         "conditions fail (recorded in the diagnostics).")
+         "conditions fail (reported by a flag).")
 
 
 @click.group()

@@ -12,15 +12,15 @@ the familiar decoupled magnitude/angle estimates drop out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._linalg import Factorization
 from .errors import InternalCheckError, SolverError
 from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, ModelParts,
-                        NominalOrigin, NominalVoltage, SolveDiagnostics,
-                        compute_noload_voltage, solve_noload_closed_form)
+                        NominalOrigin, NominalVoltage, compute_noload_voltage,
+                        solve_noload_closed_form)
 from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
 
@@ -111,20 +111,22 @@ class DecoupledEstimate:
 
 
 def _estimator(partition: AdmittancePartition, nominal: NominalVoltage):
-    """A factor of G, and the estimate at ``nominal`` on it for any ``s``."""
+    """The estimate at ``nominal`` for zero loading, which carries the
+    assumption measures, and the estimate for any ``s`` on one factor of G."""
     vmag, theta = _magnitude_angle(nominal)
     lu = Factorization(partition.Y_csr.real, code="SINGULAR_G",
                        what="conductance block G")
+    unloaded = DecoupledEstimate(
+        v_mag=vmag, theta=theta,
+        susceptance_norm=max_row_norm(partition.Y_csr.imag),
+        max_nominal_angle=float(np.abs(theta).max(initial=0.0)))
 
     def estimate(s) -> DecoupledEstimate:
         s = np.asarray(s, dtype=complex)
         dmag, dang = lu.solve(np.column_stack([s.real / vmag,
                                                s.imag / vmag])).T
-        return DecoupledEstimate(
-            v_mag=vmag + dmag, theta=theta - dang,
-            susceptance_norm=max_row_norm(partition.Y_csr.imag),
-            max_nominal_angle=float(np.abs(theta).max(initial=0.0)))
-    return lu, estimate
+        return replace(unloaded, v_mag=vmag + dmag, theta=theta - dang)
+    return unloaded, estimate
 
 
 def decoupled_estimate(partition: AdmittancePartition,
@@ -141,17 +143,15 @@ def decoupled_estimate(partition: AdmittancePartition,
 
 def prepare_decoupled(partition: AdmittancePartition) -> ModelParts:
     """The decoupled estimate at the no-load nominal, as a perturbation;
-    the assumption flags of :class:`DecoupledEstimate` ride along in the
-    diagnostics."""
+    its flags are the assumption flags of :class:`DecoupledEstimate`."""
     nominal = compute_noload_voltage(partition)
-    lu, estimate = _estimator(partition, nominal)
+    unloaded, estimate = _estimator(partition, nominal)
 
     def solve(s):
         est = estimate(s)
         return LinearSolution(
-            nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V,
-            SolveDiagnostics(flags=est.flags))
-    return ModelParts(nominal, lu, solve, None)
+            nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V)
+    return ModelParts(nominal, solve, None, unloaded.flags, None)
 
 
 def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
@@ -195,10 +195,9 @@ def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
             raise InternalCheckError(
                 f"no-current special form disagrees with the general closed "
                 f"form by {gap:.3e}")
-        diagnostics = SolveDiagnostics(condition=lu.condition,
-                                       flags={"no_current_special": True})
-        return LinearSolution(nominal, dv, diagnostics)
-    return ModelParts(nominal, lu, solve, None)
+        return LinearSolution(nominal, dv)
+    return ModelParts(nominal, solve, lu.condition,
+                      {"no_current_special": True}, None)
 
 
 def solve_no_current_closed_form(partition: AdmittancePartition,

@@ -30,10 +30,9 @@ one composed from scipy.sparse operators; no cross matrix is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -151,25 +150,11 @@ def linear_injection(partition: AdmittancePartition,
 
 
 @dataclass(frozen=True, eq=False)
-class SolveDiagnostics:
-    """What a solver observed: conditioning and named gate checks."""
-
-    condition: float | None = None
-    flags: Mapping[str, bool] = field(default_factory=dict)
-    override_used: bool = False
-    violated_buses: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "flags", MappingProxyType(dict(self.flags)))
-
-
-@dataclass(frozen=True, eq=False)
 class LinearSolution:
     """A solved voltage perturbation around a nominal profile."""
 
     nominal: NominalVoltage
     dv: np.ndarray
-    diagnostics: SolveDiagnostics
 
     def __post_init__(self):
         dv = np.array(self.dv, dtype=complex)
@@ -181,12 +166,15 @@ class LinearSolution:
 
 
 class ModelParts(NamedTuple):
-    """What a model builds once; ``reactive_bound`` is the coefficient ``c``
-    of its bound ``c |Im dv|^2`` on the reactive quadratic term, if any."""
+    """What a model builds once: its solve, the condition estimate of its
+    factored matrix and its flags, none of which depend on ``s``;
+    ``reactive_bound`` is the coefficient ``c`` of its bound
+    ``c |Im dv|^2`` on the reactive quadratic term, if any."""
 
     nominal: NominalVoltage
-    factor: Factorization
     solve: Callable[[np.ndarray], LinearSolution]
+    condition: float | None
+    flags: Mapping[str, bool]
     reactive_bound: float | None
 
 
@@ -236,7 +224,7 @@ def solve_noload_closed_form(partition: AdmittancePartition,
     At the no-load profile the ``direct`` coefficient vanishes identically
     and the linear model collapses to ``diag(conj(V0)) Y dv = conj(s)``,
     which is solved as ``Y dv = conj(s) / conj(V0)`` on the partition's
-    shared factor of Y; the reported condition is that of Y.
+    shared factor of Y.
     """
     if nominal.origin is not NominalOrigin.NO_LOAD:
         raise ValueError("the closed form is only valid at a no-load nominal")
@@ -244,10 +232,8 @@ def solve_noload_closed_form(partition: AdmittancePartition,
     if np.abs(v0).min(initial=np.inf) < MIN_NOMINAL_VMAG:
         raise SolverError("nominal voltage vanishes at some bus",
                           code="ZERO_NOLOAD_VOLTAGE")
-    s = np.asarray(s, dtype=complex)
-    lu = partition.factor
-    return LinearSolution(nominal, lu.solve(s.conj() / v0.conj()),
-                          SolveDiagnostics(condition=lu.condition))
+    s_conj = np.asarray(s, dtype=complex).conj()
+    return LinearSolution(nominal, partition.factor.solve(s_conj / v0.conj()))
 
 
 def prepare_general(partition: AdmittancePartition,
@@ -266,9 +252,8 @@ def prepare_general(partition: AdmittancePartition,
     def solve(s):
         x = lu.solve(np.concatenate([s.real + offset.real,
                                      s.imag + offset.imag]))
-        return LinearSolution(nominal, x[:n] + 1j * x[n:],
-                              SolveDiagnostics(condition=lu.condition))
-    return ModelParts(nominal, lu, solve, None)
+        return LinearSolution(nominal, x[:n] + 1j * x[n:])
+    return ModelParts(nominal, solve, lu.condition, {}, None)
 
 
 def prepare_noload(partition: AdmittancePartition) -> ModelParts:
@@ -276,5 +261,5 @@ def prepare_noload(partition: AdmittancePartition) -> ModelParts:
     as :func:`compute_noload_voltage` does."""
     nominal = compute_noload_voltage(partition)
     return ModelParts(
-        nominal, partition.factor,
-        lambda s: solve_noload_closed_form(partition, nominal, s), None)
+        nominal, lambda s: solve_noload_closed_form(partition, nominal, s),
+        partition.factor.condition, {}, None)

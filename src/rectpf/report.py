@@ -210,7 +210,7 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
         bounds.append(BoundCheck(
             "reactive_quadratic", value=residual.norm_q,
             bound=coefficient * float(np.linalg.norm(sol.dv.imag)) ** 2))
-    flags = {**sol.diagnostics.flags, **model.flags}
+    flags = {**model.parts.flags, **model.flags}
 
     v_nom, dv = sol.nominal.V, sol.dv
     columns = [list(range(1, partition.n + 1)),
@@ -231,7 +231,7 @@ def run_pipeline(case: NetworkCase, method: str = "auto",
     return RunReport(
         method=resolved, rows=Rows(names, tuple(columns)),
         norms=norms, bounds=tuple(bounds), flags=flags,
-        condition=sol.diagnostics.condition, oracle=oracle,
+        condition=model.parts.condition, oracle=oracle,
         oracle_error=oracle_error)
 
 

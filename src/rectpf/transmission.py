@@ -30,8 +30,7 @@ from scipy import sparse
 
 from ._linalg import Factorization
 from .errors import SolverError
-from .linearize import (LinearSolution, ModelParts, SolveDiagnostics,
-                        flat_nominal)
+from .linearize import LinearSolution, ModelParts, flat_nominal
 from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
 
@@ -123,27 +122,22 @@ def prepare_lossless(partition: AdmittancePartition,
                      override_conditions: bool) -> ModelParts:
     """The N active rows at the flat nominal with ``dRe = 0``, for a case
     that passed :func:`lossless_gate`.  Failed dominance conditions refuse
-    the case unless ``override_conditions`` is set; the violated buses are
-    then recorded in the diagnostics, and the LU pivot check is the only
-    remaining safeguard (``SINGULAR_FLAT_SYSTEM``)."""
+    the case unless ``override_conditions`` is set; the model's
+    ``flat_profile_conditions`` flag then reads false, and the LU pivot
+    check is the only remaining safeguard (``SINGULAR_FLAT_SYSTEM``)."""
     conditions = flat_conditions(partition)
-    violated = conditions.violated_buses()
     if not conditions.overall and not override_conditions:
         raise SolverError(
             "flat-profile dominance conditions do not hold "
-            f"(buses {list(violated) or 'strictness'}); pass the override "
-            "to attempt the solve anyway",
+            f"(buses {list(conditions.violated_buses()) or 'strictness'}); "
+            "pass the override to attempt the solve anyway",
             code="FLAT_CONDITIONS_VIOLATED")
     lu = Factorization(_im_coeff(partition), code="SINGULAR_FLAT_SYSTEM",
                        what="flat-profile coefficient matrix")
     nominal, i_re = flat_nominal(partition.n), partition.i_load.real
-    diagnostics = SolveDiagnostics(
-        condition=lu.condition,
-        flags={"flat_profile_conditions": conditions.overall},
-        override_used=bool(override_conditions and not conditions.overall),
-        violated_buses=violated)
-    return ModelParts(nominal, lu, lambda s: LinearSolution(
-        nominal, 1j * lu.solve(s.real + i_re), diagnostics),
+    return ModelParts(nominal, lambda s: LinearSolution(
+        nominal, 1j * lu.solve(s.real + i_re)), lu.condition,
+        {"flat_profile_conditions": conditions.overall},
         max_row_norm(partition.Y_csr.imag))
 
 
@@ -156,5 +150,5 @@ def prepare_dc(partition: AdmittancePartition) -> ModelParts:
     lu = Factorization(_dc_matrix(partition), code="SINGULAR_B",
                        what="DC susceptance matrix")
     nominal = flat_nominal(partition.n)
-    return ModelParts(nominal, lu, lambda s: LinearSolution(
-        nominal, 1j * lu.solve(s.real), SolveDiagnostics()), None)
+    return ModelParts(nominal, lambda s: LinearSolution(
+        nominal, 1j * lu.solve(s.real)), None, {}, None)

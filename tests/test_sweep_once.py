@@ -8,6 +8,7 @@ from scipy import sparse
 
 import casegen
 import rectpf._linalg
+import rectpf.distribution
 import rectpf.transmission
 from rectpf import build_admittance, run_compare
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
@@ -91,3 +92,18 @@ def test_lossless_compare_builds_the_system_once(monkeypatch):
     assert report.method == "lossless"
     assert sum(np.array_equal(a, im_coeff) for a in factored) == 1
     assert len(evaluated) == 1
+
+
+def test_decoupled_compare_measures_the_assumptions_once(monkeypatch):
+    measured = []
+    max_row_norm = rectpf.distribution.max_row_norm
+
+    def counting_norm(*args):
+        measured.append(args)
+        return max_row_norm(*args)
+
+    monkeypatch.setattr(rectpf.distribution, "max_row_norm", counting_norm)
+    report = run_compare(casegen.fixed_feeder10(), [1, 0.5, 0.25],
+                         method="decoupled")
+    assert report.method == "decoupled"
+    assert len(measured) == 1

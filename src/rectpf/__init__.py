@@ -21,8 +21,8 @@ from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
                        NetworkCase, PvSetpoint, SlackVoltage,
                        StructureDiagnosis, ZipLoad, build_admittance,
                        check_noload_structure, scale_power_injections)
-from .newton import (InitialGuess, NewtonResult, NewtonSettings,
-                     jacobian_check, solve_newton)
+from .newton import (NewtonResult, NewtonSettings, jacobian_check,
+                     solve_newton)
 from .report import (CompareReport, RunReport, emit_compare, emit_check,
                      emit_report, prepare, run_check, run_compare,
                      run_pipeline)
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmittancePartition", "BoundCheck", "BoundVerification", "Branch", "Bus",
     "BusKind", "CaseValidationError", "CompareReport", "CouplingTerms",
-    "DecoupledEstimate", "FlatSolveConditions", "InitialGuess",
+    "DecoupledEstimate", "FlatSolveConditions",
     "InternalCheckError", "LinearModel", "LinearSolution", "NetworkCase",
     "NewtonResult", "NewtonSettings", "NominalOrigin", "NominalVoltage",
     "PvSetpoint", "RectpfError", "ResidualReport", "RunReport", "SlackVoltage",

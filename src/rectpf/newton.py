@@ -18,8 +18,8 @@ exploits that as a built-in self-test.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,35 +30,26 @@ from .linearize import (_direct_coefficient, _real_block_matrix,
 from .netmodel import AdmittancePartition, NetworkCase
 from .residuals import complex_injection
 
-
-class InitialGuess(Enum):
-    FLAT = "flat"
-    NO_LOAD = "no-load"
-    GIVEN = "given"
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class NewtonSettings:
     """Iteration controls.
 
-    ``initial = NO_LOAD`` falls back to the flat profile when the no-load
-    voltage cannot be computed.  No step damping is applied by default; a
-    half-step fallback triggers only when a full step would increase the
-    mismatch.
+    No step damping is applied by default; a half-step fallback triggers
+    only when a full step would increase the mismatch.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 50
-    initial: InitialGuess = InitialGuess.NO_LOAD
-    initial_voltage: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.initial is InitialGuess.GIVEN and self.initial_voltage is None:
-            raise ValueError("GIVEN initial guess needs initial_voltage")
+        if (not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,26 +101,12 @@ def _equations(partition: AdmittancePartition, case: NetworkCase):
     return residual, jacobian
 
 
-def _initial_voltage(partition, settings):
-    n = partition.n
-    if settings.initial is InitialGuess.GIVEN:
-        v = np.asarray(settings.initial_voltage, dtype=complex).copy()
-        if v.shape != (n,):
-            raise ValueError("initial_voltage has the wrong length")
-        return v
-    if settings.initial is InitialGuess.NO_LOAD:
-        try:
-            return compute_noload_voltage(partition).V.copy()
-        except SolverError:
-            pass
-    return np.ones(n, dtype=complex)
-
-
 def solve_newton(partition: AdmittancePartition,
                  case: NetworkCase,
                  settings: NewtonSettings | None = None) -> NewtonResult:
     """Run Newton-Raphson to the requested per-bus mismatch tolerance.
 
+    Starts at the no-load profile, or flat when it cannot be computed.
     Raises ``SINGULAR_JACOBIAN`` when an iterate's Jacobian cannot be
     factored.  A converged result satisfies: every ZIP bus's complex
     mismatch and every PV bus's active mismatch and squared-magnitude
@@ -137,8 +114,11 @@ def solve_newton(partition: AdmittancePartition,
     """
     settings = settings or NewtonSettings()
     residual, jacobian = _equations(partition, case)
-    v = _initial_voltage(partition, settings)
     n = partition.n
+    try:
+        v = compute_noload_voltage(partition).V.copy()
+    except SolverError:
+        v = np.ones(n, dtype=complex)
 
     f, mismatch = residual(v)
     for it in range(settings.max_iterations):
@@ -166,8 +146,7 @@ def solve_newton(partition: AdmittancePartition,
 
 def jacobian_check(partition: AdmittancePartition,
                    case: NetworkCase,
-                   voltage: np.ndarray,
-                   step: float = 1e-6) -> float:
+                   voltage: np.ndarray) -> float:
     """Largest relative gap between analytic and central-difference Jacobian.
 
     Entries whose analytic magnitude is at most 1e-8 are skipped (relative
@@ -182,12 +161,12 @@ def jacobian_check(partition: AdmittancePartition,
     for k in range(2 * n):
         bump = np.zeros(n, dtype=complex)
         if k < n:
-            bump[k] = step
+            bump[k] = _FD_STEP
         else:
-            bump[k - n] = 1j * step
+            bump[k - n] = 1j * _FD_STEP
         f_plus, _ = residual(v + bump)
         f_minus, _ = residual(v - bump)
-        fd[:, k] = (f_plus - f_minus) / (2.0 * step)
+        fd[:, k] = (f_plus - f_minus) / (2.0 * _FD_STEP)
 
     mask = np.abs(analytic) > 1e-8
     if not mask.any():

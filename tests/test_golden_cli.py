@@ -9,7 +9,8 @@ After an intended output change, re-record the file with::
 
 and list every changed expectation with the change: the recorder prints
 one line for each key whose exit code, stdout or stderr changed against
-the stored file.
+the stored file, and a ``new:`` or ``dropped:`` line for each key that
+only one of the two has.
 """
 
 from __future__ import annotations
@@ -139,6 +140,56 @@ branches:
 }
 
 
+# Valid cases at the edges of the method checks, each recorded under
+# ``check`` and ``solve --method M --oracle`` for every method.
+EDGE = {
+    # two laterals off the slack: the non-slack graph is not connected
+    "two_laterals": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1, q: -0.05}
+  - {id: 2, kind: zip, p: -0.1, q: -0.05}
+  - {id: 3, kind: slack}
+branches:
+  - {from: 1, to: 3, series_g: 1.0, series_b: -5.0}
+  - {from: 2, to: 3, series_g: 1.0, series_b: -5.0}
+""",
+    # lossless chain whose slack is not at unity magnitude
+    "slack_off_unity": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1}
+  - {id: 2, kind: zip, p: -0.1}
+  - {id: 3, kind: slack, v_setpoint: 1.05}
+branches:
+  - {from: 1, to: 2, series_g: 0.0, series_b: -5.0}
+  - {from: 2, to: 3, series_g: 0.0, series_b: -5.0}
+""",
+    # the current load cancels the slack's source: the no-load voltage is
+    # zero, so Newton starts flat, where its Jacobian is singular
+    "zero_source": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1, i_load_re: -1.0, i_load_im: 5.0}
+  - {id: 2, kind: slack}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0}
+""",
+    # two lossless laterals; bus 2's current load cancels its flat-profile
+    # diagonal, so the flat system is singular
+    "lax_flat": """
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1}
+  - {id: 2, kind: zip, p: -0.1, i_load_re: 0.5, i_load_im: 5.0}
+  - {id: 3, kind: slack}
+branches:
+  - {from: 1, to: 3, series_g: 0.0, series_b: -5.0}
+  - {from: 2, to: 3, series_g: 0.0, series_b: -5.0}
+""",
+}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(case name, argv after the case path) for every recorded run."""
     out = []
@@ -162,6 +213,10 @@ def commands() -> list[tuple[str, list[str]]]:
                                        "--format", fmt]))
     for case in INVALID:
         out += [(case, ["check"]), (case, ["solve", "--format", "json"])]
+    for case in EDGE:
+        out.append((case, ["check"]))
+        out += [(case, ["solve", "--method", method, "--oracle"])
+                for method in METHODS]
     return out
 
 
@@ -233,7 +288,7 @@ def record(path: Path = GOLDEN) -> None:
                  newton_ready=True)),
              # meshed lossy grid: the general 2N solve off the flat profile
              "lossy_mesh": dump_case(casegen.random_feeder_case(
-                 np.random.default_rng(1), 5, 7)), **INVALID}
+                 np.random.default_rng(1), 5, 7)), **INVALID, **EDGE}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in cases.items():
@@ -241,9 +296,14 @@ def record(path: Path = GOLDEN) -> None:
         for case, argv in commands():
             runs[_key(case, argv)] = _run(Path(tmp) / f"{case}.yaml", argv)
     stored = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    for key in sorted(stored.keys() - runs.keys()):
+        print(f"dropped: {key}")
     for key, run in runs.items():
+        if key not in stored:
+            print(f"new: {key}")
+            continue
         changed = [part for part, text in run.items()
-                   if stored.get(key, {}).get(part) != text]
+                   if stored[key][part] != text]
         if changed:
             print(f"{key}: {', '.join(changed)}")
     path.write_text(json.dumps({"cases": cases, "runs": runs}, indent=1,

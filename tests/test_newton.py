@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import casegen
-from rectpf import (Branch, Bus, BusKind, InitialGuess, NetworkCase,
-                    NewtonSettings, PvSetpoint, SlackVoltage, SolverError,
-                    ZipLoad, build_admittance, jacobian_check,
-                    nonlinear_mismatch, solve_newton)
+from rectpf import (Branch, Bus, BusKind, NetworkCase, NewtonSettings,
+                    PvSetpoint, SlackVoltage, SolverError, ZipLoad,
+                    build_admittance, jacobian_check, nonlinear_mismatch,
+                    solve_newton)
 
 
 def test_converges_on_ladder():
@@ -69,33 +69,19 @@ def test_iteration_cap_returns_unconverged():
 
 
 def test_singular_jacobian_raised():
-    # a current load matching the branch admittance magnitude zeroes one
-    # column of the flat-start Jacobian exactly: direct = -conj(I_L) and
-    # cross = conj(y) have equal magnitude, so the real block loses rank
+    # the current load cancels the slack's source, so the no-load voltage
+    # is zero and Newton starts flat; there the load's magnitude matches
+    # the branch admittance's and zeroes one column of the Jacobian
+    # exactly: direct = -conj(I_L) and cross = conj(y) have equal
+    # magnitude, so the real block loses rank
     case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(current=1 - 5j, power=0.1 + 0j)),
+        (Bus(1, BusKind.ZIP, ZipLoad(current=-1 + 5j, power=0.1 + 0j)),
          Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 5j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
-        solve_newton(part, case, NewtonSettings(initial=InitialGuess.FLAT))
+        solve_newton(part, case)
     assert exc.value.code == "SINGULAR_JACOBIAN"
-
-
-def test_given_initial_guess():
-    case = casegen.ladder_case()
-    part = build_admittance(case)
-    guess = np.array([0.97 - 0.02j])
-    res = solve_newton(part, case,
-                       NewtonSettings(initial=InitialGuess.GIVEN,
-                                      initial_voltage=guess))
-    assert res.converged
-    with pytest.raises(ValueError):
-        NewtonSettings(initial=InitialGuess.GIVEN)
-    with pytest.raises(ValueError):
-        solve_newton(part, case,
-                     NewtonSettings(initial=InitialGuess.GIVEN,
-                                    initial_voltage=np.ones(3, complex)))
 
 
 def test_settings_validation():
@@ -103,6 +89,8 @@ def test_settings_validation():
         NewtonSettings(tolerance=0.0)
     with pytest.raises(ValueError):
         NewtonSettings(max_iterations=0)
+    with pytest.raises(ValueError):
+        NewtonSettings(max_iterations=2.5)
 
 
 def test_quadratic_convergence_of_iterates():

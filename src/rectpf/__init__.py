@@ -14,9 +14,8 @@ from .distribution import (CouplingTerms, DecoupledEstimate,
                            solve_no_current_closed_form)
 from .errors import (CaseValidationError, InternalCheckError, RectpfError,
                      SolverError)
-from .linearize import (LinearModel, LinearSolution, NominalOrigin,
-                        NominalVoltage, compute_noload_voltage, flat_nominal,
-                        linear_injection, solve_noload_closed_form)
+from .linearize import (LinearModel, LinearSolution, NominalVoltage,
+                        compute_noload_voltage, flat_nominal, linear_injection)
 from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
                        NetworkCase, PvSetpoint, SlackVoltage,
                        StructureDiagnosis, ZipLoad, build_admittance,
@@ -38,8 +37,8 @@ __all__ = [
     "BusKind", "CaseValidationError", "CompareReport", "CouplingTerms",
     "DecoupledEstimate", "FlatSolveConditions",
     "InternalCheckError", "LinearModel", "LinearSolution", "NetworkCase",
-    "NewtonResult", "NewtonSettings", "NominalOrigin", "NominalVoltage",
-    "PvSetpoint", "RectpfError", "ResidualReport", "RunReport", "SlackVoltage",
+    "NewtonResult", "NewtonSettings", "NominalVoltage", "PvSetpoint",
+    "RectpfError", "ResidualReport", "RunReport", "SlackVoltage",
     "SolverError", "StructureDiagnosis", "ZipLoad",
     "build_admittance", "check_noload_structure", "complex_injection",
     "compute_noload_voltage", "coupling_decomposition", "decoupled_estimate",
@@ -48,5 +47,5 @@ __all__ = [
     "nonlinear_mismatch", "parse_case", "prepare", "quadratic_residual",
     "run_check", "run_compare", "run_pipeline", "save_case",
     "scale_power_injections", "solve_newton", "solve_no_current_closed_form",
-    "solve_noload_closed_form", "verify_bounds",
+    "verify_bounds",
 ]

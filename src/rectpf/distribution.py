@@ -19,8 +19,7 @@ import numpy as np
 from ._linalg import Factorization
 from .errors import InternalCheckError, SolverError
 from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, ModelParts,
-                        NominalOrigin, NominalVoltage, compute_noload_voltage,
-                        solve_noload_closed_form)
+                        NominalVoltage, compute_noload_voltage)
 from .netmodel import AdmittancePartition
 from .residuals import max_row_norm
 
@@ -57,9 +56,10 @@ class CouplingTerms:
 
 
 def coupling_decomposition(partition: AdmittancePartition,
-                           nominal: NominalVoltage,
                            s: np.ndarray) -> CouplingTerms:
-    """Split the closed-form perturbation into its P and Q pathways.
+    """Split the closed-form perturbation at the partition's no-load
+    profile into its P and Q pathways; raises as
+    :func:`compute_noload_voltage` does.
 
     With ``A = R diag(cos/Vm) - X diag(sin/Vm)`` and
     ``C = X diag(cos/Vm) + R diag(sin/Vm)``::
@@ -69,9 +69,8 @@ def coupling_decomposition(partition: AdmittancePartition,
     As ``1/conj(V0) = (cos + j sin)/Vm``, ``Y^(-1) (P/conj(V0)) = A P + j C P``
     and likewise for Q: one two-column solve on Y's factor gives all four.
     """
-    _magnitude_angle(nominal)         # rejects a vanishing nominal
     s = np.asarray(s, dtype=complex)
-    e = 1.0 / nominal.V.conj()
+    e = 1.0 / compute_noload_voltage(partition).V.conj()
     from_p, from_q = partition.factor.solve(
         np.column_stack([e * s.real, e * s.imag])).T
     return CouplingTerms(re_from_p=from_p.real, re_from_q=from_q.imag,
@@ -151,7 +150,7 @@ def prepare_decoupled(partition: AdmittancePartition) -> ModelParts:
         est = estimate(s)
         return LinearSolution(
             nominal, est.v_mag * np.exp(1j * est.theta) - nominal.V)
-    return ModelParts(nominal, solve, None, unloaded.flags, None)
+    return ModelParts(solve, None, unloaded.flags, None)
 
 
 def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
@@ -185,19 +184,18 @@ def prepare_no_current(partition: AdmittancePartition) -> ModelParts:
         raise SolverError(
             "open-circuit voltage or V_slack/|V_slack|^2 is not finite",
             code="NONFINITE_NOLOAD_VOLTAGE")
-    nominal = NominalVoltage(v0, NominalOrigin.NO_LOAD)
+    nominal = NominalVoltage(v0)
 
     def solve(s):
         dv = scale * lu.solve(s.conj() / w.conj())
-        reference = solve_noload_closed_form(partition, nominal, s)
-        gap = float(np.abs(dv - reference.dv).max(initial=0.0))
+        reference = lu.solve(s.conj() / v0.conj())
+        gap = float(np.abs(dv - reference).max(initial=0.0))
         if gap > 1e-12 * (1.0 + float(np.abs(dv).max(initial=0.0))):
             raise InternalCheckError(
                 f"no-current special form disagrees with the general closed "
                 f"form by {gap:.3e}")
         return LinearSolution(nominal, dv)
-    return ModelParts(nominal, solve, lu.condition,
-                      {"no_current_special": True}, None)
+    return ModelParts(solve, lu.condition, {"no_current_special": True}, None)
 
 
 def solve_no_current_closed_form(partition: AdmittancePartition,

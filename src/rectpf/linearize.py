@@ -31,7 +31,6 @@ one composed from scipy.sparse operators; no cross matrix is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
@@ -47,18 +46,11 @@ from .netmodel import AdmittancePartition
 MIN_NOMINAL_VMAG = 1e-12
 
 
-class NominalOrigin(Enum):
-    FLAT = "flat"
-    NO_LOAD = "no-load"
-    USER = "user"
-
-
 @dataclass(frozen=True, eq=False)
 class NominalVoltage:
-    """A nominal complex voltage profile and where it came from."""
+    """A nominal complex voltage profile: a finite, read-only vector."""
 
     V: np.ndarray
-    origin: NominalOrigin
 
     def __post_init__(self):
         v = np.array(self.V, dtype=complex)
@@ -76,7 +68,7 @@ class NominalVoltage:
 
 def flat_nominal(n: int) -> NominalVoltage:
     """The flat profile: one per-unit, zero angle, at every bus."""
-    return NominalVoltage(np.ones(n, dtype=complex), NominalOrigin.FLAT)
+    return NominalVoltage(np.ones(n, dtype=complex))
 
 
 def _direct_coefficient(partition: AdmittancePartition,
@@ -171,7 +163,6 @@ class ModelParts(NamedTuple):
     ``reactive_bound`` is the coefficient ``c`` of its bound
     ``c |Im dv|^2`` on the reactive quadratic term, if any."""
 
-    nominal: NominalVoltage
     solve: Callable[[np.ndarray], LinearSolution]
     condition: float | None
     flags: Mapping[str, bool]
@@ -213,27 +204,7 @@ def compute_noload_voltage(partition: AdmittancePartition) -> NominalVoltage:
         raise SolverError(
             "no-load voltage vanishes at some bus; the closed form is "
             "undefined there", code="ZERO_NOLOAD_VOLTAGE")
-    return NominalVoltage(v0, NominalOrigin.NO_LOAD)
-
-
-def solve_noload_closed_form(partition: AdmittancePartition,
-                             nominal: NominalVoltage,
-                             s: np.ndarray) -> LinearSolution:
-    """Closed-form perturbation at the no-load nominal.
-
-    At the no-load profile the ``direct`` coefficient vanishes identically
-    and the linear model collapses to ``diag(conj(V0)) Y dv = conj(s)``,
-    which is solved as ``Y dv = conj(s) / conj(V0)`` on the partition's
-    shared factor of Y.
-    """
-    if nominal.origin is not NominalOrigin.NO_LOAD:
-        raise ValueError("the closed form is only valid at a no-load nominal")
-    v0 = nominal.V
-    if np.abs(v0).min(initial=np.inf) < MIN_NOMINAL_VMAG:
-        raise SolverError("nominal voltage vanishes at some bus",
-                          code="ZERO_NOLOAD_VOLTAGE")
-    s_conj = np.asarray(s, dtype=complex).conj()
-    return LinearSolution(nominal, partition.factor.solve(s_conj / v0.conj()))
+    return NominalVoltage(v0)
 
 
 def prepare_general(partition: AdmittancePartition,
@@ -253,13 +224,16 @@ def prepare_general(partition: AdmittancePartition,
         x = lu.solve(np.concatenate([s.real + offset.real,
                                      s.imag + offset.imag]))
         return LinearSolution(nominal, x[:n] + 1j * x[n:])
-    return ModelParts(nominal, solve, lu.condition, {}, None)
+    return ModelParts(solve, lu.condition, {}, None)
 
 
 def prepare_noload(partition: AdmittancePartition) -> ModelParts:
-    """The closed form at the no-load nominal, on Y's shared factor; raises
-    as :func:`compute_noload_voltage` does."""
+    """The closed form at the no-load nominal, where ``direct`` vanishes and
+    the model collapses to ``Y dv = conj(s) / conj(V0)``, solved on Y's
+    shared factor; raises as :func:`compute_noload_voltage` does."""
     nominal = compute_noload_voltage(partition)
+    v0_conj = nominal.V.conj()
     return ModelParts(
-        nominal, lambda s: solve_noload_closed_form(partition, nominal, s),
+        lambda s: LinearSolution(nominal,
+                                 partition.factor.solve(s.conj() / v0_conj)),
         partition.factor.condition, {}, None)

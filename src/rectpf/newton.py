@@ -45,9 +45,11 @@ class NewtonSettings:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if (not isinstance(self.max_iterations, numbers.Integral)
+        # a bool is not a number here, as in case files
+        if isinstance(self.tolerance, bool) or not self.tolerance > 0:
+            raise ValueError("tolerance must be a positive number")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)
                 or self.max_iterations < 1):
             raise ValueError("max_iterations must be an integer of at least 1")
 

@@ -135,7 +135,7 @@ def prepare_lossless(partition: AdmittancePartition,
     lu = Factorization(_im_coeff(partition), code="SINGULAR_FLAT_SYSTEM",
                        what="flat-profile coefficient matrix")
     nominal, i_re = flat_nominal(partition.n), partition.i_load.real
-    return ModelParts(nominal, lambda s: LinearSolution(
+    return ModelParts(lambda s: LinearSolution(
         nominal, 1j * lu.solve(s.real + i_re)), lu.condition,
         {"flat_profile_conditions": conditions.overall},
         max_row_norm(partition.Y_csr.imag))
@@ -150,5 +150,5 @@ def prepare_dc(partition: AdmittancePartition) -> ModelParts:
     lu = Factorization(_dc_matrix(partition), code="SINGULAR_B",
                        what="DC susceptance matrix")
     nominal = flat_nominal(partition.n)
-    return ModelParts(nominal, lambda s: LinearSolution(
+    return ModelParts(lambda s: LinearSolution(
         nominal, 1j * lu.solve(s.real)), None, {}, None)

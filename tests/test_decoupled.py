@@ -3,8 +3,8 @@
 import numpy as np
 
 import casegen
-from rectpf import (NominalOrigin, NominalVoltage, build_admittance,
-                    decoupled_estimate, prepare)
+from rectpf import (NominalVoltage, build_admittance, decoupled_estimate,
+                    prepare)
 from rectpf.distribution import FLAT_ANGLE_TOL, ZERO_SUSCEPTANCE_TOL
 
 
@@ -21,7 +21,7 @@ def test_roundoff_angle_reads_flat():
     # dense LU returned this no-load voltage on the 2-bus ladder
     case = casegen.ladder_case()
     part = build_admittance(case)
-    nominal = NominalVoltage(np.array([1 - 2.8e-17j]), NominalOrigin.NO_LOAD)
+    nominal = NominalVoltage(np.array([1 - 2.8e-17j]))
     s, _ = case.injection_targets()
     est = decoupled_estimate(part, nominal, s)
     assert 0.0 < est.max_nominal_angle <= FLAT_ANGLE_TOL
@@ -33,7 +33,7 @@ def test_flags_read_the_documented_tolerances():
     case = casegen.ladder_case(series=1 - 0.5e-9j)
     part = build_admittance(case)
     s, _ = case.injection_targets()
-    tilted = NominalVoltage(np.array([np.exp(2e-12j)]), NominalOrigin.NO_LOAD)
+    tilted = NominalVoltage(np.array([np.exp(2e-12j)]))
     est = decoupled_estimate(part, tilted, s)
     assert est.susceptance_norm <= ZERO_SUSCEPTANCE_TOL
     assert est.flags == {"decoupled_assumption_b_zero": True,

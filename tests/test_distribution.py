@@ -4,14 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import casegen
+import rectpf
 from rectpf import (Branch, Bus, BusKind, InternalCheckError, NetworkCase,
                     PvSetpoint, SlackVoltage, SolverError, ZipLoad,
                     build_admittance, coupling_decomposition,
                     decoupled_estimate, nonlinear_mismatch, prepare,
                     quadratic_residual, run_pipeline,
-                    solve_no_current_closed_form)
+                    save_case, solve_no_current_closed_form)
+from rectpf.cli import main
 from rectpf.distribution import prepare_no_current
 
 
@@ -48,7 +51,7 @@ def test_coupling_terms_sum_to_full_perturbation():
         part = build_admittance(case)
         sol = _noload(part, case)
         s, _ = case.injection_targets()
-        terms = coupling_decomposition(part, sol.nominal, s)
+        terms = coupling_decomposition(part, s)
         assert np.abs(terms.dv - sol.dv).max() <= 1e-11 * (1 + np.abs(sol.dv).max())
 
 
@@ -59,7 +62,7 @@ def test_coupling_matches_the_dense_formulas():
         part = build_admittance(case)
         sol = _noload(part, case)
         s, _ = case.injection_targets()
-        terms = coupling_decomposition(part, sol.nominal, s)
+        terms = coupling_decomposition(part, s)
         z = np.linalg.inv(part.Y_csr.toarray())
         vmag, theta = np.abs(sol.nominal.V), np.angle(sol.nominal.V)
         dc, ds = np.cos(theta) / vmag, np.sin(theta) / vmag
@@ -84,7 +87,7 @@ def test_coupling_cross_terms_vanish_for_resistive_flat_network():
     part = build_admittance(case)
     sol = _noload(part, case)
     s, _ = case.injection_targets()
-    terms = coupling_decomposition(part, sol.nominal, s)
+    terms = coupling_decomposition(part, s)
     np.testing.assert_allclose(terms.re_from_q, 0, atol=1e-15)
     np.testing.assert_allclose(terms.im_from_p, 0, atol=1e-15)
     np.testing.assert_allclose(terms.re_from_p, sol.dv.real, atol=1e-13)
@@ -145,8 +148,8 @@ def test_decoupled_estimate_singular_g():
     case = casegen.lossless_ladder_case()
     part = build_admittance(case)
     sol_s = np.array([0.5 + 0j])
-    from rectpf import NominalOrigin, NominalVoltage
-    nominal = NominalVoltage(np.ones(1, dtype=complex), NominalOrigin.NO_LOAD)
+    from rectpf import NominalVoltage
+    nominal = NominalVoltage(np.ones(1, dtype=complex))
     with pytest.raises(SolverError) as exc:
         decoupled_estimate(part, nominal, sol_s)
     assert exc.value.code == "SINGULAR_G"
@@ -163,6 +166,46 @@ def test_no_current_special_matches_general_closed_form():
         assert np.abs(special.dv - general.dv).max() <= 1e-12
         assert np.abs(special.nominal.V - general.nominal.V).max() <= 1e-12
         assert prepare_no_current(part).flags["no_current_special"]
+
+
+class _PerturbedThirdSolve:
+    """Y's factor, except that its third solve comes back perturbed."""
+
+    def __init__(self, factor):
+        self._factor, self._solves = factor, 0
+
+    def __getattr__(self, name):
+        return getattr(self._factor, name)
+
+    def solve(self, b):
+        self._solves += 1
+        x = self._factor.solve(b)
+        return x + 1e-6 if self._solves == 3 else x
+
+
+def _perturb_reference(part):
+    # the special form solves for w, then for dv; its third solve on Y's
+    # factor is the general closed form it is checked against
+    part.__dict__["factor"] = _PerturbedThirdSolve(part.factor)
+    return part
+
+
+def test_no_current_cross_check_catches_a_disagreeing_reference(
+        tmp_path, monkeypatch):
+    case = casegen.random_feeder_case(np.random.default_rng(73),
+                                      with_current=False)
+    s, _ = case.injection_targets()
+    with pytest.raises(InternalCheckError):
+        prepare_no_current(_perturb_reference(build_admittance(case))).solve(s)
+    monkeypatch.setattr(rectpf.report, "build_admittance",
+                        lambda c: _perturb_reference(build_admittance(c)))
+    save_case(case, tmp_path / "case.yaml")
+    res = CliRunner().invoke(main, ["solve", str(tmp_path / "case.yaml"),
+                                    "--method", "nocurrent"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("INTERNAL_CHECK: no-current special form "
+                                 "disagrees with the general closed form")
+    assert res.stdout == ""
 
 
 def test_no_current_special_rejects_current_loads():

@@ -6,8 +6,8 @@ import scipy.linalg
 from scipy import sparse
 
 import casegen
-from rectpf import (NominalOrigin, NominalVoltage, SolverError,
-                    build_admittance, compute_noload_voltage)
+from rectpf import (NominalVoltage, SolverError, build_admittance,
+                    compute_noload_voltage)
 from rectpf._linalg import PIVOT_RTOL, Factorization
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
 from rectpf.transmission import _im_coeff
@@ -35,8 +35,7 @@ def _systems(seed):
     yield "feeder G", part.Y_csr.real
     n = feeder.n
     nominal = NominalVoltage(
-        rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
-        NominalOrigin.USER)
+        rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n))
     direct = _direct_coefficient(part, nominal.V)
     yield "general 2N block", _real_block_matrix(part, nominal.V, direct)
     yield "general cross", sparse.diags_array(nominal.V) @ part.Y_csr.conj()

@@ -5,11 +5,11 @@ import pytest
 from scipy import sparse
 
 import casegen
-from rectpf import (NominalOrigin, NominalVoltage, SolverError,
-                    build_admittance, compute_noload_voltage, flat_nominal,
-                    linear_injection, prepare, solve_noload_closed_form)
+from rectpf import (NominalVoltage, SolverError, build_admittance,
+                    compute_noload_voltage, flat_nominal, linear_injection,
+                    prepare)
 from rectpf.linearize import (_direct_coefficient, _real_block_matrix,
-                              prepare_general)
+                              prepare_general, prepare_noload)
 from rectpf.netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
                              SlackVoltage, ZipLoad)
 
@@ -38,8 +38,7 @@ def test_offset_identity_at_random_nominal():
     for _ in range(10):
         case = casegen.random_feeder_case(rng)
         n = case.n
-        v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n),
-                            NominalOrigin.USER)
+        v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n))
         part, _, direct = _direct_for(case, v0)
         # the model's constant term, read at dv = 0, is -offset
         offset = -linear_injection(part, v0, direct, np.zeros(n))
@@ -61,15 +60,13 @@ def test_noload_voltage_ladder_is_unity():
     case = casegen.ladder_case()
     part = build_admittance(case)
     nom = compute_noload_voltage(part)
-    assert nom.origin is NominalOrigin.NO_LOAD
     np.testing.assert_allclose(nom.V, [1 + 0j], rtol=0, atol=1e-15)
 
 
 def test_noload_closed_form_ladder_frozen():
     case = casegen.ladder_case(power=-0.1 - 0.05j)
     part = build_admittance(case)
-    nom = compute_noload_voltage(part)
-    sol = solve_noload_closed_form(part, nom, np.array([-0.1 - 0.05j]))
+    sol = prepare_noload(part).solve(np.array([-0.1 - 0.05j]))
     expected = (-0.35 - 0.45j) / 26
     np.testing.assert_allclose(sol.dv, [expected], rtol=1e-14, atol=0)
 
@@ -96,7 +93,7 @@ def test_closed_form_equals_general_2n_at_noload_nominal():
         nom = compute_noload_voltage(part)
         s, _ = case.injection_targets()
         a = prepare_general(part, nom).solve(s)
-        b = solve_noload_closed_form(part, nom, s)
+        b = prepare_noload(part).solve(s)
         assert np.abs(a.dv - b.dv).max() <= 1e-10
 
 
@@ -104,8 +101,7 @@ def test_homogeneous_rhs_gives_zero_perturbation():
     rng = np.random.default_rng(41)
     case = casegen.random_feeder_case(rng)
     n = case.n
-    v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n),
-                        NominalOrigin.USER)
+    v0 = NominalVoltage(rng.normal(1, 0.1, n) + 1j * rng.normal(0, 0.1, n))
     part, _, direct = _direct_for(case, v0)
     sol = prepare_general(part, v0).solve(v0.V * direct)
     np.testing.assert_allclose(sol.dv, np.zeros(n), rtol=0, atol=0)
@@ -117,7 +113,7 @@ def test_linear_model_rows_are_satisfied():
         case = casegen.random_feeder_case(rng)
         n = case.n
         v0 = NominalVoltage(rng.normal(1, 0.05, n)
-                            + 1j * rng.normal(0, 0.05, n), NominalOrigin.USER)
+                            + 1j * rng.normal(0, 0.05, n))
         part, _, direct = _direct_for(case, v0)
         s, _ = case.injection_targets()
         sol = prepare_general(part, v0).solve(s)
@@ -148,10 +144,9 @@ def test_solve_general_defaults_to_flat():
     part = build_admittance(case)
     sol = prepare(part, case, "general", False)[1].solve(
         case.injection_targets()[0])
-    assert sol.nominal.origin is NominalOrigin.FLAT
+    assert (sol.nominal.V == 1).all()
     # flat == no-load for this network, so the closed form must agree
-    nom = compute_noload_voltage(part)
-    ref = solve_noload_closed_form(part, nom, np.array([-0.1 - 0.05j]))
+    ref = prepare_noload(part).solve(np.array([-0.1 - 0.05j]))
     assert np.abs(sol.dv - ref.dv).max() <= 1e-12
 
 
@@ -192,18 +187,11 @@ def test_nonfinite_noload_voltage_detected():
     assert exc.value.code == "NONFINITE_NOLOAD_VOLTAGE"
 
 
-def test_closed_form_requires_noload_origin():
-    case = casegen.ladder_case()
-    part = build_admittance(case)
-    with pytest.raises(ValueError):
-        solve_noload_closed_form(part, flat_nominal(1), np.array([0.1 + 0j]))
-
-
 def test_nominal_validation():
     with pytest.raises(ValueError):
-        NominalVoltage(np.array([[1.0 + 0j]]), NominalOrigin.USER)
+        NominalVoltage(np.array([[1.0 + 0j]]))
     with pytest.raises(ValueError):
-        NominalVoltage(np.array([np.nan + 0j]), NominalOrigin.USER)
+        NominalVoltage(np.array([np.nan + 0j]))
 
 
 def test_coefficients_reject_wrong_length():
@@ -221,8 +209,7 @@ def test_block_matrix_equals_numeric_jacobian_of_injection():
     case = casegen.random_feeder_case(rng, n_min=3, n_max=6)
     part = build_admittance(case)
     n = case.n
-    v0 = NominalVoltage(rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n),
-                        NominalOrigin.USER)
+    v0 = NominalVoltage(rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n))
     direct = _direct_coefficient(part, v0.V)
     block = _real_block_matrix(part, v0.V, direct)
     step = 1e-6

@@ -91,6 +91,11 @@ def test_settings_validation():
         NewtonSettings(max_iterations=0)
     with pytest.raises(ValueError):
         NewtonSettings(max_iterations=2.5)
+    # a bool is not a number here, as in case files
+    with pytest.raises(ValueError):
+        NewtonSettings(max_iterations=True)
+    with pytest.raises(ValueError):
+        NewtonSettings(tolerance=True)
 
 
 def test_quadratic_convergence_of_iterates():

@@ -31,6 +31,15 @@ _LACN2_ITMAX = 5
 _SAFMIN = np.finfo(float).tiny
 
 
+def _segment_sums(a, data: np.ndarray) -> np.ndarray:
+    """Sums of ``data`` on the pattern of a CSR (CSC) ``a`` over each row
+    (column), added in the order scipy's ``a.sum`` adds them."""
+    sums = np.zeros(len(a.indptr) - 1, dtype=data.dtype)
+    nonempty = np.flatnonzero(np.diff(a.indptr))
+    sums[nonempty] = np.add.reduceat(data, a.indptr[nonempty])
+    return sums
+
+
 class Factorization:
     """LU factors of one square matrix, dense or sparse.
 
@@ -41,7 +50,7 @@ class Factorization:
     """
 
     def __init__(self, a, *, code: str, what: str = "linear system"):
-        a = sparse.csc_array(a)
+        a = a if isinstance(a, sparse.csc_array) else sparse.csc_array(a)
         if not np.isfinite(a.data).all():
             raise SolverError(f"{what} has non-finite entries", code=code)
         self._a = a
@@ -66,7 +75,7 @@ class Factorization:
     @cached_property
     def condition(self) -> float:
         """1-norm condition estimate ``|A|_1 * est(|A^(-1)|_1)``, as xGECON."""
-        anorm = float(abs(self._a).sum(axis=0).max())
+        anorm = float(_segment_sums(self._a, np.abs(self._a.data)).max())
         cond = anorm * _inverse_norm1_estimate(self._lu, self._a.dtype)
         return cond if 0.0 < cond < math.inf else math.inf
 

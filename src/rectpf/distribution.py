@@ -21,7 +21,6 @@ from .errors import InternalCheckError, SolverError
 from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, ModelParts,
                         NominalVoltage, compute_noload_voltage)
 from .netmodel import AdmittancePartition
-from .residuals import max_row_norm
 
 
 def _magnitude_angle(nominal: NominalVoltage):
@@ -113,11 +112,11 @@ def _estimator(partition: AdmittancePartition, nominal: NominalVoltage):
     """The estimate at ``nominal`` for zero loading, which carries the
     assumption measures, and the estimate for any ``s`` on one factor of G."""
     vmag, theta = _magnitude_angle(nominal)
-    lu = Factorization(partition.Y_csr.real, code="SINGULAR_G",
+    lu = Factorization(partition.G, code="SINGULAR_G",
                        what="conductance block G")
     unloaded = DecoupledEstimate(
         v_mag=vmag, theta=theta,
-        susceptance_norm=max_row_norm(partition.Y_csr.imag),
+        susceptance_norm=partition.B_row_norm,
         max_nominal_angle=float(np.abs(theta).max(initial=0.0)))
 
     def estimate(s) -> DecoupledEstimate:

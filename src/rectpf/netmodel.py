@@ -42,9 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
-from ._linalg import Factorization
+from ._linalg import Factorization, _segment_sums
 from .errors import CaseValidationError
 
 
@@ -336,12 +335,35 @@ def scale_power_injections(case: NetworkCase, alpha: float) -> NetworkCase:
 
 def _connected(n_nodes: int, rows, cols) -> bool:
     """True when the undirected graph on 0..n_nodes-1 with the given edges
-    (self loops allowed) is connected."""
-    if n_nodes <= 1:
-        return True
-    graph = sparse.coo_array((np.ones(len(rows)), (rows, cols)),
-                             shape=(n_nodes, n_nodes))
-    return connected_components(graph, directed=False)[0] == 1
+    (self loops allowed) is connected.  A vectorized union-find: while an
+    edge joins two labels, hook each root to the smallest root across its
+    edges, then jump pointers until every label is a root."""
+    label = np.arange(n_nodes)
+    rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+    while (split := label[rows] != label[cols]).any():
+        lr, lc = label[rows[split]], label[cols[split]]
+        np.minimum.at(label, lr, np.minimum(lr, lc))
+        np.minimum.at(label, lc, np.minimum(lr, lc))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return not label.any()
+
+
+def _minus_diag(a: sparse.csr_array, d: np.ndarray) -> sparse.csr_array:
+    """``a - diag(d)`` for a canonical CSR ``a``, entry for entry as scipy's
+    CSR subtraction forms it: ``a_ii - d_i`` on a stored diagonal,
+    ``0 - d_i`` on a missing one, and exact zeros dropped."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    keys, where = np.unique(np.concatenate(
+        [rows * n + a.indices, np.arange(n) * (n + 1)]), return_inverse=True)
+    data = np.zeros(keys.size)
+    data[where[:a.nnz]] = a.data
+    data[where[a.nnz:]] -= d
+    keep = data != 0
+    rows, cols = np.divmod(keys[keep], n)
+    return sparse.csr_array((data[keep], cols, np.searchsorted(
+        rows, np.arange(n + 1))), shape=(n, n))
 
 
 class _BlockPattern(NamedTuple):
@@ -375,15 +397,18 @@ class AdmittancePartition:
     are dropped), ``Ybar`` the (N,) coupling column to the slack,
     ``y_slack`` the slack self-admittance, ``i_load`` the (N,)
     constant-current injections and ``v_slack`` the slack voltage phasor.
-    ``factor``, the LU of Y, is built on first use and shared by every
-    solver that applies ``Y^(-1)``, so Y is factored at most once per
-    partition; ``Y_conj`` and ``v_noload``, the no-load profile, are cached
-    the same way, so the profile is solved at most once per partition.  The
-    shunt vector is the CSR row sum ``Ysh = Y @ 1 + Ybar``: series terms
-    cancel in the row sum, leaving exactly the lumped shunts (line halves
-    plus the constant-impedance load parts).  ``block_pattern``, the
-    sparsity of the stacked 2N real system, is built once and shared by
-    every Jacobian of the partition.
+    ``Ysh = Y @ 1 + Ybar`` is the shunt vector: series terms cancel in the
+    row sum, leaving the lumped shunts.
+
+    The rest is read-only and built on first use, at most once per
+    partition: ``factor``, Y's LU, which every solver applying ``Y^(-1)``
+    shares; ``v_noload``, the no-load profile; ``block_pattern``, the
+    sparsity every 2N Jacobian fills; and what is derived from Y, each bit
+    for bit the scipy expression it replaces: ``Y_conj``, ``G``, ``B`` and
+    ``Y_abs`` (``Y.conj()``, ``Y.real``, ``Y.imag``, ``abs(Y)``), the
+    ``max_row_norm`` of Y (equal for ``conj(Y)``) and of B as ``Y_row_norm``
+    and ``B_row_norm``, and ``B_dc = -(B - diags(Ysh.imag))``, which the
+    DC and lossless models share.
     """
 
     Y_csr: sparse.csr_array
@@ -393,7 +418,9 @@ class AdmittancePartition:
     v_slack: complex
 
     def __post_init__(self):
-        y = sparse.csr_array(self.Y_csr, dtype=complex, copy=True)
+        y = self.Y_csr
+        y = (y.copy() if isinstance(y, sparse.csr_array) and y.dtype == complex
+             else sparse.csr_array(y, dtype=complex, copy=True))
         ybar = np.array(self.Ybar, dtype=complex)
         i_load = np.array(self.i_load, dtype=complex)
         if len(y.shape) != 2 or y.shape[0] != y.shape[1]:
@@ -430,15 +457,30 @@ class AdmittancePartition:
         v0.flags.writeable = False
         return v0
 
+    def _on_pattern(self, data: np.ndarray) -> sparse.csr_array:
+        """The read-only CSR matrix of ``data`` on Y's pattern."""
+        data.flags.writeable = False
+        y = self.Y_csr
+        return sparse.csr_array((data, y.indices, y.indptr), shape=y.shape)
+
+    def _max_row_norm(self, magnitudes: np.ndarray) -> float:
+        """``max_row_norm`` of the entry ``magnitudes`` on Y's pattern."""
+        return float(np.sqrt(_segment_sums(self.Y_csr, magnitudes ** 2)).max())
+
+    Y_conj = cached_property(lambda p: p._on_pattern(p.Y_csr.data.conj()))
+    G = cached_property(lambda p: p._on_pattern(p.Y_csr.data.real.copy()))
+    B = cached_property(lambda p: p._on_pattern(p.Y_csr.data.imag.copy()))
+    Y_abs = cached_property(lambda p: p._on_pattern(np.abs(p.Y_csr.data)))
+    Y_row_norm = cached_property(lambda p: p._max_row_norm(p.Y_abs.data))
+    B_row_norm = cached_property(lambda p: p._max_row_norm(np.abs(p.B.data)))
+
     @cached_property
-    def Y_conj(self) -> sparse.csr_array:
-        """``conj(Y)``, built on first use, so the linear model and the
-        quadratic term multiply by one copy instead of conjugating Y on
-        every call."""
-        y = self.Y_csr.conj()
-        for arr in (y.data, y.indices, y.indptr):
+    def B_dc(self) -> sparse.csr_array:
+        b = _minus_diag(self.B, self.Ysh.imag)
+        np.negative(b.data, out=b.data)
+        for arr in (b.data, b.indices, b.indptr):
             arr.flags.writeable = False
-        return y
+        return b
 
     @cached_property
     def block_pattern(self) -> _BlockPattern:
@@ -519,12 +561,16 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
             [f"admittance at bus(es) {ids} is not finite: the branch and "
              f"shunt admittances summed there overflow"])
     keep = data != 0
-    full = sparse.csr_array((data[keep], np.divmod(keys[keep], m)),
-                            shape=(m, m))
-    n = m - 1
-    return AdmittancePartition(
-        full[:n, :n], full[:n, [n]].toarray().ravel(), full[n, n],
-        case.current[:-1], case.v_slack)
+    keys, data = keys[keep], data[keep]
+    n, (rows, cols) = m - 1, np.divmod(keys, m)
+    block, to_slack = (rows < n) & (cols < n), (rows < n) & (cols == n)
+    ybar = np.zeros(n, dtype=complex)
+    ybar[rows[to_slack]] = data[to_slack]
+    y = sparse.csr_array((data[block], cols[block], np.searchsorted(
+        rows[block], np.arange(m))), shape=(n, n))
+    # the corner's entry, or 0 where its stamps cancel
+    return AdmittancePartition(y, ybar, data[keys == m * m - 1].sum(),
+                               case.current[:-1], case.v_slack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -557,13 +603,14 @@ def check_noload_structure(partition: AdmittancePartition
     """
     y = partition.Y_csr
     diag = np.abs(y.diagonal())
-    offsum = abs(y).sum(axis=1) - diag
+    offsum = partition.Y_abs.sum(axis=1) - diag
     margins = diag - offsum
     tol = 1e-12 * (diag + offsum)
     weak = margins >= -tol
     strict = margins > tol
 
-    connected = _connected(partition.n, *y.nonzero())
+    rows = np.repeat(np.arange(partition.n), np.diff(y.indptr))
+    connected = _connected(partition.n, rows, y.indices)
 
     slack_adjacent = partition.slack_adjacent_ids()
     strict_at_adjacent = bool(slack_adjacent) and all(

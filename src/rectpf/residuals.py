@@ -77,10 +77,9 @@ def quadratic_residual(partition: AdmittancePartition,
     :class:`InternalCheckError` rather than returning silently wrong data.
     """
     dv = np.asarray(dv, dtype=complex)
-    y = partition.Y_csr
     s_hot = dv * (partition.Y_conj @ dv.conj())
 
-    g, b = y.real, y.imag
+    g, b = partition.G, partition.B
     dre, dim = dv.real, dv.imag
     a = g @ dre - b @ dim
     c = g @ dim + b @ dre
@@ -88,7 +87,7 @@ def quadratic_residual(partition: AdmittancePartition,
     q_hot = dim * a - dre * c
 
     mag = np.abs(dv)
-    scale = float((mag * (abs(y) @ mag)).max(initial=0.0))
+    scale = float((mag * (partition.Y_abs @ mag)).max(initial=0.0))
     gap = np.abs(s_hot - (p_hot + 1j * q_hot)).max(initial=0.0)
     if gap > 1e-12 * scale:
         raise InternalCheckError(
@@ -97,7 +96,7 @@ def quadratic_residual(partition: AdmittancePartition,
     norm_dv = float(np.linalg.norm(dv))
     bound = BoundCheck("complex_power_quadratic",
                        value=float(np.linalg.norm(s_hot)),
-                       bound=max_row_norm(partition.Y_conj) * norm_dv**2)
+                       bound=partition.Y_row_norm * norm_dv**2)
     return ResidualReport(
         s_hot=s_hot, p_hot=p_hot, q_hot=q_hot,
         norm_s=float(np.linalg.norm(s_hot)),

@@ -17,8 +17,8 @@ model and one factor serve every load level of a case.
 
 Dropping the current loads and shunts from the same active-power rows and
 reading ``dIm`` as a small angle recovers the classical DC power flow.  Both
-formulations are built on one sparse matrix, ``-(B - diag(Bsh))``, from the
-partition's CSR data, so a grid of thousands of buses costs O(nnz) memory.
+formulations are built on the partition's cached ``B_dc = -(B -
+diag(Bsh))``, so a grid of thousands of buses costs O(nnz) memory.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ._linalg import Factorization
+from ._linalg import Factorization, _segment_sums
 from .errors import SolverError
 from .linearize import LinearSolution, ModelParts, flat_nominal
-from .netmodel import AdmittancePartition
-from .residuals import max_row_norm
+from .netmodel import AdmittancePartition, _minus_diag
 
 # Largest conductance entry (series or shunt) tolerated by the lossless gate.
 LOSSLESS_GMAX = 1e-9
@@ -65,14 +64,9 @@ def lossless_gate(partition: AdmittancePartition) -> SolverError | None:
     return None
 
 
-def _dc_matrix(partition: AdmittancePartition) -> sparse.csr_array:
-    """The sparse susceptance matrix ``-(B - diag(Bsh))``."""
-    return -(partition.Y_csr.imag - sparse.diags_array(partition.Ysh.imag))
-
-
 def _im_coeff(partition: AdmittancePartition) -> sparse.csr_array:
     """``im_coeff = -(B - diag(Bsh)) - diag(Im(I_L))``."""
-    return _dc_matrix(partition) - sparse.diags_array(partition.i_load.imag)
+    return _minus_diag(partition.B_dc, partition.i_load.imag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +98,10 @@ def flat_conditions(partition: AdmittancePartition) -> FlatSolveConditions:
     by the imaginary current load must weakly dominate the row of couplings
     to the other non-slack buses; strictly so at one slack-adjacent bus.
     """
-    b = partition.Y_csr.imag
+    b = partition.B
     diag = b.diagonal()
     lhs = np.abs(diag - partition.Ysh.imag - partition.i_load.imag)
-    rhs = abs(b).sum(axis=1) - np.abs(diag)
+    rhs = _segment_sums(b, np.abs(b.data)) - np.abs(diag)
     tol = 1e-12 * (lhs + rhs)
     weak = lhs >= rhs - tol
     strict = lhs > rhs + tol
@@ -138,7 +132,7 @@ def prepare_lossless(partition: AdmittancePartition,
     return ModelParts(lambda s: LinearSolution(
         nominal, 1j * lu.solve(s.real + i_re)), lu.condition,
         {"flat_profile_conditions": conditions.overall},
-        max_row_norm(partition.Y_csr.imag))
+        partition.B_row_norm)
 
 
 def prepare_dc(partition: AdmittancePartition) -> ModelParts:
@@ -147,7 +141,7 @@ def prepare_dc(partition: AdmittancePartition) -> ModelParts:
     perturbation read as a bus angle.  Solving for ``P - Gsh`` keeps the
     shunt-conductance load, and moves theta by ``(B - diag(Bsh))^(-1) Gsh``.
     """
-    lu = Factorization(_dc_matrix(partition), code="SINGULAR_B",
+    lu = Factorization(partition.B_dc, code="SINGULAR_B",
                        what="DC susceptance matrix")
     nominal = flat_nominal(partition.n)
     return ModelParts(lambda s: LinearSolution(

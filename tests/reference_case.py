@@ -10,6 +10,11 @@ once instead of twice.
 
 :func:`reference_dump` is the writer the columnar ``dump_case`` replaced:
 one entry per :class:`Bus` view, emitted by ``yaml.safe_dump``.
+
+:func:`reference_admittance` is the ``build_admittance`` that stamped the
+full (N+1) x (N+1) matrix and sliced it three ways, and :func:`connected`
+decides connectivity with ``scipy.sparse.csgraph``, not with the library's
+own union-find.
 """
 
 from __future__ import annotations
@@ -18,12 +23,50 @@ import math
 
 import numpy as np
 import yaml
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from rectpf.caseio import (_BRANCH_FIELDS, _BUS_ALLOWED, _BUS_FIELDS, _DEG,
                            _TOP_FIELDS, SCHEMA_VERSION, _degrees_exact)
 from rectpf.errors import CaseValidationError
-from rectpf.netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
-                             SlackVoltage, ZipLoad, _connected)
+from rectpf.netmodel import (AdmittancePartition, Branch, Bus, BusKind,
+                             NetworkCase, PvSetpoint, SlackVoltage, ZipLoad)
+
+
+def connected(n_nodes: int, rows, cols) -> bool:
+    """True when the undirected graph on 0..n_nodes-1 with the given edges
+    (self loops allowed) is connected, by ``csgraph.connected_components``."""
+    if n_nodes <= 1:
+        return True
+    graph = sparse.coo_array((np.ones(len(rows)), (rows, cols)),
+                             shape=(n_nodes, n_nodes))
+    return connected_components(graph, directed=False)[0] == 1
+
+
+def reference_admittance(case: NetworkCase) -> AdmittancePartition:
+    """The partition of ``case`` as the slicing ``build_admittance`` built
+    it: the stamps summed in stamp order, exact zeros dropped, the full
+    matrix made CSR and sliced into Y, the slack column and the corner."""
+    m = case.n + 1
+    f, t = case.from_bus - 1, case.to_bus - 1
+    ys = case.series
+    half = case.line_shunt / 2.0
+    buses = np.arange(m)
+    rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), buses])
+    cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), buses])
+    keys, where = np.unique(rows * m + cols, return_inverse=True)
+    data = np.zeros(keys.size, dtype=complex)
+    vals = np.concatenate([
+        np.stack([ys + half, ys + half, -ys, -ys], axis=1).ravel(),
+        case.shunt])
+    np.add.at(data, where, vals)
+    keep = data != 0
+    full = sparse.csr_array((data[keep], np.divmod(keys[keep], m)),
+                            shape=(m, m))
+    n = m - 1
+    return AdmittancePartition(
+        full[:n, :n], full[:n, [n]].toarray().ravel(), full[n, n],
+        case.current[:-1], case.v_slack)
 
 
 def _num(entry: dict, key: str, where: str, problems: list[str],
@@ -207,7 +250,7 @@ def validate(buses, branches, base_mva) -> tuple[list[Bus], list[str]]:
     if not problems:
         ends = np.array([(br.from_bus - 1, br.to_bus - 1)
                          for br in branches], dtype=int).reshape(-1, 2)
-        if not _connected(len(buses), ends[:, 0], ends[:, 1]):
+        if not connected(len(buses), ends[:, 0], ends[:, 1]):
             problems.append("network graph is not connected")
     return buses, problems
 

@@ -1,0 +1,69 @@
+"""How many scipy compressed matrices a command builds.
+
+At desk scale a command's numerics take microseconds, and building scipy
+sparse objects costs more than factoring them.  So every matrix derived
+from Y is built once on the partition, and these budgets count the
+``_cs_matrix.__init__`` calls of whole CLI commands on a 40-bus feeder and
+a 42-bus lossless grid.  What stays is the case's Y and its copy, the
+derived matrices, a CSC copy of each matrix factored, the Jacobians, and
+two matrices per factorization that SuperLU's ``U`` accessor builds to
+read the pivots.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from scipy.sparse import _compressed
+
+import casegen
+from rectpf import save_case
+from rectpf.cli import main
+
+FEEDER = casegen.random_feeder_case(np.random.default_rng(40), 40, 40)
+GRID = casegen.random_lossless_case(np.random.default_rng(42), 42, 42,
+                                    pv_fraction=0.3, newton_ready=True)
+COMMANDS = {"solve --oracle": ("solve", "--oracle"), "check": ("check",),
+            "compare": ("compare", "--alpha-list", "1.0,0.5,0.25")}
+
+
+def constructions(case, command: str, *options: str) -> int:
+    """The compressed scipy matrices that ``rectpf <command> <case file>
+    <options>`` builds, run in process: ``_cs_matrix.__init__`` calls."""
+    built = 0
+    init = _compressed._cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.yaml"
+        save_case(case, path)
+        _compressed._cs_matrix.__init__ = counted
+        try:
+            result = CliRunner().invoke(main, [command, str(path), *options])
+        finally:
+            _compressed._cs_matrix.__init__ = init
+    assert result.exit_code == 0, result.output
+    return built
+
+
+
+# The most each command may build.  With scipy 1.17 they build 22, 3 and 40
+# on the feeder and 28, 4 and 52 on the grid; before Y's derived matrices
+# were cached on the partition they built 40, 13 and 83, and 53, 15 and 104.
+BUDGETS = {"feeder": (FEEDER, {"solve --oracle": 24, "check": 4,
+                               "compare": 44}),
+           "grid": (GRID, {"solve --oracle": 30, "check": 5,
+                           "compare": 56})}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_builds_few_compressed_matrices(name, command):
+    case, budget = BUDGETS[name]
+    assert constructions(case, *COMMANDS[command]) <= budget[command]

@@ -2,17 +2,18 @@
 change is factored once, and the flat-profile conditions are evaluated
 once, for all the alphas of a ``compare``."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 import casegen
 import rectpf._linalg
-import rectpf.distribution
 import rectpf.transmission
-from rectpf import build_admittance, run_compare
+from rectpf import AdmittancePartition, build_admittance, run_compare
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
-from rectpf.transmission import _dc_matrix, _im_coeff
+from rectpf.transmission import _im_coeff
 
 
 def _lossless_case():
@@ -51,7 +52,7 @@ MODELS = {
     "noload": (casegen.fixed_feeder10, lambda part: part.Y_csr),
     "nocurrent": (casegen.fixed_feeder10, lambda part: part.Y_csr),
     "decoupled": (casegen.fixed_feeder10, lambda part: part.Y_csr.real),
-    "dc": (casegen.fixed_feeder10, _dc_matrix),
+    "dc": (casegen.fixed_feeder10, lambda part: part.B_dc),
     "lossless": (_lossless_case, _im_coeff),
 }
 
@@ -96,13 +97,15 @@ def test_lossless_compare_builds_the_system_once(monkeypatch):
 
 def test_decoupled_compare_measures_the_assumptions_once(monkeypatch):
     measured = []
-    max_row_norm = rectpf.distribution.max_row_norm
+    b_row_norm = AdmittancePartition.B_row_norm.func
 
-    def counting_norm(*args):
-        measured.append(args)
-        return max_row_norm(*args)
+    def counting_norm(partition):
+        measured.append(partition)
+        return b_row_norm(partition)
 
-    monkeypatch.setattr(rectpf.distribution, "max_row_norm", counting_norm)
+    counted = cached_property(counting_norm)
+    counted.__set_name__(AdmittancePartition, "B_row_norm")
+    monkeypatch.setattr(AdmittancePartition, "B_row_norm", counted)
     report = run_compare(casegen.fixed_feeder10(), [1, 0.5, 0.25],
                          method="decoupled")
     assert report.method == "decoupled"

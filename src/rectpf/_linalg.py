@@ -1,24 +1,27 @@
 """Sparse LU factorization shared by every solver in the package.
 
 Every linear solve goes through :class:`Factorization`, which factors a
-matrix once with SuperLU (``scipy.sparse.linalg.splu``) and then solves any
-number of right-hand sides.  Non-finite input and numerically singular
-systems are rejected at factor time; the latter by a pivot-ratio test on
-the diagonal of U.  The 1-norm condition estimate is computed on first use
-by the Hager-Higham estimator that LAPACK's ``xGECON`` runs (``xLACN2``),
-driven by the factor's own solves, so it costs a handful of sparse
-triangular solves and needs no dense copy of the matrix.  The estimate is
-diagnostic only; no solve is refused because of a large condition number.
+matrix once with SuperLU and then solves any number of right-hand sides.
+It calls ``gstrf``, the SuperLU entry point of ``scipy.sparse.linalg.splu``,
+on raw CSC arrays, and reads the pivots from U's raw arrays, so no scipy
+matrix is built.  Non-finite input and numerically singular systems are
+rejected at factor time; the latter by a pivot-ratio test on the diagonal
+of U.  The 1-norm condition estimate is computed on first use by the
+Hager-Higham estimator that LAPACK's ``xGECON`` runs (``xLACN2``), driven
+by the factor's own solves, so it costs a handful of sparse triangular
+solves and needs no dense copy of the matrix.  The estimate is diagnostic
+only; no solve is refused because of a large condition number.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import SolverError
 
@@ -30,6 +33,10 @@ PIVOT_RTOL = 1e-12
 _LACN2_ITMAX = 5
 _SAFMIN = np.finfo(float).tiny
 
+# The options ``splu`` passes when every argument is left at its default.
+_SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None,
+                 "PanelSize": None, "Relax": None}
+
 
 def _segment_sums(a, data: np.ndarray) -> np.ndarray:
     """Sums of ``data`` on the pattern of a CSR (CSC) ``a`` over each row
@@ -40,8 +47,28 @@ def _segment_sums(a, data: np.ndarray) -> np.ndarray:
     return sums
 
 
+class CSCArrays(NamedTuple):
+    """A square matrix as SuperLU takes it: CSC arrays without duplicate
+    entries, float or complex ``data`` and ``intc`` indices."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def csc_arrays(a) -> CSCArrays:
+    """``a``, dense or sparse, converted as ``splu`` converts it: to CSC
+    with duplicates summed, a floating dtype and ``intc`` indices."""
+    a = a.tocsc() if sparse.issparse(a) else sparse.csc_array(a)
+    a.sum_duplicates()
+    a = a._asfptype()
+    return CSCArrays(a.data, a.indices.astype(np.intc, copy=False),
+                     a.indptr.astype(np.intc, copy=False))
+
+
 class Factorization:
-    """LU factors of one square matrix, dense or sparse.
+    """LU factors of one square matrix: dense or sparse, or its
+    :class:`CSCArrays`, which are factored as they are.
 
     ``solve`` accepts a vector or a matrix of right-hand sides.  Raises
     :class:`SolverError` with ``code`` when ``a`` has a non-finite entry,
@@ -50,17 +77,22 @@ class Factorization:
     """
 
     def __init__(self, a, *, code: str, what: str = "linear system"):
-        a = a if isinstance(a, sparse.csc_array) else sparse.csc_array(a)
+        self._a = a = a if isinstance(a, CSCArrays) else csc_arrays(a)
         if not np.isfinite(a.data).all():
             raise SolverError(f"{what} has non-finite entries", code=code)
-        self._a = a
+        n = len(a.indptr) - 1
         try:
-            self._lu = spla.splu(a)
+            self._lu = _superlu.gstrf(
+                n, int(a.indptr[-1]), *a, ilu=False, options=_SPLU_OPTIONS,
+                csc_construct_func=lambda arrays, shape: arrays)
         except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
             raise SolverError(
                 f"{what} is numerically singular (pivot ratio 0.000e+00)",
                 code=code) from exc
-        pivots = np.abs(self._lu.U.diagonal())
+        data, rows, indptr = self._lu.U    # may run past U's last entry
+        nnz = indptr[-1]
+        on_diag = rows[:nnz] == np.repeat(np.arange(n), np.diff(indptr))
+        pivots = np.abs(data[:nnz][on_diag])
         self.pivot_ratio = float(pivots.min() / pivots.max())
         if not self.pivot_ratio >= PIVOT_RTOL:
             raise SolverError(
@@ -76,7 +108,7 @@ class Factorization:
     def condition(self) -> float:
         """1-norm condition estimate ``|A|_1 * est(|A^(-1)|_1)``, as xGECON."""
         anorm = float(_segment_sums(self._a, np.abs(self._a.data)).max())
-        cond = anorm * _inverse_norm1_estimate(self._lu, self._a.dtype)
+        cond = anorm * _inverse_norm1_estimate(self._lu, self._a.data.dtype)
         return cond if 0.0 < cond < math.inf else math.inf
 
 

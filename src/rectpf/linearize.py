@@ -22,10 +22,11 @@ Every method is such a model around a fixed nominal; loading changes only
 
 The stacked 2N real system is filled on the partition's cached block
 pattern (``AdmittancePartition.block_pattern``): its sparsity depends on Y
-alone, so only the values are computed per call.  The cross products are
-formed from Y's entries in real arithmetic, exactly as scipy's sparse
-product forms them, so the matrix handed to SuperLU is bit-identical to the
-one composed from scipy.sparse operators; no cross matrix is ever built.
+alone, so only the values are computed per call, straight into the CSC
+arrays SuperLU factors.  The cross products are formed from Y's entries in
+real arithmetic, exactly as scipy's sparse product forms them, so those
+arrays are bit-identical to the CSC form of the matrix composed from
+scipy.sparse operators; no cross matrix, and no scipy matrix, is built.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
-from ._linalg import Factorization
+from ._linalg import CSCArrays, Factorization
 from .errors import SolverError
 from .netmodel import AdmittancePartition
 
@@ -81,18 +81,16 @@ def _direct_coefficient(partition: AdmittancePartition,
 
 def _real_block_matrix(partition: AdmittancePartition, v: np.ndarray,
                        direct: np.ndarray,
-                       pv_pos: np.ndarray = ()) -> sparse.csc_array:
-    """Stack ``diag(direct) dv + diag(v) conj(Y) conj(dv)`` into its
-    2N x 2N real form, filled on the partition's cached block pattern.
+                       pv_pos: np.ndarray = ()) -> CSCArrays:
+    """Stack ``diag(direct) dv + diag(v) conj(Y) conj(dv)`` into the CSC
+    arrays of its 2N x 2N real form, filled on the partition's cached block
+    pattern.
 
     Unknown ordering is ``[Re dv; Im dv]``; row ordering is active-power
     rows then reactive-power rows.  The same matrix is the power-flow
     Jacobian at ``v``, which is why the Newton solver reuses this builder;
     the reactive row of each bus in ``pv_pos`` is replaced by the gradient
-    of ``|v|^2``.  The cross product ``v_i conj(Y_ij)`` is formed in real
-    arithmetic exactly as scipy's sparse product forms it, and exact zeros
-    are dropped, so the matrix equals the one composed from scipy.sparse
-    operators bit for bit.
+    of ``|v|^2``.  Exact zeros are dropped, as scipy's operators drop them.
     """
     pat = partition.block_pattern
     n = partition.n
@@ -118,9 +116,8 @@ def _real_block_matrix(partition: AdmittancePartition, v: np.ndarray,
     data = np.empty(blocks.size)
     data[pat.slots] = blocks
     keep = data != 0
-    indptr = np.concatenate([[0], np.cumsum(keep)])[pat.indptr]
-    return sparse.csc_array((data[keep], pat.indices[keep], indptr),
-                            shape=(2 * n, 2 * n))
+    indptr = np.concatenate([[0], np.cumsum(keep)], dtype=np.intc)
+    return CSCArrays(data[keep], pat.indices[keep], indptr[pat.indptr])
 
 
 def linear_injection(partition: AdmittancePartition,

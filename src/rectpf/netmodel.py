@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -214,7 +214,7 @@ class NetworkCase:
             head.append("base_mva must be a positive finite number")
         if m < 2:
             head.append("a case needs at least two buses")
-        if not np.array_equal(ids, np.arange(1, m + 1)):
+        if not (contiguous := np.array_equal(ids, np.arange(1, m + 1))):
             head.append(f"bus ids must be contiguous 1..{m}, "
                         f"got {ids.tolist()}")
         if len(slack_ids) != 1:
@@ -245,9 +245,11 @@ class NetworkCase:
             (8, pv & (self.power != 0),
              "pv bus cannot carry a constant-power load")])
         f, t, series = self.from_bus, self.to_bus, self.series
+        known = ((1 <= f) & (f <= m) & (1 <= t) & (t <= m)
+                 if contiguous and f.dtype.kind == t.dtype.kind == "i"
+                 else np.isin(f, ids) & np.isin(t, ids))
         _flag(keyed, 2, lambda i: f"branch[{i}] ({f[i]}-{t[i]})", [
-            (0, ~(np.isin(f, ids) & np.isin(t, ids)),
-             "endpoint is not a known bus id"),
+            (0, ~known, "endpoint is not a known bus id"),
             (1, f == t, "endpoints must differ"),
             (2, ~np.isfinite(series), "series admittance is not finite"),
             (3, np.isfinite(series) & (series == 0),
@@ -314,23 +316,41 @@ class NetworkCase:
         return self.injection_targets()[0].real
 
 
+def _scaled(case: NetworkCase, alpha: float):
+    """The power and PV setpoint columns times ``alpha``; power term by term
+    as Python's ``complex * float`` multiplies, with ``alpha + 0j``: numpy's
+    complex product can fuse the terms and round a zero's sign otherwise."""
+    s, power = case.power, np.empty_like(case.power)
+    power.real = s.real * alpha - s.imag * 0.0
+    power.imag = s.real * 0.0 + s.imag * alpha
+    return power, case.p_set * alpha
+
+
 def scale_power_injections(case: NetworkCase, alpha: float) -> NetworkCase:
     """Scale every constant-power injection (and PV setpoint P) by ``alpha``.
 
     Constant-impedance and constant-current load parts are left untouched,
     so the no-load voltage profile of the scaled case is unchanged, and the
-    scaled case is validated again.  Power is scaled term by term as
-    Python's ``complex * float`` multiplies, with ``alpha + 0j``: numpy's
-    complex product can fuse the terms and round a zero's sign otherwise.
+    scaled case is validated again.
     """
-    s, power = case.power, np.empty_like(case.power)
-    power.real = s.real * alpha - s.imag * 0.0
-    power.imag = s.real * 0.0 + s.imag * alpha
+    power, p_set = _scaled(case, alpha)
     columns = {name: getattr(case, name)
                for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS)}
     return NetworkCase.from_columns(
         case.base_mva, np.arange(1, case.n + 2),
-        columns | {"power": power, "p_set": case.p_set * alpha})
+        columns | {"power": power, "p_set": p_set})
+
+
+def _scaled_targets(case: NetworkCase, alpha: float) -> np.ndarray:
+    """``scale_power_injections(case, alpha).injection_targets()[0]``.  Only
+    a target that is not finite makes the scaled case invalid (as any
+    ``alpha`` that is not finite does), so the case is built only then, to
+    raise its validation error."""
+    power, p_set = _scaled(case, alpha)
+    s = np.where(case.kind[:-1] == _PV, p_set[:-1], power[:-1])
+    if not np.isfinite(s).all():
+        scale_power_injections(case, alpha)
+    return s
 
 
 def _connected(n_nodes: int, rows, cols) -> bool:
@@ -393,8 +413,8 @@ class AdmittancePartition:
     parts: the one context every solver, check and residual reads.
 
     ``Y_csr`` is the N x N block over non-slack buses as a sparse CSR matrix
-    (any dense or sparse matrix is accepted and converted; explicit zeros
-    are dropped), ``Ybar`` the (N,) coupling column to the slack,
+    (any dense or sparse matrix is accepted, copied and converted; explicit
+    zeros are dropped), ``Ybar`` the (N,) coupling column to the slack,
     ``y_slack`` the slack self-admittance, ``i_load`` the (N,)
     constant-current injections and ``v_slack`` the slack voltage phasor.
     ``Ysh = Y @ 1 + Ybar`` is the shunt vector: series terms cancel in the
@@ -416,11 +436,15 @@ class AdmittancePartition:
     y_slack: complex
     i_load: np.ndarray
     v_slack: complex
+    # build_admittance's own Y: canonical, shared with no one, not copied
+    _built: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _built):
         y = self.Y_csr
-        y = (y.copy() if isinstance(y, sparse.csr_array) and y.dtype == complex
-             else sparse.csr_array(y, dtype=complex, copy=True))
+        if not _built:
+            y = sparse.csr_array(y, dtype=complex, copy=True)
+            y.sum_duplicates()
+            y.eliminate_zeros()
         ybar = np.array(self.Ybar, dtype=complex)
         i_load = np.array(self.i_load, dtype=complex)
         if len(y.shape) != 2 or y.shape[0] != y.shape[1]:
@@ -429,8 +453,6 @@ class AdmittancePartition:
             raise ValueError("Ybar must be a vector matching Y")
         if i_load.shape != (y.shape[0],):
             raise ValueError("i_load must be a vector matching Y")
-        y.sum_duplicates()
-        y.eliminate_zeros()
         for arr in (y.data, y.indices, y.indptr, ybar, i_load):
             arr.flags.writeable = False
         object.__setattr__(self, "Y_csr", y)
@@ -508,10 +530,10 @@ class AdmittancePartition:
         upper = colptr[cols] + k
         lower = colptr[cols + 1] + k
         slots = np.stack([upper, 2 * size + upper, lower, 2 * size + lower])
-        indices = np.empty(4 * size, dtype=np.int32)
+        indices = np.empty(4 * size, dtype=np.intc)
         indices[slots] = [prows, prows, prows + n, prows + n]
         indptr = np.concatenate([2 * colptr, 2 * size + 2 * colptr[1:]])
-        pattern = _BlockPattern(indices, indptr.astype(np.int32), prows,
+        pattern = _BlockPattern(indices, indptr.astype(np.intc), prows,
                                conj_y.real.copy(), conj_y.imag.copy(),
                                where[nnz:], slots)
         for arr in pattern:
@@ -570,7 +592,7 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
         rows[block], np.arange(m))), shape=(n, n))
     # the corner's entry, or 0 where its stamps cancel
     return AdmittancePartition(y, ybar, data[keys == m * m - 1].sum(),
-                               case.current[:-1], case.v_slack)
+                               case.current[:-1], case.v_slack, _built=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,10 +4,11 @@ This is the nonlinear reference the linear models are judged against.  It
 works directly on ``x = [Re V; Im V]`` so its Jacobian is exactly the
 stacked real matrix of the perturbation coefficients evaluated at the
 current iterate; the builder is shared with the linear solvers rather than
-reimplemented.  The case's targets and PV rows are bound once per solve,
+reimplemented.  The power targets and PV rows are bound once per solve,
 and the current loads and slack voltage are read from the partition; each
 iteration then computes only the direct coefficient (one sparse product) and
-fills the partition's cached 2N block pattern, whose sparsity never changes.
+fills the partition's cached 2N block pattern, whose sparsity never changes,
+into the CSC arrays SuperLU factors: an iteration builds no scipy matrix.
 ZIP buses contribute active and reactive balance rows, PV buses an active row
 and a squared-magnitude row ``|V|^2 = v_set^2``.
 
@@ -22,6 +23,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ._linalg import Factorization
 from .errors import SolverError
@@ -73,14 +75,15 @@ class NewtonResult:
         object.__setattr__(self, "voltage", v)
 
 
-def _equations(partition: AdmittancePartition, case: NetworkCase):
-    """``residual(v) -> (f, mismatch)`` and ``jacobian(v)``, with the case's
-    targets and PV rows bound once.  ``f`` stacks the active rows over the
-    reactive rows, a PV bus's replaced by its |V|^2 row; ``mismatch`` is the
-    largest per-bus |complex| mismatch at ZIP buses, and of the active and
-    |V|^2 rows at PV buses."""
-    s_target, q_known = case.injection_targets()
-    pv_pos = np.flatnonzero(~q_known)
+def _equations(partition: AdmittancePartition, case: NetworkCase,
+               s_target: np.ndarray):
+    """``residual(v) -> (f, mismatch)`` and ``jacobian(v)``, the Jacobian's
+    CSC arrays, with the power targets ``s_target`` and the case's PV rows
+    bound once.  ``f`` stacks the active rows over the reactive rows, a PV
+    bus's replaced by its |V|^2 row; ``mismatch`` is the largest per-bus
+    |complex| mismatch at ZIP buses, and of the active and |V|^2 rows at PV
+    buses."""
+    pv_pos = np.flatnonzero(~case.injection_targets()[1])
     # Python's float power, which can round x * x differently
     vset_sq = np.array([v ** 2 for v in case.v_set[pv_pos].tolist()])
 
@@ -114,8 +117,15 @@ def solve_newton(partition: AdmittancePartition,
     mismatch and every PV bus's active mismatch and squared-magnitude
     deviation are at most ``settings.tolerance``.
     """
-    settings = settings or NewtonSettings()
-    residual, jacobian = _equations(partition, case)
+    return _solve(partition, case, case.injection_targets()[0],
+                  settings or NewtonSettings())
+
+
+def _solve(partition: AdmittancePartition, case: NetworkCase,
+           s_target: np.ndarray, settings: NewtonSettings) -> NewtonResult:
+    """:func:`solve_newton` for the power targets ``s_target``, which a
+    ``compare`` sweep scales without scaling the case."""
+    residual, jacobian = _equations(partition, case, s_target)
     n = partition.n
     try:
         v = compute_noload_voltage(partition).V.copy()
@@ -155,9 +165,10 @@ def jacobian_check(partition: AdmittancePartition,
     comparison is meaningless there).  Returns 0.0 when nothing qualifies.
     """
     v = np.asarray(voltage, dtype=complex)
-    residual, jacobian = _equations(partition, case)
+    residual, jacobian = _equations(partition, case,
+                                    case.injection_targets()[0])
     n = partition.n
-    analytic = jacobian(v).toarray()
+    analytic = sparse.csc_array(jacobian(v), shape=(2 * n, 2 * n)).toarray()
 
     fd = np.empty_like(analytic)
     for k in range(2 * n):

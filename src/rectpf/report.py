@@ -21,9 +21,9 @@ from . import distribution as dist
 from . import linearize as lin
 from . import transmission as trans
 from .errors import SolverError
-from .netmodel import (AdmittancePartition, NetworkCase, build_admittance,
-                       check_noload_structure, scale_power_injections)
-from .newton import NewtonResult, solve_newton
+from .netmodel import (AdmittancePartition, NetworkCase, _scaled_targets,
+                       build_admittance, check_noload_structure)
+from .newton import NewtonResult, NewtonSettings, _solve, solve_newton
 from .residuals import BoundCheck, nonlinear_mismatch, quadratic_residual
 
 FORMATS = ("table", "csv", "json")
@@ -368,16 +368,17 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
     is the observable signature that the linear model's error is quadratic
     in loading.  Every alpha shares one partition and one model, so each
     matrix that loading does not change is factored once, after the first
-    alpha is scaled and validated.
+    alpha is scaled and validated.  Only the power targets are scaled; the
+    scaled case is never built unless it is invalid.
     """
     partition = build_admittance(case)
     resolved, model = prepare(partition, case, method, override_conditions)
     alphas = [float(alpha) for alpha in alphas]
     errors, norms, iterations, converged = [], [], [], []
     for alpha in alphas:
-        scaled = scale_power_injections(case, alpha)
-        sol = model.solve(scaled.injection_targets()[0])
-        result = solve_newton(partition, scaled)
+        s = _scaled_targets(case, alpha)
+        sol = model.solve(s)
+        result = _solve(partition, case, s, NewtonSettings())
         errors.append(float(np.linalg.norm(sol.approx_voltage()
                                            - result.voltage)))
         norms.append(quadratic_residual(partition, sol.dv).norm_s)

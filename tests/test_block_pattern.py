@@ -1,10 +1,11 @@
 """The 2N block builder against the scipy-composed formula, bit for bit.
 
 ``_real_block_matrix`` fills the partition's cached CSC pattern with
-vectorized numpy.  The oracle below is the formula it replaced: the block
-matrix composed from scipy.sparse operators, with each PV bus's reactive
-row swapped for its |V|^2 row.  SuperLU receives ``csc_array`` of either,
-so ``indptr``, ``indices`` and every bit of ``data`` must agree.
+vectorized numpy, straight into the arrays SuperLU factors.  The oracle
+below is the formula it replaced: the block matrix composed from
+scipy.sparse operators, with each PV bus's reactive row swapped for its
+|V|^2 row, converted as ``splu`` would hand it to SuperLU.  So ``indptr``,
+``indices`` and every bit of ``data`` must agree, dtypes included.
 """
 
 from functools import cached_property
@@ -18,6 +19,7 @@ from rectpf import (AdmittancePartition, Branch, Bus, BusKind, NetworkCase,
                     PvSetpoint, SlackVoltage, SolverError, ZipLoad,
                     build_admittance, compute_noload_voltage, run_compare,
                     run_pipeline)
+from rectpf._linalg import csc_arrays
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
 
 
@@ -55,10 +57,9 @@ def filled_block_matrix(partition, v, pv_pos=()):
 
 
 def assert_same_superlu_input(partition, v, pv_pos=()):
-    want = sparse.csc_array(composed_block_matrix(partition, v, pv_pos))
-    got = sparse.csc_array(filled_block_matrix(partition, v, pv_pos))
-    assert got.shape == want.shape
-    assert got.indptr.dtype == want.indptr.dtype
+    want = csc_arrays(composed_block_matrix(partition, v, pv_pos))
+    got = filled_block_matrix(partition, v, pv_pos)
+    assert got.indptr.dtype == want.indptr.dtype == np.intc
     assert got.indices.dtype == want.indices.dtype
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)

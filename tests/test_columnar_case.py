@@ -161,3 +161,27 @@ def test_object_constructor_matches_the_reference_checks(edits, base):
     else:
         assert got[0] == "case" and got[1].buses == tuple(
             sorted(buses, key=lambda b: b.id))
+
+
+def test_endpoints_of_non_contiguous_ids_are_looked_up():
+    # With ids 1, 2, 4 a range test of 1..3 would pass the unknown end 3
+    # and refuse the known end 4: ends are looked up in the ids instead,
+    # and listed after the head check, as the reference reader lists them.
+    buses = (Bus(1, BusKind.ZIP), Bus(2, BusKind.ZIP, ZipLoad(power=-0.1)),
+             Bus(4, BusKind.SLACK, slack_voltage=SlackVoltage(1.0)))
+    branches = (Branch(1, 2, 1 - 5j), Branch(2, 4, 2 - 6j),
+                Branch(2, 3, 1 - 4j), Branch(0, 4, 1 - 3j))
+    want = ["bus ids must be contiguous 1..3, got [1, 2, 4]",
+            "branch[2] (2-3): endpoint is not a known bus id",
+            "branch[3] (0-4): endpoint is not a known bus id"]
+    assert reference_case.validate(buses, branches, 100.0)[1] == want
+    got = _outcome(lambda: NetworkCase(buses, branches))
+    assert got == ("raised", "VALIDATION_ERROR", want)
+    text = "\n".join([
+        'schema_version: "1"', "buses:",
+        "  - {id: 1, kind: zip}", "  - {id: 2, kind: zip, p: -0.1}",
+        "  - {id: 4, kind: slack, v_setpoint: 1.0}", "branches:",
+        *(f"  - {{from: {f}, to: {t}, series_g: 1.0, series_b: -5.0}}"
+          for f, t in ((1, 2), (2, 4), (2, 3), (0, 4)))])
+    assert _outcome(lambda: parse_case(text)) == ("raised",
+                                                  "VALIDATION_ERROR", want)

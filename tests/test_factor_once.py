@@ -3,6 +3,7 @@ and the no-load profile is solved on that factor once."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import casegen
 import rectpf._linalg
@@ -15,13 +16,14 @@ from rectpf import (build_admittance, compute_noload_voltage,
 def factored(monkeypatch):
     """Every matrix handed to SuperLU, in call order."""
     seen = []
-    splu = rectpf._linalg.spla.splu
+    gstrf = rectpf._linalg._superlu.gstrf
 
-    def counting_splu(a, *args, **kwargs):
-        seen.append(a.copy())
-        return splu(a, *args, **kwargs)
+    def counting_gstrf(n, nnz, *arrays, **kwargs):
+        seen.append(sparse.csc_array(tuple(a.copy() for a in arrays),
+                                     shape=(n, n)))
+        return gstrf(n, nnz, *arrays, **kwargs)
 
-    monkeypatch.setattr(rectpf._linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(rectpf._linalg._superlu, "gstrf", counting_gstrf)
     return seen
 
 

@@ -37,7 +37,8 @@ def _systems(seed):
     nominal = NominalVoltage(
         rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n))
     direct = _direct_coefficient(part, nominal.V)
-    yield "general 2N block", _real_block_matrix(part, nominal.V, direct)
+    yield "general 2N block", sparse.csc_array(
+        _real_block_matrix(part, nominal.V, direct), shape=(2 * n, 2 * n))
     yield "general cross", sparse.diags_array(nominal.V) @ part.Y_csr.conj()
     grid = casegen.random_lossless_case(rng, n_min=4, n_max=30)
     grid_part = build_admittance(grid)

@@ -28,9 +28,10 @@ def test_coefficients_vanish_at_flat_lossless_ladder():
     np.testing.assert_allclose(-nominal.V * direct, [0j], rtol=0, atol=0)
     cross = sparse.diags_array(nominal.V) @ part.Y_csr.conj()
     np.testing.assert_allclose(cross.toarray(), [[10j]], rtol=0, atol=0)
-    np.testing.assert_allclose(_real_block_matrix(part, nominal.V,
-                                                  direct).toarray(),
-                               [[0, 10], [10, 0]], rtol=0, atol=0)
+    block = sparse.csc_array(_real_block_matrix(part, nominal.V, direct),
+                             shape=(2, 2))
+    np.testing.assert_allclose(block.toarray(), [[0, 10], [10, 0]],
+                               rtol=0, atol=0)
 
 
 def test_offset_identity_at_random_nominal():
@@ -211,7 +212,8 @@ def test_block_matrix_equals_numeric_jacobian_of_injection():
     n = case.n
     v0 = NominalVoltage(rng.normal(1, 0.05, n) + 1j * rng.normal(0, 0.05, n))
     direct = _direct_coefficient(part, v0.V)
-    block = _real_block_matrix(part, v0.V, direct)
+    block = sparse.csc_array(_real_block_matrix(part, v0.V, direct),
+                             shape=(2 * n, 2 * n)).toarray()
     step = 1e-6
     fd = np.zeros((2 * n, 2 * n))
     for j in range(2 * n):

@@ -1,13 +1,17 @@
 """Network model: admittance assembly, shunt identity, case validation."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 import casegen
 from rectpf import (AdmittancePartition, Branch, Bus, BusKind,
                     CaseValidationError, NetworkCase, PvSetpoint,
                     SlackVoltage, ZipLoad, build_admittance,
                     check_noload_structure, scale_power_injections)
+from rectpf.netmodel import _scaled_targets
 
 
 oracle_full_matrix = casegen.oracle_full_matrix
@@ -83,6 +87,24 @@ def test_partition_arrays_read_only():
     part = build_admittance(casegen.ladder_case())
     with pytest.raises(ValueError):
         part.Y_csr.data[0] = 0
+    y = part.Y_csr
+    assert not any(a.flags.writeable for a in (y.data, y.indices, y.indptr))
+
+
+def test_partition_copies_a_callers_y():
+    # duplicates at (0, 0) and an explicit zero at (1, 0)
+    y = sparse.csr_array((np.array([1, 2, 0, 4], dtype=complex),
+                          np.array([0, 0, 0, 1]), np.array([0, 2, 4])),
+                         shape=(2, 2))
+    part = AdmittancePartition(y, np.zeros(2), 1, np.zeros(2), 1)
+    got = part.Y_csr
+    assert got.toarray().tolist() == [[3, 0], [0, 4]] and got.nnz == 2
+    assert not any(a.flags.writeable
+                   for a in (got.data, got.indices, got.indptr))
+    # the caller's matrix is neither summed nor frozen
+    assert y.nnz == 4 and y.data.flags.writeable
+    y.data[:] = 7
+    assert got.toarray().tolist() == [[3, 0], [0, 4]]
 
 
 def test_slack_adjacent_ids():
@@ -123,6 +145,31 @@ def test_scale_power_injections():
     assert scaled.buses[1].pv_setpoint.v_mag == 1.01
     # original is unchanged
     assert case.buses[0].load.power == -0.2 - 0.1j
+
+
+def _targets_or_violations(scaled_targets):
+    try:
+        return np.asarray(scaled_targets()).view(np.uint64).tolist()
+    except CaseValidationError as exc:
+        return exc.violations
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, -0.25, 0.0, -0.0, 1e308,
+                                   -1e308, math.inf, math.nan])
+def test_scaled_targets_are_the_scaled_cases(alpha):
+    # a ZIP bus whose power and a PV bus whose setpoint overflow at 1e308,
+    # and signed zeros that a fused complex product would round
+    case = NetworkCase(
+        (Bus(1, BusKind.ZIP, ZipLoad(power=complex(-0.0, 2.0))),
+         Bus(2, BusKind.PV, pv_setpoint=PvSetpoint(p=-3.0, v_mag=1.01)),
+         Bus(3, BusKind.ZIP, ZipLoad(power=-0.5 + 0j)),
+         Bus(4, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+        (Branch(1, 2, 1 - 3j), Branch(2, 3, 1 - 3j), Branch(3, 4, 2 - 5j)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _targets_or_violations(
+            lambda: scale_power_injections(case, alpha).injection_targets()[0])
+        assert _targets_or_violations(
+            lambda: _scaled_targets(case, alpha)) == want
 
 
 def _slack(bid):

@@ -4,10 +4,11 @@ At desk scale a command's numerics take microseconds, and building scipy
 sparse objects costs more than factoring them.  So every matrix derived
 from Y is built once on the partition, and these budgets count the
 ``_cs_matrix.__init__`` calls of whole CLI commands on a 40-bus feeder and
-a 42-bus lossless grid.  What stays is the case's Y and its copy, the
-derived matrices, a CSC copy of each matrix factored, the Jacobians, and
-two matrices per factorization that SuperLU's ``U`` accessor builds to
-read the pivots.
+a 42-bus lossless grid.  What stays is the case's Y, which the partition
+adopts without a copy, the derived matrices, and the CSC copy of each CSR
+matrix factored.  The 2N systems and Newton's Jacobians are filled as
+SuperLU's raw CSC arrays, and the pivots are read from U's raw arrays, so
+neither builds a matrix.
 """
 
 import tempfile
@@ -53,13 +54,14 @@ def constructions(case, command: str, *options: str) -> int:
 
 
 
-# The most each command may build.  With scipy 1.17 they build 22, 3 and 40
-# on the feeder and 28, 4 and 52 on the grid; before Y's derived matrices
-# were cached on the partition they built 40, 13 and 83, and 53, 15 and 104.
-BUDGETS = {"feeder": (FEEDER, {"solve --oracle": 24, "check": 4,
-                               "compare": 44}),
-           "grid": (GRID, {"solve --oracle": 30, "check": 5,
-                           "compare": 56})}
+# The most each command may build: with scipy 1.17, what they build.
+# Before SuperLU was called on raw arrays they built 22, 3 and 40 on the
+# feeder and 28, 4 and 52 on the grid; before Y's derived matrices were
+# cached on the partition, 40, 13 and 83, and 53, 15 and 104.
+BUDGETS = {"feeder": (FEEDER, {"solve --oracle": 6, "check": 2,
+                               "compare": 6}),
+           "grid": (GRID, {"solve --oracle": 9, "check": 3,
+                           "compare": 9})}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))

@@ -76,8 +76,8 @@ def test_large_radial_feeder_is_solved_in_sparse_memory():
     nominal = compute_noload_voltage(part)
     jac = _real_block_matrix(part, nominal.V,
                              _direct_coefficient(part, nominal.V))
-    assert jac.shape == (2 * n, 2 * n)
-    assert jac.nnz <= 4 * part.Y_csr.nnz
+    assert len(jac.indptr) == 2 * n + 1
+    assert len(jac.data) <= 4 * part.Y_csr.nnz
     assert np.isfinite(report.condition)
 
 

@@ -11,7 +11,8 @@ from scipy import sparse
 import casegen
 import rectpf._linalg
 import rectpf.transmission
-from rectpf import AdmittancePartition, build_admittance, run_compare
+from rectpf import (AdmittancePartition, NetworkCase, build_admittance,
+                    run_compare)
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
 from rectpf.transmission import _im_coeff
 
@@ -26,13 +27,14 @@ def _lossless_case():
 def factored(monkeypatch):
     """Every matrix handed to SuperLU, in call order."""
     seen = []
-    splu = rectpf._linalg.spla.splu
+    gstrf = rectpf._linalg._superlu.gstrf
 
-    def counting_splu(a, *args, **kwargs):
-        seen.append(a.copy())
-        return splu(a, *args, **kwargs)
+    def counting_gstrf(n, nnz, *arrays, **kwargs):
+        seen.append(sparse.csc_array(tuple(a.copy() for a in arrays),
+                                     shape=(n, n)))
+        return gstrf(n, nnz, *arrays, **kwargs)
 
-    monkeypatch.setattr(rectpf._linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(rectpf._linalg._superlu, "gstrf", counting_gstrf)
     return seen
 
 
@@ -43,7 +45,9 @@ def _count(seen, m) -> int:
 
 def _flat_block(part):
     ones = np.ones(part.n, dtype=complex)
-    return _real_block_matrix(part, ones, _direct_coefficient(part, ones))
+    return sparse.csc_array(
+        _real_block_matrix(part, ones, _direct_coefficient(part, ones)),
+        shape=(2 * part.n, 2 * part.n))
 
 
 # Each method's case, and the matrix its model factors.
@@ -75,18 +79,18 @@ def test_lossless_compare_builds_the_system_once(monkeypatch):
     im_coeff = _im_coeff(part).toarray()
 
     factored, evaluated = [], []
-    splu = rectpf._linalg.spla.splu
+    gstrf = rectpf._linalg._superlu.gstrf
     flat_conditions = rectpf.transmission.flat_conditions
 
-    def counting_splu(a, *args, **kwargs):
-        factored.append(a.toarray())
-        return splu(a, *args, **kwargs)
+    def counting_gstrf(n, nnz, *arrays, **kwargs):
+        factored.append(sparse.csc_array(arrays, shape=(n, n)).toarray())
+        return gstrf(n, nnz, *arrays, **kwargs)
 
     def counting_conditions(*args):
         evaluated.append(args)
         return flat_conditions(*args)
 
-    monkeypatch.setattr(rectpf._linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(rectpf._linalg._superlu, "gstrf", counting_gstrf)
     monkeypatch.setattr(rectpf.transmission, "flat_conditions",
                         counting_conditions)
     report = run_compare(case, [1, 0.5, 0.25])
@@ -110,3 +114,19 @@ def test_decoupled_compare_measures_the_assumptions_once(monkeypatch):
                          method="decoupled")
     assert report.method == "decoupled"
     assert len(measured) == 1
+
+
+@pytest.mark.parametrize("make_case", [casegen.fixed_feeder10,
+                                       _lossless_case])
+def test_compare_scales_the_targets_not_the_case(monkeypatch, make_case):
+    case = make_case()
+    built = []
+    fill = NetworkCase._fill
+
+    def counting_fill(self, *args):
+        built.append(self)
+        return fill(self, *args)
+
+    monkeypatch.setattr(NetworkCase, "_fill", counting_fill)
+    report = run_compare(case, [1, 0.5, 0.25])
+    assert all(report.rows.values[5]) and built == []

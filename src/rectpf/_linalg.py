@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import SolverError
@@ -58,7 +59,16 @@ class CSCArrays(NamedTuple):
 
 def csc_arrays(a) -> CSCArrays:
     """``a``, dense or sparse, converted as ``splu`` converts it: to CSC
-    with duplicates summed, a floating dtype and ``intc`` indices."""
+    with duplicates summed, a floating dtype and ``intc`` indices; a
+    canonical float CSR one by ``tocsc``'s kernel, with no CSC copy."""
+    if (sparse.issparse(a) and a.format == "csr" and a.dtype.char in "fdFD"
+            and a.has_canonical_format):
+        out = CSCArrays(np.empty(a.nnz, a.dtype), np.empty(a.nnz, np.intc),
+                        np.empty(a.shape[1] + 1, np.intc))
+        _sparsetools.csr_tocsc(*a.shape, *(x.astype(np.intc, copy=False)
+                               for x in (a.indptr, a.indices)), a.data,
+                               out.indptr, out.indices, out.data)
+        return out
     a = a.tocsc() if sparse.issparse(a) else sparse.csc_array(a)
     a.sum_duplicates()
     a = a._asfptype()

@@ -4,11 +4,11 @@ A case is one human-writable YAML document.  Angles live in degrees at this
 boundary and radians inside the data model; every other quantity is a plain
 per-unit float.  Unknown fields are rejected at every level, missing
 optional numerics default to zero, and validation reports every problem it
-finds at once.  A line scanner reads the two layouts of case files: one
-flow mapping per sequence item, as below, and ``dump_case``'s block
-mappings.  It declines any other text (bool or null scalars, hex, octal,
-escapes, trailing comments, tabs, anchors, tags, empty values, ...), and
-``yaml.load``, the one fallback, reads that text whole.
+finds at once.  A clean file in the layouts of case files, one flow
+mapping per sequence item, as below, or ``dump_case``'s block mappings, is
+read straight into columns; a line scanner loads other text in them as a
+document.  It declines the rest (bool or null scalars, hex, octal, tabs,
+escapes, trailing comments, anchors, tags, ...), read by ``yaml.load``.
 
 Example::
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,8 @@ _BUS_FIELDS = {
 }
 _BUS_ALLOWED = {kind: _BUS_COMMON | fields
                 for kind, fields in _BUS_FIELDS.items()}
-_BRANCH_FIELDS = {"from", "to", "series_g", "series_b", "shunt_b_total"}
+_BRANCH_KEYS = ["from", "to", "series_g", "series_b", "shunt_b_total"]
+_BRANCH_FIELDS = set(_BRANCH_KEYS)
 _CODES = {kind.value: KINDS.index(kind) for kind in KINDS}
 
 # libyaml's parser and emitter when PyYAML was built with them; each pairs
@@ -86,6 +88,7 @@ _LINE = re.compile(rf" *(?:#[ -~]*)?|( *)(?:- \{{({_TOKEN}: {_TOKEN}(?:, "
                    rf"(?: ({_TOKEN}))?)")
 _RESOLVERS = _CaseLoader.yaml_implicit_resolvers
 _WILDCARD = _RESOLVERS.get(None, [])
+_MAX_DEPTH = 100        # yaml.load's composer recurses per level (C stack)
 
 
 def _scan_document(text: str) -> dict | None:
@@ -164,8 +167,17 @@ def _scan_document(text: str) -> dict | None:
 def _load_document(text: str):
     """``yaml.load(text, Loader=_CaseLoader)``, from the line scanner when
     ``text`` keeps to its grammar; the full loader alone reads the rest and
-    raises every parse error."""
+    raises every parse error, but is not given nesting over _MAX_DEPTH."""
     doc = _scan_document(text)
+    depths = accumulate(isinstance(event, yaml.CollectionStartEvent)
+                        - isinstance(event, yaml.CollectionEndEvent)
+                        for event in yaml.parse(text, Loader=_CaseLoader))
+    try:
+        deep = doc is None and any(depth > _MAX_DEPTH for depth in depths)
+    except yaml.YAMLError:          # yaml.load reports it
+        deep = False
+    if deep:
+        raise yaml.YAMLError(f"collections nested deeper than {_MAX_DEPTH}")
     return doc if doc is not None else yaml.load(text, Loader=_CaseLoader)
 
 
@@ -273,12 +285,17 @@ def _bus_columns(raw: list, keyed: list) -> tuple[np.ndarray, dict]:
     col = {key: _numbers(entries, check, key, default, flag_entry,
                          read_by[codes])
            for check, key, default, read_by in _BUS_NUMBERS}
-    pv = codes == _PV
-    for j in np.flatnonzero(pv).tolist():
+    for j in np.flatnonzero(codes == _PV).tolist():
         for check, key in ((10, "v_setpoint"), (11, "p")):
             if key not in entries[j]:
                 flag_entry(j, check, f"pv bus requires '{key}'")
-    return [entry["id"] for entry in entries], {
+    return [entry["id"] for entry in entries], _bus_fields(codes, col)
+
+
+def _bus_fields(codes: np.ndarray, col: dict) -> dict:
+    """The bus columns of the kind codes and numeric fields ``col``."""
+    pv = codes == _PV
+    return {
         "kind": codes, "shunt": _complex(col["shunt_g"], col["shunt_b"]),
         "current": _complex(col["i_load_re"], col["i_load_im"]),
         "power": _complex(np.where(pv, 0.0, col["p"]), col["q"]),
@@ -315,16 +332,109 @@ def _branch_columns(raw: list, keyed: list) -> dict:
     g, b, shunt = (_numbers(entries, check, key, 0.0, flag_entry, read)
                    for check, key in ((6, "series_g"), (7, "series_b"),
                                       (8, "shunt_b_total")))
-    return {"from_bus": [entry["from"] for entry in entries],
-            "to_bus": [entry["to"] for entry in entries],
-            "series": _complex(g, b),
+    return _branch_fields([entry["from"] for entry in entries],
+                          [entry["to"] for entry in entries], g, b, shunt)
+
+
+def _branch_fields(from_bus: list, to_bus: list, g, b, shunt) -> dict:
+    """The branch columns of the ends and numeric fields of the branches."""
+    return {"from_bus": from_bus, "to_bus": to_bus, "series": _complex(g, b),
             "line_shunt": _complex(np.zeros_like(shunt), shunt)}
+
+
+# Key codes index these lists; _BUS_TAKES[kind, key] says if the kind takes it
+_BUS_KEYS = ["id", "kind", *(key for _, key, _, _ in _BUS_NUMBERS)]
+_BUS_TAKES = np.array([[key in _BUS_ALLOWED[kind.value] for key in _BUS_KEYS]
+                       for kind in KINDS])
+_PV_NEEDS = [_BUS_KEYS.index("v_setpoint"), _BUS_KEYS.index("p")]
+# A top-level key line and its scalar; "key: value" pairs joined by ", " of
+# tokens without ",", ":" or line breaks; int or number tokens, "\n"-joined.
+_TOP_LINE = re.compile(
+    r"\n(schema_version|base_mva|buses|branches):(?: ([^\n]*))?(?=\n|$)")
+_PAIRS = re.compile(r"[^\n,:]+: [^\n,:]+(?:, [^\n,:]+: [^\n,:]+)*")
+_INT_LINES = re.compile(rf"{_INT}(?:\n{_INT})*")
+_NUMBER_LINES = re.compile(rf"(?:{_FLOAT}|{_INT})(?:\n(?:{_FLOAT}|{_INT}))*")
+
+
+def _section(body: str, keys: list, needed: int) -> tuple | None:
+    """Each pair's item, key code and value token in a section's items, and
+    the keys each item has; None for any other shape of ``body``, a key not
+    in ``keys``, one an item repeats or lacks of the first ``needed``."""
+    pad = body[:len(body) - len(body[1:].lstrip(" "))]   # "\n", indent
+    if body.startswith(pad + "- {") and body.endswith("}"):
+        items = body[len(pad) + 3:-1].split("}" + pad + "- {")
+    elif body.startswith(pad + "- ") and ", " not in body:
+        items = body[len(pad) + 2:].replace(pad + "  ", ", ").split(pad + "- ")
+    else:
+        return None
+    flat = ", ".join(items)
+    tokens = flat.replace(", ", ": ").split(": ")
+    code = np.fromiter(map({key: k for k, key in enumerate(keys)}.get,
+                           tokens[::2], repeat(-1)), np.intp)
+    if _PAIRS.fullmatch(flat) is None or code.min() < 0:
+        return None
+    n, m = len(items), len(keys)
+    item = np.repeat(np.arange(n), np.fromiter(
+        map(str.count, items, repeat(": ")), np.intp, n))
+    has = np.bincount(item * m + code, minlength=n * m).reshape(n, m)
+    if has.max() > 1 or not has[:, :needed].all():
+        return None
+    return item, code, np.array(tokens[1::2], object), has == 1
+
+
+def _column(section: tuple, k: int, default: float | None = None):
+    """Key ``k``'s ints, or float column given a default; None if one is bad"""
+    item, code, value, has = section
+    tokens = value[code == k]
+    if len(tokens) and (_INT_LINES if default is None else _NUMBER_LINES
+                        ).fullmatch("\n".join(tokens)) is None:
+        return None
+    if default is None:
+        return list(map(int, tokens))
+    column = np.full(len(has), default)
+    column[item[code == k]] = np.fromiter(map(float, tokens), float)
+    column[item[code == k][tokens == "-0"]] = 0.0    # YAML's int 0
+    return column
+
+
+def _read_columns(text: str) -> tuple | None:
+    """The dict path's ``(base_mva, ids, columns)`` of a clean file, or None:
+    known keys, each taken by the item's kind, given once, needed ones all
+    given, and every value a bare kind or ``_scan_document``'s number."""
+    parts = _TOP_LINE.split("\n" + text.removesuffix("\n"))
+    top = dict(zip(parts[1::3], zip(parts[2::3], parts[3::3])))
+    word, body = top.get("base_mva", ("100.0", ""))
+    number = _NUMBER.fullmatch(word or "")
+    if (parts[0] or 3 * len(top) + 1 != len(parts) or body or number is None
+            or top.get("schema_version") not in (
+                ('"1"', ""), ("'1'", ""), ("1", ""))
+            or {key for key, (w, _) in top.items() if w is None}
+            != {"buses", "branches"}      # the "key:" lines, no scalar
+            or (bus := _section(top["buses"][1], _BUS_KEYS, 2)) is None
+            or (br := _section(top["branches"][1], _BRANCH_KEYS, 4)) is None):
+        return None
+    item, code, value, has = bus
+    kind = np.fromiter(map(_CODES.get, value[code == 1], repeat(-1)), np.int8)
+    if (kind.min() < 0 or not _BUS_TAKES[kind[item], code].all()
+            or not has[kind == _PV][:, _PV_NEEDS].all()):
+        return None
+    ids, *ends = _column(bus, 0), _column(br, 0), _column(br, 1)
+    col = {key: _column(bus, k, default)
+           for k, (_, key, default, _) in enumerate(_BUS_NUMBERS, 2)}
+    g, b, shunt = (_column(br, k, 0.0) for k in (2, 3, 4))
+    if any(x is None for x in [ids, *ends, *col.values(), g, b, shunt]):
+        return None
+    return _float(int(word) if number[1] else float(word)), ids, (
+        _bus_fields(kind, col) | _branch_fields(*ends, g, b, shunt))
 
 
 def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     """Parse a case document straight into :class:`NetworkCase` columns.
     PARSE_ERROR for bad YAML; VALIDATION_ERROR lists every schema problem
-    in file order or, if there is none, every model problem."""
+    in file order or, if there is none, every model problem; a clean file
+    is read by ``_read_columns``, whose None sends it down the dict path."""
+    if (read := _read_columns(text)) is not None:
+        return NetworkCase.from_columns(*read)
     try:
         doc = _load_document(text)
     except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:

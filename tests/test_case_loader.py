@@ -14,6 +14,9 @@ the libyaml parser and again with the pure-Python one.
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casegen
-from rectpf import CaseValidationError, caseio, dump_case, parse_case
+from rectpf import BusKind, CaseValidationError, caseio, dump_case, parse_case
 
 # Plain spellings of every implicit type, plus strings that look like them.
 SPELLINGS = [
@@ -308,6 +311,16 @@ def test_generated_feeder_loads_without_the_full_loader(monkeypatch):
              _readme_case().replace("kind: pv,", "kind: pv, colour: red,"),
              _flow_layout(big, 2)]
     expected = [yaml.load(text, Loader=caseio._CaseLoader) for text in texts]
+    # Clean files skip the document too: the columnar reader reads them.
+    grid = casegen.random_lossless_case(np.random.default_rng(5), 6, 9,
+                                        pv_fraction=0.4)
+    mesh = casegen.random_feeder_case(np.random.default_rng(7), 12, 12,
+                                      with_shunt_g=True)
+    assert any(bus.kind == BusKind.PV for bus in grid.buses)
+    assert len(mesh.branches) > mesh.n          # a mesh, not a tree
+    clean = [(block, case), (texts[2], case), (texts[3], None)] + [
+        (_flow_layout(yaml.safe_load(dump_case(c)), indent), c)
+        for c, indent in ((grid, 4), (mesh, 0))]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the full loader ran")
@@ -321,6 +334,44 @@ def test_generated_feeder_loads_without_the_full_loader(monkeypatch):
     with pytest.raises(CaseValidationError, match=r"unknown field.*colour"):
         parse_case(texts[4])
     assert parse_case(texts[5]).n == 1200
+
+    for name in ("_scan_document", "_bus_columns", "_branch_columns"):
+        monkeypatch.setattr(caseio, name, refuse)
+    for text, want in clean:
+        got = parse_case(text)
+        assert got == want if want is not None else got.n == 2
+
+
+# Nesting at which the CLI crashed in libyaml's composer (SIGSEGV) before
+# the depth limit: 25 000 flow sequences, or 30 000 block sequences.
+CRASH_DEPTHS = [("check", "a: " + "[" * 25000 + "]" * 25000 + "\n"),
+                ("solve", "- " * 30000 + "x\n")]
+
+
+@pytest.mark.parametrize("command, text", CRASH_DEPTHS, ids=["flow", "block"])
+def test_deep_nesting_is_a_parse_error(tmp_path, command, text):
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(caseio.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "rectpf.cli", command,
+                          str(path)], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        2, "", f"PARSE_ERROR: {path}: not valid YAML: collections nested "
+               f"deeper than {caseio._MAX_DEPTH}\n")
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+def test_nesting_up_to_the_limit_loads_as_before(which):
+    def nested(depth):      # a mapping holding flow sequences; block ones
+        return ["a: " + "[" * (depth - 1) + "1" + "]" * (depth - 1) + "\n",
+                "- " * depth + "x\n"]
+    for text in nested(caseio._MAX_DEPTH):
+        _check_against_full_loader(which, text)
+    with mock.patch.object(caseio, "_CaseLoader", LOADERS[which]()):
+        for text in nested(caseio._MAX_DEPTH + 1):
+            with pytest.raises(yaml.YAMLError, match="nested deeper than"):
+                caseio._load_document(text)
 
 
 @pytest.mark.parametrize("spelling, value", [

@@ -5,10 +5,10 @@ sparse objects costs more than factoring them.  So every matrix derived
 from Y is built once on the partition, and these budgets count the
 ``_cs_matrix.__init__`` calls of whole CLI commands on a 40-bus feeder and
 a 42-bus lossless grid.  What stays is the case's Y, which the partition
-adopts without a copy, the derived matrices, and the CSC copy of each CSR
-matrix factored.  The 2N systems and Newton's Jacobians are filled as
-SuperLU's raw CSC arrays, and the pivots are read from U's raw arrays, so
-neither builds a matrix.
+adopts without a copy, and the derived matrices.  A canonical CSR matrix
+is transposed straight into SuperLU's raw CSC arrays, the 2N systems and
+Newton's Jacobians are filled as such arrays, and the pivots are read
+from U's raw arrays, so no factorization builds a matrix.
 """
 
 import tempfile
@@ -55,13 +55,15 @@ def constructions(case, command: str, *options: str) -> int:
 
 
 # The most each command may build: with scipy 1.17, what they build.
-# Before SuperLU was called on raw arrays they built 22, 3 and 40 on the
-# feeder and 28, 4 and 52 on the grid; before Y's derived matrices were
-# cached on the partition, 40, 13 and 83, and 53, 15 and 104.
-BUDGETS = {"feeder": (FEEDER, {"solve --oracle": 6, "check": 2,
-                               "compare": 6}),
-           "grid": (GRID, {"solve --oracle": 9, "check": 3,
-                           "compare": 9})}
+# Before a canonical CSR matrix was transposed straight into SuperLU's
+# arrays they built 6, 2 and 6 on the feeder and 9, 3 and 9 on the grid;
+# before SuperLU was called on raw arrays, 22, 3 and 40, and 28, 4 and 52;
+# before Y's derived matrices were cached on the partition, 40, 13 and 83,
+# and 53, 15 and 104.
+BUDGETS = {"feeder": (FEEDER, {"solve --oracle": 5, "check": 2,
+                               "compare": 5}),
+           "grid": (GRID, {"solve --oracle": 7, "check": 3,
+                           "compare": 7})}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))

@@ -4,7 +4,8 @@
 ``splu`` calls, and reads the pivots from U's raw arrays.  This property
 pins that call to ``splu`` on random real and complex matrices, 1x1 ones,
 exactly singular ones and ones just below and above ``PIVOT_RTOL``, given
-dense, as CSR or with integer entries: the pivot ratio, vector and matrix
+dense, as canonical CSR, as CSR with duplicate entries or with integer
+entries: the pivot ratio, vector and matrix
 solves, the transposed solves of the condition estimate, the estimate
 itself and every refusal, code and text, must equal what ``splu`` gives.
 A change in SciPy's private entry point fails here instead of drifting.
@@ -18,7 +19,7 @@ from scipy.sparse import linalg as spla
 
 from rectpf import SolverError
 from rectpf._linalg import (PIVOT_RTOL, Factorization, _inverse_norm1_estimate,
-                            _segment_sums)
+                            _segment_sums, csc_arrays)
 
 # Small integers give exact cancellation, and so exactly singular factors.
 _ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 4.0, -2.5])
@@ -29,7 +30,7 @@ def matrices(draw):
     """A square matrix, its form (dense, CSR or integer entries) and the
     scale of the last row: 1, or just below or above ``PIVOT_RTOL``."""
     n = draw(st.integers(1, 7))
-    form = draw(st.sampled_from(["dense", "csr", "int"]))
+    form = draw(st.sampled_from(["dense", "csr", "csr-dup", "int"]))
     cplx = form != "int" and draw(st.booleans())
     entries = draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))
     a = np.array(entries).reshape(n, n)
@@ -44,7 +45,12 @@ def matrices(draw):
         a = a.astype(np.int64)
     else:
         a[-1] *= scale
-    return form, (sparse.csr_array(a) if form == "csr" else a)
+    if form.startswith("csr"):
+        a = sparse.csr_array(a)
+    if form == "csr-dup":       # each entry split in two halves
+        a = sparse.csr_array((np.repeat(a.data / 2, 2),
+                              np.repeat(a.indices, 2), 2 * a.indptr), (n, n))
+    return form, a
 
 
 def _bytes(x: np.ndarray) -> tuple:
@@ -73,7 +79,15 @@ def _splu_outcome(a):
 @example(drawn=("csr", sparse.csr_array(np.diag([1.0, 0.1 * PIVOT_RTOL]))))
 @example(drawn=("csr", sparse.csr_array(np.diag([1.0, 10 * PIVOT_RTOL]))))
 def test_factorization_is_splu_bit_for_bit(drawn):
-    _, a = drawn
+    form, a = drawn
+    if form.startswith("csr"):
+        # the arrays handed to SuperLU are those of ``tocsc`` with
+        # duplicates summed, for canonical input or not
+        assert a.has_canonical_format == (form == "csr" or a.nnz == 0)
+        csc = a.tocsc()
+        csc.sum_duplicates()
+        assert [_bytes(x) for x in csc_arrays(a)] == [_bytes(x) for x in (
+            csc.data, csc.indices.astype(np.intc), csc.indptr.astype(np.intc))]
     ref, refusal = _splu_outcome(a)
     try:
         lu = Factorization(a, code="X", what="m")
@@ -86,6 +100,7 @@ def test_factorization_is_splu_bit_for_bit(drawn):
 
     n = a.shape[0]
     csc = sparse.csc_array(a).astype(ref.U.dtype)
+    csc.sum_duplicates()                  # as splu and Factorization do
     rng = np.random.default_rng(n)
     b = rng.normal(size=(n, 3))
     if csc.dtype.kind == "c":

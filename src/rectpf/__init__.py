@@ -16,10 +16,10 @@ from .errors import (CaseValidationError, InternalCheckError, RectpfError,
                      SolverError)
 from .linearize import (LinearModel, LinearSolution, NominalVoltage,
                         compute_noload_voltage, flat_nominal, linear_injection)
-from .netmodel import (AdmittancePartition, Branch, Bus, BusKind,
-                       NetworkCase, PvSetpoint, SlackVoltage,
-                       StructureDiagnosis, ZipLoad, build_admittance,
-                       check_noload_structure, scale_power_injections)
+from .netmodel import (AdmittancePartition, Branch, Bus, NetworkCase,
+                       PvSetpoint, SlackVoltage, StructureDiagnosis, ZipLoad,
+                       build_admittance, check_noload_structure,
+                       scale_power_injections)
 from .newton import (NewtonResult, NewtonSettings, jacobian_check,
                      solve_newton)
 from .report import (CompareReport, RunReport, emit_compare, emit_check,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmittancePartition", "BoundCheck", "BoundVerification", "Branch", "Bus",
-    "BusKind", "CaseValidationError", "CompareReport", "CouplingTerms",
+    "CaseValidationError", "CompareReport", "CouplingTerms",
     "DecoupledEstimate", "FlatSolveConditions",
     "InternalCheckError", "LinearModel", "LinearSolution", "NetworkCase",
     "NewtonResult", "NewtonSettings", "NominalVoltage", "PvSetpoint",

@@ -48,7 +48,7 @@ _BUS_ALLOWED = {kind: _BUS_COMMON | fields
                 for kind, fields in _BUS_FIELDS.items()}
 _BRANCH_KEYS = ["from", "to", "series_g", "series_b", "shunt_b_total"]
 _BRANCH_FIELDS = set(_BRANCH_KEYS)
-_CODES = {kind.value: KINDS.index(kind) for kind in KINDS}
+_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 # libyaml's parser and emitter when PyYAML was built with them; each pairs
 # the C code with the same resolver and safe constructor or representer, so
@@ -344,7 +344,7 @@ def _branch_fields(from_bus: list, to_bus: list, g, b, shunt) -> dict:
 
 # Key codes index these lists; _BUS_TAKES[kind, key] says if the kind takes it
 _BUS_KEYS = ["id", "kind", *(key for _, key, _, _ in _BUS_NUMBERS)]
-_BUS_TAKES = np.array([[key in _BUS_ALLOWED[kind.value] for key in _BUS_KEYS]
+_BUS_TAKES = np.array([[key in _BUS_ALLOWED[kind] for key in _BUS_KEYS]
                        for kind in KINDS])
 _PV_NEEDS = [_BUS_KEYS.index("v_setpoint"), _BUS_KEYS.index("p")]
 # A top-level key line and its scalar; "key: value" pairs joined by ", " of
@@ -434,7 +434,7 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     in file order or, if there is none, every model problem; a clean file
     is read by ``_read_columns``, whose None sends it down the dict path."""
     if (read := _read_columns(text)) is not None:
-        return NetworkCase.from_columns(*read)
+        return NetworkCase(*read)
     try:
         doc = _load_document(text)
     except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
@@ -481,7 +481,7 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     ids, columns = _bus_columns(raw_buses, keyed)
     columns |= _branch_columns(raw_branches, keyed)
     _raise_problems(head, keyed)
-    return NetworkCase.from_columns(_float(base_mva), ids, columns)
+    return NetworkCase(_float(base_mva), ids, columns)
 
 
 def load_case(path) -> NetworkCase:
@@ -521,7 +521,7 @@ def dump_case(case: NetworkCase) -> str:
             case.kind, case.p_set, case.v_set, case.theta,
             *(part for column in (case.power, case.shunt, case.current)
               for part in (column.real, column.imag))), 1):
-        entry = {"id": k, "kind": KINDS[code].value}
+        entry = {"id": k, "kind": KINDS[code]}
         if code == _SLACK:
             entry |= {"v_setpoint": v, "theta_deg": _degrees_exact(theta)}
         else:               # a pv bus's power is zero, its p the setpoint

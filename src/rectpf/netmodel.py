@@ -5,10 +5,10 @@ All stored quantities are per-unit on the case's MVA base; angles are
 radians (the case-file layer converts from degrees).  Every type here is
 immutable after construction, so instances are safe to share freely.
 
-A case is stored as columns, one read-only array per quantity with one row
-per bus or per branch, because every solver reads the loads and
-injections as vectors; the :class:`Bus` and :class:`Branch` objects of a
-:class:`NetworkCase` are views of its columns.
+A case is built from and stored as columns, one read-only array per
+quantity with one row per bus or per branch, because every solver reads the
+loads and injections as vectors; the :class:`Bus` and :class:`Branch`
+objects of a :class:`NetworkCase` are views of its columns.
 
 Index convention: bus id ``k`` (1-based) occupies position ``k - 1`` in all
 vectors and matrices over the non-slack buses; the slack bus has no position.
@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import InitVar, dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,12 +44,6 @@ from scipy import sparse
 
 from ._linalg import Factorization, _segment_sums
 from .errors import CaseValidationError
-
-
-class BusKind(Enum):
-    SLACK = "slack"
-    PV = "pv"
-    ZIP = "zip"
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class SlackVoltage:
 @dataclass(frozen=True)
 class Bus:
     id: int
-    kind: BusKind
+    kind: str                   # one of KINDS
     load: ZipLoad = field(default_factory=ZipLoad)
     pv_setpoint: PvSetpoint | None = None
     slack_voltage: SlackVoltage | None = None
@@ -108,8 +101,8 @@ class Branch:
 
 
 # A bus's ``kind`` column holds the index of its kind in ``KINDS``.
-KINDS = tuple(BusKind)
-_SLACK, _PV, _ZIP = map(KINDS.index, (BusKind.SLACK, BusKind.PV, BusKind.ZIP))
+KINDS = ("slack", "pv", "zip")
+_SLACK, _PV, _ZIP = range(3)
 _BUS_COLUMNS = {"kind": np.int8, "shunt": complex, "current": complex,
                 "power": complex, "p_set": float, "v_set": float,
                 "theta": float}
@@ -153,46 +146,13 @@ class NetworkCase:
     (zero, one and zero elsewhere).  Branch columns keep the input order:
     ``from_bus``, ``to_bus``, the complex ``series`` admittance and total
     ``line_shunt``.  ``buses`` and ``branches`` are views, built on first
-    access.  Construction from objects or, in ``parse_case``, straight
-    from the file validates the case: :class:`CaseValidationError` lists
-    every violation.  Ids must be contiguous 1..N+1, slack at N+1.
+    access.  The constructor takes the ``columns``, the bus columns in the
+    order of ``ids``, and validates them, each check a mask over the
+    entries: :class:`CaseValidationError` lists every violation.  Ids must
+    be contiguous 1..N+1, slack at N+1.
     """
 
-    def __init__(self, buses, branches, base_mva: float = 100.0):
-        buses = sorted(buses, key=lambda b: b.id)
-        # A bus fills the setpoint columns of its kind only; the two has_
-        # columns tell the checks which objects it carries.
-        pv = [b.pv_setpoint if b.kind is BusKind.PV else None for b in buses]
-        sv = [b.slack_voltage if b.kind is BusKind.SLACK else None
-              for b in buses]
-        self._fill(base_mva, [b.id for b in buses], {
-            "kind": [KINDS.index(b.kind) for b in buses],
-            "shunt": [b.load.shunt_admittance for b in buses],
-            "current": [b.load.current for b in buses],
-            "power": [b.load.power for b in buses],
-            "p_set": [s.p if s else 0.0 for s in pv],
-            "v_set": [(s or v).v_mag if s or v else 1.0
-                      for s, v in zip(pv, sv)],
-            "theta": [v.theta if v else 0.0 for v in sv],
-            "has_slack_voltage": [b.slack_voltage is not None
-                                  for b in buses],
-            "has_pv_setpoint": [b.pv_setpoint is not None for b in buses],
-            "from_bus": [br.from_bus for br in branches],
-            "to_bus": [br.to_bus for br in branches],
-            "series": [br.series_admittance for br in branches],
-            "line_shunt": [br.shunt_admittance_total for br in branches]})
-
-    @classmethod
-    def from_columns(cls, base_mva: float, ids, columns: dict) -> NetworkCase:
-        """The validated case of ``columns``; the bus columns list the buses
-        in the order of ``ids``, and the case sorts them by id."""
-        case = object.__new__(cls)
-        case._fill(base_mva, ids, columns)
-        return case
-
-    def _fill(self, base_mva, ids, columns: dict) -> None:
-        """Store the columns, read-only and sorted by id, and validate them:
-        every check is a mask over the entries plus its message."""
+    def __init__(self, base_mva: float, ids, columns: dict):
         ids = _ints(ids)
         order = np.argsort(ids, kind="stable")
         cols = {name: np.asarray(columns[name], dtype)[order]
@@ -205,10 +165,6 @@ class NetworkCase:
         self.__dict__.update(cols, base_mva=base_mva)
         ids = ids[order]
         slack, pv = self.kind == _SLACK, self.kind == _PV
-        has_v, has_s = (np.asarray(columns[name], bool)[order]
-                        if name in columns else mask
-                        for name, mask in (("has_slack_voltage", slack),
-                                           ("has_pv_setpoint", pv)))
         m, slack_ids, head, keyed = len(ids), ids[slack].tolist(), [], []
         if not (math.isfinite(base_mva) and base_mva > 0):
             head.append("base_mva must be a positive finite number")
@@ -230,19 +186,14 @@ class NetworkCase:
              "load.shunt_admittance is not finite"),
             (1, ~np.isfinite(self.current), "load.current is not finite"),
             (2, ~np.isfinite(self.power), "load.power is not finite"),
-            (3, slack & ~has_v, "slack bus needs a slack_voltage"),
-            (3, ~slack & has_v, "only the slack bus has slack_voltage"),
-            (4, pv & ~has_s, "pv bus needs a pv_setpoint"),
-            (4, (self.kind == _ZIP) & has_s, "only pv buses have pv_setpoint"),
-            (5, slack & v_bad, "slack v_mag must be positive"),
-            (6, slack & ~np.isfinite(self.theta), "slack theta is not finite"),
-            (7, slack & has_s, "slack bus cannot carry a pv_setpoint"),
-            (8, slack & load, "slack bus cannot carry a load"),
-            (5, pv & v_bad, "pv v_mag must be positive"),
-            (6, pv & ~np.isfinite(self.p_set), "pv p is not finite"),
+            (3, slack & v_bad, "slack v_mag must be positive"),
+            (4, slack & ~np.isfinite(self.theta), "slack theta is not finite"),
+            (5, slack & load, "slack bus cannot carry a load"),
+            (3, pv & v_bad, "pv v_mag must be positive"),
+            (4, pv & ~np.isfinite(self.p_set), "pv p is not finite"),
             # A pv bus's active injection is its setpoint; a separate
             # constant-power load term would be ambiguous.
-            (8, pv & (self.power != 0),
+            (5, pv & (self.power != 0),
              "pv bus cannot carry a constant-power load")])
         f, t, series = self.from_bus, self.to_bus, self.series
         known = ((1 <= f) & (f <= m) & (1 <= t) & (t <= m)
@@ -259,6 +210,12 @@ class NetworkCase:
         if not (head or keyed or _connected(m, f - 1, t - 1)):
             head.append("network graph is not connected")
         _raise_problems(head, keyed)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot change {name!r}: a NetworkCase is "
+                             "immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if not isinstance(other, NetworkCase):
@@ -336,9 +293,8 @@ def scale_power_injections(case: NetworkCase, alpha: float) -> NetworkCase:
     power, p_set = _scaled(case, alpha)
     columns = {name: getattr(case, name)
                for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS)}
-    return NetworkCase.from_columns(
-        case.base_mva, np.arange(1, case.n + 2),
-        columns | {"power": power, "p_set": p_set})
+    return NetworkCase(case.base_mva, np.arange(1, case.n + 2),
+                       columns | {"power": power, "p_set": p_set})
 
 
 def _scaled_targets(case: NetworkCase, alpha: float) -> np.ndarray:

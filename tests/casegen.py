@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from rectpf import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
-                    SlackVoltage, ZipLoad, scale_power_injections)
+from reference_case import build_case
+from rectpf import (Branch, Bus, NetworkCase, PvSetpoint, SlackVoltage,
+                    ZipLoad, scale_power_injections)
 
 
 def oracle_full_matrix(case: NetworkCase) -> np.ndarray:
@@ -142,17 +143,17 @@ def _lossless_draw(rng, n_min, n_max, pv_fraction, with_current,
             else:
                 shunt = 1j * rng.uniform(-0.3, 0.5)
         if rng.random() < pv_fraction:
-            buses.append(Bus(k, BusKind.PV,
+            buses.append(Bus(k, "pv",
                              ZipLoad(shunt, complex(i_re, i_im), 0j),
                              pv_setpoint=PvSetpoint(
                                  p=float(rng.uniform(-1, 1)) * p_scale,
                                  v_mag=1.0)))
         else:
             power = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * p_scale
-            buses.append(Bus(k, BusKind.ZIP,
+            buses.append(Bus(k, "zip",
                              ZipLoad(shunt, complex(i_re, i_im), power)))
-    buses.append(Bus(m, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0)))
-    return NetworkCase(tuple(buses), tuple(branches))
+    buses.append(Bus(m, "slack", slack_voltage=SlackVoltage(1.0, 0.0)))
+    return build_case(tuple(buses), tuple(branches))
 
 
 def linear_step_ratio(case: NetworkCase) -> float:
@@ -167,7 +168,7 @@ def linear_step_ratio(case: NetworkCase) -> float:
     n = case.n
     y, ybar = full[:n, :n], full[:n, n]
     i_l = np.array([b.load.current for b in case.non_slack], dtype=complex)
-    s = np.array([complex(b.pv_setpoint.p) if b.kind is BusKind.PV
+    s = np.array([complex(b.pv_setpoint.p) if b.kind == "pv"
                   else b.load.power for b in case.non_slack], dtype=complex)
     try:
         v0 = np.linalg.solve(y, i_l - ybar * case.v_slack)
@@ -224,14 +225,14 @@ def _feeder_draw(rng, n_min, n_max, load_scale, with_current, with_shunts,
                               rng.uniform(-0.08, 0.08)) * temper
         power = complex(rng.uniform(-1, 1),
                         rng.uniform(-1, 1)) * load_scale * temper
-        buses.append(Bus(k, BusKind.ZIP, ZipLoad(shunt, current, power)))
+        buses.append(Bus(k, "zip", ZipLoad(shunt, current, power)))
     if unit_slack:
         slack_v = SlackVoltage(1.0, 0.0)
     else:
         slack_v = SlackVoltage(float(rng.uniform(0.98, 1.04)),
                                float(rng.uniform(-0.05, 0.05)))
-    buses.append(Bus(m, BusKind.SLACK, slack_voltage=slack_v))
-    return NetworkCase(tuple(buses), tuple(branches))
+    buses.append(Bus(m, "slack", slack_voltage=slack_v))
+    return build_case(tuple(buses), tuple(branches))
 
 
 def fixed_feeder10() -> NetworkCase:
@@ -251,22 +252,22 @@ def fixed_feeder10() -> NetworkCase:
     buses = []
     for k in range(1, 11):
         power = complex(-(0.015 + 0.002 * k), -(0.008 + 0.001 * k))
-        buses.append(Bus(k, BusKind.ZIP, ZipLoad(power=power)))
-    buses.append(Bus(11, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0)))
-    return NetworkCase(tuple(buses), tuple(branches))
+        buses.append(Bus(k, "zip", ZipLoad(power=power)))
+    buses.append(Bus(11, "slack", slack_voltage=SlackVoltage(1.0, 0.0)))
+    return build_case(tuple(buses), tuple(branches))
 
 
 def ladder_case(power=-0.1 - 0.05j, series=1 - 5j) -> NetworkCase:
     """Two-bus ladder: one ZIP bus behind one branch to the slack."""
-    return NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=power)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    return build_case(
+        (Bus(1, "zip", ZipLoad(power=power)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, series),))
 
 
 def lossless_ladder_case(p=0.5) -> NetworkCase:
     """Two-bus lossless ladder: series -10j, active target at bus 1."""
-    return NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=complex(p, 0.0))),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    return build_case(
+        (Bus(1, "zip", ZipLoad(power=complex(p, 0.0))),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, -10j),))

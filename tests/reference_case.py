@@ -1,12 +1,16 @@
-"""Reference case reader and writer: one object per bus and branch.
+"""Reference case builder, reader and writer: one object per bus and branch.
 
-This is the per-entry reader the columnar ``parse_case`` replaced, kept as
-a test oracle: ``_parse_bus`` and ``_parse_branch`` build :class:`Bus` and
-:class:`Branch` objects, and :func:`validate` runs the model checks over
-them in the order ``NetworkCase`` used to.  It differs from that reader in
-two declared ways only: an int beyond the float range reads as +-inf
-instead of raising ``OverflowError``, and a pv bus's bad ``p`` is reported
-once instead of twice.
+:func:`build_case` turns :class:`Bus` and :class:`Branch` objects into the
+columns of a :class:`NetworkCase`, as the object constructor that
+``NetworkCase`` once had filled them; tests build their cases with it.
+
+:func:`reference_parse` is the per-entry reader the columnar ``parse_case``
+replaced, kept as a test oracle: ``_parse_bus`` and ``_parse_branch`` build
+:class:`Bus` and :class:`Branch` objects, and :func:`validate` runs the
+model checks over them in the order ``NetworkCase`` runs them.  It differs
+from that reader in two declared ways only: an int beyond the float range
+reads as +-inf instead of raising ``OverflowError``, and a pv bus's bad
+``p`` is reported once instead of twice.
 
 :func:`reference_dump` is the writer the columnar ``dump_case`` replaced:
 one entry per :class:`Bus` view, emitted by ``yaml.safe_dump``.
@@ -29,8 +33,29 @@ from scipy.sparse.csgraph import connected_components
 from rectpf.caseio import (_BRANCH_FIELDS, _BUS_ALLOWED, _BUS_FIELDS, _DEG,
                            _TOP_FIELDS, SCHEMA_VERSION, _degrees_exact)
 from rectpf.errors import CaseValidationError
-from rectpf.netmodel import (AdmittancePartition, Branch, Bus, BusKind,
+from rectpf.netmodel import (KINDS, AdmittancePartition, Branch, Bus,
                              NetworkCase, PvSetpoint, SlackVoltage, ZipLoad)
+
+
+def build_case(buses, branches, base_mva: float = 100.0) -> NetworkCase:
+    """The validated case of ``buses`` and ``branches``.  A bus fills the
+    setpoint columns of its kind only, from the object its kind carries; a
+    missing one reads as the column's default."""
+    buses = sorted(buses, key=lambda b: b.id)
+    pv = [b.pv_setpoint if b.kind == "pv" else None for b in buses]
+    sv = [b.slack_voltage if b.kind == "slack" else None for b in buses]
+    return NetworkCase(base_mva, [b.id for b in buses], {
+        "kind": [KINDS.index(b.kind) for b in buses],
+        "shunt": [b.load.shunt_admittance for b in buses],
+        "current": [b.load.current for b in buses],
+        "power": [b.load.power for b in buses],
+        "p_set": [s.p if s else 0.0 for s in pv],
+        "v_set": [(s or v).v_mag if s or v else 1.0 for s, v in zip(pv, sv)],
+        "theta": [v.theta if v else 0.0 for v in sv],
+        "from_bus": [br.from_bus for br in branches],
+        "to_bus": [br.to_bus for br in branches],
+        "series": [br.series_admittance for br in branches],
+        "line_shunt": [br.shunt_admittance_total for br in branches]})
 
 
 def connected(n_nodes: int, rows, cols) -> bool:
@@ -115,7 +140,7 @@ def _parse_bus(entry, index: int, problems: list[str]) -> Bus | None:
     if kind == "slack":
         v_mag = _num(entry, "v_setpoint", where, problems, default=1.0)
         theta = _num(entry, "theta_deg", where, problems) * _DEG
-        return Bus(bus_id, BusKind.SLACK,
+        return Bus(bus_id, "slack",
                    slack_voltage=SlackVoltage(v_mag, theta))
 
     load = ZipLoad(
@@ -132,8 +157,8 @@ def _parse_bus(entry, index: int, problems: list[str]) -> Bus | None:
                               v_mag=_num(entry, "v_setpoint", where,
                                          problems, default=1.0))
         load = ZipLoad(load.shunt_admittance, load.current, 0j)
-        return Bus(bus_id, BusKind.PV, load=load, pv_setpoint=setpoint)
-    return Bus(bus_id, BusKind.ZIP, load=load)
+        return Bus(bus_id, "pv", load=load, pv_setpoint=setpoint)
+    return Bus(bus_id, "zip", load=load)
 
 
 def _parse_branch(entry, index: int, problems: list[str]) -> Branch | None:
@@ -178,38 +203,23 @@ def _validate_bus(bus: Bus, problems: list[str]) -> None:
             problems.append(f"{where}: load.{name} is not finite")
     load_zero = (bus.load.shunt_admittance == 0 and bus.load.current == 0
                  and bus.load.power == 0)
-    if bus.kind is BusKind.SLACK:
-        if bus.slack_voltage is None:
-            problems.append(f"{where}: slack bus needs a slack_voltage")
-        else:
-            if not (_finite(bus.slack_voltage.v_mag)
-                    and bus.slack_voltage.v_mag > 0):
-                problems.append(f"{where}: slack v_mag must be positive")
-            if not _finite(bus.slack_voltage.theta):
-                problems.append(f"{where}: slack theta is not finite")
-        if bus.pv_setpoint is not None:
-            problems.append(f"{where}: slack bus cannot carry a pv_setpoint")
+    if bus.kind == "slack":
+        if not (_finite(bus.slack_voltage.v_mag)
+                and bus.slack_voltage.v_mag > 0):
+            problems.append(f"{where}: slack v_mag must be positive")
+        if not _finite(bus.slack_voltage.theta):
+            problems.append(f"{where}: slack theta is not finite")
         if not load_zero:
             problems.append(f"{where}: slack bus cannot carry a load")
-    elif bus.kind is BusKind.PV:
-        if bus.slack_voltage is not None:
-            problems.append(f"{where}: only the slack bus has slack_voltage")
-        if bus.pv_setpoint is None:
-            problems.append(f"{where}: pv bus needs a pv_setpoint")
-        else:
-            if not (_finite(bus.pv_setpoint.v_mag)
-                    and bus.pv_setpoint.v_mag > 0):
-                problems.append(f"{where}: pv v_mag must be positive")
-            if not _finite(bus.pv_setpoint.p):
-                problems.append(f"{where}: pv p is not finite")
+    elif bus.kind == "pv":
+        if not (_finite(bus.pv_setpoint.v_mag)
+                and bus.pv_setpoint.v_mag > 0):
+            problems.append(f"{where}: pv v_mag must be positive")
+        if not _finite(bus.pv_setpoint.p):
+            problems.append(f"{where}: pv p is not finite")
         if bus.load.power != 0:
             problems.append(
                 f"{where}: pv bus cannot carry a constant-power load")
-    else:
-        if bus.slack_voltage is not None:
-            problems.append(f"{where}: only the slack bus has slack_voltage")
-        if bus.pv_setpoint is not None:
-            problems.append(f"{where}: only pv buses have pv_setpoint")
 
 
 def validate(buses, branches, base_mva) -> tuple[list[Bus], list[str]]:
@@ -224,7 +234,7 @@ def validate(buses, branches, base_mva) -> tuple[list[Bus], list[str]]:
     if ids != list(range(1, len(buses) + 1)):
         problems.append(
             f"bus ids must be contiguous 1..{len(buses)}, got {ids}")
-    slack_ids = [b.id for b in buses if b.kind is BusKind.SLACK]
+    slack_ids = [b.id for b in buses if b.kind == "slack"]
     if len(slack_ids) != 1:
         problems.append(
             f"exactly one slack bus required, found {len(slack_ids)}")
@@ -287,12 +297,12 @@ def reference_parse(doc: dict, source: str = "<case>"):
 
 
 def _bus_entry(bus: Bus) -> dict:
-    entry: dict = {"id": bus.id, "kind": bus.kind.value}
-    if bus.kind is BusKind.SLACK:
+    entry: dict = {"id": bus.id, "kind": bus.kind}
+    if bus.kind == "slack":
         entry["v_setpoint"] = bus.slack_voltage.v_mag
         entry["theta_deg"] = _degrees_exact(bus.slack_voltage.theta)
         return entry
-    if bus.kind is BusKind.PV:
+    if bus.kind == "pv":
         entry["v_setpoint"] = bus.pv_setpoint.v_mag
         entry["p"] = bus.pv_setpoint.p
     else:

@@ -15,10 +15,10 @@ import pytest
 from scipy import sparse
 
 import casegen
-from rectpf import (AdmittancePartition, Branch, Bus, BusKind, NetworkCase,
-                    PvSetpoint, SlackVoltage, SolverError, ZipLoad,
-                    build_admittance, compute_noload_voltage, run_compare,
-                    run_pipeline)
+from reference_case import build_case
+from rectpf import (AdmittancePartition, Branch, Bus, PvSetpoint, SlackVoltage,
+                    SolverError, ZipLoad, build_admittance,
+                    compute_noload_voltage, run_compare, run_pipeline)
 from rectpf._linalg import csc_arrays
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
 
@@ -68,7 +68,7 @@ def assert_same_superlu_input(partition, v, pv_pos=()):
 
 
 def _pv_positions(case):
-    return np.flatnonzero([b.kind is BusKind.PV for b in case.non_slack])
+    return np.flatnonzero([b.kind == "pv" for b in case.non_slack])
 
 
 def _iterates(rng, case, part):
@@ -117,15 +117,15 @@ def test_flat_start_drops_zero_direct_coefficients():
     # cancels in direct, leaving only bus 1's conductive shunt, so Im(direct)
     # is zero everywhere and Re(direct) at buses 2 and 3.  scipy's binops
     # drop those zeros; so must the fill.
-    buses = (Bus(1, BusKind.ZIP, ZipLoad(shunt_admittance=0.5,
-                                         power=-0.1 - 0.05j)),
-             Bus(2, BusKind.ZIP, ZipLoad(power=-0.2)),
-             Bus(3, BusKind.PV, pv_setpoint=PvSetpoint(0.1, 1.0)),
-             Bus(4, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0)))
+    buses = (Bus(1, "zip", ZipLoad(shunt_admittance=0.5,
+                                   power=-0.1 - 0.05j)),
+             Bus(2, "zip", ZipLoad(power=-0.2)),
+             Bus(3, "pv", pv_setpoint=PvSetpoint(0.1, 1.0)),
+             Bus(4, "slack", slack_voltage=SlackVoltage(1.0, 0.0)))
     branches = (Branch(1, 2, 1 - 3j), Branch(2, 3, 2 - 5j),
                 Branch(1, 3, 1 - 2j), Branch(3, 4, 4 - 8j),
                 Branch(1, 4, 3 - 7j))
-    case = NetworkCase(buses, branches)
+    case = build_case(buses, branches)
     part = build_admittance(case)
     v = np.ones(case.n, dtype=complex)
     direct = _direct_coefficient(part, v)
@@ -139,14 +139,14 @@ def test_cancelling_parallel_branches():
     # shunt load undoes its only series branch.  Those Y entries are gone,
     # and the block pattern still carries the diagonal.
     y = 2.0 - 6.0j
-    buses = (Bus(1, BusKind.ZIP, ZipLoad(power=-0.1 - 0.05j)),
-             Bus(2, BusKind.ZIP, ZipLoad(power=-0.2 + 0.01j)),
-             Bus(3, BusKind.ZIP, ZipLoad(shunt_admittance=-y,
-                                         power=-0.05j)),
-             Bus(4, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.1)))
+    buses = (Bus(1, "zip", ZipLoad(power=-0.1 - 0.05j)),
+             Bus(2, "zip", ZipLoad(power=-0.2 + 0.01j)),
+             Bus(3, "zip", ZipLoad(shunt_admittance=-y,
+                                   power=-0.05j)),
+             Bus(4, "slack", slack_voltage=SlackVoltage(1.0, 0.1)))
     branches = (Branch(1, 2, y), Branch(1, 2, -y), Branch(1, 4, 1 - 3j),
                 Branch(2, 4, 4 - 9j), Branch(3, 4, y))
-    case = NetworkCase(buses, branches)
+    case = build_case(buses, branches)
     part = build_admittance(case)
     assert part.Y_csr[0, 1] == 0 and part.Y_csr[2, 2] == 0
     rng = np.random.default_rng(3)

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import casegen
 import reference_case
+from reference_case import build_case
 from test_cli_fuzz import _with
-from rectpf import (Branch, Bus, CaseValidationError, NetworkCase, ZipLoad,
-                    dump_case, parse_case)
+from rectpf import (Branch, Bus, CaseValidationError, ZipLoad, dump_case,
+                    parse_case)
 from rectpf.caseio import _BUS_FIELDS
 
 # Floats whose text is easy to get wrong: a signed zero, the smallest
@@ -111,7 +112,7 @@ def test_writer_builds_no_bus_branch_or_load_objects(monkeypatch):
 
 def test_numpy_float_base_is_written_as_a_float():
     ladder = casegen.ladder_case()
-    case = NetworkCase(ladder.buses, ladder.branches, np.float64(100.0))
+    case = build_case(ladder.buses, ladder.branches, np.float64(100.0))
     text = dump_case(case)
     assert "base_mva: 100.0\n" in text
     assert parse_case(text) == case

@@ -4,9 +4,9 @@
 ``caseio._read_columns`` and gives every other text to the dict path: the
 document, then ``_bus_columns`` and ``_branch_columns``.  The reader must
 decline (return None) wherever it could differ, and otherwise hand
-``NetworkCase.from_columns`` exactly what the dict path hands it.  The
-single edits below pin its boundary; the property checks generated cases
-in both layouts with up to two edits.
+``NetworkCase`` exactly what the dict path hands it.  The single edits
+below pin its boundary; the property checks generated cases in both
+layouts with up to two edits.
 """
 
 from unittest import mock
@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 import casegen
 from test_case_loader import _flow_layout
 from test_cli_fuzz import FIELDS, VALUES, _with
-from rectpf import CaseValidationError, NetworkCase, caseio, dump_case
-from rectpf import parse_case
+from rectpf import CaseValidationError, caseio, dump_case, parse_case
 from rectpf.netmodel import _BRANCH_COLUMNS, _BUS_COLUMNS
 
 FLOW = """\
@@ -41,11 +40,11 @@ HEAD, BUSES = FLOW[:FLOW.index("buses:")], FLOW[
 
 
 def _handed(text):
-    """What the dict path hands ``from_columns``: ``("columns", (base_mva,
+    """What the dict path hands ``NetworkCase``: ``("columns", (base_mva,
     ids, columns))``, or ``("raised", code, violations)``."""
     handed = []
     with mock.patch.object(caseio, "_read_columns", lambda text: None), \
-            mock.patch.object(NetworkCase, "from_columns",
+            mock.patch.object(caseio, "NetworkCase",
                               lambda *args: handed.append(args)):
         try:
             parse_case(text)

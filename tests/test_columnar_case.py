@@ -1,23 +1,27 @@
-"""The columnar case reader against the per-entry reference reader, and the
-CLI path's freedom from per-bus objects."""
+"""The columnar case reader against the per-entry reference reader, the
+object builder against the views, and the CLI path's freedom from per-bus
+objects."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casegen
 import reference_case
+from reference_case import build_case
 from test_case_loader import _mangle
 from test_cli_fuzz import BASES, FIELDS, VALUES, _with, case_texts
-from rectpf import (Branch, Bus, BusKind, CaseValidationError, NetworkCase,
-                    PvSetpoint, SlackVoltage, ZipLoad, caseio, dump_case,
-                    parse_case)
-from rectpf.netmodel import KINDS
+from test_golden_cli import GOLDEN
+from rectpf import (Branch, Bus, CaseValidationError, PvSetpoint,
+                    SlackVoltage, ZipLoad, caseio, dump_case, parse_case)
+from rectpf.netmodel import _BRANCH_COLUMNS, _BUS_COLUMNS
 from rectpf.report import run_compare, run_pipeline
 
 
@@ -62,27 +66,6 @@ def _bits(values) -> np.ndarray:
     return values.view(np.uint64) if values.dtype.kind in "fc" else values
 
 
-def _reference_columns(buses, branches) -> dict:
-    """The columns that the reference reader's objects stand for."""
-    setpoints = [b.pv_setpoint for b in buses]
-    voltages = [b.slack_voltage for b in buses]
-    return {
-        "kind": [KINDS.index(b.kind) for b in buses],
-        "shunt": np.array([b.load.shunt_admittance for b in buses]),
-        "current": np.array([b.load.current for b in buses]),
-        "power": np.array([b.load.power for b in buses]),
-        "p_set": [s.p if s else 0.0 for s in setpoints],
-        "v_set": [(s or v).v_mag if s or v else 1.0
-                  for s, v in zip(setpoints, voltages)],
-        "theta": [v.theta if v else 0.0 for v in voltages],
-        "from_bus": [br.from_bus for br in branches],
-        "to_bus": [br.to_bus for br in branches],
-        "series": np.array([br.series_admittance for br in branches]),
-        "line_shunt": np.array([br.shunt_admittance_total
-                                for br in branches]),
-    }
-
-
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(text=documents())
 def test_columns_match_the_reference_reader(text):
@@ -99,12 +82,74 @@ def test_columns_match_the_reference_reader(text):
         assert got == want
         return
     assert got[0] == "case", got
-    case, (buses, branches, base_mva) = got[1], want[1]
-    assert _bits([case.base_mva]).tolist() == _bits([base_mva]).tolist()
-    for name, values in _reference_columns(buses, branches).items():
+    case, reference = got[1], build_case(*want[1])
+    assert _bits([case.base_mva]).tolist() == _bits(
+        [reference.base_mva]).tolist()
+    for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS):
         column = getattr(case, name)
         assert not column.flags.writeable
-        assert _bits(column).tolist() == _bits(values).tolist(), name
+        assert _bits(column).tolist() == _bits(
+            getattr(reference, name)).tolist(), name
+
+
+def _draws():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        yield casegen.random_feeder_case(rng)
+        yield casegen.random_lossless_case(rng, pv_fraction=0.3)
+        yield casegen.random_lossless_case(rng, pv_fraction=0.3,
+                                           newton_ready=True)
+
+
+# a valid case with a negative zero in every column that can hold one
+SIGNED_ZEROS = """\
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.0, q: -0.0, shunt_g: -0.0, shunt_b: -0.0, \
+i_load_re: -0.0, i_load_im: -0.0}
+  - {id: 2, kind: pv, v_setpoint: 1.0, p: -0.0, shunt_g: -0.0, shunt_b: 0.1}
+  - {id: 3, kind: slack, v_setpoint: 1.0, theta_deg: -0.0}
+branches:
+  - {from: 1, to: 3, series_g: -0.0, series_b: -5.0, shunt_b_total: -0.0}
+  - {from: 2, to: 3, series_g: 1.0, series_b: -0.0}
+"""
+
+
+def _fixed_cases():
+    yield from (casegen.fixed_feeder10(), casegen.ladder_case(),
+                casegen.lossless_ladder_case(), parse_case(SIGNED_ZEROS))
+    for text in json.loads(GOLDEN.read_text(encoding="utf-8"))[
+            "cases"].values():
+        try:
+            yield parse_case(text)
+        except CaseValidationError:
+            pass
+
+
+def test_builder_rebuilds_every_column_from_the_views():
+    # dtype and bytes, not ==: array_equal and NetworkCase.__eq__ take
+    # -0.0 for +0.0, and the views must carry the sign of every zero
+    cases = [*_draws(), *_fixed_cases()]
+    assert len(cases) >= 300 + 4 + 9         # 9 golden cases are valid
+    for case in cases:
+        again = build_case(case.buses, case.branches, case.base_mva)
+        for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS):
+            column, rebuilt = getattr(case, name), getattr(again, name)
+            assert rebuilt.dtype == column.dtype, name
+            assert rebuilt.tobytes() == column.tobytes(), name
+
+
+def test_a_case_is_immutable():
+    case = casegen.fixed_feeder10()
+    buses = case.buses
+    with pytest.raises(AttributeError):
+        case.power = np.zeros(10, complex)
+    with pytest.raises(AttributeError):
+        del case.kind
+    with pytest.raises(AttributeError):
+        case.buses = ()
+    assert case.power.shape == (11,) and case.buses is buses
+    assert case.buses[0].load.power == case.power[0]
 
 
 def test_cli_path_builds_no_bus_branch_or_load_objects(monkeypatch):
@@ -126,17 +171,21 @@ def test_cli_path_builds_no_bus_branch_or_load_objects(monkeypatch):
     assert built["Bus"] == case.n + 1
 
 
-# Object edits: each gives a bus a field that the case file cannot express,
-# or a value that a model check rejects.
+def _kind(kind, pv_setpoint=None, slack_voltage=None) -> dict:
+    """The edit to ``kind``, with the setpoint object that kind carries."""
+    return {"kind": kind, "pv_setpoint": pv_setpoint,
+            "slack_voltage": slack_voltage}
+
+
+# Object edits: each gives a bus a kind or a value that a model check
+# rejects.
 BUS_EDITS = [
-    {"slack_voltage": None}, {"pv_setpoint": None},
-    {"slack_voltage": SlackVoltage(1.0, 0.1)},
-    {"pv_setpoint": PvSetpoint(0.2, 1.0)},
-    {"pv_setpoint": PvSetpoint(math.inf, -1.0)},
-    {"slack_voltage": SlackVoltage(math.nan, math.inf)},
+    _kind("pv", PvSetpoint(0.2, 1.0)), _kind("pv", PvSetpoint(math.inf, -1.0)),
+    _kind("slack", slack_voltage=SlackVoltage(1.0, 0.1)),
+    _kind("slack", slack_voltage=SlackVoltage(math.nan, math.inf)),
+    _kind("zip"),
     {"load": ZipLoad(0.1j, 0j, 0j)}, {"load": ZipLoad(power=0.5 + 0j)},
     {"load": ZipLoad(complex(math.inf, 0.0), 0j, 1j)},
-    {"kind": BusKind.PV}, {"kind": BusKind.SLACK}, {"kind": BusKind.ZIP},
     {"id": 0}, {"id": 2}, {"id": 2 ** 64},
 ]
 
@@ -149,13 +198,13 @@ OBJECT_BASES = [casegen.fixed_feeder10(), casegen.random_lossless_case(
 @given(edits=st.lists(st.tuples(st.integers(0, 20),
                                 st.sampled_from(BUS_EDITS)), max_size=3),
        base=st.sampled_from(OBJECT_BASES))
-def test_object_constructor_matches_the_reference_checks(edits, base):
+def test_built_cases_match_the_reference_checks(edits, base):
     buses = list(base.buses)
     for index, edit in edits:
         buses[index % len(buses)] = replace(buses[index % len(buses)], **edit)
     _, problems = reference_case.validate(buses, base.branches,
                                           base.base_mva)
-    got = _outcome(lambda: NetworkCase(buses, base.branches, base.base_mva))
+    got = _outcome(lambda: build_case(buses, base.branches, base.base_mva))
     if problems:
         assert got == ("raised", "VALIDATION_ERROR", problems)
     else:
@@ -167,15 +216,15 @@ def test_endpoints_of_non_contiguous_ids_are_looked_up():
     # With ids 1, 2, 4 a range test of 1..3 would pass the unknown end 3
     # and refuse the known end 4: ends are looked up in the ids instead,
     # and listed after the head check, as the reference reader lists them.
-    buses = (Bus(1, BusKind.ZIP), Bus(2, BusKind.ZIP, ZipLoad(power=-0.1)),
-             Bus(4, BusKind.SLACK, slack_voltage=SlackVoltage(1.0)))
+    buses = (Bus(1, "zip"), Bus(2, "zip", ZipLoad(power=-0.1)),
+             Bus(4, "slack", slack_voltage=SlackVoltage(1.0)))
     branches = (Branch(1, 2, 1 - 5j), Branch(2, 4, 2 - 6j),
                 Branch(2, 3, 1 - 4j), Branch(0, 4, 1 - 3j))
     want = ["bus ids must be contiguous 1..3, got [1, 2, 4]",
             "branch[2] (2-3): endpoint is not a known bus id",
             "branch[3] (0-4): endpoint is not a known bus id"]
     assert reference_case.validate(buses, branches, 100.0)[1] == want
-    got = _outcome(lambda: NetworkCase(buses, branches))
+    got = _outcome(lambda: build_case(buses, branches))
     assert got == ("raised", "VALIDATION_ERROR", want)
     text = "\n".join([
         'schema_version: "1"', "buses:",

@@ -8,8 +8,9 @@ from click.testing import CliRunner
 
 import casegen
 import rectpf
-from rectpf import (Branch, Bus, BusKind, InternalCheckError, NetworkCase,
-                    PvSetpoint, SlackVoltage, SolverError, ZipLoad,
+from reference_case import build_case
+from rectpf import (Branch, Bus, InternalCheckError, PvSetpoint,
+                    SlackVoltage, SolverError, ZipLoad,
                     build_admittance, coupling_decomposition,
                     decoupled_estimate, nonlinear_mismatch, prepare,
                     quadratic_residual, run_pipeline,
@@ -34,9 +35,9 @@ def test_ladder_closed_form_frozen():
 
 
 def test_rejects_pv_bus():
-    case = NetworkCase(
-        (Bus(1, BusKind.PV, pv_setpoint=PvSetpoint(p=0.3, v_mag=1.0)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "pv", pv_setpoint=PvSetpoint(p=0.3, v_mag=1.0)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 4j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
@@ -79,10 +80,10 @@ def test_coupling_matches_the_dense_formulas():
 def test_coupling_cross_terms_vanish_for_resistive_flat_network():
     # pure resistance and zero-angle slack: X = 0, theta = 0, so P moves
     # only the real part and Q only the imaginary part
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=-0.2 - 0.1j)),
-         Bus(2, BusKind.ZIP, ZipLoad(power=-0.1 + 0.05j)),
-         Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(power=-0.2 - 0.1j)),
+         Bus(2, "zip", ZipLoad(power=-0.1 + 0.05j)),
+         Bus(3, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 4 + 0j), Branch(2, 3, 5 + 0j)))
     part = build_admittance(case)
     sol = _noload(part, case)
@@ -95,10 +96,10 @@ def test_coupling_cross_terms_vanish_for_resistive_flat_network():
 
 
 def test_decoupled_estimate_exact_for_resistive_flat_network():
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=-0.2 - 0.1j)),
-         Bus(2, BusKind.ZIP, ZipLoad(power=-0.1 + 0.05j)),
-         Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(power=-0.2 - 0.1j)),
+         Bus(2, "zip", ZipLoad(power=-0.1 + 0.05j)),
+         Bus(3, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 4 + 0j), Branch(2, 3, 5 + 0j)))
     part = build_admittance(case)
     sol = _noload(part, case)
@@ -122,10 +123,10 @@ def test_decoupled_estimate_exact_for_resistive_flat_network():
 def test_decoupled_estimate_degrades_with_reactance():
     """Same |Y| entries, but inductive: the estimate must be much worse."""
     def feeder(series):
-        return NetworkCase(
-            (Bus(1, BusKind.ZIP, ZipLoad(power=-0.2 - 0.1j)),
-             Bus(2, BusKind.ZIP, ZipLoad(power=-0.1 - 0.05j)),
-             Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+        return build_case(
+            (Bus(1, "zip", ZipLoad(power=-0.2 - 0.1j)),
+             Bus(2, "zip", ZipLoad(power=-0.1 - 0.05j)),
+             Bus(3, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
             (Branch(1, 2, series), Branch(2, 3, series)))
 
     def estimate_error(series):

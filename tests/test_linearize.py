@@ -5,13 +5,14 @@ import pytest
 from scipy import sparse
 
 import casegen
+from reference_case import build_case
 from rectpf import (NominalVoltage, SolverError, build_admittance,
                     compute_noload_voltage, flat_nominal, linear_injection,
                     prepare)
 from rectpf.linearize import (_direct_coefficient, _real_block_matrix,
                               prepare_general, prepare_noload)
-from rectpf.netmodel import (Branch, Bus, BusKind, NetworkCase, PvSetpoint,
-                             SlackVoltage, ZipLoad)
+from rectpf.netmodel import (Branch, Bus, PvSetpoint, SlackVoltage,
+                             ZipLoad)
 
 
 def _direct_for(case, nominal=None):
@@ -129,9 +130,9 @@ def test_linear_model_rows_are_satisfied():
 
 
 def test_solve_general_rejects_pv():
-    case = NetworkCase(
-        (Bus(1, BusKind.PV, pv_setpoint=PvSetpoint(p=0.2, v_mag=1.0)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "pv", pv_setpoint=PvSetpoint(p=0.2, v_mag=1.0)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 4j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
@@ -153,9 +154,9 @@ def test_solve_general_defaults_to_flat():
 
 def test_singular_y_detected():
     # bus shunt cancels the series term exactly: Y == [[0]]
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(shunt_admittance=-1 + 5j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(shunt_admittance=-1 + 5j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 5j),))
     part = build_admittance(case)
     assert part.Y_csr.toarray()[0, 0] == 0
@@ -166,9 +167,9 @@ def test_singular_y_detected():
 
 def test_zero_noload_voltage_detected():
     # constant-current load exactly absorbs the slack in-feed
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(current=-1 + 5j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(current=-1 + 5j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 5j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
@@ -178,9 +179,9 @@ def test_zero_noload_voltage_detected():
 
 def test_nonfinite_noload_voltage_detected():
     # the current load divided by a branch admittance below one overflows
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(current=1e308j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(current=1e308j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 0.1 - 0.5j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import casegen
-from rectpf import (Branch, Bus, BusKind, NetworkCase, NewtonSettings,
-                    PvSetpoint, SlackVoltage, SolverError, ZipLoad,
-                    build_admittance, jacobian_check, nonlinear_mismatch,
-                    solve_newton)
+from reference_case import build_case
+from rectpf import (Branch, Bus, NewtonSettings, PvSetpoint, SlackVoltage,
+                    SolverError, ZipLoad, build_admittance, jacobian_check,
+                    nonlinear_mismatch, solve_newton)
 
 
 def test_converges_on_ladder():
@@ -33,10 +33,10 @@ def test_converged_voltage_satisfies_case_equations():
 
 
 def test_pv_bus_holds_magnitude_and_active_power():
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=-0.3 - 0.15j)),
-         Bus(2, BusKind.PV, pv_setpoint=PvSetpoint(p=0.25, v_mag=1.02)),
-         Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(power=-0.3 - 0.15j)),
+         Bus(2, "pv", pv_setpoint=PvSetpoint(p=0.25, v_mag=1.02)),
+         Bus(3, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 2 - 6j), Branch(2, 3, 3 - 8j), Branch(1, 3, 1 - 4j)))
     part = build_admittance(case)
     res = solve_newton(part, case)
@@ -74,9 +74,9 @@ def test_singular_jacobian_raised():
     # the branch admittance's and zeroes one column of the Jacobian
     # exactly: direct = -conj(I_L) and cross = conj(y) have equal
     # magnitude, so the real block loses rank
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(current=-1 + 5j, power=0.1 + 0j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(current=-1 + 5j, power=0.1 + 0j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 1 - 5j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:

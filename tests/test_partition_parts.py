@@ -16,7 +16,8 @@ from scipy import sparse
 
 import casegen
 import reference_case
-from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage, ZipLoad,
+from reference_case import build_case
+from rectpf import (Branch, Bus, NetworkCase, SlackVoltage, ZipLoad,
                     build_admittance, max_row_norm)
 from rectpf._linalg import _segment_sums
 from rectpf.netmodel import _connected
@@ -106,8 +107,8 @@ def _cancelled(case: NetworkCase, rng) -> NetworkCase:
     if m > 2:
         b = int(rng.choice([k for k in range(1, m) if k != a]))
         pairs += [Branch(a, b, y), Branch(b, a, -y)]
-    return NetworkCase(case.buses, case.branches + tuple(pairs),
-                       case.base_mva)
+    return build_case(case.buses, case.branches + tuple(pairs),
+                      case.base_mva)
 
 
 @st.composite
@@ -125,23 +126,23 @@ def cases(draw):
 
 
 def _zip_bus(k: int, shunt: complex = 0j) -> Bus:
-    return Bus(k, BusKind.ZIP, ZipLoad(shunt, 0.1j, -0.1 + 0j))
+    return Bus(k, "zip", ZipLoad(shunt, 0.1j, -0.1 + 0j))
 
 
 SLACK = SlackVoltage(1.0)
 # Y, Ybar and the corner all sum to exact zeros and are dropped.
-ALL_CANCELLED = NetworkCase(
-    (_zip_bus(1), Bus(2, BusKind.SLACK, slack_voltage=SLACK)),
+ALL_CANCELLED = build_case(
+    (_zip_bus(1), Bus(2, "slack", slack_voltage=SLACK)),
     (Branch(1, 2, 1 - 5j), Branch(1, 2, -1 + 5j)))
 # Only the corner cancels: the slack row keeps entries past its diagonal.
-CORNER_CANCELLED = NetworkCase(
-    (_zip_bus(1), _zip_bus(2), Bus(3, BusKind.SLACK, slack_voltage=SLACK)),
+CORNER_CANCELLED = build_case(
+    (_zip_bus(1), _zip_bus(2), Bus(3, "slack", slack_voltage=SLACK)),
     (Branch(1, 3, 1 - 5j), Branch(2, 3, -1 + 5j), Branch(1, 2, 2 - 4j)))
 # Bus 1's shunt cancels its branch, so Y has no diagonal entry there, yet
 # its shunt susceptance is not zero: B_dc and im_coeff insert one.
-DIAGONAL_CANCELLED = NetworkCase(
+DIAGONAL_CANCELLED = build_case(
     (_zip_bus(1, -1 + 3j), _zip_bus(2),
-     Bus(3, BusKind.SLACK, slack_voltage=SLACK)),
+     Bus(3, "slack", slack_voltage=SLACK)),
     (Branch(1, 3, 1 - 5j), Branch(2, 3, 1 - 5j), Branch(1, 2, 2j)))
 
 
@@ -187,7 +188,7 @@ def test_stamps_and_derived_matrices_are_bit_identical(case):
 def test_cancelled_pairs_leave_exact_zeros():
     feeder = casegen.fixed_feeder10()
     y = 2 - 3j
-    case = NetworkCase(feeder.buses, feeder.branches + (
+    case = build_case(feeder.buses, feeder.branches + (
         Branch(5, 11, y), Branch(5, 11, -y), Branch(3, 7, y),
         Branch(7, 3, -y)))
     part = _assert_stamped_as_sliced(case)

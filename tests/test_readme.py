@@ -30,7 +30,7 @@ def test_quick_start_runs_on_a_saved_feeder(tmp_path, monkeypatch, capsys):
 # the names README says are no longer exported
 RETIRED = ("impedance_decomposition", "ImpedanceDecomposition",
            "SolutionMethod", "SolveDiagnostics", "InitialGuess",
-           "solve_noload_closed_form", "NominalOrigin")
+           "solve_noload_closed_form", "NominalOrigin", "BusKind")
 
 
 def test_exports_resolve_and_retired_names_are_gone():

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 
 import casegen
-from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage, ZipLoad,
+from reference_case import build_case
+from rectpf import (Branch, Bus, SlackVoltage, ZipLoad,
                     build_admittance, check_noload_structure,
                     compute_noload_voltage, prepare, run_pipeline)
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
@@ -13,16 +14,16 @@ from rectpf.transmission import flat_conditions
 
 
 def _slack(bid):
-    return Bus(bid, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))
+    return Bus(bid, "slack", slack_voltage=SlackVoltage(1.0, 0.0))
 
 
 def test_cancelling_parallel_branches_are_no_edge():
     # buses 1 and 2 are joined only by two branches whose admittances cancel
     # exactly; every bus still reaches the slack, but without that pair the
     # non-slack graph splits into {1} and {2, 3}
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=-0.1 + 0j)), Bus(2, BusKind.ZIP),
-         Bus(3, BusKind.ZIP), _slack(4)),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(power=-0.1 + 0j)), Bus(2, "zip"),
+         Bus(3, "zip"), _slack(4)),
         (Branch(1, 4, 1 - 3j), Branch(1, 2, 1 - 2j), Branch(2, 1, -1 + 2j),
          Branch(2, 3, 1 - 2j), Branch(3, 4, 1 - 3j)))
     part = build_admittance(case)
@@ -42,7 +43,7 @@ def test_vectorized_stamps_equal_the_loop_oracle_bit_for_bit():
         extra = tuple(Branch(br.to_bus, br.from_bus,
                              0.5 * br.series_admittance, 0.01j)
                       for br in case.branches[::3])
-        case = NetworkCase(case.buses, case.branches + extra)
+        case = build_case(case.buses, case.branches + extra)
         full = casegen.partition_full_matrix(build_admittance(case))
         np.testing.assert_array_equal(full, casegen.oracle_full_matrix(case))
 
@@ -50,10 +51,10 @@ def test_vectorized_stamps_equal_the_loop_oracle_bit_for_bit():
 def _chain(n):
     """Radial chain 1-2-...-n-slack, one X/R ratio on every section."""
     y = 1.0 / complex(1e-4, 2.5e-4)
-    buses = tuple(Bus(k, BusKind.ZIP, ZipLoad(power=complex(-2e-5, -1e-5)))
+    buses = tuple(Bus(k, "zip", ZipLoad(power=complex(-2e-5, -1e-5)))
                   for k in range(1, n + 1)) + (_slack(n + 1),)
     branches = tuple(Branch(k, k + 1, y) for k in range(1, n + 1))
-    return NetworkCase(buses, branches)
+    return build_case(buses, branches)
 
 
 def test_large_radial_feeder_is_solved_in_sparse_memory():
@@ -85,13 +86,13 @@ def _lossless_grid(n):
     """Lossless mesh: chain 1-2-...-n-slack plus a chord from every fifth
     bus, with line charging and shunt loads but no current loads."""
     buses = tuple(
-        Bus(k, BusKind.ZIP, ZipLoad(shunt_admittance=0.01j * (k % 3),
-                                    power=complex((k % 7 - 3) / 10, -0.05)))
+        Bus(k, "zip", ZipLoad(shunt_admittance=0.01j * (k % 3),
+                              power=complex((k % 7 - 3) / 10, -0.05)))
         for k in range(1, n + 1)) + (_slack(n + 1),)
     branches = tuple(Branch(k, k + 1, -1j * (10 + k % 7), 0.02j)
                      for k in range(1, n + 1))
     chords = tuple(Branch(k, k + 9, -5j) for k in range(1, n - 9, 5))
-    return NetworkCase(buses, branches + chords)
+    return build_case(buses, branches + chords)
 
 
 def test_large_lossless_grid_is_solved_in_sparse_memory():

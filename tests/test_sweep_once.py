@@ -121,12 +121,12 @@ def test_decoupled_compare_measures_the_assumptions_once(monkeypatch):
 def test_compare_scales_the_targets_not_the_case(monkeypatch, make_case):
     case = make_case()
     built = []
-    fill = NetworkCase._fill
+    init = NetworkCase.__init__
 
-    def counting_fill(self, *args):
+    def counting_init(self, *args):
         built.append(self)
-        return fill(self, *args)
+        return init(self, *args)
 
-    monkeypatch.setattr(NetworkCase, "_fill", counting_fill)
+    monkeypatch.setattr(NetworkCase, "__init__", counting_init)
     report = run_compare(case, [1, 0.5, 0.25])
     assert all(report.rows.values[5]) and built == []

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import casegen
-from rectpf import (Branch, Bus, BusKind, NetworkCase, SlackVoltage,
-                    SolverError, ZipLoad, build_admittance, nonlinear_mismatch,
-                    prepare, quadratic_residual)
+from reference_case import build_case
+from rectpf import (Branch, Bus, SlackVoltage, SolverError, ZipLoad,
+                    build_admittance, nonlinear_mismatch, prepare,
+                    quadratic_residual)
 from rectpf.transmission import _im_coeff, flat_conditions
 
 
@@ -35,9 +36,9 @@ def test_lossy_network_rejected():
 
 
 def test_non_unity_slack_rejected():
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=0.5 + 0j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.02, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(power=0.5 + 0j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.02, 0.0))),
         (Branch(1, 2, -10j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
@@ -74,9 +75,9 @@ def test_ladder_conditions_and_solution_frozen():
 def test_single_bus_current_cancellation_fails_strictness():
     # Im(I_L) = -10 makes the lhs exactly zero; the rhs row is empty, so
     # weak dominance survives but strictness cannot, and the solve refuses.
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(current=-10j, power=0.5 + 0j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(current=-10j, power=0.5 + 0j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, -10j),))
     part = build_admittance(case)
     conds = flat_conditions(part)
@@ -94,10 +95,10 @@ def test_single_bus_current_cancellation_fails_strictness():
 def test_weak_violation_and_override():
     # chain 1-2-slack, beta12 = 1, beta2s = 2, with Im(I_L) at bus 1 chosen
     # inside the cancellation window: lhs = |-1 - (-0.5)| = 0.5 < rhs = 1
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(current=-0.5j, power=0.3 + 0j)),
-         Bus(2, BusKind.ZIP, ZipLoad(power=-0.2 + 0j)),
-         Bus(3, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(current=-0.5j, power=0.3 + 0j)),
+         Bus(2, "zip", ZipLoad(power=-0.2 + 0j)),
+         Bus(3, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, -1j), Branch(2, 3, -2j)))
     part = build_admittance(case)
     conds = flat_conditions(part)
@@ -163,9 +164,9 @@ def test_dc_shunt_conductance_variants_differ_by_known_vector():
 
 
 def test_dc_singular_on_resistive_network():
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=-0.1 + 0j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 0.0))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(power=-0.1 + 0j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 0.0))),
         (Branch(1, 2, 2 + 0j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:
@@ -174,9 +175,9 @@ def test_dc_singular_on_resistive_network():
 
 
 def test_slack_angle_zero_but_magnitude_off_rejected():
-    case = NetworkCase(
-        (Bus(1, BusKind.ZIP, ZipLoad(power=0.1 + 0j)),
-         Bus(2, BusKind.SLACK, slack_voltage=SlackVoltage(1.0, 1e-6))),
+    case = build_case(
+        (Bus(1, "zip", ZipLoad(power=0.1 + 0j)),
+         Bus(2, "slack", slack_voltage=SlackVoltage(1.0, 1e-6))),
         (Branch(1, 2, -4j),))
     part = build_admittance(case)
     with pytest.raises(SolverError) as exc:

@@ -146,24 +146,29 @@ class NetworkCase:
     (zero, one and zero elsewhere).  Branch columns keep the input order:
     ``from_bus``, ``to_bus``, the complex ``series`` admittance and total
     ``line_shunt``.  ``buses`` and ``branches`` are views, built on first
-    access.  The constructor takes the ``columns``, the bus columns in the
-    order of ``ids``, and validates them, each check a mask over the
-    entries: :class:`CaseValidationError` lists every violation.  Ids must
-    be contiguous 1..N+1, slack at N+1.
+    access.  The constructor takes the ``columns`` (bus columns in the order
+    of ``ids``, a row per id; branch columns a row per ``from_bus`` entry)
+    and validates them, each check a mask over the entries: a
+    :class:`CaseValidationError` lists every violation.  Ids must be
+    contiguous 1..N+1, slack at N+1.
     """
 
     def __init__(self, base_mva: float, ids, columns: dict):
         ids = _ints(ids)
+        cols = {name: np.asarray(columns.get(name, ()), dtype) if dtype
+                else _ints(columns.get(name, ()))
+                for name, dtype in (_BUS_COLUMNS | _BRANCH_COLUMNS).items()}
+        rows = dict.fromkeys(_BUS_COLUMNS, ids.size) | dict.fromkeys(
+            _BRANCH_COLUMNS, cols["from_bus"].size)
+        _raise_problems([f"column {name!r} needs {rows[name]} rows, got "
+                         f"shape {col.shape}" for name, col in cols.items()
+                         if col.shape != (rows[name],)], [])
         order = np.argsort(ids, kind="stable")
-        cols = {name: np.asarray(columns[name], dtype)[order]
-                for name, dtype in _BUS_COLUMNS.items()}
-        cols |= {name: np.asarray(columns[name], dtype) if dtype
-                 else _ints(columns[name])
-                 for name, dtype in _BRANCH_COLUMNS.items()}
-        for col in cols.values():
+        ids = ids[order]
+        for name, col in cols.items():
+            cols[name] = col = col[order] if name in _BUS_COLUMNS else col
             col.flags.writeable = False
         self.__dict__.update(cols, base_mva=base_mva)
-        ids = ids[order]
         slack, pv = self.kind == _SLACK, self.kind == _PV
         m, slack_ids, head, keyed = len(ids), ids[slack].tolist(), [], []
         if not (math.isfinite(base_mva) and base_mva > 0):
@@ -291,10 +296,9 @@ def scale_power_injections(case: NetworkCase, alpha: float) -> NetworkCase:
     scaled case is validated again.
     """
     power, p_set = _scaled(case, alpha)
-    columns = {name: getattr(case, name)
-               for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS)}
+    cols = {k: getattr(case, k) for k in _BUS_COLUMNS | _BRANCH_COLUMNS}
     return NetworkCase(case.base_mva, np.arange(1, case.n + 2),
-                       columns | {"power": power, "p_set": p_set})
+                       cols | {"power": power, "p_set": p_set})
 
 
 def _scaled_targets(case: NetworkCase, alpha: float) -> np.ndarray:

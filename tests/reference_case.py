@@ -1,8 +1,9 @@
 """Reference case builder, reader and writer: one object per bus and branch.
 
-:func:`build_case` turns :class:`Bus` and :class:`Branch` objects into the
-columns of a :class:`NetworkCase`, as the object constructor that
-``NetworkCase`` once had filled them; tests build their cases with it.
+:func:`columns` turns :class:`Bus` and :class:`Branch` objects into the
+columns of a :class:`NetworkCase`, filled as the object constructor that
+``NetworkCase`` once had filled them, and :func:`build_case` builds the case
+of those columns; tests build their cases with it.
 
 :func:`reference_parse` is the per-entry reader the columnar ``parse_case``
 replaced, kept as a test oracle: ``_parse_bus`` and ``_parse_branch`` build
@@ -37,14 +38,18 @@ from rectpf.netmodel import (KINDS, AdmittancePartition, Branch, Bus,
                              NetworkCase, PvSetpoint, SlackVoltage, ZipLoad)
 
 
-def build_case(buses, branches, base_mva: float = 100.0) -> NetworkCase:
-    """The validated case of ``buses`` and ``branches``.  A bus fills the
-    setpoint columns of its kind only, from the object its kind carries; a
-    missing one reads as the column's default."""
-    buses = sorted(buses, key=lambda b: b.id)
+def columns(buses, branches) -> dict:
+    """The columns of ``buses`` and ``branches`` as lists, in input order.
+    A pv bus must carry a :class:`PvSetpoint` and the slack a
+    :class:`SlackVoltage`; a bus fills the setpoint columns of its kind
+    only, from that object, and the others read as their defaults."""
+    for b in buses:
+        assert b.kind != "pv" or isinstance(b.pv_setpoint, PvSetpoint), b
+        assert b.kind != "slack" or isinstance(b.slack_voltage,
+                                               SlackVoltage), b
     pv = [b.pv_setpoint if b.kind == "pv" else None for b in buses]
     sv = [b.slack_voltage if b.kind == "slack" else None for b in buses]
-    return NetworkCase(base_mva, [b.id for b in buses], {
+    return {
         "kind": [KINDS.index(b.kind) for b in buses],
         "shunt": [b.load.shunt_admittance for b in buses],
         "current": [b.load.current for b in buses],
@@ -55,7 +60,13 @@ def build_case(buses, branches, base_mva: float = 100.0) -> NetworkCase:
         "from_bus": [br.from_bus for br in branches],
         "to_bus": [br.to_bus for br in branches],
         "series": [br.series_admittance for br in branches],
-        "line_shunt": [br.shunt_admittance_total for br in branches]})
+        "line_shunt": [br.shunt_admittance_total for br in branches]}
+
+
+def build_case(buses, branches, base_mva: float = 100.0) -> NetworkCase:
+    """The validated case of ``buses`` and ``branches``."""
+    return NetworkCase(base_mva, [b.id for b in buses],
+                       columns(buses, branches))
 
 
 def connected(n_nodes: int, rows, cols) -> bool:

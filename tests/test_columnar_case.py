@@ -19,8 +19,9 @@ from reference_case import build_case
 from test_case_loader import _mangle
 from test_cli_fuzz import BASES, FIELDS, VALUES, _with, case_texts
 from test_golden_cli import GOLDEN
-from rectpf import (Branch, Bus, CaseValidationError, PvSetpoint,
-                    SlackVoltage, ZipLoad, caseio, dump_case, parse_case)
+from rectpf import (Branch, Bus, CaseValidationError, NetworkCase,
+                    PvSetpoint, SlackVoltage, ZipLoad, caseio, dump_case,
+                    parse_case)
 from rectpf.netmodel import _BRANCH_COLUMNS, _BUS_COLUMNS
 from rectpf.report import run_compare, run_pipeline
 
@@ -82,14 +83,12 @@ def test_columns_match_the_reference_reader(text):
         assert got == want
         return
     assert got[0] == "case", got
-    case, reference = got[1], build_case(*want[1])
-    assert _bits([case.base_mva]).tolist() == _bits(
-        [reference.base_mva]).tolist()
-    for name in (*_BUS_COLUMNS, *_BRANCH_COLUMNS):
+    case, (buses, branches, base_mva) = got[1], want[1]
+    assert _bits([case.base_mva]).tolist() == _bits([base_mva]).tolist()
+    for name, values in reference_case.columns(buses, branches).items():
         column = getattr(case, name)
         assert not column.flags.writeable
-        assert _bits(column).tolist() == _bits(
-            getattr(reference, name)).tolist(), name
+        assert _bits(column).tolist() == _bits(values).tolist(), name
 
 
 def _draws():
@@ -139,6 +138,15 @@ def test_builder_rebuilds_every_column_from_the_views():
             assert rebuilt.tobytes() == column.tobytes(), name
 
 
+@pytest.mark.parametrize("bus", [Bus(1, "pv"), Bus(1, "slack")])
+def test_builder_needs_the_setpoint_of_the_kind(bus):
+    # the reference checks read that object, so a case without it has no
+    # reference to match
+    with pytest.raises(AssertionError):
+        build_case([bus, Bus(2, "slack", slack_voltage=SlackVoltage(1.0))],
+                   [Branch(1, 2, 1 - 5j)])
+
+
 def test_a_case_is_immutable():
     case = casegen.fixed_feeder10()
     buses = case.buses
@@ -150,6 +158,30 @@ def test_a_case_is_immutable():
         case.buses = ()
     assert case.power.shape == (11,) and case.buses is buses
     assert case.buses[0].load.power == case.power[0]
+
+
+@pytest.mark.parametrize("name", [*_BUS_COLUMNS, *_BRANCH_COLUMNS])
+def test_columns_of_the_wrong_length_are_refused(name):
+    case = casegen.ladder_case()
+    ids, columns = range(1, case.n + 2), {
+        key: getattr(case, key).tolist()
+        for key in (*_BUS_COLUMNS, *_BRANCH_COLUMNS)}
+    assert NetworkCase(case.base_mva, ids, columns) == case
+    values = columns[name]
+    others = {key: val for key, val in columns.items() if key != name}
+    for edited in (others | {name: values + values[:1]},
+                   others | {name: values[1:]}, others):
+        shape = len(edited.get(name, ()))
+        if name == "from_bus":      # the other branch columns are refused
+            want = [f"column {key!r} needs {shape} rows, got shape "
+                    f"({len(values)},)" for key in _BRANCH_COLUMNS
+                    if key != name]
+        else:
+            want = [f"column {name!r} needs {len(values)} rows, got shape "
+                    f"({shape},)"]
+        with pytest.raises(CaseValidationError) as raised:
+            NetworkCase(case.base_mva, ids, edited)
+        assert raised.value.violations == want
 
 
 def test_cli_path_builds_no_bus_branch_or_load_objects(monkeypatch):

@@ -1,16 +1,18 @@
-"""Sparse LU factorization shared by every solver in the package.
+"""Sparse LU factorization and the sparse kernels shared by every solver.
 
 Every linear solve goes through :class:`Factorization`, which factors a
 matrix once with SuperLU and then solves any number of right-hand sides.
 It calls ``gstrf``, the SuperLU entry point of ``scipy.sparse.linalg.splu``,
 on raw CSC arrays, and reads the pivots from U's raw arrays, so no scipy
-matrix is built.  Non-finite input and numerically singular systems are
-rejected at factor time; the latter by a pivot-ratio test on the diagonal
-of U.  The 1-norm condition estimate is computed on first use by the
-Hager-Higham estimator that LAPACK's ``xGECON`` runs (``xLACN2``), driven
-by the factor's own solves, so it costs a handful of sparse triangular
-solves and needs no dense copy of the matrix.  The estimate is diagnostic
-only; no solve is refused because of a large condition number.
+matrix is built.  :func:`matvec` and ``_segment_sums`` multiply and sum
+the rows of raw :class:`CSRArrays` with scipy's kernels, bit for bit.
+Non-finite input and numerically singular systems are rejected at factor
+time; the latter by a pivot-ratio test on the diagonal of U.  The 1-norm
+condition estimate is computed on first use by the Hager-Higham estimator
+that LAPACK's ``xGECON`` runs (``xLACN2``), driven by the factor's own
+solves, so it costs a handful of sparse triangular solves and needs no
+dense copy of the matrix.  The estimate is diagnostic only; no solve is
+refused because of a large condition number.
 """
 
 from __future__ import annotations
@@ -41,11 +43,31 @@ _SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None,
 
 def _segment_sums(a, data: np.ndarray) -> np.ndarray:
     """Sums of ``data`` on the pattern of a CSR (CSC) ``a`` over each row
-    (column), added in the order scipy's ``a.sum`` adds them."""
+    (column), added in the order scipy's ``a.sum`` adds them, and to zero
+    as it adds them, which turns a sum of -0.0 into +0.0."""
     sums = np.zeros(len(a.indptr) - 1, dtype=data.dtype)
     nonempty = np.flatnonzero(np.diff(a.indptr))
-    sums[nonempty] = np.add.reduceat(data, a.indptr[nonempty])
+    sums[nonempty] += np.add.reduceat(data, a.indptr[nonempty])
     return sums
+
+
+class CSRArrays(NamedTuple):
+    """A square matrix's canonical CSR arrays, float or complex ``data``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def matvec(a, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a square CSR ``a``, as ``csr_array`` forms it: scipy's
+    ``csr_matvec`` into zeros of the upcast dtype."""
+    n = len(a.indptr) - 1
+    if x.shape != (n,):
+        raise ValueError(f"matvec: vector of shape {x.shape}, matrix of {n}")
+    out = np.zeros(n, np.result_type(a.data, x))
+    _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
+    return out
 
 
 class CSCArrays(NamedTuple):
@@ -59,13 +81,15 @@ class CSCArrays(NamedTuple):
 
 def csc_arrays(a) -> CSCArrays:
     """``a``, dense or sparse, converted as ``splu`` converts it: to CSC
-    with duplicates summed, a floating dtype and ``intc`` indices; a
-    canonical float CSR one by ``tocsc``'s kernel, with no CSC copy."""
-    if (sparse.issparse(a) and a.format == "csr" and a.dtype.char in "fdFD"
-            and a.has_canonical_format):
-        out = CSCArrays(np.empty(a.nnz, a.dtype), np.empty(a.nnz, np.intc),
-                        np.empty(a.shape[1] + 1, np.intc))
-        _sparsetools.csr_tocsc(*a.shape, *(x.astype(np.intc, copy=False)
+    with duplicates summed, a floating dtype and ``intc`` indices; raw or
+    scipy canonical square float CSR by ``tocsc``'s kernel, no CSC copy."""
+    if isinstance(a, CSRArrays) or (
+            sparse.issparse(a) and a.format == "csr" and a.has_canonical_format
+            and a.dtype.char in "fdFD" and a.shape[0] == a.shape[1]):
+        n, nnz = len(a.indptr) - 1, int(a.indptr[-1])
+        out = CSCArrays(np.empty(nnz, a.data.dtype), np.empty(nnz, np.intc),
+                        np.empty(n + 1, np.intc))
+        _sparsetools.csr_tocsc(n, n, *(x.astype(np.intc, copy=False)
                                for x in (a.indptr, a.indices)), a.data,
                                out.indptr, out.indices, out.data)
         return out
@@ -77,8 +101,8 @@ def csc_arrays(a) -> CSCArrays:
 
 
 class Factorization:
-    """LU factors of one square matrix: dense or sparse, or its
-    :class:`CSCArrays`, which are factored as they are.
+    """LU factors of one square matrix: dense, sparse, its raw CSR arrays,
+    or its :class:`CSCArrays`, which are factored as they are.
 
     ``solve`` accepts a vector or a matrix of right-hand sides.  Raises
     :class:`SolverError` with ``code`` when ``a`` has a non-finite entry,

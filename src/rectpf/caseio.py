@@ -344,11 +344,13 @@ def _branch_fields(from_bus: list, to_bus: list, g, b, shunt) -> dict:
 
 # Key codes index these lists; _BUS_TAKES[kind, key] says if the kind takes it
 _BUS_KEYS = ["id", "kind", *(key for _, key, _, _ in _BUS_NUMBERS)]
+_BUS_DEFAULTS = [default for _, _, default, _ in _BUS_NUMBERS]
 _BUS_TAKES = np.array([[key in _BUS_ALLOWED[kind] for key in _BUS_KEYS]
                        for kind in KINDS])
 _PV_NEEDS = [_BUS_KEYS.index("v_setpoint"), _BUS_KEYS.index("p")]
 # A top-level key line and its scalar; "key: value" pairs joined by ", " of
-# tokens without ",", ":" or line breaks; int or number tokens, "\n"-joined.
+# tokens without ",", ":" or line breaks; int or number tokens, "\n"-joined:
+# one call for a section's numbers, one for the ids and branch ends.
 _TOP_LINE = re.compile(
     r"\n(schema_version|base_mva|buses|branches):(?: ([^\n]*))?(?=\n|$)")
 _PAIRS = re.compile(r"[^\n,:]+: [^\n,:]+(?:, [^\n,:]+: [^\n,:]+)*")
@@ -382,19 +384,20 @@ def _section(body: str, keys: list, needed: int) -> tuple | None:
     return item, code, np.array(tokens[1::2], object), has == 1
 
 
-def _column(section: tuple, k: int, default: float | None = None):
-    """Key ``k``'s ints, or float column given a default; None if one is bad"""
+def _by_key(section: tuple, defaults: list) -> tuple | None:
+    """A section's tokens of keys 0 and 1, one per item, and its number
+    keys' floats as a table by key and item, ``defaults`` where an item
+    lacks one, all from one stable sort; None if a number token is bad."""
     item, code, value, has = section
-    tokens = value[code == k]
-    if len(tokens) and (_INT_LINES if default is None else _NUMBER_LINES
-                        ).fullmatch("\n".join(tokens)) is None:
+    n, order = len(has), np.argsort(code, kind="stable")
+    rest = order[2 * n:]
+    tokens, at = value[rest], (code[rest] - 2, item[rest])
+    if len(tokens) and _NUMBER_LINES.fullmatch("\n".join(tokens)) is None:
         return None
-    if default is None:
-        return list(map(int, tokens))
-    column = np.full(len(has), default)
-    column[item[code == k]] = np.fromiter(map(float, tokens), float)
-    column[item[code == k][tokens == "-0"]] = 0.0    # YAML's int 0
-    return column
+    table = np.repeat(np.array(defaults)[:, None], n, axis=1)
+    table[at] = np.fromiter(map(float, tokens), float, len(tokens))
+    table[tuple(x[tokens == "-0"] for x in at)] = 0.0    # YAML's int 0
+    return value[order[:n]], value[order[n:2 * n]], table
 
 
 def _read_columns(text: str) -> tuple | None:
@@ -416,16 +419,16 @@ def _read_columns(text: str) -> tuple | None:
     item, code, value, has = bus
     kind = np.fromiter(map(_CODES.get, value[code == 1], repeat(-1)), np.int8)
     if (kind.min() < 0 or not _BUS_TAKES[kind[item], code].all()
-            or not has[kind == _PV][:, _PV_NEEDS].all()):
+            or not has[kind == _PV][:, _PV_NEEDS].all()
+            or (bus := _by_key(bus, _BUS_DEFAULTS)) is None
+            or (br := _by_key(br, [0.0] * 3)) is None
+            or _INT_LINES.fullmatch(
+                "\n".join([*bus[0], *br[0], *br[1]])) is None):
         return None
-    ids, *ends = _column(bus, 0), _column(br, 0), _column(br, 1)
-    col = {key: _column(bus, k, default)
-           for k, (_, key, default, _) in enumerate(_BUS_NUMBERS, 2)}
-    g, b, shunt = (_column(br, k, 0.0) for k in (2, 3, 4))
-    if any(x is None for x in [ids, *ends, *col.values(), g, b, shunt]):
-        return None
+    ids, ends, to = (list(map(int, x)) for x in (bus[0], *br[:2]))
     return _float(int(word) if number[1] else float(word)), ids, (
-        _bus_fields(kind, col) | _branch_fields(*ends, g, b, shunt))
+        _bus_fields(kind, dict(zip(_BUS_KEYS[2:], bus[2])))
+        | _branch_fields(ends, to, *br[2]))
 
 
 def parse_case(text: str, source: str = "<case>") -> NetworkCase:

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._linalg import CSCArrays, Factorization
+from ._linalg import CSCArrays, Factorization, matvec
 from .errors import SolverError
 from .netmodel import AdmittancePartition
 
@@ -74,7 +74,7 @@ def flat_nominal(n: int) -> NominalVoltage:
 def _direct_coefficient(partition: AdmittancePartition,
                         v0: np.ndarray) -> np.ndarray:
     """``direct = conj(Y) conj(V0) + conj(Ybar V_slack) - conj(I_L)``."""
-    return (partition.Y_conj @ v0.conj()
+    return (matvec(partition.Y_conj, v0.conj())
             + partition.Ybar.conj() * np.conj(partition.v_slack)
             - np.conj(partition.i_load))
 
@@ -134,7 +134,7 @@ def linear_injection(partition: AdmittancePartition,
     """
     v0 = nominal.V
     dv = np.asarray(dv, dtype=complex)
-    return (direct * dv + v0 * (partition.Y_conj @ dv.conj())
+    return (direct * dv + v0 * matvec(partition.Y_conj, dv.conj())
             + v0 * direct)
 
 

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from ._linalg import Factorization, _segment_sums
+from ._linalg import CSRArrays, Factorization, _segment_sums
 from .errors import CaseValidationError
 
 
@@ -329,21 +329,20 @@ def _connected(n_nodes: int, rows, cols) -> bool:
     return not label.any()
 
 
-def _minus_diag(a: sparse.csr_array, d: np.ndarray) -> sparse.csr_array:
+def _minus_diag(a: CSRArrays, d: np.ndarray) -> CSRArrays:
     """``a - diag(d)`` for a canonical CSR ``a``, entry for entry as scipy's
     CSR subtraction forms it: ``a_ii - d_i`` on a stored diagonal,
     ``0 - d_i`` on a missing one, and exact zeros dropped."""
-    n = a.shape[0]
+    n = len(a.indptr) - 1
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
     keys, where = np.unique(np.concatenate(
         [rows * n + a.indices, np.arange(n) * (n + 1)]), return_inverse=True)
     data = np.zeros(keys.size)
-    data[where[:a.nnz]] = a.data
-    data[where[a.nnz:]] -= d
+    data[where[:len(a.data)]] = a.data
+    data[where[len(a.data):]] -= d
     keep = data != 0
     rows, cols = np.divmod(keys[keep], n)
-    return sparse.csr_array((data[keep], cols, np.searchsorted(
-        rows, np.arange(n + 1))), shape=(n, n))
+    return CSRArrays(data[keep], cols, np.searchsorted(rows, np.arange(n + 1)))
 
 
 class _BlockPattern(NamedTuple):
@@ -388,7 +387,8 @@ class AdmittancePartition:
     ``Y_abs`` (``Y.conj()``, ``Y.real``, ``Y.imag``, ``abs(Y)``), the
     ``max_row_norm`` of Y (equal for ``conj(Y)``) and of B as ``Y_row_norm``
     and ``B_row_norm``, and ``B_dc = -(B - diags(Ysh.imag))``, which the
-    DC and lossless models share.
+    DC and lossless models share.  ``Y_csr`` is the one scipy matrix: the
+    derived ones are raw ``CSRArrays``, the first four on Y's own indices.
     """
 
     Y_csr: sparse.csr_array
@@ -439,11 +439,10 @@ class AdmittancePartition:
         v0.flags.writeable = False
         return v0
 
-    def _on_pattern(self, data: np.ndarray) -> sparse.csr_array:
-        """The read-only CSR matrix of ``data`` on Y's pattern."""
+    def _on_pattern(self, data: np.ndarray) -> CSRArrays:
+        """The read-only CSR arrays of ``data`` on Y's pattern."""
         data.flags.writeable = False
-        y = self.Y_csr
-        return sparse.csr_array((data, y.indices, y.indptr), shape=y.shape)
+        return CSRArrays(data, self.Y_csr.indices, self.Y_csr.indptr)
 
     def _max_row_norm(self, magnitudes: np.ndarray) -> float:
         """``max_row_norm`` of the entry ``magnitudes`` on Y's pattern."""
@@ -457,10 +456,10 @@ class AdmittancePartition:
     B_row_norm = cached_property(lambda p: p._max_row_norm(np.abs(p.B.data)))
 
     @cached_property
-    def B_dc(self) -> sparse.csr_array:
+    def B_dc(self) -> CSRArrays:
         b = _minus_diag(self.B, self.Ysh.imag)
         np.negative(b.data, out=b.data)
-        for arr in (b.data, b.indices, b.indptr):
+        for arr in b:
             arr.flags.writeable = False
         return b
 
@@ -502,7 +501,7 @@ class AdmittancePartition:
 
     @cached_property
     def Ysh(self) -> np.ndarray:
-        ysh = self.Y_csr.sum(axis=1) + self.Ybar
+        ysh = _segment_sums(self.Y_csr, self.Y_csr.data) + self.Ybar
         ysh.flags.writeable = False
         return ysh
 
@@ -585,7 +584,7 @@ def check_noload_structure(partition: AdmittancePartition
     """
     y = partition.Y_csr
     diag = np.abs(y.diagonal())
-    offsum = partition.Y_abs.sum(axis=1) - diag
+    offsum = _segment_sums(y, partition.Y_abs.data) - diag
     margins = diag - offsum
     tol = 1e-12 * (diag + offsum)
     weak = margins >= -tol

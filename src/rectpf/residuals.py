@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from ._linalg import matvec
 from .errors import InternalCheckError
 from .netmodel import AdmittancePartition, NetworkCase
 
@@ -26,8 +27,8 @@ def max_row_norm(a) -> float:
     and ``|A x| <= max_row_norm(A) |x|`` in the 2-norm (row-wise
     Cauchy-Schwarz, summed).  ``a`` may be dense or sparse.
     """
-    if not sparse.issparse(a):
-        a = np.asarray(a)
+    # a sparse array: ``**`` on a scipy sparse matrix is a matrix power
+    a = sparse.csr_array(a) if sparse.issparse(a) else np.asarray(a)
     if a.ndim != 2:
         raise ValueError("max_row_norm is defined for matrices")
     if a.size == 0:
@@ -77,17 +78,17 @@ def quadratic_residual(partition: AdmittancePartition,
     :class:`InternalCheckError` rather than returning silently wrong data.
     """
     dv = np.asarray(dv, dtype=complex)
-    s_hot = dv * (partition.Y_conj @ dv.conj())
+    s_hot = dv * matvec(partition.Y_conj, dv.conj())
 
     g, b = partition.G, partition.B
     dre, dim = dv.real, dv.imag
-    a = g @ dre - b @ dim
-    c = g @ dim + b @ dre
+    a = matvec(g, dre) - matvec(b, dim)
+    c = matvec(g, dim) + matvec(b, dre)
     p_hot = dre * a + dim * c
     q_hot = dim * a - dre * c
 
     mag = np.abs(dv)
-    scale = float((mag * (partition.Y_abs @ mag)).max(initial=0.0))
+    scale = float((mag * matvec(partition.Y_abs, mag)).max(initial=0.0))
     gap = np.abs(s_hot - (p_hot + 1j * q_hot)).max(initial=0.0)
     if gap > 1e-12 * scale:
         raise InternalCheckError(
@@ -139,7 +140,7 @@ def complex_injection(partition: AdmittancePartition,
                       voltage: np.ndarray) -> np.ndarray:
     """Exact complex power injected at each non-slack bus for ``voltage``."""
     v = np.asarray(voltage, dtype=complex)
-    i_net = (partition.Y_csr @ v + partition.Ybar * partition.v_slack
+    i_net = (matvec(partition.Y_csr, v) + partition.Ybar * partition.v_slack
              - partition.i_load)
     return v * i_net.conj()
 

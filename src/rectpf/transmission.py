@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from ._linalg import Factorization, _segment_sums
+from ._linalg import CSRArrays, Factorization, _segment_sums
 from .errors import SolverError
 from .linearize import LinearSolution, ModelParts, flat_nominal
 from .netmodel import AdmittancePartition, _minus_diag
@@ -64,7 +63,7 @@ def lossless_gate(partition: AdmittancePartition) -> SolverError | None:
     return None
 
 
-def _im_coeff(partition: AdmittancePartition) -> sparse.csr_array:
+def _im_coeff(partition: AdmittancePartition) -> CSRArrays:
     """``im_coeff = -(B - diag(Bsh)) - diag(Im(I_L))``."""
     return _minus_diag(partition.B_dc, partition.i_load.imag)
 
@@ -99,7 +98,7 @@ def flat_conditions(partition: AdmittancePartition) -> FlatSolveConditions:
     to the other non-slack buses; strictly so at one slack-adjacent bus.
     """
     b = partition.B
-    diag = b.diagonal()
+    diag = partition.Y_csr.diagonal().imag
     lhs = np.abs(diag - partition.Ysh.imag - partition.i_load.imag)
     rhs = _segment_sums(b, np.abs(b.data)) - np.abs(diag)
     tol = 1e-12 * (lhs + rhs)

@@ -19,7 +19,8 @@ one entry per :class:`Bus` view, emitted by ``yaml.safe_dump``.
 :func:`reference_admittance` is the ``build_admittance`` that stamped the
 full (N+1) x (N+1) matrix and sliced it three ways, and :func:`connected`
 decides connectivity with ``scipy.sparse.csgraph``, not with the library's
-own union-find.
+own union-find.  :func:`csr` is the scipy matrix of the raw CSR arrays
+that the partition keeps for the matrices it derives from Y.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ def build_case(buses, branches, base_mva: float = 100.0) -> NetworkCase:
     """The validated case of ``buses`` and ``branches``."""
     return NetworkCase(base_mva, [b.id for b in buses],
                        columns(buses, branches))
+
+
+def csr(a) -> sparse.csr_array:
+    """The scipy CSR matrix of the square matrix's raw CSR arrays ``a``."""
+    n = len(a.indptr) - 1
+    return sparse.csr_array((a.data, a.indices, a.indptr), shape=(n, n))
 
 
 def connected(n_nodes: int, rows, cols) -> bool:

@@ -125,6 +125,11 @@ EDITS = [
     ("block", "  p: -0.1\n", "  p: -0\n", True),
     ("block", "- id: 1\n", "- id: 1\n  id: 1\n", False),
     ("flow", "{id: 1, kind: zip,", "{id: 1: kind, zip,", False),
+    # a bad token only in the last number column of a section
+    ("flow", "theta_deg: 0.0", "theta_deg: 0.0.0", False),
+    ("flow", "shunt_b_total: 0.04", "shunt_b_total: 4e", False),
+    ("flow", "series_g: 3.0", "series_g: -0", True),
+    ("flow", ", shunt_b: 0.02}", "}", True),         # a key no bus has
 ]
 
 
@@ -138,6 +143,9 @@ def test_single_edit_reads_as_the_dict_path_reads(layout, old, new, reads):
         # YAML reads -0 as the int 0, which widens to +0.0
         assert np.signbit(parse_case(text).power.real).tolist() == [
             False, False, False]
+    if new.endswith("series_g: -0"):
+        assert np.signbit(parse_case(text).series.real).tolist() == [
+            False, False]
 
 
 CASES = {

@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy import sparse
 
 import casegen
+from reference_case import csr
 from rectpf import (NominalVoltage, SolverError, build_admittance,
                     compute_noload_voltage)
 from rectpf._linalg import PIVOT_RTOL, Factorization
@@ -42,7 +43,7 @@ def _systems(seed):
     yield "general cross", sparse.diags_array(nominal.V) @ part.Y_csr.conj()
     grid = casegen.random_lossless_case(rng, n_min=4, n_max=30)
     grid_part = build_admittance(grid)
-    yield "lossless im_coeff", _im_coeff(grid_part)
+    yield "lossless im_coeff", csr(_im_coeff(grid_part))
     yield "lossless Y", grid_part.Y_csr
 
 

@@ -16,9 +16,9 @@ from scipy import sparse
 
 import casegen
 import reference_case
-from reference_case import build_case
+from reference_case import build_case, csr
 from rectpf import (Branch, Bus, NetworkCase, SlackVoltage, ZipLoad,
-                    build_admittance, max_row_norm)
+                    build_admittance, check_noload_structure, max_row_norm)
 from rectpf._linalg import _segment_sums
 from rectpf.netmodel import _connected
 from rectpf.transmission import _im_coeff
@@ -157,24 +157,30 @@ def _assert_stamped_as_sliced(case: NetworkCase):
 
 def _assert_parts_as_scipy(part) -> None:
     y = part.Y_csr
-    _assert_same(part.Y_conj, y.conj())
-    _assert_same(part.G, y.real)
-    _assert_same(part.B, y.imag)
-    _assert_same(part.Y_abs, abs(y))
-    assert _bits(part.Y_row_norm) == _bits(max_row_norm(part.Y_conj))
+    _assert_same(csr(part.Y_conj), y.conj())
+    _assert_same(csr(part.G), y.real)
+    _assert_same(csr(part.B), y.imag)
+    _assert_same(csr(part.Y_abs), abs(y))
+    for m in (part.Y_conj, part.G, part.B, part.Y_abs):   # Y's, not copies
+        assert m.indices is y.indices and m.indptr is y.indptr
+    assert _bits(part.Y_row_norm) == _bits(max_row_norm(csr(part.Y_conj)))
     assert _bits(part.Y_row_norm) == _bits(max_row_norm(y))
     assert _bits(part.B_row_norm) == _bits(max_row_norm(y.imag))
     dc = -(y.imag - sparse.diags_array(part.Ysh.imag))
-    _assert_same(part.B_dc, dc)
-    _assert_same(_im_coeff(part),
+    _assert_same(csr(part.B_dc), dc)
+    _assert_same(csr(_im_coeff(part)),
                  dc - sparse.diags_array(part.i_load.imag))
     for m in (part.Y_conj, part.G, part.B, part.Y_abs, part.B_dc):
         assert not any(arr.flags.writeable
                        for arr in (m.data, m.indices, m.indptr))
     # the row and column sums the checks and the condition estimate take
+    assert _bits(part.Ysh) == _bits(y.sum(axis=1) + part.Ybar)
+    diag = np.abs(y.diagonal())
+    assert _bits(check_noload_structure(part).dominance_margins) == _bits(
+        diag - (abs(y).sum(axis=1) - diag))
     assert _bits(_segment_sums(part.B, np.abs(part.B.data))) == _bits(
         abs(y.imag).sum(axis=1))
-    csc = sparse.csc_array(part.B_dc)
+    csc = sparse.csc_array(csr(part.B_dc))
     assert _bits(_segment_sums(csc, np.abs(csc.data))) == _bits(
         abs(csc).sum(axis=0))
 
@@ -203,12 +209,12 @@ def test_cancelled_pairs_leave_exact_zeros():
     assert part.y_slack == 0 and part.Ybar.all()
     _assert_parts_as_scipy(part)
     part = _assert_stamped_as_sliced(DIAGONAL_CANCELLED)
-    assert part.Y_csr[0, 0] == 0 and part.B_dc[0, 0] != 0
+    assert part.Y_csr[0, 0] == 0 and csr(part.B_dc)[0, 0] != 0
     _assert_parts_as_scipy(part)
 
 
 def test_lossless_g_keeps_an_explicit_zero_per_entry():
     """As ``Y.real`` does, G holds every entry of Y's pattern."""
     part = build_admittance(casegen.lossless_ladder_case())
-    assert part.G.nnz == part.Y_csr.nnz and not part.G.data.any()
+    assert len(part.G.data) == part.Y_csr.nnz and not part.G.data.any()
     _assert_parts_as_scipy(part)

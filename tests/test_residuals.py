@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 import casegen
+from reference_case import csr
 from rectpf import (InternalCheckError, build_admittance, complex_injection,
                     flat_nominal, linear_injection, max_row_norm,
                     nonlinear_mismatch, prepare, quadratic_residual,
@@ -22,6 +24,18 @@ def test_max_row_norm_frozen_values():
     assert max_row_norm(np.empty((0, 0))) == 0.0
     with pytest.raises(ValueError):
         max_row_norm(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("form", [np.array, sparse.csr_array,
+                                  sparse.csr_matrix, sparse.coo_matrix,
+                                  sparse.csc_matrix])
+@pytest.mark.parametrize("entries", [[[1, 2], [3, 4]],
+                                     [[1, 2j], [-3j, 4 + 0j]],
+                                     [[0, 3 - 4j], [0, 0]]])
+def test_max_row_norm_squares_each_entry_of_every_matrix_type(form, entries):
+    # ``**`` on a scipy sparse matrix, not array, is the matrix power, which
+    # gave 6.0828 for [[1, 2], [3, 4]]
+    assert max_row_norm(form(entries)) == 5.0
 
 
 def test_quadratic_residual_lossless_ladder_frozen():
@@ -59,7 +73,7 @@ def test_corrupted_route_fails_the_cross_check(monkeypatch):
     part = build_admittance(casegen.fixed_feeder10())
     dv = rng.normal(0, 0.1, part.n) + 1j * rng.normal(0, 0.1, part.n)
     quadratic_residual(part, dv)
-    corrupted = part.Y_conj.copy()
+    corrupted = csr(part.Y_conj).copy()
     corrupted.data[0] *= 1 + 1e-6
     monkeypatch.setitem(part.__dict__, "Y_conj", corrupted)
     with pytest.raises(InternalCheckError):

@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 
 import casegen
+from reference_case import csr
 import rectpf._linalg
 import rectpf.transmission
 from rectpf import (AdmittancePartition, NetworkCase, build_admittance,
@@ -56,8 +57,8 @@ MODELS = {
     "noload": (casegen.fixed_feeder10, lambda part: part.Y_csr),
     "nocurrent": (casegen.fixed_feeder10, lambda part: part.Y_csr),
     "decoupled": (casegen.fixed_feeder10, lambda part: part.Y_csr.real),
-    "dc": (casegen.fixed_feeder10, lambda part: part.B_dc),
-    "lossless": (_lossless_case, _im_coeff),
+    "dc": (casegen.fixed_feeder10, lambda part: csr(part.B_dc)),
+    "lossless": (_lossless_case, lambda part: csr(_im_coeff(part))),
 }
 
 
@@ -76,7 +77,7 @@ def test_compare_factors_each_matrix_once(factored, method):
 def test_lossless_compare_builds_the_system_once(monkeypatch):
     case = _lossless_case()
     part = build_admittance(case)
-    im_coeff = _im_coeff(part).toarray()
+    im_coeff = csr(_im_coeff(part)).toarray()
 
     factored, evaluated = [], []
     gstrf = rectpf._linalg._superlu.gstrf

@@ -348,20 +348,29 @@ _BUS_DEFAULTS = [default for _, _, default, _ in _BUS_NUMBERS]
 _BUS_TAKES = np.array([[key in _BUS_ALLOWED[kind] for key in _BUS_KEYS]
                        for kind in KINDS])
 _PV_NEEDS = [_BUS_KEYS.index("v_setpoint"), _BUS_KEYS.index("p")]
-# A top-level key line and its scalar; "key: value" pairs joined by ", " of
-# tokens without ",", ":" or line breaks; int or number tokens, "\n"-joined:
-# one call for a section's numbers, one for the ids and branch ends.
+# A top-level key line and its scalar.
 _TOP_LINE = re.compile(
     r"\n(schema_version|base_mva|buses|branches):(?: ([^\n]*))?(?=\n|$)")
-_PAIRS = re.compile(r"[^\n,:]+: [^\n,:]+(?:, [^\n,:]+: [^\n,:]+)*")
-_INT_LINES = re.compile(rf"{_INT}(?:\n{_INT})*")
-_NUMBER_LINES = re.compile(rf"(?:{_FLOAT}|{_INT})(?:\n(?:{_FLOAT}|{_INT}))*")
 
 
-def _section(body: str, keys: list, needed: int) -> tuple | None:
-    """Each pair's item, key code and value token in a section's items, and
-    the keys each item has; None for any other shape of ``body``, a key not
-    in ``keys``, one an item repeats or lacks of the first ``needed``."""
+def _pairs(keys: list, second: str) -> re.Pattern:
+    """A section's "key: value" pairs joined by ", ": key 0 takes an int,
+    key 1 what ``second`` matches, every other key an int or a number."""
+    pair = (f"{keys[0]}: {_INT}|{keys[1]}: (?:{second})|"
+            f"(?:{'|'.join(keys[2:])}): (?:{_FLOAT}|{_INT})")
+    return re.compile(f"(?:{pair})(?:, (?:{pair}))*")
+
+
+_BUS_PAIRS = _pairs(_BUS_KEYS, "|".join(KINDS))
+_BRANCH_PAIRS = _pairs(_BRANCH_KEYS, _INT)
+
+
+def _section(body: str, pairs: re.Pattern, keys: list, needed: int,
+             defaults: list) -> tuple | None:
+    """Key 0's and key 1's tokens, one per item, the number keys' floats by
+    key and item (``defaults`` where absent), each pair's item and key code,
+    the keys each item has; None for another body shape, pairs ``pairs``
+    declines, a repeated key or a missing one of the first ``needed``."""
     pad = body[:len(body) - len(body[1:].lstrip(" "))]   # "\n", indent
     if body.startswith(pad + "- {") and body.endswith("}"):
         items = body[len(pad) + 3:-1].split("}" + pad + "- {")
@@ -370,34 +379,23 @@ def _section(body: str, keys: list, needed: int) -> tuple | None:
     else:
         return None
     flat = ", ".join(items)
-    tokens = flat.replace(", ", ": ").split(": ")
-    code = np.fromiter(map({key: k for k, key in enumerate(keys)}.get,
-                           tokens[::2], repeat(-1)), np.intp)
-    if _PAIRS.fullmatch(flat) is None or code.min() < 0:
+    if pairs.fullmatch(flat) is None:
         return None
+    tokens = flat.replace(", ", ": ").split(": ")
+    code = np.fromiter(map({key: k for k, key in enumerate(keys)}.__getitem__,
+                           tokens[::2]), np.intp)
     n, m = len(items), len(keys)
     item = np.repeat(np.arange(n), np.fromiter(
         map(str.count, items, repeat(": ")), np.intp, n))
     has = np.bincount(item * m + code, minlength=n * m).reshape(n, m)
     if has.max() > 1 or not has[:, :needed].all():
         return None
-    return item, code, np.array(tokens[1::2], object), has == 1
-
-
-def _by_key(section: tuple, defaults: list) -> tuple | None:
-    """A section's tokens of keys 0 and 1, one per item, and its number
-    keys' floats as a table by key and item, ``defaults`` where an item
-    lacks one, all from one stable sort; None if a number token is bad."""
-    item, code, value, has = section
-    n, order = len(has), np.argsort(code, kind="stable")
-    rest = order[2 * n:]
-    tokens, at = value[rest], (code[rest] - 2, item[rest])
-    if len(tokens) and _NUMBER_LINES.fullmatch("\n".join(tokens)) is None:
-        return None
+    value, rest = np.array(tokens[1::2], object), code > 1
+    numbers, at = value[rest], (code[rest] - 2, item[rest])
     table = np.repeat(np.array(defaults)[:, None], n, axis=1)
-    table[at] = np.fromiter(map(float, tokens), float, len(tokens))
-    table[tuple(x[tokens == "-0"] for x in at)] = 0.0    # YAML's int 0
-    return value[order[:n]], value[order[n:2 * n]], table
+    table[at] = np.fromiter(map(float, numbers), float, len(numbers))
+    table[tuple(x[numbers == "-0"] for x in at)] = 0.0    # YAML's int 0
+    return value[code == 0], value[code == 1], table, item, code, has == 1
 
 
 def _read_columns(text: str) -> tuple | None:
@@ -413,21 +411,19 @@ def _read_columns(text: str) -> tuple | None:
                 ('"1"', ""), ("'1'", ""), ("1", ""))
             or {key for key, (w, _) in top.items() if w is None}
             != {"buses", "branches"}      # the "key:" lines, no scalar
-            or (bus := _section(top["buses"][1], _BUS_KEYS, 2)) is None
-            or (br := _section(top["branches"][1], _BRANCH_KEYS, 4)) is None):
+            or (bus := _section(top["buses"][1], _BUS_PAIRS, _BUS_KEYS, 2,
+                                _BUS_DEFAULTS)) is None
+            or (br := _section(top["branches"][1], _BRANCH_PAIRS,
+                               _BRANCH_KEYS, 4, [0.0] * 3)) is None):
         return None
-    item, code, value, has = bus
-    kind = np.fromiter(map(_CODES.get, value[code == 1], repeat(-1)), np.int8)
-    if (kind.min() < 0 or not _BUS_TAKES[kind[item], code].all()
-            or not has[kind == _PV][:, _PV_NEEDS].all()
-            or (bus := _by_key(bus, _BUS_DEFAULTS)) is None
-            or (br := _by_key(br, [0.0] * 3)) is None
-            or _INT_LINES.fullmatch(
-                "\n".join([*bus[0], *br[0], *br[1]])) is None):
+    ids, kinds, table, item, code, has = bus
+    kind = np.fromiter(map(_CODES.__getitem__, kinds), np.int8, len(kinds))
+    if (not _BUS_TAKES[kind[item], code].all()
+            or not has[kind == _PV][:, _PV_NEEDS].all()):
         return None
-    ids, ends, to = (list(map(int, x)) for x in (bus[0], *br[:2]))
+    ids, ends, to = (list(map(int, x)) for x in (ids, *br[:2]))
     return _float(int(word) if number[1] else float(word)), ids, (
-        _bus_fields(kind, dict(zip(_BUS_KEYS[2:], bus[2])))
+        _bus_fields(kind, dict(zip(_BUS_KEYS[2:], table)))
         | _branch_fields(ends, to, *br[2]))
 
 

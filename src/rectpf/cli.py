@@ -40,7 +40,7 @@ def _run(case_path: str, command) -> None:
     except (SolverError, InternalCheckError) as exc:
         click.echo(f"{exc.code}: {exc}", file=sys.stderr)
         sys.exit(3)
-    click.echo(out, file=sys.stdout, nl=False)
+    print(out, end="", flush=True)   # numbers and names: no ANSI to strip
 
 
 def _alphas(alpha_list: str) -> list[float]:

@@ -115,6 +115,8 @@ def _real_block_matrix(partition: AdmittancePartition, v: np.ndarray,
         blocks[3, pat.diag[pv_pos]] = 2.0 * v.imag[pv_pos]
     data = np.empty(blocks.size)
     data[pat.slots] = blocks
+    if data.all():
+        return CSCArrays(data, pat.indices, pat.indptr)
     keep = data != 0
     indptr = np.concatenate([[0], np.cumsum(keep)], dtype=np.intc)
     return CSCArrays(data[keep], pat.indices[keep], indptr[pat.indptr])

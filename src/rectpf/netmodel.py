@@ -121,9 +121,10 @@ def _ints(values) -> np.ndarray:
 def _flag(keyed: list, section: int, where, checks) -> None:
     """Add ``(section, i, check, message)`` for every position ``i`` of
     each ``(check, mask, text)``; ``where(i)`` names entry ``i``."""
-    for check, mask, text in checks:
-        keyed += [(section, i, check, f"{where(i)}: {text}")
-                  for i in np.flatnonzero(mask).tolist()]
+    if np.logical_or.reduce([mask for _, mask, _ in checks], None):
+        for check, mask, text in checks:
+            keyed += [(section, i, check, f"{where(i)}: {text}")
+                      for i in np.flatnonzero(mask).tolist()]
 
 
 def _raise_problems(head: list[str], keyed: list[tuple]) -> None:

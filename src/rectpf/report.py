@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +61,13 @@ def _json_number(text: str) -> str:
     return text if e or "." in text else text + ".0"
 
 
+@cache
+def _row_template(columns: tuple[str, ...]) -> str:
+    """A JSON row object of ``columns``, a ``%s`` for each value."""
+    names = [json.dumps(name).replace("%", "%%") for name in columns]
+    return "    {\n      " + ": %s,\n      ".join(names) + ": %s\n    }"
+
+
 @dataclass(frozen=True, eq=False)
 class Rows:
     """Tabular output: column names and one list of plain values per column.
@@ -88,9 +96,7 @@ class Rows:
                     and "e-3" not in c else _json_number(c) for c in cells]
                    if col and type(col[0]) is float else cells
                    for col, cells in zip(self.values, self.cells())]
-        row = "    {\n" + ",\n".join(
-            "      " + json.dumps(name).replace("%", "%%") + ": %s"
-            for name in self.columns) + "\n    }"
+        row = _row_template(self.columns)
         rows = ",\n".join(map(row.__mod__, zip(*columns)))
         array = "[\n" + rows + "\n  ]" if rows else "[]"
         return (json.dumps(head, indent=2)[:-2] + ",\n  " + json.dumps(key)

@@ -134,6 +134,32 @@ def test_flat_start_drops_zero_direct_coefficients():
     assert_same_superlu_input(part, v, _pv_positions(case))
 
 
+def test_index_arrays_are_the_pattern_s_own_when_no_entry_is_zero():
+    # A lossless grid's conj(Y) is imaginary off the diagonal: at a generic
+    # complex iterate every entry is nonzero and the fill keeps the
+    # pattern's own index arrays; at the flat start the real parts of the
+    # series terms are exact zeros, and so are a PV row's off-diagonal
+    # entries at any iterate: those are dropped.
+    rng = np.random.default_rng(5)
+    case = casegen.random_lossless_case(rng, 6, 12, pv_fraction=0.4,
+                                        newton_ready=True)
+    part = build_admittance(case)
+    pat = part.block_pattern
+    v = 1 + 0.1 * (rng.standard_normal(case.n)
+                   + 1j * rng.standard_normal(case.n))
+    got = filled_block_matrix(part, v)
+    assert got.data.all()
+    assert got.indices is pat.indices and got.indptr is pat.indptr
+    assert_same_superlu_input(part, v)
+    pv = filled_block_matrix(part, v, _pv_positions(case))
+    assert pv.data.size < pat.indices.size
+    assert_same_superlu_input(part, v, _pv_positions(case))
+    flat = filled_block_matrix(part, np.ones(case.n))
+    assert flat.data.all() and flat.data.size < pat.indices.size
+    assert flat.indices is not pat.indices
+    assert_same_superlu_input(part, np.ones(case.n))
+
+
 def test_cancelling_parallel_branches():
     # Branches 1-2 cancel exactly, and so does bus 3's whole diagonal: its
     # shunt load undoes its only series branch.  Those Y entries are gone,

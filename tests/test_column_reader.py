@@ -130,6 +130,15 @@ EDITS = [
     ("flow", "shunt_b_total: 0.04", "shunt_b_total: 4e", False),
     ("flow", "series_g: 3.0", "series_g: -0", True),
     ("flow", ", shunt_b: 0.02}", "}", True),         # a key no bus has
+    # a well-formed token of another key's value class
+    ("flow", "id: 1,", "id: 1.5,", False),
+    ("flow", "id: 1,", "id: zip,", False),
+    ("flow", "kind: zip", "kind: 2", False),
+    ("flow", "from: 1,", "from: 1.0,", False),
+    ("flow", "to: 2,", "to: pv,", False),
+    ("flow", "p: -0.1", "p: zip", False),
+    ("flow", "series_b: -6.0", "series_b: slack", False),
+    ("flow", "shunt_b_total: 0.04", "shunt_b_total: 1_0", False),
 ]
 
 

@@ -118,13 +118,15 @@ def solve_newton(partition: AdmittancePartition,
     deviation are at most ``settings.tolerance``.
     """
     return _solve(partition, case, case.injection_targets()[0],
-                  settings or NewtonSettings())
+                  settings or NewtonSettings(), {})
 
 
 def _solve(partition: AdmittancePartition, case: NetworkCase,
-           s_target: np.ndarray, settings: NewtonSettings) -> NewtonResult:
+           s_target: np.ndarray, settings: NewtonSettings,
+           start: dict) -> NewtonResult:
     """:func:`solve_newton` for the power targets ``s_target``, which a
-    ``compare`` sweep scales without scaling the case."""
+    ``compare`` sweep scales without scaling the case.  ``start`` keeps the
+    first Jacobian's factor, which no target changes, for a sweep's solves."""
     residual, jacobian = _equations(partition, case, s_target)
     n = partition.n
     try:
@@ -136,8 +138,11 @@ def _solve(partition: AdmittancePartition, case: NetworkCase,
     for it in range(settings.max_iterations):
         if mismatch <= settings.tolerance:
             return NewtonResult(v, True, it, mismatch)
-        step2n = Factorization(jacobian(v), code="SINGULAR_JACOBIAN",
-                               what="power-flow Jacobian").solve(-f)
+        kept = start if it == 0 else {}
+        if "lu" not in kept:
+            kept["lu"] = Factorization(jacobian(v), code="SINGULAR_JACOBIAN",
+                                       what="power-flow Jacobian")
+        step2n = kept["lu"].solve(-f)
         step = step2n[:n] + 1j * step2n[n:]
 
         # Full step first; halve only while the mismatch would increase.

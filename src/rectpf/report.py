@@ -3,8 +3,8 @@
 Emission is strictly deterministic: identical case plus identical flags
 produce byte-identical output, and all floats are rendered with 12
 significant digits.  Per-bus and per-alpha output share one row model,
-:class:`Rows`, which renders each column to text cells once; CSV, the
-aligned table and the JSON rows are all written from those cells.
+:class:`Rows`: JSON and CSV rows are formatted from the column values in
+one ``%`` call per document, the aligned table from each column's cells.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -45,8 +45,13 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-# The text renderer of an int or bool column's values.
-_TEXT = {int: str, bool: lambda v: "true" if v else "false"}
+def _cells(col: list) -> list[str]:
+    """A column's text cells; a float column in one format call."""
+    if col and type(col[0]) is not float:
+        return list(map(str, col)) if type(col[0]) is int else [
+            "true" if v else "false" for v in col]
+    return ("%.12g\n" * len(col) % tuple(col)).splitlines()
+
 
 _REPR_EXPONENTS = {"+12", "+13", "+14", "+15", *map(str, range(-324, -307))}
 
@@ -61,11 +66,15 @@ def _json_number(text: str) -> str:
     return text if e or "." in text else text + ".0"
 
 
-@cache
-def _row_template(columns: tuple[str, ...]) -> str:
-    """A JSON row object of ``columns``, a ``%s`` for each value."""
-    names = [json.dumps(name).replace("%", "%%") for name in columns]
-    return "    {\n      " + ": %s,\n      ".join(names) + ": %s\n    }"
+def _plain(columns: list[list[float]], n: int) -> list[bool]:
+    """Whether each float column of ``n`` values is plain, every
+    ``1e-300 <= |x| < 1e11`` with ``|x - rint(x)| > 1e-11 |x|``, so that
+    its ``%.12g`` texts, no integer and no exponent below -300, are JSON's.
+    NaN fails; clipping at 1e11, an integer, fails inf without inf - inf."""
+    x = np.fromiter(chain.from_iterable(columns), float, len(columns) * n)
+    x = np.minimum(np.abs(x), 1e11).reshape(len(columns), n)
+    return ((x >= 1e-300)
+            & (np.abs(x - np.rint(x)) > 1e-11 * x)).all(1).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,43 +82,52 @@ class Rows:
     """Tabular output: column names and one list of plain values per column.
 
     All values in a column share one type, ``int``, ``bool`` or ``float``,
-    and that type picks the renderer that turns the column into text cells
-    once; every format is written from those cells.
+    and that type picks the column's ``%`` conversion in JSON and CSV rows
+    and its text cells in the aligned table.
     """
 
     columns: tuple[str, ...]
     values: tuple[list, ...]
 
-    def cells(self) -> list[list[str]]:
-        """Text cells, column by column; a float column in one format call."""
-        return [list(map(_TEXT[type(col[0])], col))
-                if col and type(col[0]) is not float
-                else ("%.12g\n" * len(col) % tuple(col)).splitlines()
-                for col in self.values]
+    def _block(self, row, sep: str, as_json: bool) -> str:
+        """Every row, joined by ``sep``, in one ``%`` call; ``row`` makes the
+        row template from the conversions.  With ``as_json``, a float column
+        not :func:`_plain` takes its cells as :func:`_json_number` spells."""
+        n = len(self.values[0])
+        kinds = [type(col[0]) if n else int for col in self.values]
+        floats = [c for c, kind in zip(self.values, kinds) if kind is float]
+        plain = iter(_plain(floats, n) if as_json else [True] * len(floats))
+        conversions, args = zip(*[
+            ("%d", col) if kind is int
+            else ("%s", _cells(col)) if kind is bool
+            else ("%.12g", col) if next(plain)
+            else ("%s", list(map(_json_number, _cells(col))))
+            for col, kind in zip(self.values, kinds)])
+        return (sep.join([row(conversions)] * n)
+                % tuple(chain.from_iterable(zip(*args))))
 
     def json_document(self, head: dict, key: str) -> str:
         """``json.dumps({**head, key: rows}, indent=2)``, byte for byte, for
         one object per row in ``rows``, each float rounded by
-        :func:`_round12`.  ``head`` is not empty.  A float cell with "." or
-        an exponent other than e+1x or e-3xx is its own JSON text."""
-        columns = [[c if ("." in c or "e" in c) and "e+1" not in c
-                    and "e-3" not in c else _json_number(c) for c in cells]
-                   if col and type(col[0]) is float else cells
-                   for col, cells in zip(self.values, self.cells())]
-        row = _row_template(self.columns)
-        rows = ",\n".join(map(row.__mod__, zip(*columns)))
+        :func:`_round12`.  ``head`` is not empty."""
+        names = [json.encoder.encode_basestring_ascii(name).replace("%", "%%")
+                 for name in self.columns]                  # json.dumps(name)
+        rows = self._block(lambda conversions: "    {\n      " + ",\n      "
+                           .join(map(": ".join, zip(names, conversions)))
+                           + "\n    }", ",\n", as_json=True)
         array = "[\n" + rows + "\n  ]" if rows else "[]"
         return (json.dumps(head, indent=2)[:-2] + ",\n  " + json.dumps(key)
                 + ": " + array + "\n}")
 
-    def csv_lines(self) -> list[str]:
-        return [",".join(self.columns), *map(",".join, zip(*self.cells()))]
+    def csv_document(self) -> str:
+        rows = self._block(",".join, "\n", as_json=False)
+        return ",".join(self.columns) + ("\n" + rows if rows else "")
 
     def aligned_lines(self) -> list[str]:
-        table = [[n, *col] for n, col in zip(self.columns, self.cells())]
-        widths = [max(map(len, col)) for col in table]
-        return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-                for row in zip(*table)]
+        table = [[name, *_cells(col)]
+                 for name, col in zip(self.columns, self.values)]
+        row = "  ".join(f"%{max(map(len, col))}s" for col in table)
+        return [row % cells for cells in zip(*table)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +309,7 @@ def _emit_table(report: RunReport) -> str:
 
 def emit_report(report: RunReport, fmt: str = "table") -> str:
     if fmt == "csv":
-        return "\n".join(report.rows.csv_lines()) + "\n"
+        return report.rows.csv_document() + "\n"
     if fmt == "json":
         return _emit_json(report)
     if fmt == "table":
@@ -373,18 +391,18 @@ def run_compare(case: NetworkCase, alphas, method: str = "auto",
     The ratio ``voltage_error / alpha^2`` staying bounded as alpha shrinks
     is the observable signature that the linear model's error is quadratic
     in loading.  Every alpha shares one partition and one model, so each
-    matrix that loading does not change is factored once, after the first
-    alpha is scaled and validated.  Only the power targets are scaled; the
-    scaled case is never built unless it is invalid.
+    matrix that loading does not change, Newton's start Jacobian too, is
+    factored once, after the first alpha is scaled and validated.  Only the
+    power targets are scaled; the scaled case is built only if invalid.
     """
     partition = build_admittance(case)
     resolved, model = prepare(partition, case, method, override_conditions)
     alphas = [float(alpha) for alpha in alphas]
-    errors, norms, iterations, converged = [], [], [], []
+    errors, norms, iterations, converged, start = [], [], [], [], {}
     for alpha in alphas:
         s = _scaled_targets(case, alpha)
         sol = model.solve(s)
-        result = _solve(partition, case, s, NewtonSettings())
+        result = _solve(partition, case, s, NewtonSettings(), start)
         errors.append(float(np.linalg.norm(sol.approx_voltage()
                                            - result.voltage)))
         norms.append(quadratic_residual(partition, sol.dv).norm_s)
@@ -401,11 +419,8 @@ def emit_compare(report: CompareReport, fmt: str = "table") -> str:
     if fmt == "json":
         return report.rows.json_document({"method": report.method},
                                          "sweep") + "\n"
-    if fmt == "csv":
-        lines = report.rows.csv_lines()
-    elif fmt == "table":
-        lines = [f"method: {report.method}", *report.rows.csv_lines()]
-    else:
+    if fmt not in FORMATS:
         raise ValueError(
             f"unknown format {fmt!r}; expected one of {FORMATS}")
-    return "\n".join(lines) + "\n"
+    method = f"method: {report.method}\n" if fmt == "table" else ""
+    return method + report.rows.csv_document() + "\n"

@@ -1,6 +1,7 @@
 """A sweep prepares its model once: every matrix that loading does not
-change is factored once, and the flat-profile conditions are evaluated
-once, for all the alphas of a ``compare``."""
+change is factored once, Newton's start Jacobian among them, and the
+flat-profile conditions are evaluated once, for all the alphas of a
+``compare``."""
 
 from functools import cached_property
 
@@ -13,8 +14,9 @@ from reference_case import csr
 import rectpf._linalg
 import rectpf.transmission
 from rectpf import (AdmittancePartition, NetworkCase, build_admittance,
-                    run_compare)
+                    compute_noload_voltage, run_compare)
 from rectpf.linearize import _direct_coefficient, _real_block_matrix
+from rectpf.newton import _equations
 from rectpf.transmission import _im_coeff
 
 
@@ -131,3 +133,22 @@ def test_compare_scales_the_targets_not_the_case(monkeypatch, make_case):
     monkeypatch.setattr(NetworkCase, "__init__", counting_init)
     report = run_compare(case, [1, 0.5, 0.25])
     assert all(report.rows.values[5]) and built == []
+
+
+@pytest.mark.parametrize("make_case, method", [
+    (casegen.fixed_feeder10, "noload"), (_lossless_case, "lossless")])
+def test_compare_factors_newtons_start_jacobian_once(factored, make_case,
+                                                     method):
+    # Newton starts every alpha at the no-load profile with the same PV
+    # rows; neither model factors a 2N matrix of its own.
+    case = make_case()
+    part = build_admittance(case)
+    jacobian = _equations(part, case, case.injection_targets()[0])[1]
+    start = sparse.csc_array(jacobian(compute_noload_voltage(part).V),
+                             shape=(2 * part.n, 2 * part.n))
+    report = run_compare(case, [1, 0.5, 0.25], method=method)
+    iterations = report.rows.values[4]
+    assert report.method == method and all(iterations)
+    assert _count(factored, start) == 1
+    assert (sum(a.shape == start.shape for a in factored)
+            == sum(iterations) - sum(it > 0 for it in iterations) + 1)

@@ -6,9 +6,8 @@ per-unit float.  Unknown fields are rejected at every level, missing
 optional numerics default to zero, and validation reports every problem it
 finds at once.  A clean file in the layouts of case files, one flow
 mapping per sequence item, as below, or ``dump_case``'s block mappings, is
-read straight into columns; a line scanner loads other text in them as a
-document.  It declines the rest (bool or null scalars, hex, octal, tabs,
-escapes, trailing comments, anchors, tags, ...), read by ``yaml.load``.
+read straight into columns, and so is one whose only other lines are
+blank or full-line comments.  ``yaml.load`` reads every other text.
 
 Example::
 
@@ -72,113 +71,30 @@ _CaseLoader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
     list("-+.0123456789"))
 
-# The line scanner's grammar.  Every character class is printable ASCII, so
-# tabs, line breaks other than "\n" and characters the YAML reader rejects
-# never match.  A token is a quoted scalar without escapes or a plain word
-# of characters that end no scalar, such as _NUMBER's ints and floats.
+# The column reader's numbers: a decimal int as YAML reads it, of at most 18
+# digits, and a decimal float.
 _INT = r"[-+]?(?:0|[1-9][0-9]{0,17})"
 _FLOAT = r"[-+]?[0-9]+(?:\.[0-9]*(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-_TOKEN = (r"""(?:'[ -&(-~]*'|"[ !#-\[\]-~]*"|"""
-          r"[-+]?[0-9A-Za-z_][-+.0-9A-Za-z_]*)")
 _NUMBER = re.compile(rf"({_INT})|{_FLOAT}")
-# A blank or comment line; or an indent, then a flow mapping's pairs, or a
-# block line's dash, key and value.
-_LINE = re.compile(rf" *(?:#[ -~]*)?|( *)(?:- \{{({_TOKEN}: {_TOKEN}(?:, "
-                   rf"{_TOKEN}: {_TOKEN})*)\}}|(- )?({_TOKEN}):"
-                   rf"(?: ({_TOKEN}))?)")
-_RESOLVERS = _CaseLoader.yaml_implicit_resolvers
-_WILDCARD = _RESOLVERS.get(None, [])
+# A blank, space-only or full-line comment line, with its line break.
+_FILLER = re.compile(r"^ *(?:#[ -~]*)?\n", re.MULTILINE)
 _MAX_DEPTH = 100        # yaml.load's composer recurses per level (C stack)
 
 
-def _scan_document(text: str) -> dict | None:
-    """What ``yaml.load(text, Loader=_CaseLoader)`` builds, read line by
-    line, or None where ``text`` leaves the scanner's grammar.
-
-    That is a mapping of ``key: scalar`` and ``key:`` lines, each ``key:``
-    followed by a sequence of flow mappings, one per line, or of block
-    mappings of scalars, with full-line comments and blank lines anywhere.
-    A plain word is kept only where the loader's implicit resolvers leave
-    it a string; a token is at most 256 characters, as YAML limits keys.
-    A flow mapping is split at ", " and ": " and declined where a fragment
-    opens a quote it does not close.  A value with "." or "e"/"E", a final
-    digit (so no "inf") and no "_" that ``float`` reads is a _FLOAT token.
-    """
-    doc: dict = {}
-    built: dict = {}                  # token -> value, for keys and words
-    items = indent = entry = None     # open sequence, its indent, block item
-
-    def scalar(token):
-        value = built.get(token)
-        if value is None and 0 < len(token) <= 256:
-            number = _NUMBER.fullmatch(token)
-            if number is not None:
-                value = int(token) if number[1] else float(token)
-            elif token[0] in "'\"":  # None for a fragment of a split one
-                value = token[1:-1] if token[1:].endswith(token[0]) else None
-            elif not any(regexp.match(token) for _, regexp in
-                         _RESOLVERS.get(token[0], []) + _WILDCARD):
-                value = token         # the resolvers leave it a string
-            built[token] = value
-        return value
-
-    for line in text.split("\n"):
-        match = _LINE.fullmatch(line)
-        if match is None:
-            return None
-        pad, flow, dash, key, word = match.groups()
-        if flow is None and key is None:
-            continue                  # a blank line or a comment
-        if flow is not None or dash is not None:      # a sequence item
-            if items is None or indent not in (None, len(pad)):
-                return None
-            indent, target = len(pad), {}
-            items.append(target)
-            entry = target if dash else None
-        elif pad:                     # the next line of a block item
-            if entry is None or len(pad) != indent + 2:
-                return None
-            target = entry
-        else:                         # a top-level key
-            if items == []:
-                return None
-            items = indent = entry = None
-            target = doc
-        if flow is None and word is None:   # a "key:" line opens a sequence
-            if target is not doc or scalar(key) is None:
-                return None
-            doc[scalar(key)] = items = []
-            continue
-        tokens = flow.replace(", ", ": ").split(": ") if flow else (key, word)
-        for key, token in zip(tokens[::2], tokens[1::2]):
-            fast = (("." in token or "e" in token or "E" in token)
-                    and "_" not in token and token[-1] in "0123456789")
-            try:
-                value = float(token) if fast else scalar(token)
-            except ValueError:        # such as "1.2.3"
-                value = scalar(token)
-            key = built.get(key) or scalar(key)  # miss or falsy: scalar()
-            if key is None or value is None:
-                return None
-            target[key] = value
-    return doc if doc and items != [] else None
-
-
 def _load_document(text: str):
-    """``yaml.load(text, Loader=_CaseLoader)``, from the line scanner when
-    ``text`` keeps to its grammar; the full loader alone reads the rest and
-    raises every parse error, but is not given nesting over _MAX_DEPTH."""
-    doc = _scan_document(text)
+    """``yaml.load(text, Loader=_CaseLoader)``, which reads every text the
+    column reader declines and raises every parse error, but is not given
+    nesting over _MAX_DEPTH."""
     depths = accumulate(isinstance(event, yaml.CollectionStartEvent)
                         - isinstance(event, yaml.CollectionEndEvent)
                         for event in yaml.parse(text, Loader=_CaseLoader))
     try:
-        deep = doc is None and any(depth > _MAX_DEPTH for depth in depths)
+        deep = any(depth > _MAX_DEPTH for depth in depths)
     except yaml.YAMLError:          # yaml.load reports it
         deep = False
     if deep:
         raise yaml.YAMLError(f"collections nested deeper than {_MAX_DEPTH}")
-    return doc if doc is not None else yaml.load(text, Loader=_CaseLoader)
+    return yaml.load(text, Loader=_CaseLoader)
 
 
 def _degrees_exact(rad: float) -> float:
@@ -401,7 +317,7 @@ def _section(body: str, pairs: re.Pattern, keys: list, needed: int,
 def _read_columns(text: str) -> tuple | None:
     """The dict path's ``(base_mva, ids, columns)`` of a clean file, or None:
     known keys, each taken by the item's kind, given once, needed ones all
-    given, and every value a bare kind or ``_scan_document``'s number."""
+    given, every value a bare kind or a ``_NUMBER``, and no other line."""
     parts = _TOP_LINE.split("\n" + text.removesuffix("\n"))
     top = dict(zip(parts[1::3], zip(parts[2::3], parts[3::3])))
     word, body = top.get("base_mva", ("100.0", ""))
@@ -430,9 +346,12 @@ def _read_columns(text: str) -> tuple | None:
 def parse_case(text: str, source: str = "<case>") -> NetworkCase:
     """Parse a case document straight into :class:`NetworkCase` columns.
     PARSE_ERROR for bad YAML; VALIDATION_ERROR lists every schema problem
-    in file order or, if there is none, every model problem; a clean file
-    is read by ``_read_columns``, whose None sends it down the dict path."""
-    if (read := _read_columns(text)) is not None:
+    in file order or, if there is none, every model problem.  A clean file
+    is read by ``_read_columns``, once more without its blank and comment
+    lines if it has any; a None sends it down the dict path."""
+    if (read := _read_columns(text)) is None and _FILLER.search(text):
+        read = _read_columns(_FILLER.sub("", text))
+    if read is not None:
         return NetworkCase(*read)
     try:
         doc = _load_document(text)

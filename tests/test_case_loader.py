@@ -1,16 +1,16 @@
-"""The case-file line scanner against PyYAML's full loader.
+"""Case-file loading against PyYAML's full loader.
 
 ``caseio`` reads the two layouts its files come in, one flow mapping per
 sequence item (``  - {id: 1, kind: zip}``) and ``dump_case``'s block
-mappings (``- id: 1`` then ``  kind: zip``), with a line scanner.  It
-declines every other text: bool and null scalars, hex, octal, ``_`` and
-``.inf`` numbers, escapes, trailing comments, tabs, ``\r``, document
-markers, anchors, tags, empty values, inconsistent indentation and flow
-mappings whose quoted scalars hold ", " or ": ", and ``yaml.load`` reads
-what it declines.  The properties below check that
-``_load_document`` gives the object ``yaml.load`` gives, or raises the
-same error, on generated case-shaped documents and on generic YAML, with
-the libyaml parser and again with the pure-Python one.
+mappings (``- id: 1`` then ``  kind: zip``), straight into columns with
+``_read_columns``, once more without full-line comments and blank lines
+when it declines a text that has them.  ``_load_document`` reads every
+other text: ``yaml.load``, behind a guard that refuses nesting deeper
+than ``_MAX_DEPTH`` before the loader's composer recurses into it.  The
+properties below check that ``_load_document`` gives the object
+``yaml.load`` gives, or raises the same error, on generated case-shaped
+documents and on generic YAML, with the libyaml parser and again with the
+pure-Python one, and that the column reader reads the clean layouts.
 """
 
 import math
@@ -23,7 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import casegen
@@ -42,9 +42,8 @@ SPELLINGS = [
     "NaN", "1_0", "0_1.5", "1.5_0", "1e1_0", "00.5", "-012", "1.5e+",
     "1234567890123456789", "-12345678901234567890", "1.E5",
 ]
-# Strings that cannot be plain scalars anywhere, used quoted only; those with
-# ", " or ": " make the scanner decline the flow mapping that holds them,
-# and ", : " splits into an empty fragment.
+# Strings that cannot be plain scalars anywhere, used quoted only, among them
+# flow-mapping separators (", ", ": ") inside quotes.
 QUOTED_ONLY = [" lead", "a: b", "#x", "[1]", "{a: 1}", "'", "line\\nbreak",
                "a, b", "x: y, z", ", : "]
 
@@ -165,26 +164,32 @@ LOADERS = {"libyaml": lambda: caseio._CaseLoader,
 
 
 def _check_against_full_loader(which, text):
-    """``_load_document`` and the scanner agree with ``yaml.load``."""
+    """``_load_document`` agrees with ``yaml.load``."""
     loader = LOADERS[which]()
     with mock.patch.object(caseio, "_CaseLoader", loader):
         full = _outcome(lambda: yaml.load(text, Loader=loader))
         assert _outcome(lambda: caseio._load_document(text)) == full
-        scanned = caseio._scan_document(text)
-    # What the scanner builds on its own, the full loader builds too.
-    if scanned is not None:
-        assert ("loaded", type(scanned), repr(scanned)) == full
 
 
 @pytest.mark.parametrize("which", sorted(LOADERS))
 @settings(max_examples=400, deadline=None)
 @given(text=documents())
+# Anchors, tags, merge keys, timestamps, odd keys, two documents, a broken
+# flow sequence and a scalar no constructor converts.
+@example(text="a: &x 1\nb: *x\n")
+@example(text="a: !!float 1\n")
+@example(text="c:\n  <<: {q: 2}\n  r: 3\n")
+@example(text="t: 2001-12-14\n")
+@example(text="= : 1\n")
+@example(text="? [1, 2]\n: x\n")
+@example(text="a: 1\n---\nb: 2\n")
+@example(text="a: [1\n")
+@example(text="a: 0x_\n")
 def test_loader_matches_full_loader(which, text):
     _check_against_full_loader(which, text)
 
 
-# Scalars case files hold, which the scanner reads, and every spelling of
-# the generic property, most of which it declines.
+# Scalars case files hold, and every spelling of the generic property.
 common_scalars = st.one_of(
     st.sampled_from(["id", "kind", "zip", "p", "from", "a-b", "x.y", "_1",
                      "'1'", '"a b"', "''", "+12", "-0"]),
@@ -263,21 +268,6 @@ def test_every_spelling_in_every_slot(which):
             _check_against_full_loader(which, slot.replace("@", spelling))
 
 
-@pytest.mark.parametrize("text", [
-    "a: &x 1\nb: *x\n",
-    "a: !!float 1\n",
-    "c:\n  <<: {q: 2}\n  r: 3\n",
-    "t: 2001-12-14\n",
-    "= : 1\n",
-    "? [1, 2]\n: x\n",
-    "a: 1\n---\nb: 2\n",
-    "a: [1\n",
-    "a: 0x_\n",
-])
-def test_inputs_the_scanner_declines(text):
-    assert caseio._scan_document(text) is None
-
-
 def _flow_layout(doc: dict, indent: int) -> str:
     """``doc`` with each sequence item as a flow mapping on one line."""
     lines = []
@@ -298,46 +288,52 @@ def _readme_case() -> str:
     return section.split("```yaml\n", 1)[1].split("```", 1)[0]
 
 
+def _commented(text: str) -> str:
+    """``text`` with a full-line comment, indented or not, or a blank or
+    space-only line before each line and after the last."""
+    filler = ["# a comment", "", "    # indented: comment", "  "]
+    return "".join(f"{filler[k % 4]}\n{line}\n" for k, line in
+                   enumerate(text.splitlines())) + "#\n"
+
+
 def test_generated_feeder_loads_without_the_full_loader(monkeypatch):
     case = casegen.random_feeder_case(np.random.default_rng(5), n_min=200,
                                       n_max=200)
     block = dump_case(case)
     doc = yaml.safe_load(block)
-    big = yaml.load(dump_case(casegen.random_feeder_case(
-        np.random.default_rng(6), n_min=1200, n_max=1200, load_scale=0.01,
-        with_shunts=False)), Loader=caseio._SafeLoader)
-    texts = [block, _flow_layout(doc, 0), _flow_layout(doc, 2),
-             _readme_case(),
-             _readme_case().replace("kind: pv,", "kind: pv, colour: red,"),
-             _flow_layout(big, 2)]
-    expected = [yaml.load(text, Loader=caseio._CaseLoader) for text in texts]
-    # Clean files skip the document too: the columnar reader reads them.
+    big = casegen.random_feeder_case(np.random.default_rng(6), n_min=1200,
+                                     n_max=1200, load_scale=0.01,
+                                     with_shunts=False)
     grid = casegen.random_lossless_case(np.random.default_rng(5), 6, 9,
                                         pv_fraction=0.4)
     mesh = casegen.random_feeder_case(np.random.default_rng(7), 12, 12,
                                       with_shunt_g=True)
     assert any(bus.kind == "pv" for bus in grid.buses)
     assert len(mesh.branches) > mesh.n          # a mesh, not a tree
-    clean = [(block, case), (texts[2], case), (texts[3], None)] + [
+    # The column reader reads both layouts, at any indent, and the README's
+    # example; with comment and blank lines, it reads them once stripped.
+    clean = [(block, case), (_flow_layout(doc, 0), case),
+             (_flow_layout(doc, 2), case), (_readme_case(), None),
+             (_flow_layout(yaml.safe_load(dump_case(big)), 2), big)] + [
         (_flow_layout(yaml.safe_load(dump_case(c)), indent), c)
         for c, indent in ((grid, 4), (mesh, 0))]
+    for text, _ in clean:
+        assert caseio._read_columns(text) is not None
+    commented = [(_commented(text), want) for text, want in clean[:3]]
+    for text, _ in commented:
+        assert caseio._read_columns(text) is None
+    unknown = _readme_case().replace("kind: pv,", "kind: pv, colour: red,")
+    assert caseio._read_columns(unknown) is None
+    with pytest.raises(CaseValidationError, match=r"unknown field.*colour"):
+        parse_case(unknown)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the full loader ran")
     monkeypatch.setattr(yaml, "load", refuse)
-    monkeypatch.setattr(caseio, "_CaseLoader", refuse)
-    for text, doc in zip(texts, expected):
-        assert repr(caseio._load_document(text)) == repr(doc), text
-    assert parse_case(block).branches == case.branches
-    assert parse_case(texts[2]).buses == case.buses
-    assert parse_case(texts[3]).n == 2
-    with pytest.raises(CaseValidationError, match=r"unknown field.*colour"):
-        parse_case(texts[4])
-    assert parse_case(texts[5]).n == 1200
-
-    for name in ("_scan_document", "_bus_columns", "_branch_columns"):
+    for name in ("_CaseLoader", "_load_document", "_bus_columns",
+                 "_branch_columns"):
         monkeypatch.setattr(caseio, name, refuse)
-    for text, want in clean:
+    for text, want in clean + commented:
         got = parse_case(text)
         assert got == want if want is not None else got.n == 2
 

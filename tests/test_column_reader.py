@@ -4,9 +4,11 @@
 ``caseio._read_columns`` and gives every other text to the dict path: the
 document, then ``_bus_columns`` and ``_branch_columns``.  The reader must
 decline (return None) wherever it could differ, and otherwise hand
-``NetworkCase`` exactly what the dict path hands it.  The single edits
-below pin its boundary; the property checks generated cases in both
-layouts with up to two edits.
+``NetworkCase`` exactly what the dict path hands it.  A text it declines
+that has blank, space-only or full-line comment lines is read once more
+without them.  The single edits below pin its boundary; the property
+checks generated cases in both layouts with up to two edits and with
+comment and blank lines.
 """
 
 from unittest import mock
@@ -71,26 +73,26 @@ def _same_columns(got, want) -> None:
         assert type(column) is type(columns0[name]), name
 
 
+def _outcome(text):
+    """``parse_case(text)``: every column and the base bit for bit, or the
+    error code and violations."""
+    try:
+        case = parse_case(text)
+    except CaseValidationError as exc:
+        return ("raised", exc.code, exc.violations)
+    for name in [*_BUS_COLUMNS, *_BRANCH_COLUMNS]:
+        assert not getattr(case, name).flags.writeable
+    return ("case", _bits(case.base_mva), [
+        _bits(getattr(case, name)) for name in [*_BUS_COLUMNS,
+                                                *_BRANCH_COLUMNS]])
+
+
 def _same_outcome(text) -> None:
     """``parse_case`` gives exactly what the dict path gives: the case,
     each column bit for bit and read-only, or the same violations."""
-    def outcome(read):
-        try:
-            return ("case", read())
-        except CaseValidationError as exc:
-            return ("raised", exc.code, exc.violations)
-    got = outcome(lambda: parse_case(text))
+    got = _outcome(text)
     with mock.patch.object(caseio, "_read_columns", lambda text: None):
-        want = outcome(lambda: parse_case(text))
-    assert got[0] == want[0]
-    if got[0] == "raised":
-        assert got == want
-        return
-    for name in [*_BUS_COLUMNS, *_BRANCH_COLUMNS]:
-        column, column0 = getattr(got[1], name), getattr(want[1], name)
-        assert _bits(column) == _bits(column0), name
-        assert not column.flags.writeable
-    assert _bits(got[1].base_mva) == _bits(want[1].base_mva)
+        assert got == _outcome(text)
 
 
 def _check(text) -> bool:
@@ -166,11 +168,18 @@ CASES = {
 }
 
 
+# Lines the reader strips from a text it declines: blank, space-only and
+# full-line comments, indented or not.
+FILLER = ["", " ", "    ", "#", "# a comment", "  # indented: comment",
+          "#x: 1, {y: [2]}"]
+
+
 @st.composite
 def edited_texts(draw):
     """A casegen case with up to two fields set to ``test_cli_fuzz``'s
     values, in the block layout, keys sorted or not, or in the flow
-    layout; and the edits."""
+    layout; the edits; and the text with up to four ``FILLER`` lines put
+    before, between or after its lines."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     case = CASES[draw(st.sampled_from(sorted(CASES)))](rng)
     edits = draw(st.lists(st.sampled_from(sorted(FIELDS)).flatmap(
@@ -180,12 +189,54 @@ def edited_texts(draw):
     doc = yaml.safe_load(_with(yaml.safe_load(dump_case(case)), edits))
     layout = draw(st.sampled_from(["dump", "sorted", "flow"]))
     if layout == "flow":
-        return _flow_layout(doc, draw(st.sampled_from([0, 2, 4]))), edits
-    return yaml.safe_dump(doc, sort_keys=layout == "sorted"), edits
+        text = _flow_layout(doc, draw(st.sampled_from([0, 2, 4])))
+    else:
+        text = yaml.safe_dump(doc, sort_keys=layout == "sorted")
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(FILLER)))
+    return text, edits, "".join(line + "\n" for line in lines)
+
+
+def _refuse(text):
+    raise AssertionError("the document was loaded")
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(drawn=edited_texts())
 def test_reader_declines_or_reads_what_the_dict_path_reads(drawn):
-    text, edits = drawn
-    assert _check(text) or edits
+    text, edits, commented = drawn
+    read = _check(text)
+    assert read or edits
+    # Comment and blank lines change nothing but a parse error's position,
+    # and a case the reader reads it still reads with them, without
+    # loading the document.
+    with mock.patch.object(caseio, "_load_document",
+                           _refuse if read else caseio._load_document):
+        got, want = _outcome(commented), _outcome(text)
+    if want[:2] == ("raised", "PARSE_ERROR"):
+        got, want = got[:2], want[:2]
+    assert got == want
+
+
+# Comments the reader does not strip: each text still reaches the document.
+YAML_COMMENTS = [
+    ("flow", "buses:\n", "buses:\n\t# a tab before the comment\n"),
+    ("block", "buses:\n", "buses:\n \t# a tab before the comment\n"),
+    ("flow", "p: 0.3}\n", "p: 0.3}  # a trailing comment\n"),
+    ("block", "  p: -0.1\n", "  p: -0.1 # a trailing comment\n"),
+    ("flow", "{id: 1, kind: zip, ",
+     "{id: 1, kind: zip,\n# inside a flow mapping\n    "),
+]
+
+
+@pytest.mark.parametrize("layout, old, new", YAML_COMMENTS)
+def test_other_comments_take_the_yaml_path(layout, old, new):
+    base = FLOW if layout == "flow" else BLOCK
+    assert old in base
+    text = base.replace(old, new, 1)
+    with mock.patch.object(caseio, "_load_document",
+                           wraps=caseio._load_document) as load:
+        _same_outcome(text)
+    assert load.call_count == 2

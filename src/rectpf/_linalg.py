@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
@@ -79,30 +78,21 @@ class CSCArrays(NamedTuple):
     indptr: np.ndarray
 
 
-def csc_arrays(a) -> CSCArrays:
-    """``a``, dense or sparse, converted as ``splu`` converts it: to CSC
-    with duplicates summed, a floating dtype and ``intc`` indices; raw or
-    scipy canonical square float CSR by ``tocsc``'s kernel, no CSC copy."""
-    if isinstance(a, CSRArrays) or (
-            sparse.issparse(a) and a.format == "csr" and a.has_canonical_format
-            and a.dtype.char in "fdFD" and a.shape[0] == a.shape[1]):
-        n, nnz = len(a.indptr) - 1, int(a.indptr[-1])
-        out = CSCArrays(np.empty(nnz, a.data.dtype), np.empty(nnz, np.intc),
-                        np.empty(n + 1, np.intc))
-        _sparsetools.csr_tocsc(n, n, *(x.astype(np.intc, copy=False)
-                               for x in (a.indptr, a.indices)), a.data,
-                               out.indptr, out.indices, out.data)
-        return out
-    a = a.tocsc() if sparse.issparse(a) else sparse.csc_array(a)
-    a.sum_duplicates()
-    a = a._asfptype()
-    return CSCArrays(a.data, a.indices.astype(np.intc, copy=False),
-                     a.indptr.astype(np.intc, copy=False))
+def csc_arrays(a: CSRArrays) -> CSCArrays:
+    """The arrays ``splu`` hands SuperLU for a canonical square float CSR
+    ``a``, transposed by ``tocsc``'s kernel with no CSC copy."""
+    n, nnz = len(a.indptr) - 1, int(a.indptr[-1])
+    out = CSCArrays(np.empty(nnz, a.data.dtype), np.empty(nnz, np.intc),
+                    np.empty(n + 1, np.intc))
+    _sparsetools.csr_tocsc(n, n, *(x.astype(np.intc, copy=False)
+                           for x in (a.indptr, a.indices)), a.data,
+                           out.indptr, out.indices, out.data)
+    return out
 
 
 class Factorization:
-    """LU factors of one square matrix: dense, sparse, its raw CSR arrays,
-    or its :class:`CSCArrays`, which are factored as they are.
+    """LU factors of one square matrix, given as its raw :class:`CSRArrays`
+    or :class:`CSCArrays` (factored as they are); ``TypeError`` otherwise.
 
     ``solve`` accepts a vector or a matrix of right-hand sides.  Raises
     :class:`SolverError` with ``code`` when ``a`` has a non-finite entry,
@@ -111,6 +101,8 @@ class Factorization:
     """
 
     def __init__(self, a, *, code: str, what: str = "linear system"):
+        if not isinstance(a, (CSRArrays, CSCArrays)):
+            raise TypeError(f"cannot factor a {type(a).__name__}")
         self._a = a = a if isinstance(a, CSCArrays) else csc_arrays(a)
         if not np.isfinite(a.data).all():
             raise SolverError(f"{what} has non-finite entries", code=code)

@@ -1,13 +1,13 @@
 """Case-file parsing and emission (YAML, schema_version "1").
 
-A case is one human-writable YAML document.  Angles live in degrees at this
-boundary and radians inside the data model; every other quantity is a plain
-per-unit float.  Unknown fields are rejected at every level, missing
-optional numerics default to zero, and validation reports every problem it
-finds at once.  A clean file in the layouts of case files, one flow
-mapping per sequence item, as below, or ``dump_case``'s block mappings, is
-read straight into columns, and so is one whose only other lines are
-blank or full-line comments.  ``yaml.load`` reads every other text.
+A case is one human-writable YAML document.  Angles are in degrees, in the
+file and in the data model; every other quantity is a plain per-unit float.
+Unknown fields are rejected at every level, missing optional numerics
+default to zero, and validation reports every problem it finds at once.  A
+clean file in the layouts of case files, one flow mapping per sequence item,
+as below, or ``dump_case``'s block mappings, is read straight into columns,
+and so is one whose only other lines are blank or full-line comments.
+``yaml.load`` reads every other text.
 
 Example::
 
@@ -34,7 +34,6 @@ from .errors import CaseValidationError
 from .netmodel import _PV, _SLACK, _ZIP, KINDS, NetworkCase, _raise_problems
 
 SCHEMA_VERSION = "1"
-_DEG = math.pi / 180.0
 
 _TOP_FIELDS = {"schema_version", "base_mva", "buses", "branches"}
 _BUS_COMMON = {"id", "kind"}
@@ -95,26 +94,6 @@ def _load_document(text: str):
     if deep:
         raise yaml.YAMLError(f"collections nested deeper than {_MAX_DEPTH}")
     return yaml.load(text, Loader=_CaseLoader)
-
-
-def _degrees_exact(rad: float) -> float:
-    """Degrees value whose parse (multiplication by pi/180) returns ``rad``.
-
-    Division and multiplication by the conversion factor are each correctly
-    rounded but not mutually inverse; nudging by up to two ulps recovers an
-    exact preimage whenever one exists -- in particular always, when ``rad``
-    itself came from parsing a degree value.
-    """
-    deg = rad / _DEG
-    if deg * _DEG == rad:
-        return deg
-    up1 = math.nextafter(deg, math.inf)
-    dn1 = math.nextafter(deg, -math.inf)
-    for cand in (up1, dn1, math.nextafter(up1, math.inf),
-                 math.nextafter(dn1, -math.inf)):
-        if cand * _DEG == rad:
-            return cand
-    return deg
 
 
 def _float(value) -> float:
@@ -216,7 +195,7 @@ def _bus_fields(codes: np.ndarray, col: dict) -> dict:
         "current": _complex(col["i_load_re"], col["i_load_im"]),
         "power": _complex(np.where(pv, 0.0, col["p"]), col["q"]),
         "p_set": np.where(pv, col["p"], 0.0), "v_set": col["v_setpoint"],
-        "theta": col["theta_deg"] * _DEG}
+        "theta_deg": col["theta_deg"]}
 
 
 def _branch_columns(raw: list, keyed: list) -> dict:
@@ -424,9 +403,9 @@ def _rows(*columns):
 
 def dump_case(case: NetworkCase) -> str:
     """Serialize a case from its columns; parsing the result reproduces the
-    case exactly.  Zero-valued optional fields are omitted, and the angle
-    round-trip is exact through :func:`_degrees_exact`.  A conductive line
-    shunt has no field in the format: the error lists every such branch.
+    case exactly, the slack's ``theta_deg`` included.  Zero-valued optional
+    fields are omitted.  A conductive line shunt has no field in the format:
+    the error lists every such branch.
     """
     conductive = np.flatnonzero(case.line_shunt.real).tolist()
     if conductive:
@@ -436,12 +415,12 @@ def dump_case(case: NetworkCase) -> str:
              for i in conductive])
     buses = []
     for k, (code, p, v, theta, *values) in enumerate(_rows(
-            case.kind, case.p_set, case.v_set, case.theta,
+            case.kind, case.p_set, case.v_set, case.theta_deg,
             *(part for column in (case.power, case.shunt, case.current)
               for part in (column.real, column.imag))), 1):
         entry = {"id": k, "kind": KINDS[code]}
         if code == _SLACK:
-            entry |= {"v_setpoint": v, "theta_deg": _degrees_exact(theta)}
+            entry |= {"v_setpoint": v, "theta_deg": theta}
         else:               # a pv bus's power is zero, its p the setpoint
             entry |= {"v_setpoint": v, "p": p} if code == _PV else {}
             entry |= {key: x for key, x in zip(_OPTIONAL, values) if x}

@@ -23,16 +23,6 @@ from .linearize import (MIN_NOMINAL_VMAG, LinearSolution, ModelParts,
 from .netmodel import AdmittancePartition
 
 
-def _magnitude_angle(nominal: NominalVoltage):
-    vmag = np.abs(nominal.V)
-    if vmag.size and vmag.min() < MIN_NOMINAL_VMAG:
-        raise SolverError(
-            "nominal voltage magnitude vanishes at some bus; angle "
-            "extraction is undefined", code="ZERO_NOLOAD_VOLTAGE")
-    theta = np.arctan2(nominal.V.imag, nominal.V.real)
-    return vmag, theta
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingTerms:
     """The four P/Q pathways of the closed form, split by target component.
@@ -111,7 +101,12 @@ class DecoupledEstimate:
 def _estimator(partition: AdmittancePartition, nominal: NominalVoltage):
     """The estimate at ``nominal`` for zero loading, which carries the
     assumption measures, and the estimate for any ``s`` on one factor of G."""
-    vmag, theta = _magnitude_angle(nominal)
+    vmag = np.abs(nominal.V)
+    if vmag.size and vmag.min() < MIN_NOMINAL_VMAG:
+        raise SolverError(
+            "nominal voltage magnitude vanishes at some bus; angle "
+            "extraction is undefined", code="ZERO_NOLOAD_VOLTAGE")
+    theta = np.arctan2(nominal.V.imag, nominal.V.real)
     lu = Factorization(partition.G, code="SINGULAR_G",
                        what="conductance block G")
     unloaded = DecoupledEstimate(

@@ -61,10 +61,6 @@ class NominalVoltage:
         v.flags.writeable = False
         object.__setattr__(self, "V", v)
 
-    @property
-    def n(self) -> int:
-        return self.V.shape[0]
-
 
 def flat_nominal(n: int) -> NominalVoltage:
     """The flat profile: one per-unit, zero angle, at every bus."""
@@ -212,7 +208,7 @@ def prepare_general(partition: AdmittancePartition,
     bus.  Raises ``SINGULAR_SYSTEM`` when the LU pivot ratio collapses; the
     coefficients at an arbitrary nominal carry no general nonsingularity
     guarantee, so this is detected, never assumed."""
-    v0, n = nominal.V, nominal.n
+    v0, n = nominal.V, nominal.V.size
     direct = _direct_coefficient(partition, v0)
     offset = -v0 * direct
     lu = Factorization(_real_block_matrix(partition, v0, direct),

@@ -1,9 +1,9 @@
 """Network data model and admittance-matrix construction.
 
 Buses are numbered 1..N+1 with the slack (reference) bus fixed at N+1.
-All stored quantities are per-unit on the case's MVA base; angles are
-radians (the case-file layer converts from degrees).  Every type here is
-immutable after construction, so instances are safe to share freely.
+All stored quantities are per-unit on the case's MVA base, and the slack
+angle is in degrees; ``V_slack`` and :class:`SlackVoltage` convert it to
+radians.  Every type here is immutable, so instances are safe to share.
 
 A case is built from and stored as columns, one read-only array per
 quantity with one row per bus or per branch, because every solver reads the
@@ -103,9 +103,10 @@ class Branch:
 # A bus's ``kind`` column holds the index of its kind in ``KINDS``.
 KINDS = ("slack", "pv", "zip")
 _SLACK, _PV, _ZIP = range(3)
+_DEG = math.pi / 180.0
 _BUS_COLUMNS = {"kind": np.int8, "shunt": complex, "current": complex,
                 "power": complex, "p_set": float, "v_set": float,
-                "theta": float}
+                "theta_deg": float}
 _BRANCH_COLUMNS = {"from_bus": None, "to_bus": None, "series": complex,
                    "line_shunt": complex}
 
@@ -143,13 +144,13 @@ class NetworkCase:
     ``kind`` (an index into :data:`KINDS`); the load's complex ``shunt``,
     ``current`` and ``power`` (zero at the slack, ``power`` zero at a PV
     bus); ``p_set``, a PV bus's active setpoint; ``v_set``, the voltage
-    magnitude of a PV or slack bus; ``theta``, the slack angle in radians
-    (zero, one and zero elsewhere).  Branch columns keep the input order:
-    ``from_bus``, ``to_bus``, the complex ``series`` admittance and total
-    ``line_shunt``.  ``buses`` and ``branches`` are views, built on first
-    access.  The constructor takes the ``columns`` (bus columns in the order
-    of ``ids``, a row per id; branch columns a row per ``from_bus`` entry)
-    and validates them, each check a mask over the entries: a
+    magnitude of a PV or slack bus; ``theta_deg``, the slack angle in
+    degrees (zero, one and zero elsewhere).  Branch columns keep the input
+    order: ``from_bus``, ``to_bus``, the complex ``series`` admittance and
+    total ``line_shunt``.  ``buses`` and ``branches`` are views, built on
+    first access.  The constructor takes the ``columns`` (bus columns in the
+    order of ``ids``, a row per id; branch columns a row per ``from_bus``
+    entry) and validates them, each check a mask over the entries: a
     :class:`CaseValidationError` lists every violation.  Ids must be
     contiguous 1..N+1, slack at N+1.
     """
@@ -193,7 +194,8 @@ class NetworkCase:
             (1, ~np.isfinite(self.current), "load.current is not finite"),
             (2, ~np.isfinite(self.power), "load.power is not finite"),
             (3, slack & v_bad, "slack v_mag must be positive"),
-            (4, slack & ~np.isfinite(self.theta), "slack theta is not finite"),
+            (4, slack & ~np.isfinite(self.theta_deg),
+             "slack theta is not finite"),
             (5, slack & load, "slack bus cannot carry a load"),
             (3, pv & v_bad, "pv v_mag must be positive"),
             (4, pv & ~np.isfinite(self.p_set), "pv p is not finite"),
@@ -236,7 +238,7 @@ class NetworkCase:
         return tuple(
             Bus(k, KINDS[code], ZipLoad(y, i, s),
                 PvSetpoint(p, v) if code == _PV else None,
-                SlackVoltage(v, th) if code == _SLACK else None)
+                SlackVoltage(v, th * _DEG) if code == _SLACK else None)
             for k, (code, y, i, s, p, v, th) in enumerate(zip(*(
                 getattr(self, name).tolist() for name in _BUS_COLUMNS)), 1))
 
@@ -257,7 +259,8 @@ class NetworkCase:
 
     @property
     def v_slack(self) -> complex:
-        return self.v_set.item(-1) * cmath.exp(1j * self.theta.item(-1))
+        return self.v_set.item(-1) * cmath.exp(
+            1j * (self.theta_deg.item(-1) * _DEG))
 
     @property
     def has_pv(self) -> bool:
@@ -429,7 +432,8 @@ class AdmittancePartition:
     @cached_property
     def factor(self) -> Factorization:
         """Sparse LU of Y; raises ``SINGULAR_Y`` as :class:`Factorization`."""
-        return Factorization(self.Y_csr, code="SINGULAR_Y",
+        return Factorization(self._on_pattern(self.Y_csr.data),
+                             code="SINGULAR_Y",
                              what="admittance block Y")
 
     @cached_property

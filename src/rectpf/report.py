@@ -320,43 +320,34 @@ def emit_report(report: RunReport, fmt: str = "table") -> str:
 # -- structural check report ------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CheckReport:
-    noload: "object"          # StructureDiagnosis
-    flat: "object | None"     # FlatSolveConditions, when the gate passes
-    slack_unity: bool
-
-
-def run_check(case: NetworkCase) -> CheckReport:
-    """Evaluate the structural diagnostics without solving anything."""
+def run_check(case: NetworkCase) -> list[tuple[str, object]]:
+    """The structural diagnostics, solving nothing, as one ordered list of
+    (name, value) items: a bool per check, then the no-load reasons."""
     partition = build_admittance(case)
     noload = check_noload_structure(partition)
-    flat = (trans.flat_conditions(partition)
-            if trans.lossless_gate(partition) is None else None)
-    return CheckReport(noload=noload, flat=flat,
-                       slack_unity=trans.slack_is_unity(partition))
-
-
-def emit_check(report: CheckReport, fmt: str = "table") -> str:
-    """One ordered list of (name, value) items, rendered in any format."""
-    noload, flat = report.noload, report.flat
+    gate = trans.lossless_gate(partition) is None
     checks = [
-        ("lossless_gate", flat is not None),
-        ("slack_unity", report.slack_unity),
+        ("lossless_gate", gate),
+        ("slack_unity", trans.slack_is_unity(partition)),
         ("noload_connected", noload.connected),
         ("noload_weak_dominance", noload.weak_rows.all()),
         ("noload_strict_at_slack_adjacent", noload.strict_at_slack_adjacent),
         ("noload_source_nonzero", noload.source_nonzero),
         ("noload_verdict", noload.verdict),
     ]
-    if flat is not None:
+    if gate:
+        flat = trans.flat_conditions(partition)
         checks += [
             ("flat_weak_dominance", flat.weak.all()),
             ("flat_strict_at_slack_adjacent", flat.strict_at_slack_adjacent),
             ("flat_overall", flat.overall),
         ]
-    items = [*((k, bool(v)) for k, v in checks),
-             ("noload_reasons", list(noload.reasons))]
+    return [*((k, bool(v)) for k, v in checks),
+            ("noload_reasons", list(noload.reasons))]
+
+
+def emit_check(items: list[tuple[str, object]], fmt: str = "table") -> str:
+    """:func:`run_check`'s items, rendered in any format."""
     if fmt == "json":
         return json.dumps(dict(items), indent=2) + "\n"
     if fmt not in FORMATS:

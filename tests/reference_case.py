@@ -20,7 +20,9 @@ one entry per :class:`Bus` view, emitted by ``yaml.safe_dump``.
 full (N+1) x (N+1) matrix and sliced it three ways, and :func:`connected`
 decides connectivity with ``scipy.sparse.csgraph``, not with the library's
 own union-find.  :func:`csr` is the scipy matrix of the raw CSR arrays
-that the partition keeps for the matrices it derives from Y.
+that the partition keeps for the matrices it derives from Y, and
+:func:`superlu_input` the raw CSC arrays that ``splu`` hands SuperLU for a
+dense or scipy matrix, which ``Factorization`` takes.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ import yaml
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from rectpf.caseio import (_BRANCH_FIELDS, _BUS_ALLOWED, _BUS_FIELDS, _DEG,
-                           _TOP_FIELDS, SCHEMA_VERSION, _degrees_exact)
+from rectpf.caseio import (_BRANCH_FIELDS, _BUS_ALLOWED, _BUS_FIELDS,
+                           _TOP_FIELDS, SCHEMA_VERSION)
+from rectpf._linalg import CSCArrays
 from rectpf.errors import CaseValidationError
-from rectpf.netmodel import (KINDS, AdmittancePartition, Branch, Bus,
+from rectpf.netmodel import (_DEG, KINDS, AdmittancePartition, Branch, Bus,
                              NetworkCase, PvSetpoint, SlackVoltage, ZipLoad)
 
 
@@ -43,7 +46,8 @@ def columns(buses, branches) -> dict:
     """The columns of ``buses`` and ``branches`` as lists, in input order.
     A pv bus must carry a :class:`PvSetpoint` and the slack a
     :class:`SlackVoltage`; a bus fills the setpoint columns of its kind
-    only, from that object, and the others read as their defaults."""
+    only, from that object, and the others read as their defaults.  The
+    slack's radians are written as degrees, ``theta / (pi/180)``."""
     for b in buses:
         assert b.kind != "pv" or isinstance(b.pv_setpoint, PvSetpoint), b
         assert b.kind != "slack" or isinstance(b.slack_voltage,
@@ -57,7 +61,7 @@ def columns(buses, branches) -> dict:
         "power": [b.load.power for b in buses],
         "p_set": [s.p if s else 0.0 for s in pv],
         "v_set": [(s or v).v_mag if s or v else 1.0 for s, v in zip(pv, sv)],
-        "theta": [v.theta if v else 0.0 for v in sv],
+        "theta_deg": [v.theta / _DEG if v else 0.0 for v in sv],
         "from_bus": [br.from_bus for br in branches],
         "to_bus": [br.to_bus for br in branches],
         "series": [br.series_admittance for br in branches],
@@ -74,6 +78,16 @@ def csr(a) -> sparse.csr_array:
     """The scipy CSR matrix of the square matrix's raw CSR arrays ``a``."""
     n = len(a.indptr) - 1
     return sparse.csr_array((a.data, a.indices, a.indptr), shape=(n, n))
+
+
+def superlu_input(a) -> CSCArrays:
+    """The CSC arrays ``splu`` hands SuperLU for the dense or scipy square
+    ``a``: duplicates summed, a floating dtype and ``intc`` indices."""
+    a = sparse.csc_array(a)
+    a.sum_duplicates()
+    a = a.astype(np.result_type(a.dtype, np.float32))   # as splu upcasts
+    return CSCArrays(a.data, a.indices.astype(np.intc),
+                     a.indptr.astype(np.intc))
 
 
 def connected(n_nodes: int, rows, cols) -> bool:
@@ -314,11 +328,11 @@ def reference_parse(doc: dict, source: str = "<case>"):
     return buses, branches, base_mva
 
 
-def _bus_entry(bus: Bus) -> dict:
+def _bus_entry(bus: Bus, theta_deg: float) -> dict:
     entry: dict = {"id": bus.id, "kind": bus.kind}
     if bus.kind == "slack":
         entry["v_setpoint"] = bus.slack_voltage.v_mag
-        entry["theta_deg"] = _degrees_exact(bus.slack_voltage.theta)
+        entry["theta_deg"] = theta_deg
         return entry
     if bus.kind == "pv":
         entry["v_setpoint"] = bus.pv_setpoint.v_mag
@@ -340,12 +354,15 @@ def _bus_entry(bus: Bus) -> dict:
 
 
 def reference_dump(case: NetworkCase) -> str:
-    """The case file of ``case`` as the object writer wrote it; raises
-    :class:`CaseValidationError` on the first conductive line shunt."""
+    """The case file of ``case`` as the object writer wrote it, but with
+    the angle of ``case.theta_deg``, which the view's radians do not give
+    back exactly; raises :class:`CaseValidationError` on the first
+    conductive line shunt."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "base_mva": case.base_mva,
-        "buses": [_bus_entry(b) for b in case.buses],
+        "buses": [_bus_entry(b, theta) for b, theta in zip(
+            case.buses, case.theta_deg.tolist())],
         "branches": [],
     }
     for br in case.branches:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import casegen
@@ -22,7 +22,7 @@ from test_golden_cli import GOLDEN
 from rectpf import (Branch, Bus, CaseValidationError, NetworkCase,
                     PvSetpoint, SlackVoltage, ZipLoad, caseio, dump_case,
                     parse_case)
-from rectpf.netmodel import _BRANCH_COLUMNS, _BUS_COLUMNS
+from rectpf.netmodel import _BRANCH_COLUMNS, _BUS_COLUMNS, _DEG
 from rectpf.report import run_compare, run_pipeline
 
 
@@ -69,6 +69,14 @@ def _bits(values) -> np.ndarray:
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(text=documents())
+@example(text="""\
+schema_version: "1"
+buses:
+  - {id: 1, kind: zip, p: -0.1}
+  - {id: 2, kind: slack, v_setpoint: 1.0, theta_deg: 5.0e-324}
+branches:
+  - {from: 1, to: 2, series_g: 1.0, series_b: -5.0}
+""")
 def test_columns_match_the_reference_reader(text):
     got = _outcome(lambda: parse_case(text))
     try:
@@ -88,6 +96,10 @@ def test_columns_match_the_reference_reader(text):
     for name, values in reference_case.columns(buses, branches).items():
         column = getattr(case, name)
         assert not column.flags.writeable
+        if name == "theta_deg":     # the objects hold the views' radians
+            column = column * _DEG
+            values = [b.slack_voltage.theta if b.slack_voltage else 0.0
+                      for b in buses]
         assert _bits(column).tolist() == _bits(values).tolist(), name
 
 

@@ -1,4 +1,7 @@
-"""The shared factorization: condition estimate, determinism, singularity."""
+"""The shared factorization: condition estimate, determinism, singularity.
+
+``Factorization`` takes raw arrays only; the dense and scipy matrices here
+reach it as the CSC arrays ``splu`` would hand SuperLU for them."""
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import scipy.linalg
 from scipy import sparse
 
 import casegen
-from reference_case import csr
+from reference_case import csr, superlu_input
 from rectpf import (NominalVoltage, SolverError, build_admittance,
                     compute_noload_voltage)
 from rectpf._linalg import PIVOT_RTOL, Factorization
@@ -50,14 +53,14 @@ def _systems(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_condition_matches_lapack_gecon(seed):
     for name, a in _systems(seed):
-        cond = Factorization(a, code="X").condition
+        cond = Factorization(superlu_input(a), code="X").condition
         ref = gecon_condition(a)
         assert abs(cond - ref) <= 1e-10 * ref, (name, cond, ref)
 
 
 def test_condition_of_a_scalar_and_of_identity():
-    assert Factorization(np.array([[4.0]]), code="X").condition == 1.0
-    assert Factorization(sparse.eye_array(7), code="X").condition == 1.0
+    for a in (np.array([[4.0]]), sparse.eye_array(7)):
+        assert Factorization(superlu_input(a), code="X").condition == 1.0
 
 
 def test_repeat_factorizations_are_bit_identical():
@@ -65,15 +68,15 @@ def test_repeat_factorizations_are_bit_identical():
         b = np.arange(1.0, a.shape[0] + 1)
         if a.dtype.kind == "c":
             b = b + 1j * b[::-1]
-        one = Factorization(a, code="X")
-        two = Factorization(a, code="X")
+        one = Factorization(superlu_input(a), code="X")
+        two = Factorization(superlu_input(a), code="X")
         assert np.array_equal(one.solve(b), two.solve(b)), name
         assert one.condition == two.condition, name
 
 
 def test_matrix_right_hand_side_equals_column_solves():
     for name, a in _systems(5):
-        lu = Factorization(a, code="X")
+        lu = Factorization(superlu_input(a), code="X")
         rhs = np.random.default_rng(1).normal(size=(a.shape[0], 3))
         together = lu.solve(rhs)
         for k in range(3):
@@ -83,7 +86,7 @@ def test_matrix_right_hand_side_equals_column_solves():
 def test_solution_solves_the_system():
     for name, a in _systems(6):
         b = np.ones(a.shape[0])
-        x = Factorization(a, code="X").solve(b)
+        x = Factorization(superlu_input(a), code="X").solve(b)
         assert np.abs(a @ x - b).max() <= 1e-10, name
 
 
@@ -94,7 +97,8 @@ def test_solution_solves_the_system():
 ])
 def test_exactly_singular_raises_callers_code(a):
     with pytest.raises(SolverError) as exc:
-        Factorization(a, code="SINGULAR_TEST", what="test matrix")
+        Factorization(superlu_input(a), code="SINGULAR_TEST",
+                      what="test matrix")
     assert exc.value.code == "SINGULAR_TEST"
     assert "test matrix" in str(exc.value)
 
@@ -102,11 +106,12 @@ def test_exactly_singular_raises_callers_code(a):
 def test_pivot_ratio_failure_raises_callers_code():
     a = np.diag([1.0, 0.1 * PIVOT_RTOL])
     with pytest.raises(SolverError) as exc:
-        Factorization(a, code="SINGULAR_TEST")
+        Factorization(superlu_input(a), code="SINGULAR_TEST")
     assert exc.value.code == "SINGULAR_TEST"
     assert "pivot ratio" in str(exc.value)
     # just above the threshold the same matrix factors
-    lu = Factorization(np.diag([1.0, 10 * PIVOT_RTOL]), code="X")
+    lu = Factorization(superlu_input(np.diag([1.0, 10 * PIVOT_RTOL])),
+                       code="X")
     assert lu.pivot_ratio == pytest.approx(10 * PIVOT_RTOL)
 
 
@@ -115,5 +120,13 @@ def test_non_finite_input_raises_callers_code(bad):
     a = np.eye(3, dtype=type(bad))
     a[1, 2] = bad
     with pytest.raises(SolverError) as exc:
-        Factorization(a, code="SINGULAR_TEST")
+        Factorization(superlu_input(a), code="SINGULAR_TEST")
     assert exc.value.code == "SINGULAR_TEST"
+
+
+@pytest.mark.parametrize("a", [np.eye(3), sparse.csc_array(np.eye(3)),
+                               sparse.csr_array(np.eye(3))])
+def test_a_matrix_that_is_no_raw_arrays_is_refused(a):
+    # a scipy CSC matrix read as CSR arrays would be factored transposed
+    with pytest.raises(TypeError, match="cannot factor"):
+        Factorization(a, code="X")

@@ -3,12 +3,14 @@
 ``Factorization`` calls SuperLU's ``gstrf`` itself, the private entry point
 ``splu`` calls, and reads the pivots from U's raw arrays.  This property
 pins that call to ``splu`` on random real and complex matrices, 1x1 ones,
-exactly singular ones and ones just below and above ``PIVOT_RTOL``, given
+exactly singular ones and ones just below and above ``PIVOT_RTOL``, drawn
 dense, as canonical CSR, as CSR with duplicate entries or with integer
-entries: the pivot ratio, vector and matrix
-solves, the transposed solves of the condition estimate, the estimate
-itself and every refusal, code and text, must equal what ``splu`` gives.
-A change in SciPy's private entry point fails here instead of drifting.
+entries.  ``Factorization`` is given the arrays ``splu`` hands SuperLU for
+the drawn matrix (a canonical CSR's by ``csc_arrays`` too): the pivot
+ratio, vector and matrix solves, the transposed solves of the condition
+estimate, the estimate itself and every refusal, code and text, must equal
+what ``splu`` gives.  A change in SciPy's private entry point fails here
+instead of drifting.
 """
 
 import numpy as np
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
+from reference_case import superlu_input
 from rectpf import SolverError
-from rectpf._linalg import (PIVOT_RTOL, Factorization, _inverse_norm1_estimate,
-                            _segment_sums, csc_arrays)
+from rectpf._linalg import (PIVOT_RTOL, CSRArrays, Factorization,
+                            _inverse_norm1_estimate, _segment_sums, csc_arrays)
 
 # Small integers give exact cancellation, and so exactly singular factors.
 _ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 4.0, -2.5])
@@ -80,17 +83,16 @@ def _splu_outcome(a):
 @example(drawn=("csr", sparse.csr_array(np.diag([1.0, 10 * PIVOT_RTOL]))))
 def test_factorization_is_splu_bit_for_bit(drawn):
     form, a = drawn
+    arrays = superlu_input(a)
     if form.startswith("csr"):
-        # the arrays handed to SuperLU are those of ``tocsc`` with
-        # duplicates summed, for canonical input or not
         assert a.has_canonical_format == (form == "csr" or a.nnz == 0)
-        csc = a.tocsc()
-        csc.sum_duplicates()
-        assert [_bytes(x) for x in csc_arrays(a)] == [_bytes(x) for x in (
-            csc.data, csc.indices.astype(np.intc), csc.indptr.astype(np.intc))]
+    if form == "csr":
+        # canonical CSR reaches SuperLU through ``tocsc``'s kernel
+        raw = CSRArrays(a.data, a.indices, a.indptr)
+        assert list(map(_bytes, csc_arrays(raw))) == list(map(_bytes, arrays))
     ref, refusal = _splu_outcome(a)
     try:
-        lu = Factorization(a, code="X", what="m")
+        lu = Factorization(arrays, code="X", what="m")
     except SolverError as exc:
         assert f"{exc.code}: {exc}" == refusal
         return
@@ -98,18 +100,17 @@ def test_factorization_is_splu_bit_for_bit(drawn):
     pivots = np.abs(ref.U.diagonal())
     assert lu.pivot_ratio == float(pivots.min() / pivots.max())
 
-    n = a.shape[0]
-    csc = sparse.csc_array(a).astype(ref.U.dtype)
-    csc.sum_duplicates()                  # as splu and Factorization do
+    n, dtype = a.shape[0], arrays.data.dtype
+    assert dtype == ref.U.dtype
     rng = np.random.default_rng(n)
     b = rng.normal(size=(n, 3))
-    if csc.dtype.kind == "c":
+    if dtype.kind == "c":
         b = b + 1j * rng.normal(size=(n, 3))
     for rhs in (b[:, 0], b):
         assert _bytes(lu.solve(rhs)) == _bytes(ref.solve(rhs))
-    trans = "H" if csc.dtype.kind == "c" else "T"
+    trans = "H" if dtype.kind == "c" else "T"
     assert (_bytes(lu._lu.solve(b[:, 1], trans))
             == _bytes(ref.solve(b[:, 1], trans)))
-    anorm = float(_segment_sums(csc, np.abs(csc.data)).max())
-    cond = anorm * _inverse_norm1_estimate(ref, csc.dtype)
+    anorm = float(_segment_sums(arrays, np.abs(arrays.data)).max())
+    cond = anorm * _inverse_norm1_estimate(ref, dtype)
     assert lu.condition == (cond if 0.0 < cond < np.inf else np.inf)

@@ -4,8 +4,10 @@ Every linear solve goes through :class:`Factorization`, which factors a
 matrix once with SuperLU and then solves any number of right-hand sides.
 It calls ``gstrf``, the SuperLU entry point of ``scipy.sparse.linalg.splu``,
 on raw CSC arrays, and reads the pivots from U's raw arrays, so no scipy
-matrix is built.  :func:`matvec` and ``_segment_sums`` multiply and sum
-the rows of raw :class:`CSRArrays` with scipy's kernels, bit for bit.
+matrix is built.  :func:`matvec`, :func:`diagonal` and ``_segment_sums``
+take products, diagonals and row sums of raw :class:`CSRArrays` with
+scipy's kernels, bit for bit.  ``_superlu`` and ``_sparsetools`` are
+loaded from their files: ``scipy.sparse`` is never imported.
 Non-finite input and numerically singular systems are rejected at factor
 time; the latter by a pivot-ratio test on the diagonal of U.  The 1-norm
 condition estimate is computed on first use by the Hager-Higham estimator
@@ -18,14 +20,36 @@ refused because of a large condition number.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from functools import cached_property
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import _sparsetools
-from scipy.sparse.linalg._dsolve import _superlu
+import scipy
 
 from .errors import SolverError
+
+
+def _extension(name: str):
+    """SciPy's compiled module ``name``: the one in ``sys.modules``, else
+    loaded from its file without running the packages around it."""
+    if name not in sys.modules:
+        where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                          ).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no compiled module {name} in {where}")
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_sparsetools = _extension("scipy.sparse._sparsetools")
+_superlu = _extension("scipy.sparse.linalg._dsolve._superlu")
 
 # A factorization is treated as singular when the smallest pivot magnitude
 # falls below this fraction of the largest one.
@@ -66,6 +90,14 @@ def matvec(a, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"matvec: vector of shape {x.shape}, matrix of {n}")
     out = np.zeros(n, np.result_type(a.data, x))
     _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
+    return out
+
+
+def diagonal(a) -> np.ndarray:
+    """``a.diagonal()`` for a square CSR ``a``: scipy's ``csr_diagonal``."""
+    n = len(a.indptr) - 1
+    out = np.empty(n, a.data.dtype)
+    _sparsetools.csr_diagonal(0, n, n, a.indptr, a.indices, a.data, out)
     return out
 
 
@@ -116,9 +148,11 @@ class Factorization:
                 f"{what} is numerically singular (pivot ratio 0.000e+00)",
                 code=code) from exc
         data, rows, indptr = self._lu.U    # may run past U's last entry
-        nnz = indptr[-1]
-        on_diag = rows[:nnz] == np.repeat(np.arange(n), np.diff(indptr))
-        pivots = np.abs(data[:nnz][on_diag])
+        at = indptr[1:] - 1                # SuperLU stores each pivot last
+        if indptr[1] == 0 or (rows[at] != np.arange(n)).any():  # elsewhere
+            at = np.flatnonzero(rows[:indptr[-1]] == np.repeat(
+                np.arange(n), np.diff(indptr)))
+        pivots = np.abs(data[at])
         self.pivot_ratio = float(pivots.min() / pivots.max())
         if not self.pivot_ratio >= PIVOT_RTOL:
             raise SolverError(

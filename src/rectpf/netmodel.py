@@ -19,10 +19,10 @@ pinned::
     [ I ]     [ Y     Ybar    ] [ V       ]
     [ I_s ] = [ Ybar^T  y_slack ] [ V_slack ]
 
-where Y is the N x N block over non-slack buses.  Y is stored as a sparse
-CSR matrix with one entry per bus and per branch end, so a radial feeder
-costs O(N) memory and every solver works in O(nnz); no solver builds a
-dense copy of Y.
+where Y is the N x N block over non-slack buses.  Y is stored as raw CSR
+arrays with one entry per bus and per branch end, so a radial feeder costs
+O(N) memory and every solver works in O(nnz); no solver builds a dense
+copy of Y, nor a scipy matrix.
 
 The partition is the per-case context every solver, check and residual
 reads: next to Y it carries the two other parts of a case that loading does
@@ -40,9 +40,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
-from ._linalg import CSRArrays, Factorization, _segment_sums
+from ._linalg import CSRArrays, Factorization, _segment_sums, diagonal
 from .errors import CaseValidationError
 
 
@@ -375,8 +374,8 @@ class AdmittancePartition:
     """Slack-partitioned admittance data and the case's load-independent
     parts: the one context every solver, check and residual reads.
 
-    ``Y_csr`` is the N x N block over non-slack buses as a sparse CSR matrix
-    (any dense or sparse matrix is accepted, copied and converted; explicit
+    ``Y`` is the N x N block over non-slack buses as raw ``CSRArrays`` (any
+    dense or sparse matrix is accepted, copied and converted; explicit
     zeros are dropped), ``Ybar`` the (N,) coupling column to the slack,
     ``y_slack`` the slack self-admittance, ``i_load`` the (N,)
     constant-current injections and ``v_slack`` the slack voltage phasor.
@@ -391,11 +390,11 @@ class AdmittancePartition:
     ``Y_abs`` (``Y.conj()``, ``Y.real``, ``Y.imag``, ``abs(Y)``), the
     ``max_row_norm`` of Y (equal for ``conj(Y)``) and of B as ``Y_row_norm``
     and ``B_row_norm``, and ``B_dc = -(B - diags(Ysh.imag))``, which the
-    DC and lossless models share.  ``Y_csr`` is the one scipy matrix: the
-    derived ones are raw ``CSRArrays``, the first four on Y's own indices.
+    DC and lossless models share: raw ``CSRArrays``, the first four on Y's
+    own indices.  ``Y_csr``, Y as a scipy matrix, is built on first use.
     """
 
-    Y_csr: sparse.csr_array
+    Y: CSRArrays
     Ybar: np.ndarray
     y_slack: complex
     i_load: np.ndarray
@@ -404,22 +403,24 @@ class AdmittancePartition:
     _built: InitVar[bool] = False
 
     def __post_init__(self, _built):
-        y = self.Y_csr
+        y = self.Y
         if not _built:
+            from scipy import sparse
             y = sparse.csr_array(y, dtype=complex, copy=True)
+            if len(y.shape) != 2 or y.shape[0] != y.shape[1]:
+                raise ValueError("Y must be a square matrix")
             y.sum_duplicates()
             y.eliminate_zeros()
+            y = CSRArrays(y.data, y.indices, y.indptr)
         ybar = np.array(self.Ybar, dtype=complex)
         i_load = np.array(self.i_load, dtype=complex)
-        if len(y.shape) != 2 or y.shape[0] != y.shape[1]:
-            raise ValueError("Y must be a square matrix")
-        if ybar.shape != (y.shape[0],):
+        if ybar.shape != (len(y.indptr) - 1,):
             raise ValueError("Ybar must be a vector matching Y")
-        if i_load.shape != (y.shape[0],):
+        if i_load.shape != ybar.shape:
             raise ValueError("i_load must be a vector matching Y")
-        for arr in (y.data, y.indices, y.indptr, ybar, i_load):
+        for arr in (*y, ybar, i_load):
             arr.flags.writeable = False
-        object.__setattr__(self, "Y_csr", y)
+        object.__setattr__(self, "Y", y)
         object.__setattr__(self, "Ybar", ybar)
         object.__setattr__(self, "y_slack", complex(self.y_slack))
         object.__setattr__(self, "i_load", i_load)
@@ -427,13 +428,18 @@ class AdmittancePartition:
 
     @property
     def n(self) -> int:
-        return self.Y_csr.shape[0]
+        return len(self.Y.indptr) - 1
+
+    @cached_property
+    def Y_csr(self):
+        """Y as a scipy ``csr_array`` on Y's arrays; no command reads it."""
+        from scipy import sparse
+        return sparse.csr_array(self.Y, shape=(self.n, self.n))
 
     @cached_property
     def factor(self) -> Factorization:
         """Sparse LU of Y; raises ``SINGULAR_Y`` as :class:`Factorization`."""
-        return Factorization(self._on_pattern(self.Y_csr.data),
-                             code="SINGULAR_Y",
+        return Factorization(self.Y, code="SINGULAR_Y",
                              what="admittance block Y")
 
     @cached_property
@@ -447,16 +453,16 @@ class AdmittancePartition:
     def _on_pattern(self, data: np.ndarray) -> CSRArrays:
         """The read-only CSR arrays of ``data`` on Y's pattern."""
         data.flags.writeable = False
-        return CSRArrays(data, self.Y_csr.indices, self.Y_csr.indptr)
+        return CSRArrays(data, self.Y.indices, self.Y.indptr)
 
     def _max_row_norm(self, magnitudes: np.ndarray) -> float:
         """``max_row_norm`` of the entry ``magnitudes`` on Y's pattern."""
-        return float(np.sqrt(_segment_sums(self.Y_csr, magnitudes ** 2)).max())
+        return float(np.sqrt(_segment_sums(self.Y, magnitudes ** 2)).max())
 
-    Y_conj = cached_property(lambda p: p._on_pattern(p.Y_csr.data.conj()))
-    G = cached_property(lambda p: p._on_pattern(p.Y_csr.data.real.copy()))
-    B = cached_property(lambda p: p._on_pattern(p.Y_csr.data.imag.copy()))
-    Y_abs = cached_property(lambda p: p._on_pattern(np.abs(p.Y_csr.data)))
+    Y_conj = cached_property(lambda p: p._on_pattern(p.Y.data.conj()))
+    G = cached_property(lambda p: p._on_pattern(p.Y.data.real.copy()))
+    B = cached_property(lambda p: p._on_pattern(p.Y.data.imag.copy()))
+    Y_abs = cached_property(lambda p: p._on_pattern(np.abs(p.Y.data)))
     Y_row_norm = cached_property(lambda p: p._max_row_norm(p.Y_abs.data))
     B_row_norm = cached_property(lambda p: p._max_row_norm(np.abs(p.B.data)))
 
@@ -475,9 +481,9 @@ class AdmittancePartition:
         The pattern depends on Y's sparsity only, so every Jacobian and
         every stacked linear system of the partition is filled on it.
         """
-        y = self.Y_csr
+        y = self.Y
         n = self.n
-        nnz = y.nnz
+        nnz = len(y.data)
         rows = np.repeat(np.arange(n), np.diff(y.indptr))
         # Column-major keys of Y's entries, then of the diagonal.
         keys = np.concatenate([y.indices.astype(np.intp) * n + rows,
@@ -506,7 +512,7 @@ class AdmittancePartition:
 
     @cached_property
     def Ysh(self) -> np.ndarray:
-        ysh = _segment_sums(self.Y_csr, self.Y_csr.data) + self.Ybar
+        ysh = _segment_sums(self.Y, self.Y.data) + self.Ybar
         ysh.flags.writeable = False
         return ysh
 
@@ -552,8 +558,8 @@ def build_admittance(case: NetworkCase) -> AdmittancePartition:
     block, to_slack = (rows < n) & (cols < n), (rows < n) & (cols == n)
     ybar = np.zeros(n, dtype=complex)
     ybar[rows[to_slack]] = data[to_slack]
-    y = sparse.csr_array((data[block], cols[block], np.searchsorted(
-        rows[block], np.arange(m))), shape=(n, n))
+    y = CSRArrays(data[block], cols[block].astype(np.intc), np.searchsorted(
+        rows[block], np.arange(m)).astype(np.intc))   # scipy's index dtype
     # the corner's entry, or 0 where its stamps cancel
     return AdmittancePartition(y, ybar, data[keys == m * m - 1].sum(),
                                case.current[:-1], case.v_slack, _built=True)
@@ -587,8 +593,8 @@ def check_noload_structure(partition: AdmittancePartition
     Dominance comparisons use a relative tolerance of 1e-12 on the row
     scale, so exact ties count as weak but not strict.
     """
-    y = partition.Y_csr
-    diag = np.abs(y.diagonal())
+    y = partition.Y
+    diag = np.abs(diagonal(y))
     offsum = _segment_sums(y, partition.Y_abs.data) - diag
     margins = diag - offsum
     tol = 1e-12 * (diag + offsum)

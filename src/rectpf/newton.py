@@ -23,7 +23,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._linalg import Factorization
 from .errors import SolverError
@@ -173,15 +172,14 @@ def jacobian_check(partition: AdmittancePartition,
     residual, jacobian = _equations(partition, case,
                                     case.injection_targets()[0])
     n = partition.n
-    analytic = sparse.csc_array(jacobian(v), shape=(2 * n, 2 * n)).toarray()
+    jac, analytic = jacobian(v), np.zeros((2 * n, 2 * n))
+    cols = np.repeat(np.arange(2 * n), np.diff(jac.indptr))
+    analytic[jac.indices, cols] = jac.data
 
     fd = np.empty_like(analytic)
     for k in range(2 * n):
         bump = np.zeros(n, dtype=complex)
-        if k < n:
-            bump[k] = _FD_STEP
-        else:
-            bump[k - n] = 1j * _FD_STEP
+        bump[k % n] = _FD_STEP if k < n else 1j * _FD_STEP
         f_plus, _ = residual(v + bump)
         f_minus, _ = residual(v - bump)
         fd[:, k] = (f_plus - f_minus) / (2.0 * _FD_STEP)

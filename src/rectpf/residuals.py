@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._linalg import matvec
 from .errors import InternalCheckError
@@ -25,10 +24,13 @@ def max_row_norm(a) -> float:
 
     For any vector x this gives ``|diag(x) A x| <= max_row_norm(A) |x|^2``
     and ``|A x| <= max_row_norm(A) |x|`` in the 2-norm (row-wise
-    Cauchy-Schwarz, summed).  ``a`` may be dense or sparse.
+    Cauchy-Schwarz, summed).  ``a`` may be dense or a scipy sparse matrix.
     """
-    # a sparse array: ``**`` on a scipy sparse matrix is a matrix power
-    a = sparse.csr_array(a) if sparse.issparse(a) else np.asarray(a)
+    if hasattr(a, "tocsr"):   # ``**`` on a sparse matrix is a matrix power
+        from scipy import sparse
+        a = sparse.csr_array(a)
+    else:
+        a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("max_row_norm is defined for matrices")
     if a.size == 0:
@@ -140,7 +142,7 @@ def complex_injection(partition: AdmittancePartition,
                       voltage: np.ndarray) -> np.ndarray:
     """Exact complex power injected at each non-slack bus for ``voltage``."""
     v = np.asarray(voltage, dtype=complex)
-    i_net = (matvec(partition.Y_csr, v) + partition.Ybar * partition.v_slack
+    i_net = (matvec(partition.Y, v) + partition.Ybar * partition.v_slack
              - partition.i_load)
     return v * i_net.conj()
 

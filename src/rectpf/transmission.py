@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import CSRArrays, Factorization, _segment_sums
+from ._linalg import CSRArrays, Factorization, _segment_sums, diagonal
 from .errors import SolverError
 from .linearize import LinearSolution, ModelParts, flat_nominal
 from .netmodel import AdmittancePartition, _minus_diag
@@ -50,7 +50,7 @@ def lossless_gate(partition: AdmittancePartition) -> SolverError | None:
     exactly one per-unit at zero angle (the formulation is derived for that
     reference; no attempt is made to rescale).
     """
-    gmax = float(np.abs(partition.Y_csr.data.real).max(initial=0.0))
+    gmax = float(np.abs(partition.Y.data.real).max(initial=0.0))
     if gmax > LOSSLESS_GMAX:
         return SolverError(
             f"network has conductance up to {gmax:.3e} pu; the lossless "
@@ -98,7 +98,7 @@ def flat_conditions(partition: AdmittancePartition) -> FlatSolveConditions:
     to the other non-slack buses; strictly so at one slack-adjacent bus.
     """
     b = partition.B
-    diag = partition.Y_csr.diagonal().imag
+    diag = diagonal(partition.Y).imag
     lhs = np.abs(diag - partition.Ysh.imag - partition.i_load.imag)
     rhs = _segment_sums(b, np.abs(b.data)) - np.abs(diag)
     tol = 1e-12 * (lhs + rhs)

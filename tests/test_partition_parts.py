@@ -162,7 +162,7 @@ def _assert_parts_as_scipy(part) -> None:
     _assert_same(csr(part.B), y.imag)
     _assert_same(csr(part.Y_abs), abs(y))
     for m in (part.Y_conj, part.G, part.B, part.Y_abs):   # Y's, not copies
-        assert m.indices is y.indices and m.indptr is y.indptr
+        assert m.indices is part.Y.indices and m.indptr is part.Y.indptr
     assert _bits(part.Y_row_norm) == _bits(max_row_norm(csr(part.Y_conj)))
     assert _bits(part.Y_row_norm) == _bits(max_row_norm(y))
     assert _bits(part.B_row_norm) == _bits(max_row_norm(y.imag))

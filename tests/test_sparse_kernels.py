@@ -1,11 +1,12 @@
 """The raw CSR kernels against scipy's ``csr_array``, bit for bit.
 
-The partition keeps the matrices it derives from Y as raw
-:class:`CSRArrays`.  ``matvec`` multiplies them and ``_segment_sums`` sums
-their rows with scipy's own kernels, and ``csc_arrays`` hands them to
-SuperLU through ``tocsc``'s kernel.  This property pins each to the
-``csr_array`` of the same arrays: ``@``, ``sum(axis=1)`` and ``tocsc``,
-on float and complex data and vectors, with explicit and signed zeros,
+The partition keeps Y and the matrices it derives from Y as raw
+:class:`CSRArrays`.  ``matvec`` multiplies them, ``diagonal`` reads their
+diagonal and ``_segment_sums`` sums their rows with scipy's own kernels,
+and ``csc_arrays`` hands them to SuperLU through ``tocsc``'s kernel.  This
+property pins each to the ``csr_array`` of the same arrays: ``@``,
+``diagonal()``, ``sum(axis=1)`` and ``tocsc``, on float and complex data
+and vectors, with explicit and signed zeros,
 empty rows, infinities and nans, 1x1 matrices and no entries at all.
 """
 
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from rectpf._linalg import CSRArrays, _segment_sums, csc_arrays, matvec
+from rectpf._linalg import (CSRArrays, _segment_sums, csc_arrays, diagonal,
+                            matvec)
 
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.5, 3.25, 5e-324, 1e308,
                            np.inf, -np.inf, np.nan])
@@ -68,6 +70,7 @@ def test_kernels_are_scipys_bit_for_bit(drawn):
     with np.errstate(invalid="ignore", over="ignore"):
         assert _bytes(matvec(a, x)) == _bytes(want @ x)
         assert _bytes(_segment_sums(a, a.data)) == _bytes(want.sum(axis=1))
+        assert _bytes(diagonal(a)) == _bytes(want.diagonal())
     csc = want.tocsc()
     assert [_bytes(arr) for arr in csc_arrays(a)] == [_bytes(arr) for arr in (
         csc.data, csc.indices.astype(np.intc), csc.indptr.astype(np.intc))]

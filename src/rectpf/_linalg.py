@@ -148,11 +148,9 @@ class Factorization:
                 f"{what} is numerically singular (pivot ratio 0.000e+00)",
                 code=code) from exc
         data, rows, indptr = self._lu.U    # may run past U's last entry
-        at = indptr[1:] - 1                # SuperLU stores each pivot last
-        if indptr[1] == 0 or (rows[at] != np.arange(n)).any():  # elsewhere
-            at = np.flatnonzero(rows[:indptr[-1]] == np.repeat(
-                np.arange(n), np.diff(indptr)))
-        pivots = np.abs(data[at])
+        nnz = indptr[-1]
+        on_diag = rows[:nnz] == np.repeat(np.arange(n), np.diff(indptr))
+        pivots = np.abs(data[:nnz][on_diag])
         self.pivot_ratio = float(pivots.min() / pivots.max())
         if not self.pivot_ratio >= PIVOT_RTOL:
             raise SolverError(

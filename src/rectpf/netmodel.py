@@ -406,7 +406,9 @@ class AdmittancePartition:
         y = self.Y
         if not _built:
             from scipy import sparse
-            y = sparse.csr_array(y, dtype=complex, copy=True)
+            shape = (len(y.indptr) - 1,) * 2 if isinstance(
+                y, CSRArrays) else None   # scipy would guess it from y
+            y = sparse.csr_array(y, shape=shape, dtype=complex, copy=True)
             if len(y.shape) != 2 or y.shape[0] != y.shape[1]:
                 raise ValueError("Y must be a square matrix")
             y.sum_duplicates()

@@ -8,6 +8,8 @@ in ``reference_case`` and the scipy operators.  ``_connected``'s
 union-find is compared with ``scipy.sparse.csgraph``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +19,9 @@ from scipy import sparse
 import casegen
 import reference_case
 from reference_case import build_case, csr
-from rectpf import (Branch, Bus, NetworkCase, SlackVoltage, ZipLoad,
-                    build_admittance, check_noload_structure, max_row_norm)
+from rectpf import (AdmittancePartition, Branch, Bus, NetworkCase,
+                    SlackVoltage, ZipLoad, build_admittance,
+                    check_noload_structure, max_row_norm)
 from rectpf._linalg import _segment_sums
 from rectpf.netmodel import _connected
 from rectpf.transmission import _im_coeff
@@ -218,3 +221,19 @@ def test_lossless_g_keeps_an_explicit_zero_per_entry():
     part = build_admittance(casegen.lossless_ladder_case())
     assert len(part.G.data) == part.Y_csr.nnz and not part.G.data.any()
     _assert_parts_as_scipy(part)
+
+
+@pytest.mark.parametrize("part", [
+    build_admittance(ALL_CANCELLED),
+    AdmittancePartition(np.array([[2 - 1j, 0], [1j, 0]]), np.ones(2), 1,
+                        np.zeros(2), 1)], ids=["no entry", "last column empty"])
+def test_partition_takes_its_own_y_back(part):
+    """Y's raw arrays carry no shape: handed back to the constructor, as
+    ``dataclasses.replace`` does, they keep the order ``len(indptr) - 1``."""
+    i_load = np.full(part.n, 0.5j)
+    for again in (dataclasses.replace(part, i_load=i_load),
+                  AdmittancePartition(part.Y, part.Ybar, part.y_slack,
+                                      i_load, part.v_slack)):
+        assert again.n == part.n and again.Y_csr.shape == part.Y_csr.shape
+        _assert_same(again.Y_csr, part.Y_csr)
+        assert _bits(again.i_load) == _bits(i_load)

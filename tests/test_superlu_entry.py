@@ -14,14 +14,13 @@ instead of drifting.
 """
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from reference_case import superlu_input
-from rectpf import SolverError, _linalg
+from rectpf import SolverError
 from rectpf._linalg import (PIVOT_RTOL, CSRArrays, Factorization,
                             _inverse_norm1_estimate, _segment_sums, csc_arrays)
 
@@ -115,48 +114,3 @@ def test_factorization_is_splu_bit_for_bit(drawn):
     anorm = float(_segment_sums(arrays, np.abs(arrays.data)).max())
     cond = anorm * _inverse_norm1_estimate(ref, dtype)
     assert lu.condition == (cond if 0.0 < cond < np.inf else np.inf)
-
-
-class _PivotFirst:
-    """A SuperLU factor whose U lists each column's entries in reverse, so
-    that a column's pivot, which SuperLU stores last, comes first."""
-
-    def __init__(self, lu):
-        self._lu = lu
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-    @property
-    def U(self):
-        data, rows, indptr = self._lu.U
-        order = np.arange(len(data))
-        for j in range(len(indptr) - 1):
-            order[indptr[j]:indptr[j + 1]] = np.arange(
-                indptr[j + 1] - 1, indptr[j] - 1, -1)
-        return data[order], rows[order], indptr
-
-
-@pytest.mark.parametrize("scale", [1.0, 0.1 * PIVOT_RTOL, 10 * PIVOT_RTOL])
-def test_pivots_of_a_u_without_its_pivots_last(monkeypatch, scale):
-    """A U whose pivots are not stored last in their columns gives the same
-    pivot ratio and the same refusal: its pivots are found by row index."""
-    a = np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [1.0, 0.0, 3.0]])
-    a[-1] *= scale
-    arrays = superlu_input(a)
-    try:
-        want = Factorization(arrays, code="X", what="m").pivot_ratio
-    except SolverError as exc:
-        want = str(exc)
-    gstrf = _linalg._superlu.gstrf
-    monkeypatch.setattr(_linalg._superlu, "gstrf",
-                        lambda *args, **kwargs: _PivotFirst(gstrf(*args,
-                                                                  **kwargs)))
-    try:
-        lu = Factorization(arrays, code="X", what="m")
-    except SolverError as exc:
-        assert str(exc) == want
-    else:
-        _, rows, indptr = lu._lu.U
-        assert not (rows[indptr[1:] - 1] == np.arange(3)).all()
-        assert lu.pivot_ratio == want

@@ -7,7 +7,8 @@ on raw CSC arrays, and reads the pivots from U's raw arrays, so no scipy
 matrix is built.  :func:`matvec`, :func:`diagonal` and ``_segment_sums``
 take products, diagonals and row sums of raw :class:`CSRArrays` with
 scipy's kernels, bit for bit.  ``_superlu`` and ``_sparsetools`` are
-loaded from their files: ``scipy.sparse`` is never imported.
+loaded from their files: no scipy package is imported, ``scipy`` included,
+so a later ``scipy.sparse`` lacks them as attributes (not as imports).
 Non-finite input and numerically singular systems are rejected at factor
 time; the latter by a pivot-ratio test on the diagonal of U.  The 1-norm
 condition estimate is computed on first use by the Hager-Higham estimator
@@ -23,24 +24,24 @@ import math
 import os
 import sys
 from functools import cached_property
-from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
-                                 FileFinder)
-from importlib.util import module_from_spec
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import SolverError
 
 
 def _extension(name: str):
     """SciPy's compiled module ``name``: the one in ``sys.modules``, else
-    loaded from its file without running the packages around it."""
+    loaded from its file without running a package ``__init__``."""
     if name not in sys.modules:
-        where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
-        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)
-                          ).find_spec(name)
+        if (scipy := find_spec("scipy")) is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        where = os.path.join(scipy.submodule_search_locations[0],
+                             *name.split(".")[1:-1])
+        spec = PathFinder.find_spec(name, [where])
         if spec is None:
             raise ImportError(f"no compiled module {name} in {where}")
         sys.modules[name] = module_from_spec(spec)

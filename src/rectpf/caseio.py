@@ -7,7 +7,7 @@ default to zero, and validation reports every problem it finds at once.  A
 clean file in the layouts of case files, one flow mapping per sequence item,
 as below, or ``dump_case``'s block mappings, is read straight into columns,
 and so is one whose only other lines are blank or full-line comments.
-``yaml.load`` reads every other text.
+``yaml.load``, which ``_yamlio`` imports on first use, reads every other text.
 
 Example::
 
@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import accumulate, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import CaseValidationError
 from .netmodel import _PV, _SLACK, _ZIP, KINDS, NetworkCase, _raise_problems
@@ -48,28 +47,6 @@ _BRANCH_KEYS = ["from", "to", "series_g", "series_b", "shunt_b_total"]
 _BRANCH_FIELDS = set(_BRANCH_KEYS)
 _CODES = {kind: code for code, kind in enumerate(KINDS)}
 
-# libyaml's parser and emitter when PyYAML was built with them; each pairs
-# the C code with the same resolver and safe constructor or representer, so
-# documents load to equal objects and dump to the same text.
-_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
-class _CaseLoader(_SafeLoader):
-    """The safe loader, reading YAML 1.2 scientific notation as floats.
-
-    YAML 1.1 floats need a decimal point and a signed exponent, so ``1e-3``
-    and ``1.0e308`` would load as strings.  The extra resolver comes after
-    the 1.1 ones in the table, so it only claims scalars that resolved to
-    ``str`` before, and ``dump_case`` output loads as it always did.
-    """
-
-
-_CaseLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
-
 # The column reader's numbers: a decimal int as YAML reads it, of at most 18
 # digits, and a decimal float.
 _INT = r"[-+]?(?:0|[1-9][0-9]{0,17})"
@@ -77,23 +54,6 @@ _FLOAT = r"[-+]?[0-9]+(?:\.[0-9]*(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _NUMBER = re.compile(rf"({_INT})|{_FLOAT}")
 # A blank, space-only or full-line comment line, with its line break.
 _FILLER = re.compile(r"^ *(?:#[ -~]*)?\n", re.MULTILINE)
-_MAX_DEPTH = 100        # yaml.load's composer recurses per level (C stack)
-
-
-def _load_document(text: str):
-    """``yaml.load(text, Loader=_CaseLoader)``, which reads every text the
-    column reader declines and raises every parse error, but is not given
-    nesting over _MAX_DEPTH."""
-    depths = accumulate(isinstance(event, yaml.CollectionStartEvent)
-                        - isinstance(event, yaml.CollectionEndEvent)
-                        for event in yaml.parse(text, Loader=_CaseLoader))
-    try:
-        deep = any(depth > _MAX_DEPTH for depth in depths)
-    except yaml.YAMLError:          # yaml.load reports it
-        deep = False
-    if deep:
-        raise yaml.YAMLError(f"collections nested deeper than {_MAX_DEPTH}")
-    return yaml.load(text, Loader=_CaseLoader)
 
 
 def _float(value) -> float:
@@ -332,8 +292,9 @@ def parse_case(text: str, source: str = "<case>") -> NetworkCase:
         read = _read_columns(_FILLER.sub("", text))
     if read is not None:
         return NetworkCase(*read)
+    from ._yamlio import load_document, yaml    # PyYAML loads here
     try:
-        doc = _load_document(text)
+        doc = load_document(text)
     except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
         # PyYAML's constructors raise bare exceptions, with no position and
         # a text that names no input, for scalars they cannot convert:
@@ -432,7 +393,8 @@ def dump_case(case: NetworkCase) -> str:
                     case.series.imag, case.line_shunt.imag)]
     doc = {"schema_version": SCHEMA_VERSION, "base_mva": float(case.base_mva),
            "buses": buses, "branches": branches}
-    return yaml.dump(doc, Dumper=_SafeDumper, sort_keys=False,
+    from ._yamlio import SafeDumper, yaml
+    return yaml.dump(doc, Dumper=SafeDumper, sort_keys=False,
                      default_flow_style=False)
 
 

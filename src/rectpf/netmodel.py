@@ -615,19 +615,12 @@ def check_noload_structure(partition: AdmittancePartition
     scale = max(1.0, float(np.abs(partition.Ybar * v_slack).max(initial=0.0)))
     source_nonzero = bool(np.abs(source).max(initial=0.0) > 1e-12 * scale)
 
-    reasons = []
-    if not connected:
-        reasons.append("DISCONNECTED")
-    if not weak.all():
-        reasons.append("NOT_DIAGONALLY_DOMINANT")
-    if not strict_at_adjacent:
-        reasons.append("NO_STRICT_DOMINANCE")
-    if not source_nonzero:
-        reasons.append("NO_LOAD_VOLTAGE_ZERO")
-    verdict = not reasons
+    reasons = tuple(reason for reason, holds in [
+        ("DISCONNECTED", connected), ("NOT_DIAGONALLY_DOMINANT", weak.all()),
+        ("NO_STRICT_DOMINANCE", strict_at_adjacent),
+        ("NO_LOAD_VOLTAGE_ZERO", source_nonzero)] if not holds)
     return StructureDiagnosis(
         connected=connected, dominance_margins=margins, weak_rows=weak,
         slack_adjacent=slack_adjacent,
         strict_at_slack_adjacent=strict_at_adjacent,
-        source_nonzero=source_nonzero, verdict=verdict,
-        reasons=tuple(reasons))
+        source_nonzero=source_nonzero, verdict=not reasons, reasons=reasons)

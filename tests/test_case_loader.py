@@ -4,13 +4,14 @@
 sequence item (``  - {id: 1, kind: zip}``) and ``dump_case``'s block
 mappings (``- id: 1`` then ``  kind: zip``), straight into columns with
 ``_read_columns``, once more without full-line comments and blank lines
-when it declines a text that has them.  ``_load_document`` reads every
-other text: ``yaml.load``, behind a guard that refuses nesting deeper
-than ``_MAX_DEPTH`` before the loader's composer recurses into it.  The
-properties below check that ``_load_document`` gives the object
-``yaml.load`` gives, or raises the same error, on generated case-shaped
-documents and on generic YAML, with the libyaml parser and again with the
-pure-Python one, and that the column reader reads the clean layouts.
+when it declines a text that has them.  ``_yamlio.load_document``, which
+``parse_case`` imports only then, reads every other text: ``yaml.load``,
+behind a guard that refuses nesting deeper than ``_yamlio.MAX_DEPTH``
+before the loader's composer recurses into it.  The properties below
+check that ``load_document`` gives the object ``yaml.load`` gives, or
+raises the same error, on generated case-shaped documents and on generic
+YAML, with the libyaml parser and again with the pure-Python one, and that
+the column reader reads the clean layouts.
 """
 
 import math
@@ -27,7 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import casegen
-from rectpf import CaseValidationError, caseio, dump_case, parse_case
+from rectpf import (CaseValidationError, _yamlio, caseio, dump_case,
+                    parse_case)
 
 # Plain spellings of every implicit type, plus strings that look like them.
 SPELLINGS = [
@@ -156,19 +158,19 @@ def _outcome(load):
 def _pure_python_loader():
     """The case loader's table on PyYAML's pure-Python safe loader."""
     return type("PureCaseLoader", (yaml.SafeLoader,), {
-        "yaml_implicit_resolvers": caseio._CaseLoader.yaml_implicit_resolvers})
+        "yaml_implicit_resolvers": _yamlio.CaseLoader.yaml_implicit_resolvers})
 
 
-LOADERS = {"libyaml": lambda: caseio._CaseLoader,
+LOADERS = {"libyaml": lambda: _yamlio.CaseLoader,
            "pure-python": _pure_python_loader}
 
 
 def _check_against_full_loader(which, text):
-    """``_load_document`` agrees with ``yaml.load``."""
+    """``load_document`` agrees with ``yaml.load``."""
     loader = LOADERS[which]()
-    with mock.patch.object(caseio, "_CaseLoader", loader):
+    with mock.patch.object(_yamlio, "CaseLoader", loader):
         full = _outcome(lambda: yaml.load(text, Loader=loader))
-        assert _outcome(lambda: caseio._load_document(text)) == full
+        assert _outcome(lambda: _yamlio.load_document(text)) == full
 
 
 @pytest.mark.parametrize("which", sorted(LOADERS))
@@ -329,10 +331,14 @@ def test_generated_feeder_loads_without_the_full_loader(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("the full loader ran")
+    # the names the declined path reads: parse_case imports load_document
+    # from _yamlio when it runs, and load_document reads CaseLoader and
+    # yaml.load from there
     monkeypatch.setattr(yaml, "load", refuse)
-    for name in ("_CaseLoader", "_load_document", "_bus_columns",
-                 "_branch_columns"):
-        monkeypatch.setattr(caseio, name, refuse)
+    for module, name in ((_yamlio, "CaseLoader"),
+                         (_yamlio, "load_document"), (caseio, "_bus_columns"),
+                         (caseio, "_branch_columns")):
+        monkeypatch.setattr(module, name, refuse)
     for text, want in clean + commented:
         got = parse_case(text)
         assert got == want if want is not None else got.n == 2
@@ -354,7 +360,7 @@ def test_deep_nesting_is_a_parse_error(tmp_path, command, text):
                          env=env, timeout=120)
     assert (res.returncode, res.stdout, res.stderr) == (
         2, "", f"PARSE_ERROR: {path}: not valid YAML: collections nested "
-               f"deeper than {caseio._MAX_DEPTH}\n")
+               f"deeper than {_yamlio.MAX_DEPTH}\n")
 
 
 @pytest.mark.parametrize("which", sorted(LOADERS))
@@ -362,12 +368,12 @@ def test_nesting_up_to_the_limit_loads_as_before(which):
     def nested(depth):      # a mapping holding flow sequences; block ones
         return ["a: " + "[" * (depth - 1) + "1" + "]" * (depth - 1) + "\n",
                 "- " * depth + "x\n"]
-    for text in nested(caseio._MAX_DEPTH):
+    for text in nested(_yamlio.MAX_DEPTH):
         _check_against_full_loader(which, text)
-    with mock.patch.object(caseio, "_CaseLoader", LOADERS[which]()):
-        for text in nested(caseio._MAX_DEPTH + 1):
+    with mock.patch.object(_yamlio, "CaseLoader", LOADERS[which]()):
+        for text in nested(_yamlio.MAX_DEPTH + 1):
             with pytest.raises(yaml.YAMLError, match="nested deeper than"):
-                caseio._load_document(text)
+                _yamlio.load_document(text)
 
 
 @pytest.mark.parametrize("spelling, value", [
@@ -375,7 +381,7 @@ def test_nesting_up_to_the_limit_loads_as_before(which):
     (".5e3", 500.0), ("1e5", 100000.0),
 ])
 def test_scientific_notation_is_a_float(spelling, value):
-    doc = caseio._load_document(f"x: {spelling}\n")
+    doc = _yamlio.load_document(f"x: {spelling}\n")
     assert type(doc["x"]) is float and doc["x"] == value
     case = parse_case(f"""
 schema_version: "1"
@@ -390,7 +396,7 @@ branches:
 
 
 def test_scientific_notation_leaves_other_scalars_alone():
-    doc = caseio._load_document(
+    doc = _yamlio.load_document(
         "a: 09\nb: 1_0e5\nc: '1e-3'\nd: 1.5e\ne: 0x1f\nf: 1.0e+3\n")
     assert doc == {"a": "09", "b": "1_0e5", "c": "1e-3", "d": "1.5e",
                    "e": 31, "f": 1000.0}
@@ -402,6 +408,6 @@ def test_dump_case_text_loads_as_before():
         case = casegen.random_feeder_case(rng, load_scale=1e-7)
         text = dump_case(case)
         assert "e-" in text
-        assert (repr(caseio._load_document(text))
-                == repr(yaml.load(text, Loader=caseio._SafeLoader)))
+        assert (repr(_yamlio.load_document(text))
+                == repr(yaml.load(text, Loader=_yamlio.CaseLoader.__base__)))
         assert parse_case(text).branches == case.branches

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 import casegen
 from test_case_loader import _flow_layout
 from test_cli_fuzz import FIELDS, VALUES, _with
-from rectpf import CaseValidationError, caseio, dump_case, parse_case
+from rectpf import (CaseValidationError, _yamlio, caseio, dump_case,
+                    parse_case)
 from rectpf.netmodel import _BRANCH_COLUMNS, _BUS_COLUMNS
 
 FLOW = """\
@@ -212,8 +213,8 @@ def test_reader_declines_or_reads_what_the_dict_path_reads(drawn):
     # Comment and blank lines change nothing but a parse error's position,
     # and a case the reader reads it still reads with them, without
     # loading the document.
-    with mock.patch.object(caseio, "_load_document",
-                           _refuse if read else caseio._load_document):
+    with mock.patch.object(_yamlio, "load_document",
+                           _refuse if read else _yamlio.load_document):
         got, want = _outcome(commented), _outcome(text)
     if want[:2] == ("raised", "PARSE_ERROR"):
         got, want = got[:2], want[:2]
@@ -236,7 +237,7 @@ def test_other_comments_take_the_yaml_path(layout, old, new):
     base = FLOW if layout == "flow" else BLOCK
     assert old in base
     text = base.replace(old, new, 1)
-    with mock.patch.object(caseio, "_load_document",
-                           wraps=caseio._load_document) as load:
+    with mock.patch.object(_yamlio, "load_document",
+                           wraps=_yamlio.load_document) as load:
         _same_outcome(text)
     assert load.call_count == 2

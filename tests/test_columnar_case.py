@@ -20,8 +20,8 @@ from test_case_loader import _mangle
 from test_cli_fuzz import BASES, FIELDS, VALUES, _with, case_texts
 from test_golden_cli import GOLDEN
 from rectpf import (Branch, Bus, CaseValidationError, NetworkCase,
-                    PvSetpoint, SlackVoltage, ZipLoad, caseio, dump_case,
-                    parse_case)
+                    PvSetpoint, SlackVoltage, ZipLoad, _yamlio, caseio,
+                    dump_case, parse_case)
 from rectpf.netmodel import _BRANCH_COLUMNS, _BUS_COLUMNS, _DEG
 from rectpf.report import run_compare, run_pipeline
 
@@ -80,7 +80,7 @@ branches:
 def test_columns_match_the_reference_reader(text):
     got = _outcome(lambda: parse_case(text))
     try:
-        doc = caseio._load_document(text)
+        doc = _yamlio.load_document(text)
     except Exception:           # the shared loader is not under test here
         doc = None
     if not isinstance(doc, dict):
